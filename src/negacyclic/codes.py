@@ -175,7 +175,7 @@ class ConstacyclicCode:
         t = self.field.tables()
         w = np.asarray(word, dtype=t.dtype)
         out = np.empty_like(w)
-        out[0] = t.mul[self.field.index(self.lam), w[-1]]
+        out[0] = t.mul[self.lam.as_int(), w[-1]]
         out[1:] = w[:-1]
         return out
 

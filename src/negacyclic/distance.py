@@ -1,15 +1,19 @@
 """Exact minimum distances and weight distributions.
 
-Two engines: a blocked full-message enumeration (the inner block of messages
-is precomputed as a table of partial codewords, the outer digits walk an
-odometer so each step costs one row addition), and a meet-in-the-middle
-low-weight search over parity-check syndromes for high-rate codes.  A
-sphere-packing upper bound (with the even-distance refinement) and the BCH
+Two engines: a blocked full-message enumeration and a meet-in-the-middle
+low-weight search over parity-check syndromes for high-rate codes.  The
+enumeration precomputes the partial codewords of an inner block of messages
+once and stores them bitsliced, as q one-hot uint64 planes per row
+(ceil(n/64) words each; table and planes together within 6 MB); the outer
+digits walk an odometer over one int8 row b, and each outer step reads the
+weights of the whole block with at most q ANDs, q-1 ORs and one popcount,
+for any field with index tables (Boothby & Bradshaw, arXiv:0901.1413).
+A sphere-packing upper bound (with the even-distance refinement) and the BCH
 multiplier bound bracket whatever the engines cannot settle exactly.
 
 Engines only read the code object; outer-message shards may run on several
 threads and reduce by (weight, message-index) minimum, so results do not
-depend on the shard count.
+depend on the inner block size or the shard count.
 """
 
 from __future__ import annotations
@@ -24,6 +28,12 @@ from typing import Optional
 import numpy as np
 
 from .codes import CodeError, NegacyclicCode
+
+
+#: Version of the engines' answers; part of every result-cache key, so bump it
+#: whenever a change can alter a report (2: bit-plane enumeration, column
+#: search work carried into bounds-only reports, column search time cap).
+ENGINE_VERSION = 2
 
 
 class BudgetExceeded(RuntimeError):
@@ -100,17 +110,30 @@ class DistanceReport:
 
 
 # ---------------------------------------------------------------------------
-# blocked enumeration
+# blocked enumeration over one-hot bit planes
 
-_INNER_CAP = 20000
+# bytes of the inner block's int8 table plus its q one-hot planes: enough
+# rows that the per-step Python work is small, few enough to stay a few MB
+_INNER_BYTES = 6 << 20
 
 
-def _inner_table(tables, rows):
-    """Partial codewords of every message over a prefix of the rows."""
+def _check_deadline(deadline, what):
+    if deadline is not None and time.monotonic() >= deadline:
+        raise BudgetExceeded(f"{what} time cap hit")
+
+
+def _words(n):
+    return -(-n // 64)
+
+
+def _inner_planes(tables, rows):
+    """One-hot planes of the partial codewords of every message over a prefix
+    of the rows (see _planes), and the prefix length k_in."""
     k, n = rows.shape
     q = tables.q
+    row_bytes = n + 8 * q * _words(n)
     k_in, size = 0, 1
-    while k_in < k and size * q <= _INNER_CAP:
+    while k_in < k and size * q * row_bytes <= _INNER_BYTES:
         size *= q
         k_in += 1
     if k_in == 0:
@@ -120,7 +143,24 @@ def _inner_table(tables, rows):
         row = rows[r]
         A = np.concatenate(
             [tables.add[A, tables.mul[v][row][None, :]] for v in range(q)], axis=0)
-    return A, k_in
+    return _planes(A, q), k_in
+
+
+def _bits(mask):
+    """Pack the last axis of a boolean array into uint64 words: bit i of word
+    w is coordinate 64*w + i, and the padding bits are zero."""
+    n = mask.shape[-1]
+    out = np.zeros(mask.shape[:-1] + (8 * _words(n),), dtype=np.uint8)
+    out[..., :(n + 7) // 8] = np.packbits(mask, axis=-1, bitorder="little")
+    return out.view("<u8")
+
+
+def _planes(A, q):
+    """One-hot planes of the inner table: bit i of planes[e][r] is A[r, i] == e."""
+    planes = np.empty((q, A.shape[0], _words(A.shape[1])), dtype="<u8")
+    for e in range(q):
+        planes[e] = _bits(A == e)
+    return planes
 
 
 def _outer_steps(field, tables, rows_out):
@@ -139,29 +179,34 @@ def _outer_steps(field, tables, rows_out):
     return inc, wrap
 
 
-def _encode_outer(tables, rows_out, digits):
-    b = np.zeros(rows_out.shape[1] if len(rows_out) else 0, dtype=tables.dtype)
+def _encode_outer(tables, rows_out, digits, n):
+    b = np.zeros(n, dtype=tables.dtype)
     for d, row in zip(digits, rows_out):
         if d:
             b = tables.add[b, tables.mul[int(d)][row]]
     return b
 
 
-def _walk_shard(field, tables, A, rows_out, j0, j1, n, mode,
+def _walk_shard(field, tables, planes, rows_out, j0, j1, n, mode,
                 check_every=4096, deadline=None):
-    """Walk outer messages j0..j1-1; returns (hist) or (best_w, best_msg)."""
+    """Walk outer messages j0..j1-1; returns (hist) or (best_w, best_msg).
+
+    Each outer step reads the weights of all inner codewords A + b from the
+    planes: coordinate i of A[r] + b is zero exactly where A[r, i] = -b[i], so
+    the zero count of row r is popcount(OR over values v of b of
+    planes[-v][r] & (b == v)).
+    """
     q = tables.q
     k_out = len(rows_out)
-    size = A.shape[0]
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded("enumeration time cap hit")
+    size = planes.shape[1]
+    _check_deadline(deadline, "enumeration")
     digits = [(j0 // q ** r) % q for r in range(k_out)]
-    b = _encode_outer(tables, rows_out, digits)
-    if k_out == 0:
-        b = np.zeros(n, dtype=tables.dtype)
+    b = _encode_outer(tables, rows_out, digits, n)
     inc, wrap = _outer_steps(field, tables, rows_out)
-    hist = np.zeros(n + 2, dtype=np.int64)
-    best_w, best_msg = n + 2, -1
+    acc = np.empty(planes.shape[1:], dtype=np.uint64)
+    hit = np.empty_like(acc)
+    zhist = np.zeros(n + 1, dtype=np.int64)
+    best_w, best_msg = n + 1, -1
     for j in range(j0, j1):
         if j > j0:
             pos = 0
@@ -172,23 +217,27 @@ def _walk_shard(field, tables, A, rows_out, j0, j1, n, mode,
             b = tables.add[b, inc[pos][digits[pos]]]
             digits[pos] += 1
             if (j - j0) % check_every == 0:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise BudgetExceeded("enumeration time cap hit")
-                direct = _encode_outer(tables, rows_out, digits)
+                _check_deadline(deadline, "enumeration")
+                direct = _encode_outer(tables, rows_out, digits, n)
                 if not np.array_equal(b, direct):  # pragma: no cover
                     raise AssertionError("odometer codeword drifted from direct encoding")
-        cw = tables.add[A, b[None, :]]
-        w = np.count_nonzero(cw, axis=1)
+        vals = np.unique(b)
+        masks = _bits(b[None, :] == vals[:, None])
+        np.bitwise_and(planes[tables.neg[vals[0]]], masks[0], out=acc)
+        for v, m in zip(vals[1:], masks[1:]):
+            np.bitwise_and(planes[tables.neg[v]], m, out=hit)
+            np.bitwise_or(acc, hit, out=acc)
+        zeros = np.bitwise_count(acc).sum(axis=1, dtype=np.int16)
         if mode == "hist":
-            hist += np.bincount(w, minlength=n + 2)
+            zhist += np.bincount(zeros, minlength=n + 1)
         else:
-            if j == 0:
-                w[0] = n + 1  # the zero message
-            i = int(np.argmin(w))
-            if w[i] < best_w:
-                best_w, best_msg = int(w[i]), j * size + i
+            # the most zeros is the least weight; skip the zero message
+            i = int(np.argmax(zeros[1:])) + 1 if j == 0 else int(np.argmax(zeros))
+            w = n - int(zeros[i])
+            if w < best_w:
+                best_w, best_msg = w, j * size + i
     if mode == "hist":
-        return hist
+        return zhist[::-1]
     return best_w, best_msg
 
 
@@ -202,30 +251,30 @@ def _enum(code, mode, budget: SearchBudget, threads: int = 1):
     k, n = code.k, code.n
     if k == 0:
         if mode == "hist":
-            hist = np.zeros(n + 2, dtype=np.int64)
+            hist = np.zeros(n + 1, dtype=np.int64)
             hist[0] = 1
             return hist
         raise CodeError("the zero code has no nonzero codeword")
     if q ** k > budget.max_message_enum:
         return None
     rows = np.asarray(code.rows(), dtype=tables.dtype)
-    A, k_in = _inner_table(tables, rows)
+    planes, k_in = _inner_planes(tables, rows)
     rows_out = rows[k_in:]
     outer_total = q ** (k - k_in)
     deadline = (time.monotonic() + budget.time_cap
                 if budget.time_cap is not None else None)
     # self-check the running codeword about once per 2^20 enumerated messages
-    check_every = max(1, (1 << 20) // A.shape[0])
+    check_every = max(1, (1 << 20) // planes.shape[1])
     threads = max(1, min(threads, outer_total))
     bounds = [outer_total * t // threads for t in range(threads + 1)]
     shards = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
     if len(shards) == 1:
-        results = [_walk_shard(code.field, tables, A, rows_out,
+        results = [_walk_shard(code.field, tables, planes, rows_out,
                                shards[0][0], shards[0][1], n, mode,
                                check_every, deadline)]
     else:
         with ThreadPoolExecutor(max_workers=len(shards)) as ex:
-            futs = [ex.submit(_walk_shard, code.field, tables, A, rows_out,
+            futs = [ex.submit(_walk_shard, code.field, tables, planes, rows_out,
                               a, b, n, mode, check_every, deadline)
                     for a, b in shards]
             results = [f.result() for f in futs]
@@ -276,13 +325,20 @@ def _side_syndromes(tables, colsT, subsets, coeff_tuple):
     return syn
 
 
-def _level_search(tables, colsT, powers, w, n):
+def _subsets(n, t):
+    """All t-subsets of range(n) as rows, in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), t))
+    return np.fromiter(flat, dtype=np.int64, count=comb(n, t) * t).reshape(-1, t)
+
+
+def _level_search(tables, colsT, powers, w, n, deadline=None):
     """Search for a weight-exactly-w dependence among the n columns.
 
     Splits the support as (first t, last w-t) of the sorted support; the left
     side enumerates all coefficient tuples, the right side pins its top
     coefficient to 1 (one representative per scalar multiple).  A key match
     with max(left support) < min(right support) is a genuine codeword.
+    The deadline is checked before each chunk of right-side subsets.
     """
     q = tables.q
     t_size = w // 2
@@ -295,8 +351,7 @@ def _level_search(tables, colsT, powers, w, n):
         left_cf: list[tuple[int, ...]] = [()]
         left_cf_id = np.zeros(1, dtype=np.int32)
     else:
-        subs = np.array(list(itertools.combinations(range(n), t_size)),
-                        dtype=np.int64)
+        subs = _subsets(n, t_size)
         keys_parts, max_parts, sub_parts, cf_id_parts = [], [], [], []
         left_cf = list(itertools.product(range(1, q), repeat=t_size))
         for cid, cf in enumerate(left_cf):
@@ -317,13 +372,13 @@ def _level_search(tables, colsT, powers, w, n):
         lsub = left_sub_idx[order]
         lcf = left_cf_id[order]
     # right side
-    rsubs = np.array(list(itertools.combinations(range(n), u_size)),
-                     dtype=np.int64)
+    rsubs = _subsets(n, u_size)
     right_cf = [cf + (1,) for cf in
                 itertools.product(range(1, q), repeat=u_size - 1)]
     chunk = 300_000
     for cf in right_cf:
         for s0 in range(0, len(rsubs), chunk):
+            _check_deadline(deadline, "column search")
             sub_c = rsubs[s0:s0 + chunk]
             syn = _side_syndromes(tables, colsT, sub_c, cf)
             need = tables.neg[syn].astype(np.int64) @ powers
@@ -359,12 +414,13 @@ def low_weight_search(code, w_max: Optional[int] = None,
     """Find the minimum weight w <= w_max via parity-check column dependence.
 
     Returns an exact report with a witness when a word is found, otherwise the
-    lower bound w_max + 1.
+    lower bound w_max + 1.  Raises BudgetExceeded past budget.time_cap.
     """
     budget = budget or SearchBudget()
     if w_max is None:
         w_max = budget.max_column_weight
     t0 = time.monotonic()
+    deadline = t0 + budget.time_cap if budget.time_cap is not None else None
     tables = code.field.tables()
     q = tables.q
     H = np.asarray(code.dual_rows(), dtype=tables.dtype)
@@ -380,8 +436,9 @@ def low_weight_search(code, w_max: Optional[int] = None,
     colsT = np.ascontiguousarray(H.T)
     work = 0
     for w in range(1, w_max + 1):
+        _check_deadline(deadline, "column search")
         work += comb(n, w // 2) + comb(n, w - w // 2)
-        word = _level_search(tables, colsT, powers, w, n)
+        word = _level_search(tables, colsT, powers, w, n, deadline)
         if word is not None:
             if not code.contains(word):  # pragma: no cover
                 raise AssertionError("column search produced a non-codeword")
@@ -436,7 +493,9 @@ def bch_lower(code) -> tuple[int, int]:
 def distance_report(code, budget: Optional[SearchBudget] = None,
                     threads: int = 1) -> DistanceReport:
     """Policy: enumerate when q^k fits the budget; otherwise run the column
-    search up to min(cap, packing bound + 1); otherwise report bounds only."""
+    search up to min(cap, packing bound + 1); otherwise report bounds only,
+    with the work of any column search that ran.  An engine that hits
+    budget.time_cap falls through to the next step."""
     budget = budget or SearchBudget()
     q, k, n = code.field.order, code.k, code.n
     if k == 0:
@@ -455,18 +514,21 @@ def distance_report(code, budget: Optional[SearchBudget] = None,
     w_cap = min(budget.max_column_weight, pack + 1)
     if q ** (n - k) >= 2 ** 62:
         w_cap = 0  # syndrome keys would overflow; bounds only
+    lower, work = bch, 0
     if w_cap >= 1:
-        rep = low_weight_search(code, w_cap, budget)
-        if rep.exact:
-            if not (bch <= rep.lower <= pack):  # pragma: no cover
-                raise AssertionError(
-                    f"bounds violated: bch={bch} d={rep.lower} packing={pack}")
-            return rep
-        lower = max(bch, rep.lower)
-    else:
-        lower = bch
+        try:
+            rep = low_weight_search(code, w_cap, budget)
+        except BudgetExceeded:
+            pass  # time cap hit: bounds only
+        else:
+            if rep.exact:
+                if not (bch <= rep.lower <= pack):  # pragma: no cover
+                    raise AssertionError(
+                        f"bounds violated: bch={bch} d={rep.lower} packing={pack}")
+                return rep
+            lower, work = max(bch, rep.lower), rep.work
     lower_src = f"bch(v={bch_v})" if lower == bch else f"column-search w<={w_cap}"
     return DistanceReport(
         lower=lower, upper=pack, exact=(lower == pack), method="bounds-only",
         witness=None, lower_src=lower_src, upper_src="sphere-packing",
-        work=0)
+        work=work)

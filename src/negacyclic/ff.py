@@ -295,9 +295,6 @@ class Field:
             self._tables = FieldTables(self, q, dtype, add, neg, mul, inv)
         return self._tables
 
-    def index(self, e: "FieldElement") -> int:
-        return e.as_int()
-
 
 class FieldTables:
     """Numpy add/neg/mul/inv tables over element indices, for vector math."""
@@ -310,9 +307,6 @@ class FieldTables:
         self.neg = neg
         self.mul = mul
         self.inv = inv
-
-    def vec(self, elems) -> np.ndarray:
-        return np.array([e.as_int() for e in elems], dtype=self.dtype)
 
 
 class FieldElement:

@@ -23,8 +23,9 @@ from . import families
 from .codes import (CodeError, NegacyclicCode, residue_distance_relation,
                     uv_construct)
 from .cosets import build_cosets, weight_class_sizes, weight_classes, wt3
-from .distance import (DistanceReport, SearchBudget, distance_report,
-                       exact_distance_enum, weight_distribution)
+from .distance import (ENGINE_VERSION, DistanceReport, SearchBudget,
+                       distance_report, exact_distance_enum,
+                       weight_distribution)
 from .families import Claim
 from .ff import make_field
 from .poly import Poly
@@ -104,9 +105,11 @@ class ResultCache:
 
 def report_cache_key(code, budget: SearchBudget) -> str:
     payload = {
+        "engine": ENGINE_VERSION,
         "code": code.descriptor(),
         "max_message_enum": budget.max_message_enum,
         "max_column_weight": budget.max_column_weight,
+        "time_cap": budget.time_cap,
     }
     return descriptor_hash(payload)
 

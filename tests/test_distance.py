@@ -1,10 +1,15 @@
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from negacyclic.codes import NegacyclicCode
-from negacyclic.distance import (DistanceReport, SearchBudget,
+from negacyclic import distance
+from negacyclic.codes import LinearCode, NegacyclicCode
+from negacyclic.cosets import build_cosets, mult_order
+from negacyclic.distance import (BudgetExceeded, DistanceReport, SearchBudget,
                                  exact_distance_enum, distance_report,
                                  low_weight_search, parse_budget,
                                  sphere_packing_max_d, weight_distribution)
@@ -203,14 +208,39 @@ def test_report_json_round_trip():
                                rep.witness)
 
 
-def test_time_cap_aborts_enum_and_report_falls_back():
-    from negacyclic.distance import BudgetExceeded
+@pytest.fixture(scope="module")
+def family1_rho19():
+    return build_family1(19)
+
+
+def test_time_cap_aborts_enum_and_report_falls_back(family1_rho19):
     b = build_family3(6, 182)  # 3^12 messages, long enough to hit a zero cap
     with pytest.raises(BudgetExceeded):
         exact_distance_enum(b.code, SearchBudget(time_cap=0.0))
     rep = distance_report(b.code, SearchBudget(time_cap=0.0))
     assert not rep.exact
     assert rep.lower >= 61  # the BCH floor survives the fallback
+    # [19,9] over GF(9): 9^9 messages exceed the budget, so only the column
+    # search runs, and a zero cap stops it too
+    comp = family1_rho19.companion
+    with pytest.raises(BudgetExceeded):
+        low_weight_search(comp, budget=SearchBudget(time_cap=0.0))
+    rep = distance_report(comp, SearchBudget(time_cap=0.0))
+    assert rep.method == "bounds-only" and not rep.exact
+    v, bch = comp.best_bch_multiplier()
+    assert rep.lower == bch and rep.lower_src == f"bch(v={v})"
+    assert rep.work == 0
+    # uncapped, the search finishes and its lower bound is kept
+    assert distance_report(comp).lower_src == "column-search w<=6"
+
+
+def test_bounds_only_report_carries_column_search_work(family1_rho19):
+    code = family1_rho19.code  # [38,18]: 3^18 messages, over the budget
+    rep = distance_report(code)
+    assert rep.method == "bounds-only"
+    searched = low_weight_search(code, 6)
+    assert not searched.exact
+    assert rep.work == searched.work > 0
 
 
 def test_parse_budget():
@@ -241,3 +271,113 @@ def test_bch_lower_bounds_exact_distance():
                  build_family4(3, 3).code):
         v, b = code.best_bch_multiplier()
         assert b <= exact_distance_enum(code).d
+
+
+# ---------------------------------------------------------------------------
+# property tests: the enumerator against direct encoding of every message
+
+FIELDS = {"GF(3)": make_field(3, 1), "GF(9)": make_field(3, 2),
+          "GF(5)": make_field(5, 1)}
+MAX_MESSAGES = 3 ** 8
+
+
+@functools.lru_cache(maxsize=None)
+def _small_cosets(name, n, lam):
+    """(leader, size) of each eligible coset that alone keeps q^k within
+    MAX_MESSAGES, for lengths whose host field has degree <= 4."""
+    f = FIELDS[name]
+    R = 2 * n if lam == -1 else n
+    if math.gcd(R, f.p) != 1 or mult_order(f.order, R) > 4:
+        return ()
+    table = build_cosets(f.order, R)
+    return tuple((l, len(table.cosets[l])) for l in table.leaders
+                 if (lam == 1 or l % 2)
+                 and f.order ** len(table.cosets[l]) <= MAX_MESSAGES)
+
+
+@st.composite
+def small_codes(draw):
+    """(field, n, lambda, check leaders) of a constacyclic code, q^k small."""
+    name = draw(st.sampled_from(sorted(FIELDS)))
+    lam = draw(st.sampled_from((-1, 1)))
+    n = draw(st.sampled_from([n for n in range(2, 100)
+                              if _small_cosets(name, n, lam)]))
+    cosets = draw(st.permutations(_small_cosets(name, n, lam)))
+    size = draw(st.integers(1, len(cosets)))
+    q, leaders, k = FIELDS[name].order, [], 0
+    for leader, c in cosets[:size]:
+        if q ** (k + c) <= MAX_MESSAGES:
+            leaders.append(leader)
+            k += c
+    return name, n, lam, tuple(sorted(leaders))
+
+
+def _code(spec):
+    name, n, lam, leaders = spec
+    return NegacyclicCode.from_check(FIELDS[name], n, leaders, lam)
+
+
+def direct_oracle(code):
+    """Encode all q^k messages by field-table arithmetic (message index m has
+    base-q digit r on generator row r); return the weight distribution, d and
+    the word of the lowest-index message of weight d."""
+    t = code.field.tables()
+    idx = np.arange(t.q ** code.k)
+    words = np.zeros((len(idx), code.n), dtype=t.dtype)
+    for r, row in enumerate(code.rows()):
+        digit = (idx // t.q ** r) % t.q
+        words = t.add[words, t.mul[digit[:, None], row[None, :]]]
+    weights = np.count_nonzero(words, axis=1)
+    hist = {int(w): int(c) for w, c in
+            zip(*np.unique(weights, return_counts=True))}
+    msg = 1 + int(np.argmin(weights[1:]))
+    return hist, int(weights[msg]), tuple(int(v) for v in words[msg])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_codes())
+@example(("GF(3)", 91, -1, (91,)))     # k = 1, n > 64: two plane words
+@example(("GF(5)", 3, -1, (3,)))       # k = 1
+@example(("GF(9)", 80, 1, (0, 40)))    # n > 64 over GF(9)
+def test_weight_distribution_matches_direct_encoding(spec):
+    code = _code(spec)
+    hist, d, witness = direct_oracle(code)
+    wd = weight_distribution(code)
+    assert wd == hist
+    assert sum(wd.values()) == code.field.order ** code.k
+    rep = exact_distance_enum(code)
+    assert (rep.d, rep.witness) == (d, witness)
+
+
+def _check_blocks_and_threads(code):
+    hist, d, witness = direct_oracle(code)
+    # with no room the inner block falls back to q messages, and the
+    # odometer walks q^(k-1) outer steps, split into shards when threads > 1
+    for cap in (distance._INNER_BYTES, 0):
+        with mock.patch.object(distance, "_INNER_BYTES", cap):
+            for threads in (1, 2):
+                assert weight_distribution(code, threads=threads) == hist
+                rep = exact_distance_enum(code, threads=threads)
+                assert (rep.d, rep.witness) == (d, witness)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_codes())
+@example(("GF(3)", 91, -1, (1, 91)))
+def test_enum_independent_of_threads_and_inner_block(spec):
+    _check_blocks_and_threads(_code(spec))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_enum_on_random_generator_matrices(data):
+    # unlike the shifted rows of a constacyclic code, random rows can put the
+    # first minimum-weight message at the start of an inner block
+    name = data.draw(st.sampled_from(sorted(FIELDS)))
+    field = FIELDS[name]
+    k = data.draw(st.integers(1, {3: 8, 9: 4, 5: 5}[field.order]))
+    n = data.draw(st.integers(1, 80))
+    digits = st.integers(0, field.order - 1)
+    rows = data.draw(st.lists(st.lists(digits, min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    _check_blocks_and_threads(LinearCode(field, np.array(rows)))

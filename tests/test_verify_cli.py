@@ -10,7 +10,7 @@ from negacyclic.ff import make_field
 from negacyclic.verify import (MATCH, MISMATCH, ResultCache, best_code_search,
                                cached_distance_report, claim_verdict,
                                descriptor_hash, make_record, render_scope,
-                               verify_claims)
+                               report_cache_key, verify_claims)
 
 GF3 = make_field(3, 1)
 
@@ -72,6 +72,27 @@ def test_cache_distinct_budgets_distinct_keys(tmp_path):
     cached_distance_report(c, SearchBudget(), cache=cache)
     cached_distance_report(c, SearchBudget(max_message_enum=3 ** 17), cache=cache)
     assert cache.misses == 2 and cache.hits == 0
+
+
+def test_cache_key_includes_time_cap(tmp_path):
+    c = NegacyclicCode.from_check(GF3, 10, [1])
+    keys = {report_cache_key(c, SearchBudget(time_cap=cap))
+            for cap in (None, 0.0, 5.0)}
+    assert len(keys) == 3
+    # a time-capped fallback report is never served to an uncapped run
+    cache = ResultCache(str(tmp_path / "results.json"))
+    capped = cached_distance_report(c, SearchBudget(time_cap=0.0), cache=cache)
+    assert capped.method == "bounds-only"
+    full = cached_distance_report(c, SearchBudget(), cache=cache)
+    assert cache.hits == 0 and full.exact and full.d == 6
+
+
+def test_cache_key_includes_engine_version(monkeypatch):
+    from negacyclic import verify
+    c = NegacyclicCode.from_check(GF3, 10, [1])
+    before = report_cache_key(c, SearchBudget())
+    monkeypatch.setattr(verify, "ENGINE_VERSION", verify.ENGINE_VERSION + 1)
+    assert report_cache_key(c, SearchBudget()) != before
 
 
 def test_cache_corrupt_file_rebuilt(tmp_path):
