@@ -2,7 +2,10 @@
 
 Every subcommand prints JSON to stdout (or --out FILE).  Exit codes: 0 for
 success (including bound-only verification outcomes), 2 when verification
-finds a mismatch, 3 for usage errors.
+finds a mismatch, 3 for usage errors.  A bad argument value (a composite
+characteristic, a reducible modulus, an unreadable or malformed descriptor)
+is a usage error too; every usage error is one "...: error: ..." line on
+stderr.
 """
 
 from __future__ import annotations
@@ -25,9 +28,7 @@ from .verify import (ResultCache, best_code_search, cached_distance_report,
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        sys.exit(3)
+        self.exit(3, f"{self.prog}: error: {message}\n")
 
 
 def _emit(payload: dict, out: Optional[str]):
@@ -41,7 +42,12 @@ def _emit(payload: dict, out: Optional[str]):
 
 def _load_code(path: str) -> NegacyclicCode:
     with (sys.stdin if path == "-" else open(path)) as fh:
-        return NegacyclicCode.from_descriptor(json.load(fh))
+        try:
+            return NegacyclicCode.from_descriptor(json.load(fh))
+        except (json.JSONDecodeError, KeyError, TypeError,
+                AttributeError) as exc:
+            raise ValueError(
+                f"malformed code descriptor {path}: {exc!r}") from exc
 
 
 def _budget(args) -> SearchBudget:
@@ -76,7 +82,8 @@ def main(argv=None) -> int:
     p.add_argument("--out")
 
     p = sub.add_parser("build", help="build a code from check cosets or generator")
-    p.add_argument("--q", type=int, default=3)
+    p.add_argument("--q", type=int, default=3,
+                   help="characteristic p of the base field GF(p^base-m)")
     p.add_argument("--base-m", type=int, default=1)
     p.add_argument("--base-modulus")
     p.add_argument("--n", type=int, required=True)
@@ -136,7 +143,15 @@ def main(argv=None) -> int:
     p.add_argument("--out")
 
     args = ap.parse_args(argv)
+    try:
+        return _run(ap, args)
+    except BrokenPipeError:
+        raise  # the reader of stdout went away: not a usage error
+    except (ValueError, OSError) as exc:
+        ap.error(str(exc))
 
+
+def _run(ap: _Parser, args) -> int:
     if args.cmd == "field":
         f = field_from_text(args.p, args.m, args.modulus)
         d = f.descriptor()
@@ -149,8 +164,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "build":
-        base = field_from_text(args.q if args.base_m == 1 else 3,
-                               args.base_m, args.base_modulus)
+        base = field_from_text(args.q, args.base_m, args.base_modulus)
         host_mod = ([int(c) for c in args.host_modulus.split(",")]
                     if args.host_modulus else None)
         given = [x for x in (args.check, args.zeros, args.generator) if x]
@@ -232,11 +246,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "verify":
-        try:
-            manifest = verify_claims(args.scope, _budget(args), args.threads,
-                                    _cache(args))
-        except ValueError as exc:
-            ap.error(str(exc))
+        manifest = verify_claims(args.scope, _budget(args), args.threads,
+                                 _cache(args))
         _emit(manifest.to_json(), args.out)
         if args.render:
             print(render_scope(manifest), file=sys.stderr)

@@ -153,7 +153,9 @@ class ConstacyclicCode:
         return out
 
     def dual_rows(self) -> np.ndarray:
-        return self.dual().rows()
+        # the base dual is built from reciprocal(h) alone; NegacyclicCode.dual
+        # also rebuilds the dual's zero set and minimal polynomials
+        return ConstacyclicCode.dual(self).rows()
 
     def encode(self, message: Sequence[int]) -> np.ndarray:
         t = self.field.tables()

@@ -113,9 +113,6 @@ class WeightClassPartition:
     class_members: Mapping[int, frozenset[int]]
     class_sizes: tuple[int, int, int, int]
 
-    def class_of(self, i: int) -> int:
-        return wt3(i, self.m) % 4
-
 
 def weight_classes(m: int) -> WeightClassPartition:
     """Enumerate the partition and cross-check sizes against the closed forms."""

@@ -358,5 +358,3 @@ FAMILY3_EXAMPLES: list[tuple[int, int, tuple[int, int, int], tuple[int, int, int
     (4, 20, (20, 8, 8), (20, 12, 5)),
     (6, 182, (182, 12, 104), (182, 170, 5)),
 ]
-
-FAMILY4_M3 = {1: (13, 7, 5), 3: (13, 6, 6)}

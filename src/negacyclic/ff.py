@@ -6,6 +6,13 @@ search performed here (default modulus, primitive element, subfield root) scans
 candidates in ascending integer encoding, so repeated runs construct identical
 objects.  Field and FieldElement are immutable after construction and safe to
 share across threads.
+
+All polynomial arithmetic mod f is FieldElement arithmetic in the ring
+GF(p)[x]/(f).  The default modulus of GF(p^m) is the smallest-encoding f for
+which x has order p^m - 1 in that ring, which proves f primitive; GF(3^6),
+GF(3^14), GF(3^18), GF(3^20), GF(3^22) and GF(3^25) instead keep the pinned
+primitive moduli of _PINNED_MODULI.  A supplied modulus must pass Rabin's
+irreducibility test in its ring, or the error names its smallest factor.
 """
 
 from __future__ import annotations
@@ -59,113 +66,82 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficients as int lists (ascending)
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    # f monic
-    r = list(a)
-    df = len(f) - 1
-    while len(r) - 1 >= df and r:
-        c = r[-1]
-        shift = len(r) - 1 - df
-        if c:
-            for j in range(df):
-                r[shift + j] = (r[shift + j] - c * f[j]) % p
-        r.pop()
-        _ptrim(r)
-    return r
-
-
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _ppow_xq(f: Sequence[int], p: int, steps: int) -> list[list[int]]:
-    """Return [x^(p^1), ..., x^(p^steps)] reduced mod f."""
-    out = []
-    t = [0, 1]  # x
-    for _ in range(steps):
-        # t <- t^p mod f by square-and-multiply on exponent p
-        acc = [1]
-        base = list(t)
-        e = p
-        while e:
-            if e & 1:
-                acc = _pmod(_pmul(acc, base, p), f, p)
-            base = _pmod(_pmul(base, base, p), f, p)
-            e >>= 1
-        t = acc
-        out.append(list(t))
-    return out
-
-
-def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    m = len(f) - 1
-    if m < 1 or f[-1] != 1:
-        return False
-    if m == 1:
-        return True
-    frob = _ppow_xq(f, p, m)
-    if _ptrim(list(frob[-1])) != [0, 1]:  # x^(p^m) must equal x
-        return False
-    for r in factorize(m):
-        t = list(frob[m // r - 1])
-        if len(t) < 2:
-            t += [0] * (2 - len(t))
-        t[1] = (t[1] - 1) % p  # x^(p^(m/r)) - x
-        _ptrim(t)
-        if not t:
-            return False  # f splits into factors of degree dividing m/r
-        if len(_pgcd(t, f, p)) != 1:
-            return False
-    return True
-
-
-def _smallest_factor(f: Sequence[int], p: int) -> list[int]:
-    """Smallest-degree, smallest-encoding monic factor of a reducible f."""
-    m = len(f) - 1
-    for d in range(1, m // 2 + 1):
-        for enc in range(p ** d):
-            g = [(enc // p ** i) % p for i in range(d)] + [1]
-            if not _pmod(f, g, p):
-                return g
-    return list(f)
+@functools.lru_cache(maxsize=None)
+def _prime_divisors(n: int) -> tuple[int, ...]:
+    return tuple(factorize(n)) if n > 1 else ()
 
 
 def _poly_text(coeffs: Sequence[int]) -> str:
     return ",".join(str(c) for c in coeffs)
 
 
+def _monic(p: int, enc: int, d: int) -> list[int]:
+    """The monic degree-d polynomial whose low coefficients encode enc."""
+    return [(enc // p ** i) % p for i in range(d)] + [1]
+
+
+def _has_full_order(x: "FieldElement") -> bool:
+    """x^(p^m-1) = 1 and x^((p^m-1)/r) != 1 for every prime r | p^m-1.
+
+    In GF(p)[x]/(f) a unit of order p^m-1 leaves no room for zero divisors,
+    so when x is the class of x this proves f primitive, hence irreducible.
+    """
+    n = x.field.order - 1
+    return (x._pow_pos(n).is_one()
+            and not any(x._pow_pos(n // r).is_one() for r in _prime_divisors(n)))
+
+
+def _search_modulus(p: int, m: int) -> list[int]:
+    """Smallest-encoding primitive polynomial of degree m over GF(p)."""
+    for enc in range(1, p ** m):
+        if enc % p == 0:
+            continue  # f(0) = 0: x divides f
+        cand = _monic(p, enc, m)
+        if _has_full_order(Field._ring(p, cand).modulus_root()):
+            return cand
+    raise FieldError(f"no primitive modulus found for GF({p}^{m})")
+
+
+def _smallest_factor(f: Sequence[int], p: int) -> list[int]:
+    """Smallest-degree, smallest-encoding monic g with f = 0 in GF(p)[x]/(g)."""
+    for d in range(1, (len(f) - 1) // 2 + 1):
+        for enc in range(p ** d):
+            g = _monic(p, enc, d)
+            ring = Field._ring(p, g)
+            x = ring.modulus_root()
+            acc = ring.zero()
+            for c in reversed(f):
+                acc = acc * x + ring.scalar(c)
+            if acc.is_zero():
+                return g
+    return list(f)
+
+
+# Default moduli that differ from the search's answer.  Earlier releases
+# picked these degrees' moduli with a faulty irreducibility test that skipped
+# a smaller primitive polynomial; the bundled reference manifest records the
+# GF(3^6) and GF(3^18) ones in its descriptors and cache keys.  Each is
+# primitive and is validated like a supplied modulus.
+_PINNED_MODULI = {
+    (3, 6): (2, 2, 0, 0, 0, 0, 1),
+    (3, 14): (2, 2, 2, 0, 1) + (0,) * 9 + (1,),
+    (3, 18): (2, 1, 0, 1, 2, 1) + (0,) * 12 + (1,),
+    (3, 20): (2, 2, 1, 0, 0, 1) + (0,) * 14 + (1,),
+    (3, 22): (2, 1, 2, 2) + (0,) * 18 + (1,),
+    (3, 25): (1, 2, 2, 2) + (0,) * 21 + (1,),
+}
+
+
 class Field:
     """GF(p^m) with a fixed monic irreducible modulus over GF(p).
 
-    When no modulus is supplied the constructor picks the irreducible monic
-    polynomial of degree m with primitive root and smallest coefficient
-    encoding c0 + c1*p + ... (for m == 1 the conventional modulus is x).
+    With no modulus the constructor takes the primitive polynomial of degree
+    m with smallest coefficient encoding c0 + c1*p + ... (for m == 1 the
+    conventional modulus is x), except that GF(3^6), GF(3^14), GF(3^18),
+    GF(3^20), GF(3^22) and GF(3^25) keep the pinned primitive moduli in
+    _PINNED_MODULI.  A supplied modulus passes Rabin's irreducibility test,
+    run in the ring GF(p)[x]/(f); otherwise the error names its smallest
+    factor.
     """
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
@@ -173,49 +149,52 @@ class Field:
             raise FieldError(f"characteristic {p} is not prime")
         if m < 1:
             raise FieldError(f"extension degree must be >= 1, got {m}")
-        self.p = p
-        self.m = m
-        self.order = p ** m
-        if modulus is None:
-            modulus = self._search_modulus(p, m)
+        searched = modulus is None and m > 1 and (p, m) not in _PINNED_MODULI
+        if searched:
+            modulus = _search_modulus(p, m)  # primitive, hence irreducible
+        elif modulus is None:
+            modulus = _PINNED_MODULI.get((p, m), (0, 1))  # m == 1: x
         modulus = [c % p for c in modulus]
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise FieldError(f"modulus must be monic of degree {m}")
-        if m > 1 and not _is_irreducible(modulus, p):
-            factor = _smallest_factor(modulus, p)
+        self._set_ring(p, modulus)
+        if not searched and not self._rabin_irreducible():
             raise FieldError(
                 f"modulus {_poly_text(modulus)} is reducible over GF({p}); "
-                f"divisible by {_poly_text(factor)}"
+                f"divisible by {_poly_text(_smallest_factor(modulus, p))}"
             )
-        self.modulus = tuple(modulus)
-        # x^m = -(low part of modulus)
-        self._neg_tail = tuple((-c) % p for c in modulus[:m])
-        self._unit_factors = factorize(self.order - 1) if self.order > 2 else {}
-        self.primitive_flag = self._modulus_root_is_primitive()
+        self.primitive_flag = searched or (
+            m > 1 and _has_full_order(self.modulus_root()))
         self._tables = None
         self._primitive = None
 
-    @staticmethod
-    def _search_modulus(p: int, m: int) -> list[int]:
-        if m == 1:
-            return [0, 1]  # x, by convention
-        for enc in range(p ** m):
-            cand = [(enc // p ** i) % p for i in range(m)] + [1]
-            if not _is_irreducible(cand, p):
-                continue
-            f = Field.__new__(Field)
-            f.p, f.m, f.order = p, m, p ** m
-            f.modulus = tuple(cand)
-            f._neg_tail = tuple((-c) % p for c in cand[:m])
-            f._unit_factors = factorize(f.order - 1)
-            if f._elem((0, 1) + (0,) * (m - 2)).order() == f.order - 1:
-                return cand
-        raise FieldError(f"no primitive modulus found for GF({p}^{m})")
+    def _set_ring(self, p: int, modulus: Sequence[int]) -> None:
+        self.p = p
+        self.m = len(modulus) - 1
+        self.order = p ** self.m
+        self.modulus = tuple(modulus)
+        # x^m = -(low part of modulus)
+        self._neg_tail = tuple((-c) % p for c in modulus[:-1])
 
-    def _modulus_root_is_primitive(self) -> bool:
-        if self.m == 1:
+    @classmethod
+    def _ring(cls, p: int, modulus: Sequence[int]) -> "Field":
+        """GF(p)[x]/(modulus) for any monic modulus, unchecked: a field only
+        when the modulus is irreducible."""
+        ring = cls.__new__(cls)
+        ring._set_ring(p, modulus)
+        return ring
+
+    def _rabin_irreducible(self) -> bool:
+        """Rabin's test: x^(p^m) = x, and x^(p^(m/r)) - x is a unit (its
+        (p^m-1)-th power is 1) for every prime r | m."""
+        x = self.modulus_root()
+        frob = [x]  # frob[k] = x^(p^k)
+        for _ in range(self.m):
+            frob.append(frob[-1].frobenius())
+        if frob[-1] != x:
             return False
-        return self.modulus_root().order() == self.order - 1
+        return all((frob[self.m // r] - x)._pow_pos(self.order - 1).is_one()
+                   for r in _prime_divisors(self.m))
 
     # -- element constructors ------------------------------------------------
 
@@ -228,22 +207,15 @@ class Field:
     def one(self) -> "FieldElement":
         return self._elem((1,) + (0,) * (self.m - 1))
 
-    def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElement":
-        coeffs = list(coeffs)
-        if len(coeffs) > self.m:
-            coeffs = [int(c) for c in _pmod([c % self.p for c in coeffs],
-                                            list(self.modulus), self.p)]
-        coeffs += [0] * (self.m - len(coeffs))
-        return self._elem(coeffs)
-
     def from_int(self, i: int) -> "FieldElement":
         if not 0 <= i < self.order:
             raise FieldError(f"element encoding {i} out of range for {self}")
         return self._elem([(i // self.p ** j) % self.p for j in range(self.m)])
 
     def modulus_root(self) -> "FieldElement":
+        """The class of x: a root of the modulus."""
         if self.m == 1:
-            return self.zero()
+            return self._elem((-self.modulus[0],))
         return self.from_int(self.p)
 
     def elements(self) -> Iterator["FieldElement"]:
@@ -392,7 +364,7 @@ class FieldElement:
         o = self.field.order - 1
         if o == 0:
             return 1
-        for prime in self.field._unit_factors:
+        for prime in _prime_divisors(o):
             while o % prime == 0 and self._pow_pos(o // prime).is_one():
                 o //= prime
         return o

@@ -135,12 +135,6 @@ class Poly:
     def scale(self, c: FieldElement) -> "Poly":
         return Poly(self.field, [a * c for a in self.coeffs])
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, [self.field.zero()] * k + list(self.coeffs))
-
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
         if other.is_zero():
@@ -186,9 +180,6 @@ class Poly:
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
-
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero()
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor."""

@@ -89,6 +89,8 @@ def test_dual_of_full_space_is_zero_code():
     zero = NegacyclicCode.from_generator(
         GF3, 10, Poly.x_pow_minus(GF3, 10, -GF3.one()))
     assert zero.dual().k == 10
+    for c in (full, zero):
+        assert np.array_equal(c.dual_rows(), c.dual().rows())
 
 
 def test_dual_c5_parameters():
@@ -114,6 +116,7 @@ def test_dual_zero_set_reciprocity():
         expect = {(2 * c.n - i) % (2 * c.n) for i in elig - set(c.zero_exponents)}
         assert set(d.zero_exponents) == expect
         assert c.k + d.k == c.n
+        assert np.array_equal(c.dual_rows(), d.rows())
 
 
 def test_generator_times_check_is_modulus():

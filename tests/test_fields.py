@@ -230,3 +230,107 @@ def test_tables_match_element_ops():
         assert t.neg[i] == (-f.from_int(i)).as_int()
         if i:
             assert t.inv[i] == f.from_int(i).inverse().as_int()
+
+
+# -- modulus validation and the default search --------------------------------
+
+def _monic_polys(p, d):
+    for enc in range(p ** d):
+        yield [(enc // p ** i) % p for i in range(d)] + [1]
+
+
+def _rem(f, g, p):
+    """f mod g over GF(p) by schoolbook long division (g monic, ascending)."""
+    r = list(f)
+    for i in range(len(r) - len(g), -1, -1):
+        c = r[i + len(g) - 1]
+        if c:
+            for j, gj in enumerate(g):
+                r[i + j] = (r[i + j] - c * gj) % p
+    return r[:len(g) - 1]
+
+
+def _oracle_smallest_factor(f, p):
+    """Trial division by every monic g of degree <= deg(f)/2, smallest first;
+    None when f is irreducible."""
+    for d in range(1, (len(f) - 1) // 2 + 1):
+        for g in _monic_polys(p, d):
+            if not any(_rem(f, g, p)):
+                return g
+    return None
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 8), (3, 6), (5, 4)])
+def test_make_field_accepts_exactly_the_irreducible_moduli(p, max_deg):
+    for d in range(1, max_deg + 1):
+        for f in _monic_polys(p, d):
+            factor = _oracle_smallest_factor(f, p)
+            if factor is None:
+                assert make_field(p, d, f).modulus == tuple(f)
+                continue
+            with pytest.raises(FieldError) as exc:
+                make_field(p, d, f)
+            text = ",".join(map(str, factor))
+            assert str(exc.value).endswith(f"divisible by {text}"), (f, exc.value)
+
+
+def test_reducible_sextic_rejected():
+    # (x + 2) divides it: f(1) = 2 + 1 + 2 + 1 = 0 mod 3
+    with pytest.raises(FieldError, match="divisible by 2,1$"):
+        make_field(3, 6, [2, 1, 2, 0, 0, 0, 1])
+
+
+def test_irreducible_sextic_accepted():
+    f = make_field(3, 6, [2, 1, 0, 0, 0, 0, 1])
+    assert f.primitive_flag
+    assert elem_order(f.modulus_root()) == 728
+    for i in range(1, f.order):
+        e = f.from_int(i)
+        assert (e * e.inverse()).is_one()
+
+
+DEFAULT_MODULI_GF3 = {
+    2: "2,1,1",
+    3: "1,2,0,1",
+    4: "2,1,0,0,1",
+    5: "1,2,0,0,0,1",
+    6: "2,2,0,0,0,0,1",
+    7: "1,2,1,0,0,0,0,1",
+    8: "2,0,0,1,0,0,0,0,1",
+    9: "1,0,1,2,0,0,0,0,0,1",
+    10: "2,1,0,1" + ",0" * 6 + ",1",
+    11: "1,2,1" + ",0" * 8 + ",1",
+    12: "2,2,2,1,2" + ",0" * 7 + ",1",
+    13: "1,2" + ",0" * 11 + ",1",
+    14: "2,2,2,0,1" + ",0" * 9 + ",1",
+    15: "1,2,1" + ",0" * 12 + ",1",
+    16: "2,2,0,1,1" + ",0" * 11 + ",1",
+    17: "1,2" + ",0" * 15 + ",1",
+    18: "2,1,0,1,2,1" + ",0" * 12 + ",1",
+    19: "1,2,1" + ",0" * 16 + ",1",
+    20: "2,2,1,0,0,1" + ",0" * 14 + ",1",
+    21: "1,1,0,1" + ",0" * 17 + ",1",
+    22: "2,1,2,2" + ",0" * 18 + ",1",
+}
+
+
+@pytest.mark.parametrize("m", sorted(DEFAULT_MODULI_GF3))
+def test_default_modulus_golden(m):
+    f = make_field(3, m)
+    assert f.descriptor()["modulus"] == DEFAULT_MODULI_GF3[m]
+    assert f.primitive_flag
+
+
+def test_pinned_moduli_are_primitive_and_the_search_finds_smaller_ones():
+    from negacyclic.ff import _PINNED_MODULI, _search_modulus
+
+    def encoding(f, p):
+        return sum(c * p ** i for i, c in enumerate(f))
+
+    assert sorted(_PINNED_MODULI) == [(3, m) for m in (6, 14, 18, 20, 22, 25)]
+    for (p, m), pinned in _PINNED_MODULI.items():
+        assert make_field(p, m).modulus == pinned
+        assert Field(p, m, pinned).primitive_flag
+        found = _search_modulus(p, m)
+        assert Field(p, m, found).primitive_flag
+        assert encoding(found, p) < encoding(pinned, p)

@@ -266,13 +266,42 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert all(r["claim"]["source"] for r in manifest["records"])
 
 
-def test_cli_usage_error_exit_3():
+@pytest.mark.parametrize("argv,message", [
+    (["distance"], "required: --code"),
+    (["verify", "--scope", "bogus"], "unknown scope 'bogus'"),
+    (["field", "--p", "4", "--m", "1"], "characteristic 4 is not prime"),
+    (["build", "--q", "4", "--n", "10", "--check", "1"],
+     "characteristic 4 is not prime"),
+    (["distance", "--no-cache", "--code", "{tmp}/nonexistent.json"],
+     "No such file"),
+    (["distance", "--no-cache", "--code", "{tmp}/no-g.json"],
+     "malformed code descriptor"),
+    (["dual", "--code", "{tmp}/not-json.json"], "malformed code descriptor"),
+    (["field", "--p", "3", "--m", "2", "--modulus", "2,0,1"],
+     "reducible over GF(3); divisible by 1,1"),
+    (["build", "--n", "10", "--check", "1", "--host-modulus", "2,0,0,0,1"],
+     "reducible over GF(3); divisible by 1,1"),
+], ids=["missing-code", "bad-scope", "composite-p", "build-composite-q",
+        "missing-file", "descriptor-without-g", "descriptor-not-json",
+        "reducible-modulus", "reducible-host-modulus"])
+def test_cli_usage_error_exit_3(argv, message, tmp_path, capsys):
+    (tmp_path / "no-g.json").write_text('{"q": 3, "n": 10, "lambda": -1}')
+    (tmp_path / "not-json.json").write_text("[1, 2")
+    argv = [a.format(tmp=tmp_path) for a in argv]
     with pytest.raises(SystemExit) as exc:
-        main(["distance"])  # missing --code
+        main(argv)
     assert exc.value.code == 3
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--scope", "bogus"])
-    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and ": error: " in err and message in err
+
+
+def test_cli_build_takes_characteristic_from_q(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["build", "--q", "5", "--base-m", "2", "--n", "3",
+                 "--check", "1", "--out", str(out)]) == 0
+    desc = json.loads(out.read_text())
+    assert desc["q"] == 25
+    assert (desc["base_field"]["p"], desc["base_field"]["m"]) == (5, 2)
 
 
 def test_cli_build_requires_one_source():
