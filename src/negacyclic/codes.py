@@ -1,11 +1,16 @@
 """Constacyclic and negacyclic code objects over small fields.
 
+LinearCode is the one layer for a code given by generator rows: every code
+encodes, and lists its q^k words, through span_rows() and encode_rows().
 A lambda-constacyclic code of length n over GF(q) is an ideal (g) of
-GF(q)[x]/(x^n - lambda).  ConstacyclicCode carries the polynomial structure
-(generator, check, dimension, dual, residue decomposition for even length);
-NegacyclicCode specialises to lambda = -1 (and +1 for the cyclic image) and
-adds the zero-exponent machinery: q-cyclotomic cosets mod 2n, BCH bounds with
-multipliers, the x -> -x map onto cyclic codes, and trace-form codewords.
+GF(q)[x]/(x^n - lambda).  ConstacyclicCode stores its rows x^i * g once and
+carries the polynomial structure (generator, check, dimension, dual, residue
+decomposition for even length); NegacyclicCode specialises to lambda = -1
+(and +1 for the cyclic image) and adds the zero-exponent machinery:
+q-cyclotomic cosets mod 2n, BCH bounds with multipliers, the x -> -x map onto
+cyclic codes, and trace-form codewords.  The trace code is linear (Delsarte),
+so it is spanned from k rows: per check coset, the windows of the sequence
+Tr(theta^t).
 
 Code objects are immutable after construction; the distance engines read them
 from any number of workers concurrently.
@@ -87,14 +92,34 @@ def nullspace(tables: FieldTables, mat: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def span_rows(tables: FieldTables, rows: np.ndarray) -> np.ndarray:
+    """All q^k words of a k x n row matrix, one per message: word j is
+    sum_r ((j // q^r) % q) * rows[r], so row r is base-q digit r of j."""
+    words = np.zeros((1, rows.shape[1]), dtype=tables.dtype)
+    for row in rows:
+        words = np.concatenate(
+            [tables.add[words, tables.mul[v][row][None, :]]
+             for v in range(tables.q)], axis=0)
+    return words
+
+
+def encode_rows(tables: FieldTables, rows: np.ndarray, message) -> np.ndarray:
+    """The word sum_r message[r] * rows[r] (message entries reduced mod q)."""
+    word = np.zeros(rows.shape[1], dtype=tables.dtype)
+    for m, row in zip(message, rows):
+        word = tables.add[word, tables.mul[int(m) % tables.q][row]]
+    return word
+
+
 class LinearCode:
-    """A plain linear code given by generator rows (used by the u+v|u-v glue)."""
+    """A linear code given by its k x n generator rows, stored read-only;
+    message j is encoded as in span_rows()."""
 
     def __init__(self, field: Field, gen_rows: np.ndarray):
         self.field = field
         self._rows = np.array(gen_rows, dtype=field.tables().dtype)
-        self.n = self._rows.shape[1]
-        self.k = self._rows.shape[0]
+        self._rows.flags.writeable = False
+        self.k, self.n = self._rows.shape
 
     def rows(self) -> np.ndarray:
         return self._rows
@@ -107,24 +132,37 @@ class LinearCode:
         w = np.asarray(word, dtype=t.dtype).reshape(-1, 1)
         return not mat_mul(t, self.dual_rows(), w).any()
 
-    def encode(self, message) -> np.ndarray:
-        t = self.field.tables()
-        word = np.zeros(self.n, dtype=t.dtype)
-        for m, row in zip(message, self._rows):
-            word = t.add[word, t.mul[int(m) % t.q][row]]
-        return word
+    def encode(self, message: Sequence[int]) -> np.ndarray:
+        if len(message) != self.k:
+            raise CodeError(f"message length {len(message)} != dimension {self.k}")
+        return encode_rows(self.field.tables(), self._rows, message)
+
+    def codewords(self) -> np.ndarray:
+        """All q^k words in message order; only sensible at small dimensions."""
+        return span_rows(self.field.tables(), self._rows)
+
+    def generator_matrix(self) -> np.ndarray:
+        return rref(self.field.tables(), self._rows)[0]
+
+    def parity_check_matrix(self) -> np.ndarray:
+        return rref(self.field.tables(), self.dual_rows())[0]
+
+    def __repr__(self) -> str:
+        return f"[{self.n},{self.k}] code over {self.field}"
 
 
-class ConstacyclicCode:
-    """lambda-constacyclic code: the ideal (g) of GF(q)[x]/(x^n - lambda)."""
+class ConstacyclicCode(LinearCode):
+    """lambda-constacyclic code: the ideal (g) of GF(q)[x]/(x^n - lambda).
+
+    Its generator rows are x^i * g for 0 <= i < k (no reduction needed),
+    computed once; membership is tested by division by g.
+    """
 
     def __init__(self, field: Field, n: int, lam: FieldElement, g: Poly):
         if lam.is_zero():
             raise CodeError("lambda must be a unit")
         if g.field != field:
             raise CodeError("generator not over the code's field")
-        self.field = field
-        self.n = n
         self.lam = lam
         g = g.monic() if not g.is_zero() else Poly.x_pow_minus(field, n, lam).monic()
         self.modulus_poly = Poly.x_pow_minus(field, n, lam)
@@ -135,42 +173,22 @@ class ConstacyclicCode:
                 f"(remainder {rem.to_text()})")
         self.g = g
         self.h = quot.monic()
-        self.k = n - int(g.degree)
+        gi = g.to_ints()
+        rows = np.zeros((n - int(g.degree), n), dtype=field.tables().dtype)
+        for i in range(rows.shape[0]):
+            rows[i, i:i + len(gi)] = gi
+        super().__init__(field, rows)
 
     # -- vector-side helpers -------------------------------------------------
-
-    def rows(self) -> np.ndarray:
-        """Generator rows x^i * g for 0 <= i < k (no reduction needed)."""
-        t = self.field.tables()
-        if self.k == 0:
-            return np.zeros((0, self.n), dtype=t.dtype)
-        row = np.zeros(self.n, dtype=t.dtype)
-        gi = self.g.to_ints()
-        row[:len(gi)] = gi
-        out = np.zeros((self.k, self.n), dtype=t.dtype)
-        for i in range(self.k):
-            out[i] = np.roll(row, i)
-        return out
 
     def dual_rows(self) -> np.ndarray:
         # the base dual is built from reciprocal(h) alone; NegacyclicCode.dual
         # also rebuilds the dual's zero set and minimal polynomials
         return ConstacyclicCode.dual(self).rows()
 
-    def encode(self, message: Sequence[int]) -> np.ndarray:
-        t = self.field.tables()
-        if len(message) != self.k:
-            raise CodeError(f"message length {len(message)} != dimension {self.k}")
-        word = np.zeros(self.n, dtype=t.dtype)
-        for m, row in zip(message, self.rows()):
-            word = t.add[word, t.mul[int(m) % t.q][row]]
-        return word
-
-    def word_poly(self, word: Sequence[int]) -> Poly:
-        return Poly.from_ints(self.field, [int(w) for w in word])
-
     def contains(self, word: Sequence[int]) -> bool:
-        return (self.word_poly(word) % self.g).is_zero()
+        return (Poly.from_ints(self.field, [int(w) for w in word])
+                % self.g).is_zero()
 
     def negashift(self, word: Sequence[int]) -> np.ndarray:
         """(lambda*c_{n-1}, c_0, ..., c_{n-2})."""
@@ -181,28 +199,12 @@ class ConstacyclicCode:
         out[1:] = w[:-1]
         return out
 
-    def codewords(self) -> Iterable[np.ndarray]:
-        """All q^k words; only sensible at small dimensions."""
-        t = self.field.tables()
-        rows = self.rows()
-        words = np.zeros((1, self.n), dtype=t.dtype)
-        for r in range(self.k):
-            scaled = [t.add[words, t.mul[v][rows[r]][None, :]] for v in range(t.q)]
-            words = np.concatenate(scaled, axis=0)
-        return words
-
     # -- structure ------------------------------------------------------------
 
     def dual(self) -> "ConstacyclicCode":
         """The dual: lambda^{-1}-constacyclic, generated by reciprocal(h)."""
         return ConstacyclicCode(
             self.field, self.n, self.lam.inverse(), self.h.reciprocal())
-
-    def generator_matrix(self) -> np.ndarray:
-        return rref(self.field.tables(), self.rows())[0]
-
-    def parity_check_matrix(self) -> np.ndarray:
-        return rref(self.field.tables(), self.dual_rows())[0]
 
     def residue_decompose(self):
         """Split an even-length negacyclic code over GF(q), q = 1 mod 4, into
@@ -261,9 +263,6 @@ class ConstacyclicCode:
             d["base_field"] = self.field.descriptor()
         return d
 
-    def __repr__(self) -> str:
-        return f"[{self.n},{self.k}] code over {self.field}"
-
 
 def _lambda_json(field: Field, lam: FieldElement):
     if lam.is_one():
@@ -271,14 +270,6 @@ def _lambda_json(field: Field, lam: FieldElement):
     if (-lam).is_one():
         return -1
     return lam.as_int()
-
-
-def _lambda_from_json(field: Field, v) -> FieldElement:
-    if v == 1:
-        return field.one()
-    if v == -1:
-        return -field.one()
-    return field.from_int(int(v))
 
 
 def uv_construct(c1, c2) -> LinearCode:
@@ -459,9 +450,16 @@ class NegacyclicCode(ConstacyclicCode):
         if "host_field" in desc:
             hf = desc["host_field"]
             host_modulus = [int(c) for c in hf["modulus"].split(",")]
+        if field.order != q:
+            raise CodeError(f"descriptor q = {q} disagrees with its base field "
+                            f"{field}")
         g = Poly.from_text(field, desc["g"])
-        return cls.from_generator(field, int(desc["n"]), g,
+        code = cls.from_generator(field, int(desc["n"]), g,
                                   int(desc["lambda"]), host_modulus)
+        if "k" in desc and int(desc["k"]) != code.k:
+            raise CodeError(f"descriptor k = {desc['k']} disagrees with the "
+                            f"generator's dimension {code.k}")
+        return code
 
     # -- zero-set structure ------------------------------------------------------
 
@@ -531,25 +529,13 @@ class NegacyclicCode(ConstacyclicCode):
 
     # -- trace-form codewords ------------------------------------------------------
 
-    def _check_cosets(self) -> list[tuple[int, tuple[int, ...]]]:
-        return [(l, self.table.cosets[l]) for l in self.check_leaders]
-
-    def subfield_elements(self, coset_size: int) -> list[FieldElement]:
-        """All elements of GF(q0^coset_size) embedded in the host field."""
-        host_q = self.host.order
-        sub_q = self.field.order ** coset_size
-        if (host_q - 1) % (sub_q - 1) != 0:
-            raise CodeError(f"GF({sub_q}) does not embed in {self.host}")
-        from .ff import primitive_element
-        gamma = primitive_element(self.host) ** ((host_q - 1) // (sub_q - 1))
-        out = [self.host.zero(), self.host.one()]
-        acc = self.host.one()
-        for _ in range(sub_q - 2):
-            acc = acc * gamma
-            out.append(acc)
-        return out
-
     def _q0_trace(self, y: FieldElement, terms: int) -> FieldElement:
+        """Tr from GF(q0^terms) to GF(q0): sum of y^(q0^j) for j < terms.
+
+        Not ff.trace of the host: that sum runs over all m_h host degrees and
+        equals (m_h/terms) * this one, which vanishes when p divides m_h/terms
+        (n = 13, check coset {13}, host GF(27)).
+        """
         s = self.field.m
         acc = y
         t = y
@@ -558,53 +544,56 @@ class NegacyclicCode(ConstacyclicCode):
             acc = acc + t
         return acc
 
+    def _trace_row(self, a: FieldElement, leader: int, length: int) -> np.ndarray:
+        """Base-field indices of Tr(a * theta^t) for t < length, where
+        theta = beta^(R - leader) and Tr runs down from GF(q0^m), m the size
+        of the check coset of leader."""
+        m = len(self.table.cosets[leader])
+        theta = self.beta ** ((self.R - leader) % self.R)
+        proj = get_embedding(self.host, self.field)
+        out = np.zeros(length, dtype=self.field.tables().dtype)
+        cur = a
+        for t in range(length):
+            out[t] = proj.project(self._q0_trace(cur, m)).as_int()
+            cur = cur * theta
+        return out
+
     def trace_codeword(self, coeffs: Sequence[FieldElement]) -> tuple[int, ...]:
         """Codeword (sum_j Tr(a_j * beta^(-t i_j)))_t for check-coset coefficients.
 
         coeffs[j] must lie in GF(q0^{m_j}) inside the host field, m_j the size
         of the j-th check coset.  The result is a tuple of base-field indices.
         """
-        cosets = self._check_cosets()
-        if len(coeffs) != len(cosets):
-            raise CodeError(f"expected {len(cosets)} coefficients")
-        proj = get_embedding(self.host, self.field)
-        mh = self.host.m // self.field.m
-        word = [self.field.zero()] * self.n
-        for a, (leader, coset) in zip(coeffs, cosets):
-            mj = len(coset)
+        if len(coeffs) != len(self.check_leaders):
+            raise CodeError(f"expected {len(self.check_leaders)} coefficients")
+        t = self.field.tables()
+        word = np.zeros(self.n, dtype=t.dtype)
+        for a, leader in zip(coeffs, self.check_leaders):
+            mj = len(self.table.cosets[leader])
             if a.field != self.host:
                 raise CodeError("coefficients must live in the host field")
             if not (a ** (self.field.order ** mj)) == a:
                 raise CodeError(
                     f"coefficient {a!r} outside GF({self.field.order}^{mj})")
-            theta = self.beta ** ((self.R - leader) % self.R)
-            cur = a
-            for t in range(self.n):
-                word[t] = word[t] + proj.project(self._q0_trace(cur, mj))
-                cur = cur * theta
-        return tuple(e.as_int() for e in word)
+            word = t.add[word, self._trace_row(a, leader, self.n)]
+        return tuple(int(v) for v in word)
 
     def trace_code_set(self) -> set[tuple[int, ...]]:
-        """All q^k trace-form words, as a set of index tuples."""
-        t = self.field.tables()
-        proj = get_embedding(self.host, self.field)
-        per_coset = []
-        for leader, coset in self._check_cosets():
-            mj = len(coset)
-            theta = self.beta ** ((self.R - leader) % self.R)
-            rows = []
-            for a in self.subfield_elements(mj):
-                cur = a
-                row = np.zeros(self.n, dtype=t.dtype)
-                for tt in range(self.n):
-                    row[tt] = proj.project(self._q0_trace(cur, mj)).as_int()
-                    cur = cur * theta
-                rows.append(row)
-            per_coset.append(np.array(rows))
-        words = np.zeros((1, self.n), dtype=t.dtype)
-        for rows in per_coset:
-            words = t.add[words[:, None, :], rows[None, :, :]].reshape(-1, self.n)
-        return {tuple(int(v) for v in w) for w in words}
+        """All q^k trace-form words, as a set of index tuples.
+
+        The trace code is linear, so it is the span of k rows: for a check
+        coset of size m and theta = beta^(R - leader), the words of
+        a = 1, theta, ..., theta^(m-1) (a GF(q0)-basis of GF(q0^m), as theta
+        has degree m) are the m length-n windows of s_t = Tr(theta^t),
+        t < n + m - 1.
+        """
+        rows = []
+        for leader in self.check_leaders:
+            m = len(self.table.cosets[leader])
+            s = self._trace_row(self.host.one(), leader, self.n + m - 1)
+            rows.extend(s[i:i + self.n] for i in range(m))
+        rows = np.array(rows, dtype=self.field.tables().dtype).reshape(-1, self.n)
+        return set(map(tuple, span_rows(self.field.tables(), rows).tolist()))
 
     def descriptor(self) -> dict:
         d = super().descriptor()

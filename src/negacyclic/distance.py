@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import CodeError, NegacyclicCode
+from .codes import CodeError, NegacyclicCode, encode_rows, span_rows
 
 
 #: Version of the engines' answers; part of every result-cache key, so bump it
@@ -136,14 +136,8 @@ def _inner_planes(tables, rows):
     while k_in < k and size * q * row_bytes <= _INNER_BYTES:
         size *= q
         k_in += 1
-    if k_in == 0:
-        k_in, size = 1, q
-    A = np.zeros((1, n), dtype=tables.dtype)
-    for r in range(k_in):
-        row = rows[r]
-        A = np.concatenate(
-            [tables.add[A, tables.mul[v][row][None, :]] for v in range(q)], axis=0)
-    return _planes(A, q), k_in
+    k_in = max(k_in, 1)
+    return _planes(span_rows(tables, rows[:k_in]), q), k_in
 
 
 def _bits(mask):
@@ -179,14 +173,6 @@ def _outer_steps(field, tables, rows_out):
     return inc, wrap
 
 
-def _encode_outer(tables, rows_out, digits, n):
-    b = np.zeros(n, dtype=tables.dtype)
-    for d, row in zip(digits, rows_out):
-        if d:
-            b = tables.add[b, tables.mul[int(d)][row]]
-    return b
-
-
 def _walk_shard(field, tables, planes, rows_out, j0, j1, n, mode,
                 check_every=4096, deadline=None):
     """Walk outer messages j0..j1-1; returns (hist) or (best_w, best_msg).
@@ -200,8 +186,8 @@ def _walk_shard(field, tables, planes, rows_out, j0, j1, n, mode,
     k_out = len(rows_out)
     size = planes.shape[1]
     _check_deadline(deadline, "enumeration")
-    digits = [(j0 // q ** r) % q for r in range(k_out)]
-    b = _encode_outer(tables, rows_out, digits, n)
+    digits = _message_digits(q, k_out, j0)
+    b = encode_rows(tables, rows_out, digits)
     inc, wrap = _outer_steps(field, tables, rows_out)
     acc = np.empty(planes.shape[1:], dtype=np.uint64)
     hit = np.empty_like(acc)
@@ -218,7 +204,7 @@ def _walk_shard(field, tables, planes, rows_out, j0, j1, n, mode,
             digits[pos] += 1
             if (j - j0) % check_every == 0:
                 _check_deadline(deadline, "enumeration")
-                direct = _encode_outer(tables, rows_out, digits, n)
+                direct = encode_rows(tables, rows_out, digits)
                 if not np.array_equal(b, direct):  # pragma: no cover
                     raise AssertionError("odometer codeword drifted from direct encoding")
         vals = np.unique(b)

@@ -114,9 +114,24 @@ def report_cache_key(code, budget: SearchBudget) -> str:
     return descriptor_hash(payload)
 
 
+def _certified(code, rep: DistanceReport) -> bool:
+    """An exact engine report needs a witness of length n, entries in
+    range(q) (contains() reduces mod q), weight rep.lower and membership;
+    a bounds-only report is exact when its bounds meet and has no witness."""
+    if not rep.exact or rep.method == "bounds-only":
+        return True
+    w = rep.witness
+    return (w is not None and len(w) == code.n
+            and all(0 <= v < code.field.order for v in w)
+            and sum(1 for v in w if v) == rep.lower and code.contains(w))
+
+
 def cached_distance_report(code, budget: Optional[SearchBudget] = None,
                            threads: int = 1,
                            cache: Optional[ResultCache] = None) -> DistanceReport:
+    """distance_report through the cache.  An exact hit is served only after
+    its witness is checked again; a hit that fails the check is recomputed
+    and overwritten, with a warning."""
     budget = budget or SearchBudget()
     if cache is None:
         return distance_report(code, budget, threads)
@@ -124,8 +139,11 @@ def cached_distance_report(code, budget: Optional[SearchBudget] = None,
     hit = cache.get(key)
     if hit is not None:
         rep = DistanceReport.from_json(hit)
-        rep.elapsed_s = 0.0
-        return rep
+        if _certified(code, rep):
+            rep.elapsed_s = 0.0
+            return rep
+        warnings.warn(f"recomputing cached report for {code!r}: its witness "
+                      f"does not certify d = {rep.lower}")
     rep = distance_report(code, budget, threads)
     cache.put(key, rep.to_json())
     return rep

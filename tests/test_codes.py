@@ -351,3 +351,5 @@ def test_descriptor_round_trip():
         assert again.g == code.g
         assert again.zero_leaders == code.zero_leaders
         assert again.k == code.k
+        with pytest.raises(CodeError, match="k = .* disagrees"):
+            NegacyclicCode.from_descriptor({**desc, "k": code.k + 1})

@@ -319,8 +319,8 @@ def _code(spec):
 
 def direct_oracle(code):
     """Encode all q^k messages by field-table arithmetic (message index m has
-    base-q digit r on generator row r); return the weight distribution, d and
-    the word of the lowest-index message of weight d."""
+    base-q digit r on generator row r); return the weight distribution, d,
+    the word of the lowest-index message of weight d, and all the words."""
     t = code.field.tables()
     idx = np.arange(t.q ** code.k)
     words = np.zeros((len(idx), code.n), dtype=t.dtype)
@@ -331,7 +331,7 @@ def direct_oracle(code):
     hist = {int(w): int(c) for w, c in
             zip(*np.unique(weights, return_counts=True))}
     msg = 1 + int(np.argmin(weights[1:]))
-    return hist, int(weights[msg]), tuple(int(v) for v in words[msg])
+    return hist, int(weights[msg]), tuple(int(v) for v in words[msg]), words
 
 
 @settings(max_examples=40, deadline=None)
@@ -339,18 +339,23 @@ def direct_oracle(code):
 @example(("GF(3)", 91, -1, (91,)))     # k = 1, n > 64: two plane words
 @example(("GF(5)", 3, -1, (3,)))       # k = 1
 @example(("GF(9)", 80, 1, (0, 40)))    # n > 64 over GF(9)
+@example(("GF(3)", 13, -1, (13,)))     # host GF(27): p divides m_h/m_l = 3
 def test_weight_distribution_matches_direct_encoding(spec):
     code = _code(spec)
-    hist, d, witness = direct_oracle(code)
+    hist, d, witness, words = direct_oracle(code)
     wd = weight_distribution(code)
     assert wd == hist
     assert sum(wd.values()) == code.field.order ** code.k
     rep = exact_distance_enum(code)
     assert (rep.d, rep.witness) == (d, witness)
+    # the one span builder lists the same words in the same order, and the
+    # trace form (spanned from k trace rows) gives the same set
+    assert np.array_equal(code.codewords(), words)
+    assert code.trace_code_set() == set(map(tuple, words.tolist()))
 
 
 def _check_blocks_and_threads(code):
-    hist, d, witness = direct_oracle(code)
+    hist, d, witness, _ = direct_oracle(code)
     # with no room the inner block falls back to q messages, and the
     # odometer walks q^(k-1) outer steps, split into shards when threads > 1
     for cap in (distance._INNER_BYTES, 0):

@@ -66,6 +66,47 @@ def test_cache_round_trip_and_hits(tmp_path):
     assert rep3.to_json() == rep1.to_json()
 
 
+def _tamper_weight_two(rec, good):
+    rec.update(lower=2, upper=2, witness="1" + ",0" * 8 + ",1")
+
+
+def _tamper_entry_out_of_range(rec, good):
+    # a nonzero entry raised by q keeps the weight, and contains() (which
+    # reduces mod q) would still accept the word
+    w = [int(v) for v in good.split(",")]
+    i = next(i for i, v in enumerate(w) if v)
+    w[i] += 3
+    rec["witness"] = ",".join(map(str, w))
+
+
+def _tamper_short_witness(rec, good):
+    rec["witness"] = good.rsplit(",", 1)[0]
+
+
+def _tamper_no_witness(rec, good):
+    rec["witness"] = None
+
+
+@pytest.mark.parametrize("tamper", [
+    _tamper_weight_two, _tamper_entry_out_of_range, _tamper_short_witness,
+    _tamper_no_witness], ids=["weight-2", "entry-3", "length-9", "none"])
+def test_cache_hit_with_bad_witness_is_recomputed(tamper, tmp_path):
+    path = tmp_path / "results.json"
+    c = NegacyclicCode.from_check(GF3, 10, [1])  # [10,4,6]
+    good = cached_distance_report(c, cache=ResultCache(str(path))).to_json()
+    payload = json.loads(path.read_text())
+    (key,) = payload["records"]
+    tamper(payload["records"][key], good["witness"])
+    path.write_text(json.dumps(payload))
+    cache = ResultCache(str(path))
+    with pytest.warns(UserWarning, match="recomputing cached report"):
+        rep = cached_distance_report(c, cache=cache)
+    assert cache.hits == 1 and rep.exact and rep.d == 6
+    assert rep.to_json() == good
+    # the fresh report replaced the bad record on disk
+    assert json.loads(path.read_text())["records"][key] == good
+
+
 def test_cache_distinct_budgets_distinct_keys(tmp_path):
     cache = ResultCache(str(tmp_path / "results.json"))
     c = NegacyclicCode.from_check(GF3, 10, [1])
@@ -281,12 +322,17 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
      "reducible over GF(3); divisible by 1,1"),
     (["build", "--n", "10", "--check", "1", "--host-modulus", "2,0,0,0,1"],
      "reducible over GF(3); divisible by 1,1"),
+    (["dual", "--code", "{tmp}/gf25-as-gf9.json"], "q = 9 disagrees"),
 ], ids=["missing-code", "bad-scope", "composite-p", "build-composite-q",
         "missing-file", "descriptor-without-g", "descriptor-not-json",
-        "reducible-modulus", "reducible-host-modulus"])
+        "reducible-modulus", "reducible-host-modulus", "descriptor-q-k-edited"])
 def test_cli_usage_error_exit_3(argv, message, tmp_path, capsys):
     (tmp_path / "no-g.json").write_text('{"q": 3, "n": 10, "lambda": -1}')
     (tmp_path / "not-json.json").write_text("[1, 2")
+    # a [3,1] code over GF(25) whose descriptor claims q = 9 and k = 7
+    desc = NegacyclicCode.from_check(make_field(5, 2), 3, [1]).descriptor()
+    (tmp_path / "gf25-as-gf9.json").write_text(json.dumps({**desc, "q": 9,
+                                                            "k": 7}))
     argv = [a.format(tmp=tmp_path) for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
