@@ -464,17 +464,15 @@ class NegacyclicCode(ConstacyclicCode):
     # -- zero-set structure ------------------------------------------------------
 
     def dual(self) -> "NegacyclicCode":
-        """Dual code: zeros are the negations of this code's nonzeros."""
+        """Dual code: generated by the monic reciprocal of h, with zeros the
+        negations of this code's nonzeros (a union of cosets), over the same
+        host, beta and coset table; no minimal polynomial is rebuilt."""
         R = self.R
-        elig = self._eligible()
-        dual_T = {(R - i) % R for i in elig if i not in self.zero_exponents}
-        leaders = sorted({self.table.leader_of[i] for i in dual_T})
-        d = NegacyclicCode.from_zeros(self.field, self.n, leaders,
-                                      self.lam_int, host=self.host)
-        recip = self.h.reciprocal()
-        if d.g != recip:  # pragma: no cover - internal consistency
-            raise CodeError("dual generator disagrees with reciprocal check polynomial")
-        return d
+        dual_T = frozenset((R - i) % R for i in self._eligible()
+                           if i not in self.zero_exponents)
+        return NegacyclicCode(self.field, self.n, self.lam_int,
+                              self.h.reciprocal(), self.host, self.beta,
+                              self.table, dual_T)
 
     def bch_bound(self, v: int = 1) -> int:
         """Longest run of consecutive zeros seen through the multiplier v.

@@ -8,6 +8,15 @@ once and stores them bitsliced, as q one-hot uint64 planes per row
 digits walk an odometer over one int8 row b, and each outer step reads the
 weights of the whole block with at most q ANDs, q-1 ORs and one popcount,
 for any field with index tables (Boothby & Bradshaw, arXiv:0901.1413).
+The column search uses the same representation for syndromes: a syndrome
+of r entries of GF(p^s) is its N = r*s base-p digits (an element index is
+its digit string), kept as p one-hot uint64 planes (N <= 61 under the
+q^r < 2^62 guard).  The planes of c * column i are built once per code;
+syndromes are added by the one-hot cyclic convolution
+z_k = OR_i x_i & y_(k-i mod p) and negated by permuting planes.  Each side
+is sorted or probed on a 64-bit key, a hash of the planes whose low bits
+carry the entry's index, and every key match is compared plane by plane
+before it can yield a word, so hash collisions cost time, never answers.
 A sphere-packing upper bound (with the even-distance refinement) and the BCH
 multiplier bound bracket whatever the engines cannot settle exactly.
 
@@ -302,96 +311,210 @@ def weight_distribution(code, budget: Optional[SearchBudget] = None,
 
 
 # ---------------------------------------------------------------------------
-# meet-in-the-middle low-weight search
+# meet-in-the-middle low-weight search over one-hot syndrome planes
 
-def _side_syndromes(tables, colsT, subsets, coeff_tuple):
-    syn = tables.mul[coeff_tuple[0]][colsT[subsets[:, 0]]]
-    for j, c in enumerate(coeff_tuple[1:], start=1):
-        syn = tables.add[syn, tables.mul[c][colsT[subsets[:, j]]]]
-    return syn
-
-
-def _subsets(n, t):
-    """All t-subsets of range(n) as rows, in lexicographic order."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), t))
-    return np.fromiter(flat, dtype=np.int64, count=comb(n, t) * t).reshape(-1, t)
+# side entries built, keyed and probed per block
+_CHUNK = 1 << 16
+# odd 64-bit multiplier; plane v of a syndrome enters its hash times _GOLDEN^v
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _level_search(tables, colsT, powers, w, n, deadline=None):
+def _column_planes(tables, H):
+    """One-hot planes of c * column i of H for every element c (c = 0 gives
+    the zero syndrome): bit s*e + j of planes[v, c*n + i] is set when base-p
+    digit j of entry e is v, where s = [GF(q) : GF(p)].  Element indices are
+    base-p digit strings, so adding syndromes adds digits mod p; r*s <= 61
+    under the q^r < 2^62 guard, so every plane fits in one uint64."""
+    p, s = tables.field.p, tables.field.m
+    r, n = H.shape
+    digits = (tables.mul[:, H.T][..., None] // p ** np.arange(s)) % p
+    digits = digits.reshape(tables.q * n, r * s)
+    return np.stack([_bits(digits == v)[:, 0] for v in range(p)])
+
+
+def _plane_add(x, y):
+    """One-hot sum of syndromes (x and y broadcast): plane k is the OR over i
+    of x_i & y_(k-i mod p)."""
+    p = len(x)
+    z = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.uint64)
+    tmp = np.empty_like(z[0])
+    for k in range(p):
+        np.bitwise_and(x[0], y[k], out=z[k])
+        for i in range(1, p):
+            np.bitwise_and(x[i], y[(k - i) % p], out=tmp)
+            np.bitwise_or(z[k], tmp, out=z[k])
+    return z
+
+
+def _mix(planes):
+    """64-bit hash of each syndrome: the sum of plane v times _GOLDEN^v over
+    the nonzero digit values v (plane 0 is implied), wrapping."""
+    mult = np.array([pow(_GOLDEN, v, 1 << 64) for v in range(1, len(planes))],
+                    dtype=np.uint64)
+    return mult @ planes[1:]
+
+
+def _extend(n, subs):
+    """The lexicographic (t+1)-subsets of range(n), given the t-subsets:
+    (prefix, last), where subset i is subs[prefix[i]] followed by last[i]."""
+    top = subs[:, -1] if subs.shape[1] else np.full(len(subs), -1)
+    counts = n - 1 - top
+    prefix = np.repeat(np.arange(len(subs)), counts)
+    last = np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts - top - 1,
+                                              counts)
+    return prefix, last
+
+
+class _Side:
+    """The j-term side entries: every coefficient tuple in
+    itertools.product(range(1, q), repeat=j) (the right side pins the last
+    coefficient to 1) times every lexicographic j-subset, coefficient tuple
+    major.  Entry ((c, e), s), for prefix tuple c and last coefficient e + 1,
+    is entry (c, prefix[s]) of the table of all (j-1)-term sums plus
+    (e + 1) * column last[s]; its index is (c * k + e) * len(subs) + s, where
+    k is the number of last coefficients."""
+
+    def __init__(self, cplanes, n, q, prev_subs, prev_planes, pinned=False):
+        self.cplanes, self.n, self.q = cplanes, n, q
+        self.prefix, self.last = _extend(n, prev_subs)
+        self.subs = np.column_stack([prev_subs[self.prefix], self.last])
+        self.n_prev = len(prev_subs)
+        self.prev_planes = prev_planes
+        self.n_prefix = prev_planes.shape[1] // self.n_prev
+        self.k = 1 if pinned else q - 1
+        self.size = self.n_prefix * self.k * len(self.subs)
+
+    def planes(self, c, e, s):
+        """Planes of entries ((c, e), s) (index arrays that broadcast), flat."""
+        x = self.prev_planes[:, c * self.n_prev + self.prefix[s]]
+        y = self.cplanes[:, (e + 1) * self.n + self.last[s]]
+        return _plane_add(x, y).reshape(len(x), -1)
+
+    def entries(self, idx):
+        """(c, e, s) of flat entry indices."""
+        ce, s = np.divmod(idx, len(self.subs))
+        return (*np.divmod(ce, self.k), s)
+
+    def blocks(self):
+        """(c, e, s, flat entry index) of consecutive blocks of about _CHUNK
+        entries; c, e and s broadcast along three axes."""
+        n_subs = len(self.subs)
+        per = max(1, _CHUNK // (self.k * n_subs))
+        step = n_subs if per > 1 else max(1, _CHUNK // self.k)
+        e = np.arange(self.k)[None, :, None]
+        for c0 in range(0, self.n_prefix, per):
+            c = np.arange(c0, min(c0 + per, self.n_prefix))[:, None, None]
+            for s0 in range(0, n_subs, step):
+                s = np.arange(s0, min(s0 + step, n_subs))[None, None, :]
+                yield c, e, s, ((c * self.k + e) * n_subs + s).ravel()
+
+    def coeffs(self, idx):
+        """Support and coefficients of the entry with flat index idx."""
+        c, e, s = self.entries(idx)
+        pre = list(itertools.product(range(1, self.q), repeat=self.subs.shape[1] - 1))
+        return self.subs[s], pre[c] + (e + 1,)
+
+
+def _first_pair(left, right, lk, low, need, idx, r_pos, lo, hi):
+    """(left entry, right entry) of the first key match with max(left
+    support) < min(right support) that is a genuine syndrome match, in
+    right-then-left entry order, among right block positions r_pos
+    (ascending) and their runs lo..hi of the sorted left keys; None if there
+    is none.  The support test is the cheap filter; the plane comparison
+    decides every pair that passes it."""
+    counts = hi - lo
+    pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    r_pos = np.repeat(r_pos, counts)
+    l_idx = (lk[pos] & low).astype(np.int64)
+    c, e, s = left.entries(l_idx)
+    r_idx = idx[r_pos]
+    cand = np.flatnonzero(left.subs[s, -1] < right.subs[r_idx % len(right.subs), 0])
+    same = (left.planes(c[cand], e[cand], s[cand])
+            == need[:, r_pos[cand]]).all(axis=0)
+    if not same.any():
+        return None
+    first = cand[np.argmax(same)]  # pairs already run in right-then-left order
+    return int(l_idx[first]), int(r_idx[first])
+
+
+def _level_search(tables, cplanes, w, n, deadline=None):
     """Search for a weight-exactly-w dependence among the n columns.
 
     Splits the support as (first t, last w-t) of the sorted support; the left
     side enumerates all coefficient tuples, the right side pins its top
-    coefficient to 1 (one representative per scalar multiple).  A key match
-    with max(left support) < min(right support) is a genuine codeword.
-    The deadline is checked before each chunk of right-side subsets.
+    coefficient to 1 (one representative per scalar multiple).  Syndromes are
+    one-hot planes (_column_planes), and each side's are built from the table
+    of all shorter sums (_Side).  A left key is the syndrome's 64-bit hash
+    (_mix) with its low bits replaced by the entry's index, so one sort
+    orders the left side by hash and then by entry, as a stable sort would.
+    The negated right syndromes (planes permuted v -> -v) are hashed the
+    same way, sorted with their block positions, and probed with one
+    searchsorted on the hash bits plus an equality test.  A key match counts
+    only when max(left support) < min(right support) and its planes equal
+    the negated right syndrome's, compared plane by plane, so a hash
+    collision never yields a word; matches are checked in right entry order,
+    in batches of about _CHUNK pairs (_first_pair).  A counted match is a
+    codeword; the first in right-then-left entry order is returned.  The
+    deadline is checked before each block.
     """
-    q = tables.q
+    q, p = tables.q, len(cplanes)
+    word = np.zeros(n, dtype=tables.dtype)
+    if w == 1:  # a zero column (the left side would be the zero syndrome)
+        zero = np.flatnonzero((cplanes[:, n:2 * n] == cplanes[:, :1]).all(axis=0))
+        if len(zero) == 0:
+            return None
+        word[zero[0]] = 1
+        return word
     t_size = w // 2
     u_size = w - t_size
-    # left side
-    if t_size == 0:
-        left_keys = np.zeros(1, dtype=np.int64)
-        left_max = np.full(1, -1, dtype=np.int32)
-        left_sub = np.zeros((1, 0), dtype=np.int64)
-        left_cf: list[tuple[int, ...]] = [()]
-        left_cf_id = np.zeros(1, dtype=np.int32)
-    else:
-        subs = _subsets(n, t_size)
-        keys_parts, max_parts, sub_parts, cf_id_parts = [], [], [], []
-        left_cf = list(itertools.product(range(1, q), repeat=t_size))
-        for cid, cf in enumerate(left_cf):
-            syn = _side_syndromes(tables, colsT, subs, cf)
-            keys_parts.append(syn.astype(np.int64) @ powers)
-            max_parts.append(subs[:, -1].astype(np.int32))
-            sub_parts.append(np.arange(len(subs), dtype=np.int32))
-            cf_id_parts.append(np.full(len(subs), cid, dtype=np.int32))
-        left_keys = np.concatenate(keys_parts)
-        left_max = np.concatenate(max_parts)
-        left_sub_idx = np.concatenate(sub_parts)
-        left_cf_id = np.concatenate(cf_id_parts)
-        left_sub = subs
-    order = np.argsort(left_keys, kind="stable")
-    lk = left_keys[order]
-    lmax = left_max[order]
-    if t_size:
-        lsub = left_sub_idx[order]
-        lcf = left_cf_id[order]
-    # right side
-    rsubs = _subsets(n, u_size)
-    right_cf = [cf + (1,) for cf in
-                itertools.product(range(1, q), repeat=u_size - 1)]
-    chunk = 300_000
-    for cf in right_cf:
-        for s0 in range(0, len(rsubs), chunk):
-            _check_deadline(deadline, "column search")
-            sub_c = rsubs[s0:s0 + chunk]
-            syn = _side_syndromes(tables, colsT, sub_c, cf)
-            need = tables.neg[syn].astype(np.int64) @ powers
-            lo = np.searchsorted(lk, need, side="left")
-            hi = np.searchsorted(lk, need, side="right")
-            counts = hi - lo
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            r_idx = np.repeat(np.arange(len(sub_c)), counts)
-            offs = np.concatenate([[0], np.cumsum(counts)])
-            pos = (np.arange(total) - np.repeat(offs[:-1], counts)
-                   + np.repeat(lo, counts))
-            ok = lmax[pos] < sub_c[r_idx, 0]
-            if not ok.any():
-                continue
-            hit = int(np.nonzero(ok)[0][0])
-            p, ri = int(pos[hit]), int(r_idx[hit])
-            positions = list(sub_c[ri])
-            coeffs = list(cf)
-            if t_size:
-                positions = list(left_sub[lsub[p]]) + positions
-                coeffs = list(left_cf[lcf[p]]) + coeffs
-            word = np.zeros(n, dtype=tables.dtype)
-            for pp, cc in zip(positions, coeffs):
-                word[pp] = cc
-            return word
+    subs = np.zeros((1, 0), dtype=np.int64)   # the j-subsets, j = 0, 1, ...
+    sums = cplanes[:, :1]                     # every j-term sum
+    for j in range(1, u_size):
+        side = _Side(cplanes, n, q, subs, sums)
+        if j == t_size:
+            left = side
+        sums = side.planes(np.arange(side.n_prefix)[:, None, None],
+                           np.arange(side.k)[None, :, None],
+                           np.arange(len(side.subs))[None, None, :])
+        subs = side.subs
+    right = _Side(cplanes, n, q, subs, sums, pinned=True)
+    if t_size == u_size:
+        left = _Side(cplanes, n, q, subs, sums)
+    if right.size == 0:
+        return None  # fewer than u <= w columns
+    low = np.uint64((1 << max(left.size, _CHUNK).bit_length()) - 1)
+    high = ~low
+    lk = np.empty(left.size, dtype=np.uint64)
+    for c, e, s, idx in left.blocks():
+        _check_deadline(deadline, "column search")
+        lk[idx] = _mix(left.planes(c, e, s)) & high | idx.astype(np.uint64)
+    lk.sort()
+    neg = [(-v) % p for v in range(p)]
+    for c, e, s, idx in right.blocks():
+        _check_deadline(deadline, "column search")
+        need = right.planes(c, e, s)[neg]
+        rk = np.sort(_mix(need) & high | np.arange(len(idx), dtype=np.uint64))
+        lo = np.searchsorted(lk, rk & high)
+        hit = lk[np.minimum(lo, len(lk) - 1)] & high == rk & high
+        if not hit.any():
+            continue
+        rk, lo = rk[hit], lo[hit]
+        hi = np.searchsorted(lk, rk | low, side="right")
+        order = np.argsort(rk & low)  # from key order to right entry order
+        rk, lo, hi = rk[order], lo[order], hi[order]
+        ends = np.cumsum(hi - lo)
+        a = 0
+        while a < len(rk):
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - (hi[a] - lo[a])
+                                               + _CHUNK, side="right")))
+            pair = _first_pair(left, right, lk, low, need, idx,
+                               (rk[a:b] & low).astype(np.int64), lo[a:b], hi[a:b])
+            if pair is not None:
+                for side, entry in zip((left, right), pair):
+                    support, coeffs = side.coeffs(entry)
+                    word[support] = coeffs
+                return word
+            a = b
     return None
 
 
@@ -418,13 +541,12 @@ def low_weight_search(code, w_max: Optional[int] = None,
                               "search", "search", 1, time.monotonic() - t0)
     if q ** r >= 2 ** 62:
         raise CodeError("syndrome space too large for integer keys")
-    powers = (q ** np.arange(r)).astype(np.int64)
-    colsT = np.ascontiguousarray(H.T)
+    cplanes = _column_planes(tables, H)
     work = 0
     for w in range(1, w_max + 1):
         _check_deadline(deadline, "column search")
         work += comb(n, w // 2) + comb(n, w - w // 2)
-        word = _level_search(tables, colsT, powers, w, n, deadline)
+        word = _level_search(tables, cplanes, w, n, deadline)
         if word is not None:
             if not code.contains(word):  # pragma: no cover
                 raise AssertionError("column search produced a non-codeword")
@@ -476,6 +598,13 @@ def bch_lower(code) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # dispatch
 
+def _column_cap(q, n, k, budget: SearchBudget, pack: int) -> int:
+    """Largest weight distance_report's column search tries, 0 for none."""
+    if q ** (n - k) >= 2 ** 62:
+        return 0  # syndrome keys would overflow; bounds only
+    return min(budget.max_column_weight, pack + 1)
+
+
 def distance_report(code, budget: Optional[SearchBudget] = None,
                     threads: int = 1) -> DistanceReport:
     """Policy: enumerate when q^k fits the budget; otherwise run the column
@@ -497,9 +626,7 @@ def distance_report(code, budget: Optional[SearchBudget] = None,
             raise AssertionError(
                 f"bounds violated: bch={bch} d={rep.lower} packing={pack}")
         return rep
-    w_cap = min(budget.max_column_weight, pack + 1)
-    if q ** (n - k) >= 2 ** 62:
-        w_cap = 0  # syndrome keys would overflow; bounds only
+    w_cap = _column_cap(q, n, k, budget, pack)
     lower, work = bch, 0
     if w_cap >= 1:
         try:

@@ -9,9 +9,12 @@ crashes.  Manifests are deterministic apart from timestamps and wall times.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
+import math
 import os
+import re
 import tempfile
 import time
 import warnings
@@ -24,8 +27,8 @@ from .codes import (CodeError, NegacyclicCode, residue_distance_relation,
                     uv_construct)
 from .cosets import build_cosets, weight_class_sizes, weight_classes, wt3
 from .distance import (ENGINE_VERSION, DistanceReport, SearchBudget,
-                       distance_report, exact_distance_enum,
-                       weight_distribution)
+                       _column_cap, distance_report, exact_distance_enum,
+                       sphere_packing_max_d, weight_distribution)
 from .families import Claim
 from .ff import make_field
 from .poly import Poly
@@ -51,11 +54,19 @@ def descriptor_hash(desc: dict) -> str:
         json.dumps(desc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
+def _signature(st: os.stat_result) -> tuple[int, int, int]:
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
 class ResultCache:
     """JSON-file store keyed by code descriptor + engine budget.
 
-    Writes are atomic (write-temp-then-rename).  A corrupt file is rebuilt
-    from scratch with a warning, never partially read.
+    Writes are atomic (write-temp-then-rename) and serialised by an exclusive
+    flock on the sidecar file <path>.lock.  A put first re-reads and merges
+    the file when its (inode, size, mtime) differs from what this instance
+    last read or wrote, so records written meanwhile by another instance or
+    process are kept.  A corrupt file is rebuilt from scratch with a
+    warning, never partially read.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -63,20 +74,26 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self._data: Optional[dict] = None
+        self._stat = None   # (inode, size, mtime_ns) last read or written
+
+    def _read(self) -> dict:
+        try:
+            with open(self.path) as fh:
+                self._stat = _signature(os.fstat(fh.fileno()))
+                payload = json.load(fh)
+            if payload.get("schema") != SCHEMA:
+                raise ValueError(f"unknown cache schema {payload.get('schema')}")
+            return dict(payload["records"])
+        except FileNotFoundError:
+            self._stat = None
+            return {}
+        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            warnings.warn(f"rebuilding corrupt result cache {self.path}: {exc}")
+            return {}
 
     def _load(self) -> dict:
         if self._data is None:
-            try:
-                with open(self.path) as fh:
-                    payload = json.load(fh)
-                if payload.get("schema") != SCHEMA:
-                    raise ValueError(f"unknown cache schema {payload.get('schema')}")
-                self._data = dict(payload["records"])
-            except FileNotFoundError:
-                self._data = {}
-            except (ValueError, KeyError, json.JSONDecodeError) as exc:
-                warnings.warn(f"rebuilding corrupt result cache {self.path}: {exc}")
-                self._data = {}
+            self._data = self._read()
         return self._data
 
     def get(self, key: str) -> Optional[dict]:
@@ -89,18 +106,27 @@ class ResultCache:
 
     def put(self, key: str, value: dict):
         data = self._load()
-        data[key] = value
-        payload = {"schema": SCHEMA, "records": data}
-        d = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with open(self.path + ".lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            try:
+                now = _signature(os.stat(self.path))
+            except FileNotFoundError:
+                now = None
+            if now != self._stat:
+                data.update(self._read())
+            data[key] = value
+            payload = {"schema": SCHEMA, "records": data}
+            d = os.path.dirname(os.path.abspath(self.path))
+            fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    json.dump(payload, fh, sort_keys=True)
+                os.replace(tmp, self.path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+            self._stat = _signature(os.stat(self.path))
 
 
 def report_cache_key(code, budget: SearchBudget) -> str:
@@ -114,14 +140,30 @@ def report_cache_key(code, budget: SearchBudget) -> str:
     return descriptor_hash(payload)
 
 
-def _certified(code, rep: DistanceReport) -> bool:
-    """An exact engine report needs a witness of length n, entries in
-    range(q) (contains() reduces mod q), weight rep.lower and membership;
-    a bounds-only report is exact when its bounds meet and has no witness."""
-    if not rep.exact or rep.method == "bounds-only":
-        return True
+def _certified(code, rep: DistanceReport, budget: SearchBudget) -> bool:
+    """An engine report must be exact, with a witness of length n, entries
+    in range(q) (contains() reduces mod q), weight rep.lower and membership.
+    A bounds-only report must carry the sphere-packing upper bound, and a
+    lower bound that its source reproduces: the BCH bound at the named
+    multiplier, or W + 1 for a column search up to W = the weight the budget
+    allows; it is exact exactly when the bounds meet."""
+    if rep.method == "bounds-only":
+        n, k, q = code.n, code.k, code.field.order
+        pack = sphere_packing_max_d(n, k, q)
+        if (rep.upper, rep.upper_src, rep.witness) != (pack, "sphere-packing", None) \
+                or rep.exact != (rep.lower == rep.upper):
+            return False
+        bch = re.fullmatch(r"bch\(v=(\d+)\)", rep.lower_src)
+        if bch:
+            v = int(bch[1])
+            if not isinstance(code, NegacyclicCode):
+                return (v, rep.lower) == (1, 1)
+            return math.gcd(v, code.R) == 1 and rep.lower == code.bch_bound(v)
+        col = re.fullmatch(r"column-search w<=(\d+)", rep.lower_src)
+        cap = _column_cap(q, n, k, budget, pack)
+        return bool(col) and int(col[1]) == cap >= 1 and rep.lower == cap + 1
     w = rep.witness
-    return (w is not None and len(w) == code.n
+    return (rep.exact and w is not None and len(w) == code.n
             and all(0 <= v < code.field.order for v in w)
             and sum(1 for v in w if v) == rep.lower and code.contains(w))
 
@@ -129,9 +171,9 @@ def _certified(code, rep: DistanceReport) -> bool:
 def cached_distance_report(code, budget: Optional[SearchBudget] = None,
                            threads: int = 1,
                            cache: Optional[ResultCache] = None) -> DistanceReport:
-    """distance_report through the cache.  An exact hit is served only after
-    its witness is checked again; a hit that fails the check is recomputed
-    and overwritten, with a warning."""
+    """distance_report through the cache.  A hit is served only after its
+    certificate is checked again (_certified); a hit that fails the check is
+    recomputed and overwritten, with a warning."""
     budget = budget or SearchBudget()
     if cache is None:
         return distance_report(code, budget, threads)
@@ -139,11 +181,11 @@ def cached_distance_report(code, budget: Optional[SearchBudget] = None,
     hit = cache.get(key)
     if hit is not None:
         rep = DistanceReport.from_json(hit)
-        if _certified(code, rep):
+        if _certified(code, rep, budget):
             rep.elapsed_s = 0.0
             return rep
-        warnings.warn(f"recomputing cached report for {code!r}: its witness "
-                      f"does not certify d = {rep.lower}")
+        warnings.warn(f"recomputing cached report for {code!r}: its "
+                      f"certificate does not support {rep.lower}..{rep.upper}")
     rep = distance_report(code, budget, threads)
     cache.put(key, rep.to_json())
     return rep

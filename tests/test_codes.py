@@ -7,7 +7,9 @@ from negacyclic.codes import (CodeError, ConstacyclicCode, NegacyclicCode,
                               mat_mul, mat_rank, residue_distance_relation,
                               rref, uv_construct)
 from negacyclic.distance import exact_distance_enum, weight_distribution
-from negacyclic.families import build_family3, build_family4
+from negacyclic.families import (FAMILY2_EXAMPLES, FAMILY3_EXAMPLES,
+                                 build_family1, build_family2, build_family3,
+                                 build_family4)
 from negacyclic.ff import make_field, primitive_element
 from negacyclic.poly import Poly
 
@@ -105,6 +107,43 @@ def test_double_dual_family3_m4():
     dd = b.code.dual().dual()
     assert dd.zero_leaders == b.code.zero_leaders
     assert dd.g == b.code.g
+
+
+def _dual_from_zeros(c):
+    """The dual rebuilt from minimal polynomials: from_zeros on the cosets
+    of the negated nonzeros, over the code's host."""
+    dual_T = {(c.R - i) % c.R for i in c._eligible() if i not in c.zero_exponents}
+    leaders = sorted({c.table.leader_of[i] for i in dual_T})
+    return NegacyclicCode.from_zeros(c.field, c.n, leaders, c.lam_int, host=c.host)
+
+
+def _family_codes():
+    codes = []
+    for rho in (5, 7):
+        b = build_family1(rho)
+        codes += [b.code, b.dual, b.companion, b.companion_dual]
+    for ell, n, _, _ in FAMILY2_EXAMPLES:
+        b = build_family2(ell, n)
+        codes += [b.code, b.dual]
+    for m, n, _, _ in FAMILY3_EXAMPLES:
+        b = build_family3(m, n)
+        codes += [b.code, b.dual]
+        if n % 2:
+            codes.append(b.code.psi_image())  # a cyclic code
+    codes += [build_family4(j, m).code for j in (1, 3) for m in (3, 5)]
+    return codes
+
+
+def test_dual_matches_from_zeros_for_every_family_code():
+    for c in _family_codes():
+        d, ref = c.dual(), _dual_from_zeros(c)
+        assert d.g == ref.g == c.h.reciprocal()
+        assert d.zero_exponents == ref.zero_exponents
+        assert d.descriptor() == ref.descriptor()
+        assert np.array_equal(d.rows(), ref.rows())
+        dd = d.dual()
+        assert dd.g == c.g and dd.zero_exponents == c.zero_exponents
+        assert dd.descriptor() == c.descriptor()
 
 
 def test_dual_zero_set_reciprocity():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from negacyclic import distance
-from negacyclic.codes import LinearCode, NegacyclicCode
+from negacyclic.codes import CodeError, LinearCode, NegacyclicCode
 from negacyclic.cosets import build_cosets, mult_order
 from negacyclic.distance import (BudgetExceeded, DistanceReport, SearchBudget,
                                  exact_distance_enum, distance_report,
@@ -386,3 +386,101 @@ def test_enum_on_random_generator_matrices(data):
     rows = data.draw(st.lists(st.lists(digits, min_size=n, max_size=n),
                               min_size=k, max_size=k))
     _check_blocks_and_threads(LinearCode(field, np.array(rows)))
+
+
+# ---------------------------------------------------------------------------
+# property tests: the column search against enumeration
+
+def _dual_low_weights(hist, n, q, k, w_max):
+    """A'_j for j <= w_max of the dual, from the code's weight distribution
+    by the MacWilliams transform (Krawtchouk sums)."""
+    out = {}
+    for j in range(1, w_max + 1):
+        total = sum(a * sum((-1) ** s * (q - 1) ** (j - s) * math.comb(i, s)
+                            * math.comb(n - i, j - s) for s in range(j + 1))
+                    for i, a in hist.items())
+        assert total % q ** k == 0
+        out[j] = total // q ** k
+    return out
+
+
+def _affordable_weight(n, q):
+    """Largest w <= 6 whose two sides stay within a few 10^5 entries."""
+    return max(w for w in range(1, 7)
+               if math.comb(n, w // 2) * (q - 1) ** (w // 2)
+               + math.comb(n, w - w // 2) * (q - 1) ** (w - w // 2 - 1)
+               <= 150_000)
+
+
+def _check_column_search(code, d, w):
+    """low_weight_search up to w finds d with a weight-d codeword witness
+    when d <= w, and reports lower = w + 1 otherwise; codes whose syndrome
+    space fails the q^r < 2^62 guard are refused."""
+    q, r = code.field.order, code.n - code.k
+    if q ** r >= 2 ** 62:
+        with pytest.raises(CodeError, match="syndrome space"):
+            low_weight_search(code, w)
+        return
+    rep = low_weight_search(code, w)
+    if d <= w:
+        assert rep.exact and rep.lower == d
+        assert len(rep.witness) == code.n
+        assert all(0 <= v < q for v in rep.witness)
+        assert sum(1 for v in rep.witness if v) == d
+        assert code.contains(rep.witness)
+    else:
+        assert not rep.exact and rep.lower == w + 1 and rep.witness is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_codes())
+@example(("GF(3)", 91, -1, (91,)))     # n > 64: the code fails the guard
+@example(("GF(5)", 16, 1, (1,)))       # five planes, d = 4 found
+@example(("GF(3)", 40, -1, (5,)))      # 36 check digits: 72 one-hot bits
+def test_column_search_agrees_with_enumeration(spec):
+    # the code (low rate, q^k small) against its enumerated distance, and
+    # its dual (high rate, r = k small) against the MacWilliams transform
+    code = _code(spec)
+    q, n = code.field.order, code.n
+    hist = weight_distribution(code)
+    w = _affordable_weight(n, q)
+    _check_column_search(code, min(v for v in hist if v), w)
+    dual = code.dual()
+    low = _dual_low_weights(hist, n, q, code.k, w)
+    _check_column_search(dual, min([j for j in low if low[j]] or [w + 1]), w)
+
+
+def _planted_code():
+    """[40,4] ternary code with 36 check digits (two one-hot planes need 72
+    bits) whose first row has weight 3, so d <= 3."""
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 3, (4, 40))
+    rows[0] = 0
+    rows[0, [7, 19, 33]] = [1, 2, 2]
+    return LinearCode(GF3, rows)
+
+
+def test_column_search_finds_planted_word_past_32_check_digits():
+    code = _planted_code()
+    rep = low_weight_search(code, 4)
+    assert rep.exact and rep.lower == 3
+    assert code.contains(rep.witness)
+    assert [i for i, v in enumerate(rep.witness) if v] == [7, 19, 33]
+
+
+def test_column_search_words_survive_colliding_keys():
+    # every hash equal: each left entry matches each right one, and only
+    # the plane-by-plane comparison separates them
+    b1 = build_family1(5)
+    cases = [(_planted_code(), 3),
+             (NegacyclicCode.from_check(GF3, 10, [1]).dual(), 4),   # d = 4
+             (NegacyclicCode.from_check(GF3, 10, [1]), 3),          # d = 6
+             (b1.companion_dual, 3),                                # GF(9), d = 3
+             (_code(("GF(5)", 16, 1, (1,))), 4)]                    # GF(5), d = 4
+    for code, w in cases:
+        want = low_weight_search(code, w)
+        with mock.patch.object(distance, "_mix",
+                               lambda planes: np.zeros(planes.shape[1], np.uint64)):
+            got = low_weight_search(code, w)
+        assert (got.lower, got.exact, got.witness) == (
+            want.lower, want.exact, want.witness)

@@ -107,6 +107,116 @@ def test_cache_hit_with_bad_witness_is_recomputed(tamper, tmp_path):
     assert json.loads(path.read_text())["records"][key] == good
 
 
+def _edit_only_record(path, edit):
+    payload = json.loads(path.read_text())
+    (key,) = payload["records"]
+    edit(payload["records"][key])
+    path.write_text(json.dumps(payload))
+    return key
+
+
+def _served_fresh(code, budget, path, good):
+    """The edited record is recomputed with a warning and overwritten."""
+    cache = ResultCache(str(path))
+    with pytest.warns(UserWarning, match="recomputing cached report"):
+        rep = cached_distance_report(code, budget, cache=cache)
+    assert cache.hits == 1 and rep.to_json() == good
+    (rec,) = json.loads(path.read_text())["records"].values()
+    assert rec == good
+
+
+def test_cache_forged_bounds_only_exact_is_recomputed(tmp_path):
+    # an enumeration record of the [10,4,6] code edited into a witnessless
+    # bounds-only d = 2 must not be served as exact
+    path = tmp_path / "results.json"
+    c = NegacyclicCode.from_check(GF3, 10, [1])
+    good = cached_distance_report(c, cache=ResultCache(str(path))).to_json()
+    _edit_only_record(path, lambda rec: rec.update(
+        method="bounds-only", lower=2, upper=2, exact=True, witness=None))
+    _served_fresh(c, SearchBudget(), path, good)
+
+
+# [14,6,6] (family 1, rho = 7): BCH gives 5, sphere packing 7, and a column
+# search up to weight 5 finds nothing, so its bounds-only report is 6..7
+_BOUNDS_BUDGET = SearchBudget(max_message_enum=3, max_column_weight=5)
+
+
+@pytest.fixture(scope="module")
+def rho7_code():
+    from negacyclic.families import build_family1
+    return build_family1(7).code
+
+
+def test_cache_genuine_bounds_only_hits_are_served(rho7_code, tmp_path):
+    import warnings
+    for budget, src in ((_BOUNDS_BUDGET, "column-search w<=5"),
+                        (SearchBudget(max_message_enum=3, max_column_weight=2),
+                         "bch(v=1)")):
+        path = tmp_path / f"{budget.max_column_weight}.json"
+        rep = cached_distance_report(rho7_code, budget, cache=ResultCache(str(path)))
+        assert rep.method == "bounds-only" and rep.lower_src == src
+        cache = ResultCache(str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = cached_distance_report(rho7_code, budget, cache=cache)
+        assert cache.hits == 1 and again.to_json() == rep.to_json()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rec: rec.update(upper=6),                          # not the packing bound
+    lambda rec: rec.update(upper_src="trivial"),
+    lambda rec: rec.update(lower=7, exact=True),              # w<=5 proves 6
+    lambda rec: rec.update(lower_src="column-search w<=6", lower=7, exact=True),
+    lambda rec: rec.update(lower_src="bch(v=1)"),             # BCH at v=1 is 5
+    lambda rec: rec.update(lower_src="bch(v=2)", lower=5),    # 2 shares a factor with 28
+    lambda rec: rec.update(lower_src="exhaustive"),           # unknown source
+    lambda rec: rec.update(exact=True),                       # 6..7 is not exact
+    lambda rec: rec.update(witness="1" + ",0" * 13),
+], ids=["upper", "upper-src", "lower", "cap", "bch-bound", "bch-multiplier",
+        "source", "exact-flag", "witness"])
+def test_cache_bounds_only_hit_is_certified(edit, rho7_code, tmp_path):
+    path = tmp_path / "results.json"
+    good = cached_distance_report(rho7_code, _BOUNDS_BUDGET,
+                                  cache=ResultCache(str(path))).to_json()
+    assert (good["lower"], good["upper"], good["lower_src"]) == (
+        6, 7, "column-search w<=5")
+    _edit_only_record(path, edit)
+    _served_fresh(rho7_code, _BOUNDS_BUDGET, path, good)
+
+
+def test_cache_put_keeps_records_of_other_instances(tmp_path):
+    path = str(tmp_path / "results.json")
+    a = ResultCache(path)
+    assert a.get("k0") is None  # A reads the (missing) file
+    b = ResultCache(path)
+    b.put("k1", {"v": 1})
+    a.put("k2", {"v": 2})
+    assert json.loads(open(path).read())["records"] == {"k1": {"v": 1},
+                                                        "k2": {"v": 2}}
+    b.put("k3", {"v": 3})  # B merges A's write in turn
+    assert set(json.loads(open(path).read())["records"]) == {"k1", "k2", "k3"}
+    assert ResultCache(path).get("k3") == {"v": 3}
+
+
+def _put_many(path, prefix, count):
+    cache = ResultCache(path)
+    for i in range(count):
+        cache.put(f"{prefix}{i}", {"i": i})
+
+
+def test_cache_puts_from_several_processes_keep_every_record(tmp_path):
+    import multiprocessing
+    path = str(tmp_path / "results.json")
+    ctx = multiprocessing.get_context("spawn")
+    procs = [ctx.Process(target=_put_many, args=(path, tag, 25)) for tag in "abc"]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(60)
+        assert not proc.is_alive() and proc.exitcode == 0
+    assert len(json.loads(open(path).read())["records"]) == 75
+
+
 def test_cache_distinct_budgets_distinct_keys(tmp_path):
     cache = ResultCache(str(tmp_path / "results.json"))
     c = NegacyclicCode.from_check(GF3, 10, [1])
