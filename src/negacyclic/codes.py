@@ -24,7 +24,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .cosets import CosetTable, build_cosets, mult_order
-from .ff import Field, FieldElement, FieldTables, get_embedding, make_field
+from .ff import (Field, FieldElement, FieldTables, get_embedding, make_field,
+                 root_of_unity)
 from .poly import Poly, minimal_polynomial
 
 
@@ -173,10 +174,9 @@ class ConstacyclicCode(LinearCode):
                 f"(remainder {rem.to_text()})")
         self.g = g
         self.h = quot.monic()
-        gi = g.to_ints()
         rows = np.zeros((n - int(g.degree), n), dtype=field.tables().dtype)
         for i in range(rows.shape[0]):
-            rows[i, i:i + len(gi)] = gi
+            rows[i, i:i + len(g.idx)] = g.idx
         super().__init__(field, rows)
 
     # -- vector-side helpers -------------------------------------------------
@@ -187,8 +187,7 @@ class ConstacyclicCode(LinearCode):
         return ConstacyclicCode.dual(self).rows()
 
     def contains(self, word: Sequence[int]) -> bool:
-        return (Poly.from_ints(self.field, [int(w) for w in word])
-                % self.g).is_zero()
+        return (Poly.from_ints(self.field, word) % self.g).is_zero()
 
     def negashift(self, word: Sequence[int]) -> np.ndarray:
         """(lambda*c_{n-1}, c_0, ..., c_{n-2})."""
@@ -241,14 +240,13 @@ class ConstacyclicCode(LinearCode):
         half = self.n // 2
         f = self.field
         two_inv = (f.one() + f.one()).inverse()
-        c1 = Poly.from_ints(f, [int(v) for v in w1])
-        c2 = Poly.from_ints(f, [int(v) for v in w2])
+        c1 = Poly.from_ints(f, w1)
+        c2 = Poly.from_ints(f, w2)
         e1 = Poly.x_pow_minus(f, half, lam_sqrt).scale(lam_sqrt * two_inv)
         e2 = Poly.x_pow_minus(f, half, -lam_sqrt).scale(-(lam_sqrt * two_inv))
         w = (e1 * c1 + e2 * c2) % self.modulus_poly
         out = np.zeros(self.n, dtype=self.field.tables().dtype)
-        for i, c in enumerate(w.coeffs):
-            out[i] = c.as_int()
+        out[:len(w.idx)] = w.idx
         return out
 
     def descriptor(self) -> dict:
@@ -359,9 +357,26 @@ class NegacyclicCode(ConstacyclicCode):
                 host = field
             else:
                 host = make_field(field.p, field.m * mh, host_modulus)
-        from .ff import root_of_unity
         beta = root_of_unity(host, R)
         return table, host, beta
+
+    @staticmethod
+    def _coset_leaders(table: CosetTable, exponents: Iterable[int],
+                       lam_int: int) -> list[int]:
+        """Canonical leaders of the cosets of the given exponents, which must
+        be eligible for lambda (odd for negacyclic codes) and lie in distinct
+        cosets."""
+        R = table.N
+        leaders = []
+        for l in exponents:
+            l = l % R
+            if lam_int == -1 and l % 2 == 0:
+                raise CodeError(f"exponent {l} not eligible for lambda={lam_int}")
+            can = table.leader_of[l]
+            if can in leaders:
+                raise CodeError(f"cosets overlap at leader {can}")
+            leaders.append(can)
+        return leaders
 
     @classmethod
     def from_zeros(cls, field: Field, n: int, zero_leaders: Iterable[int],
@@ -369,22 +384,9 @@ class NegacyclicCode(ConstacyclicCode):
                    host_modulus: Optional[Sequence[int]] = None,
                    host: Optional[Field] = None) -> "NegacyclicCode":
         table, host, beta = cls._context(field, n, lam_int, host_modulus, host)
-        R = table.N
-        elig = set(range(1, R, 2)) if lam_int == -1 else set(range(R))
-        leaders = []
-        seen = set()
-        for l in zero_leaders:
-            l = l % R
-            if l not in elig:
-                raise CodeError(f"exponent {l} not eligible for lambda={lam_int}")
-            can = table.leader_of[l]
-            if can in seen:
-                raise CodeError(f"cosets overlap at leader {can}")
-            seen.add(can)
-            leaders.append(can)
         g = Poly.one(field)
         T = set()
-        for l in leaders:
+        for l in cls._coset_leaders(table, zero_leaders, lam_int):
             coset = table.cosets[l]
             g = g * minimal_polynomial(beta, coset, field)
             T.update(coset)
@@ -398,19 +400,9 @@ class NegacyclicCode(ConstacyclicCode):
         """Code whose check polynomial is the product of the given cosets'
         minimal polynomials; its zeros are every other eligible exponent."""
         table, host, beta = cls._context(field, n, lam_int, host_modulus, host)
-        R = table.N
-        elig = set(range(1, R, 2)) if lam_int == -1 else set(range(R))
-        seen = set()
-        for l in check_leaders:
-            l = l % R
-            if l not in elig:
-                raise CodeError(f"exponent {l} not eligible for lambda={lam_int}")
-            can = table.leader_of[l]
-            if can in seen:
-                raise CodeError(f"cosets overlap at leader {can}")
-            seen.add(can)
-        zero_leaders = [l for l in table.leaders
-                        if l in elig and l not in seen]
+        checks = set(cls._coset_leaders(table, check_leaders, lam_int))
+        eligible = table.odd_leaders if lam_int == -1 else table.leaders
+        zero_leaders = [l for l in eligible if l not in checks]
         return cls.from_zeros(field, n, zero_leaders, lam_int,
                               host_modulus, host)
 
@@ -419,20 +411,11 @@ class NegacyclicCode(ConstacyclicCode):
                        host_modulus: Optional[Sequence[int]] = None,
                        host: Optional[Field] = None) -> "NegacyclicCode":
         table, host, beta = cls._context(field, n, lam_int, host_modulus, host)
-        lam = field.one() if lam_int == 1 else -field.one()
-        modp = Poly.x_pow_minus(field, n, lam)
         if g.is_zero():
             raise CodeError("generator must be nonzero")
-        g = g.monic()
-        _, rem = divmod(modp, g)
-        if not rem.is_zero():
-            raise CodeError(
-                f"generator {g.to_text()} does not divide x^{n} "
-                f"{'-' if lam_int == 1 else '+'} 1 (remainder {rem.to_text()})")
-        elig_leaders = [l for l in table.leaders
-                        if (lam_int == 1 or l % 2 == 1)]
+        # divisibility of x^n - lambda is checked by ConstacyclicCode
         T = set()
-        for l in elig_leaders:
+        for l in table.odd_leaders if lam_int == -1 else table.leaders:
             if g(beta ** l).is_zero():
                 T.update(table.cosets[l])
         return cls(field, n, lam_int, g, host, beta, table, frozenset(T))

@@ -166,23 +166,17 @@ def _planes(A, q):
     return planes
 
 
-def _outer_steps(field, tables, rows_out):
-    """Per-digit increment and wrap row deltas for the outer odometer."""
+def _outer_steps(tables, rows_out):
+    """Per-digit increment and wrap row deltas for the outer odometer: digit
+    v -> v + 1 adds (v + 1 - v) * row, and q - 1 -> 0 adds -(q - 1) * row."""
     q = tables.q
-    inc, wrap = [], []
-    elems = [field.from_int(v) for v in range(q)]
-    for row in rows_out:
-        deltas = np.zeros((q - 1, row.shape[0]), dtype=tables.dtype)
-        for v in range(q - 1):
-            d_idx = (elems[v + 1] - elems[v]).as_int()
-            deltas[v] = tables.mul[d_idx][row]
-        inc.append(deltas)
-        w_idx = (elems[0] - elems[q - 1]).as_int()
-        wrap.append(tables.mul[w_idx][row])
+    steps = tables.add[np.arange(1, q), tables.neg[:q - 1]]
+    inc = [tables.mul[steps[:, None], row[None, :]] for row in rows_out]
+    wrap = [tables.mul[tables.neg[q - 1]][row] for row in rows_out]
     return inc, wrap
 
 
-def _walk_shard(field, tables, planes, rows_out, j0, j1, n, mode,
+def _walk_shard(tables, planes, rows_out, j0, j1, n, mode,
                 check_every=4096, deadline=None):
     """Walk outer messages j0..j1-1; returns (hist) or (best_w, best_msg).
 
@@ -197,7 +191,7 @@ def _walk_shard(field, tables, planes, rows_out, j0, j1, n, mode,
     _check_deadline(deadline, "enumeration")
     digits = _message_digits(q, k_out, j0)
     b = encode_rows(tables, rows_out, digits)
-    inc, wrap = _outer_steps(field, tables, rows_out)
+    inc, wrap = _outer_steps(tables, rows_out)
     acc = np.empty(planes.shape[1:], dtype=np.uint64)
     hit = np.empty_like(acc)
     zhist = np.zeros(n + 1, dtype=np.int64)
@@ -264,12 +258,12 @@ def _enum(code, mode, budget: SearchBudget, threads: int = 1):
     bounds = [outer_total * t // threads for t in range(threads + 1)]
     shards = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
     if len(shards) == 1:
-        results = [_walk_shard(code.field, tables, planes, rows_out,
+        results = [_walk_shard(tables, planes, rows_out,
                                shards[0][0], shards[0][1], n, mode,
                                check_every, deadline)]
     else:
         with ThreadPoolExecutor(max_workers=len(shards)) as ex:
-            futs = [ex.submit(_walk_shard, code.field, tables, planes, rows_out,
+            futs = [ex.submit(_walk_shard, tables, planes, rows_out,
                               a, b, n, mode, check_every, deadline)
                     for a, b in shards]
             results = [f.result() for f in futs]

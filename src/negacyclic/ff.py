@@ -80,15 +80,20 @@ def _monic(p: int, enc: int, d: int) -> list[int]:
     return [(enc // p ** i) % p for i in range(d)] + [1]
 
 
+def _has_order(x: "FieldElement", n: int) -> bool:
+    """x has multiplicative order exactly n: x^n = 1 and x^(n/r) != 1 for
+    every prime r | n."""
+    return (x._pow_pos(n).is_one()
+            and not any(x._pow_pos(n // r).is_one() for r in _prime_divisors(n)))
+
+
 def _has_full_order(x: "FieldElement") -> bool:
-    """x^(p^m-1) = 1 and x^((p^m-1)/r) != 1 for every prime r | p^m-1.
+    """x has order p^m-1.
 
     In GF(p)[x]/(f) a unit of order p^m-1 leaves no room for zero divisors,
     so when x is the class of x this proves f primitive, hence irreducible.
     """
-    n = x.field.order - 1
-    return (x._pow_pos(n).is_one()
-            and not any(x._pow_pos(n // r).is_one() for r in _prime_divisors(n)))
+    return _has_order(x, x.field.order - 1)
 
 
 def _search_modulus(p: int, m: int) -> list[int]:
@@ -415,10 +420,9 @@ def field_from_text(p: int, m: int, text: Optional[str]) -> Field:
 def primitive_element(field: Field) -> FieldElement:
     """Smallest element (in integer encoding) of full multiplicative order."""
     if field._primitive is None:
-        target = field.order - 1
         for i in range(1, field.order):
             e = field.from_int(i)
-            if e.order() == target:
+            if _has_full_order(e):
                 field._primitive = e
                 break
         else:  # pragma: no cover - every finite field has a generator
@@ -440,7 +444,7 @@ def root_of_unity(field: Field, n: int) -> FieldElement:
             f"no element of order {n} in {field}: {n} does not divide {q1}")
     if field.m > 1:
         r = field.modulus_root()
-        if not r.is_zero() and r.order() == n:
+        if _has_order(r, n):
             return r
     return primitive_element(field) ** (q1 // n)
 

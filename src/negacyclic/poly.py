@@ -1,9 +1,17 @@
-"""Dense univariate polynomials over a Field, plus minimal polynomials
+"""Dense univariate polynomials over a code field, plus minimal polynomials
 assembled from Frobenius-closed exponent cosets.
 
-Poly values are immutable; every operation returns a fresh value, so they are
-safe to share between threads.  The zero polynomial is the empty coefficient
-tuple and reports degree -inf (a float sentinel, never -1 arithmetic).
+A Poly stores its ascending coefficients as element indices (index i <->
+field.from_int(i)), the encoding code words and generator rows use, and runs
+every operation as row lookups in the field's FieldTables: one path for every
+field, prime or not.  So a Poly needs the field's index tables (order <=
+Field.TABLE_CAP); only evaluation at a point runs FieldElement arithmetic,
+in the point's field.
+
+Poly values are immutable (the index array is read-only); every operation
+returns a fresh value, so they are safe to share between threads.  The zero
+polynomial has no coefficients and reports degree -inf (a float sentinel,
+never -1 arithmetic).
 """
 
 from __future__ import annotations
@@ -22,39 +30,51 @@ class PolyError(ValueError):
 
 
 class Poly:
-    """Polynomial with ascending coefficients over a fixed Field."""
+    """Polynomial with ascending coefficients over a fixed Field; `idx` holds
+    their element indices, with no trailing zero."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "idx")
 
     def __init__(self, field: Field, coeffs: Iterable[FieldElement]):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
+        self._set(field, [c.as_int() for c in coeffs])
+
+    def _set(self, field: Field, idx) -> None:
+        a = np.asarray(idx, dtype=field.tables().dtype).reshape(-1)
+        nz = np.flatnonzero(a)
+        a = a[:nz[-1] + 1] if nz.size else a[:0]
+        a.flags.writeable = False
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.idx = a
+
+    @classmethod
+    def _of(cls, field: Field, idx) -> "Poly":
+        """The polynomial with coefficient indices idx (trailing zeros dropped)."""
+        out = cls.__new__(cls)
+        out._set(field, idx)
+        return out
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, field: Field) -> "Poly":
-        return cls(field, [])
+        return cls._of(field, [])
 
     @classmethod
     def one(cls, field: Field) -> "Poly":
-        return cls(field, [field.one()])
+        return cls._of(field, [1])
 
     @classmethod
     def x(cls, field: Field) -> "Poly":
-        return cls(field, [field.zero(), field.one()])
+        return cls._of(field, [0, 1])
 
     @classmethod
     def from_ints(cls, field: Field, ints: Sequence[int]) -> "Poly":
-        return cls(field, [field.from_int(i % field.order) for i in ints])
+        return cls._of(field, np.asarray(ints, dtype=np.int64) % field.order)
 
     @classmethod
     def from_scalars(cls, field: Field, scalars: Sequence[int]) -> "Poly":
-        """Coefficients given as prime-subfield scalars."""
-        return cls(field, [field.scalar(c) for c in scalars])
+        """Coefficients given as prime-subfield scalars (scalar c has index c)."""
+        return cls._of(field, np.asarray(scalars, dtype=np.int64) % field.p)
 
     @classmethod
     def from_text(cls, field: Field, text: str) -> "Poly":
@@ -65,31 +85,38 @@ class Poly:
     @classmethod
     def x_pow_minus(cls, field: Field, n: int, lam: FieldElement) -> "Poly":
         """x^n - lam."""
-        coeffs = [-lam] + [field.zero()] * (n - 1) + [field.one()]
-        return cls(field, coeffs)
+        t = field.tables()
+        a = np.zeros(n + 1, dtype=t.dtype)
+        a[0] = t.neg[lam.as_int()]
+        a[n] = 1
+        return cls._of(field, a)
 
     # -- basics -----------------------------------------------------------
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.idx) - 1 if len(self.idx) else NEG_INF
+
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        return tuple(self.field.from_int(int(i)) for i in self.idx)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self.idx)
 
     def leading(self) -> FieldElement:
         if self.is_zero():
             raise PolyError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field.from_int(int(self.idx[-1]))
 
     def constant(self) -> FieldElement:
-        return self.coeffs[0] if self.coeffs else self.field.zero()
+        return self.field.from_int(int(self.idx[0]) if len(self.idx) else 0)
 
     def monic(self) -> "Poly":
-        if self.is_zero() or self.leading().is_one():
+        if self.is_zero() or self.idx[-1] == 1:
             return self
-        inv = self.leading().inverse()
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        t = self.field.tables()
+        return Poly._of(self.field, t.mul[t.inv[self.idx[-1]], self.idx])
 
     def _check(self, other: "Poly"):
         if self.field != other.field:
@@ -99,81 +126,55 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.idx, other.idx
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.field, out)
+        out = a.copy()
+        out[:len(b)] = self.field.tables().add[a[:len(b)], b]
+        return Poly._of(self.field, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly._of(self.field, self.field.tables().neg[self.idx])
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if self.is_zero() or other.is_zero():
+        t = self.field.tables()
+        a, b = self.idx, other.idx
+        if len(a) > len(b):
+            a, b = b, a
+        if not len(a):
             return Poly.zero(self.field)
-        f = self.field
-        if f.m == 1:
-            # prime field: integer convolution then reduce
-            a = np.array([c.coeffs[0] for c in self.coeffs], dtype=np.int64)
-            b = np.array([c.coeffs[0] for c in other.coeffs], dtype=np.int64)
-            conv = np.convolve(a, b) % f.p
-            return Poly.from_scalars(f, conv.tolist())
-        out = [f.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return Poly(f, out)
+        out = np.zeros(len(a) + len(b) - 1, dtype=t.dtype)
+        for i, c in enumerate(a.tolist()):
+            if c:
+                out[i:i + len(b)] = t.add[out[i:i + len(b)], t.mul[c, b]]
+        return Poly._of(self.field, out)
 
     def scale(self, c: FieldElement) -> "Poly":
-        return Poly(self.field, [a * c for a in self.coeffs])
+        if c.field != self.field:
+            raise PolyError(f"scalar {c!r} is not in {self.field}")
+        return Poly._of(self.field, self.field.tables().mul[c.as_int(), self.idx])
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
         if other.is_zero():
             raise PolyError("division by the zero polynomial")
-        f = self.field
-        if f.m == 1:
-            return self._divmod_prime(other)
-        r = list(self.coeffs)
-        d = len(other.coeffs) - 1
-        lead_inv = other.leading().inverse()
-        q = [f.zero()] * max(len(r) - d, 0)
-        while len(r) - 1 >= d and r:
-            c = r[-1] * lead_inv
-            shift = len(r) - 1 - d
-            q[shift] = c
-            for j in range(d + 1):
-                r[shift + j] = r[shift + j] - c * other.coeffs[j]
-            while r and r[-1].is_zero():
-                r.pop()
-        return Poly(f, q), Poly(f, r)
-
-    def _divmod_prime(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        f = self.field
-        p = f.p
-        r = np.array([c.coeffs[0] for c in self.coeffs], dtype=np.int64)
-        g = np.array([c.coeffs[0] for c in other.coeffs], dtype=np.int64)
-        d = len(g) - 1
-        lead_inv = pow(int(g[-1]), p - 2, p)
-        n_q = max(len(r) - d, 0)
-        q = np.zeros(n_q, dtype=np.int64)
-        top = len(r) - 1
-        while top >= d:
-            c = (r[top] * lead_inv) % p
+        t = self.field.tables()
+        d = len(other.idx) - 1
+        lead_inv = t.inv[other.idx[-1]]
+        step = t.mul[t.neg[lead_inv], other.idx]   # -g / lead(g)
+        r = self.idx.copy()
+        q = np.zeros(max(len(r) - d, 0), dtype=t.dtype)
+        for top in range(len(r) - 1, d - 1, -1):
+            c = r[top]
             if c:
-                shift = top - d
-                q[shift] = c
-                r[shift:top + 1] = (r[shift:top + 1] - c * g) % p
-            top -= 1
-        return Poly.from_scalars(f, q.tolist()), Poly.from_scalars(f, r.tolist())
+                # adding c * step clears r[top]
+                q[top - d] = t.mul[c, lead_inv]
+                r[top - d:top + 1] = t.add[r[top - d:top + 1], t.mul[c, step]]
+        return Poly._of(self.field, q), Poly._of(self.field, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -207,41 +208,39 @@ class Poly:
 
     def reciprocal(self) -> "Poly":
         """f0^-1 * x^deg(f) * f(1/x); requires f(0) != 0."""
-        if self.is_zero() or self.constant().is_zero():
+        if self.is_zero() or self.idx[0] == 0:
             raise PolyError("reciprocal requires a nonzero constant term")
-        inv = self.constant().inverse()
-        return Poly(self.field, [c * inv for c in reversed(self.coeffs)])
+        t = self.field.tables()
+        return Poly._of(self.field, t.mul[t.inv[self.idx[0]], self.idx[::-1]])
 
     def substitute_neg_x(self) -> "Poly":
         """f(-x)."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            out.append(c if i % 2 == 0 else -c)
-        return Poly(self.field, out)
+        out = self.idx.copy()
+        out[1::2] = self.field.tables().neg[out[1::2]]
+        return Poly._of(self.field, out)
 
     # -- conversions --------------------------------------------------------
 
     def to_ints(self) -> list[int]:
-        return [c.as_int() for c in self.coeffs]
+        return self.idx.tolist()
 
     def to_text(self) -> str:
         return ",".join(str(i) for i in self.to_ints())
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Poly)
-                and self.field == other.field and self.coeffs == other.coeffs)
+        return (isinstance(other, Poly) and self.field == other.field
+                and np.array_equal(self.idx, other.idx))
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+        return hash((self.field, tuple(self.to_ints())))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "Poly<0>"
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
+        for i, v in enumerate(self.to_ints()):
+            if v == 0:
                 continue
-            v = c.as_int()
             if i == 0:
                 terms.append(str(v))
             else:
@@ -255,22 +254,20 @@ def minimal_polynomial(beta: FieldElement, coset: Sequence[int],
     """Minimal polynomial over `base` of beta^i for the given exponent coset.
 
     `coset` must be the full orbit of its members under multiplication by
-    |base| modulo ord(beta); the product of (x - beta^j) over the coset then
-    has coefficients in the embedded copy of `base`, and is returned as a
-    monic irreducible Poly over `base`.
+    |base| modulo ord(beta), i.e. x -> x^|base| must permute the roots
+    beta^j; the product of (x - beta^j) over the roots then has coefficients
+    in the embedded copy of `base`, and is returned as a monic irreducible
+    Poly over `base`.
     """
     host = beta.field
     emb = get_embedding(host, base)
-    n_ord = beta.order()
-    q0 = base.order
-    cs = sorted(set(j % n_ord for j in coset))
-    closed = sorted(set((j * q0) % n_ord for j in cs))
-    if closed != cs:
+    roots = {beta ** j for j in coset}
+    if {r.frobenius(base.m) for r in roots} != roots:
         raise PolyError(
-            f"exponent set {cs} is not closed under multiplication by {q0} mod {n_ord}")
+            f"exponent set {sorted(set(coset))} is not closed under "
+            f"multiplication by {base.order} mod ord(beta)")
     prod = [host.one()]
-    for j in cs:
-        root = beta ** j
+    for root in roots:
         nxt = [host.zero()] * (len(prod) + 1)
         for i, c in enumerate(prod):
             nxt[i + 1] = nxt[i + 1] + c
@@ -279,8 +276,8 @@ def minimal_polynomial(beta: FieldElement, coset: Sequence[int],
     out = []
     for c in prod:
         try:
-            out.append(emb.project(c))
+            out.append(emb.project(c).as_int())
         except FieldError:
             raise PolyError(
                 f"coefficient {c!r} lies outside {base}; exponent set not Frobenius-closed")
-    return Poly(base, out)
+    return Poly._of(base, out)

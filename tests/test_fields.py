@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from negacyclic.ff import (Field, FieldError, get_embedding, is_prime,
-                           make_field, primitive_element, root_of_unity, trace)
+from negacyclic.ff import (Field, FieldError, _has_order, get_embedding,
+                           is_prime, make_field, primitive_element,
+                           root_of_unity, trace)
 
 
 def naive_mul(a, b, modulus, p):
@@ -334,3 +335,14 @@ def test_pinned_moduli_are_primitive_and_the_search_finds_smaller_ones():
         found = _search_modulus(p, m)
         assert Field(p, m, found).primitive_flag
         assert encoding(found, p) < encoding(pinned, p)
+
+
+def test_has_order_matches_order():
+    for f in (make_field(3, 4), make_field(5, 2)):
+        q1 = f.order - 1
+        divisors = [n for n in range(1, q1 + 1) if q1 % n == 0]
+        assert not any(_has_order(f.zero(), n) for n in divisors)
+        for x in list(f.elements())[1:]:
+            o = x.order()
+            for n in divisors:
+                assert _has_order(x, n) == (o == n)

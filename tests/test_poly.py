@@ -3,7 +3,7 @@ import random
 import pytest
 
 from negacyclic.cosets import build_cosets
-from negacyclic.ff import make_field, root_of_unity
+from negacyclic.ff import FieldError, make_field, root_of_unity
 from negacyclic.poly import NEG_INF, Poly, PolyError, minimal_polynomial
 
 GF3 = make_field(3, 1)
@@ -167,3 +167,84 @@ def test_eval_in_extension_via_embedding():
     m = minimal_polynomial(beta, build_cosets(3, 20).coset_of(1), GF3)
     assert m(beta).is_zero()
     assert not m(f81.one()).is_zero()
+
+
+# -- index-table arithmetic against a schoolbook FieldElement oracle ----------
+# Oracle polynomials are ascending FieldElement lists with no trailing zero.
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def oracle_mul(a, b, field):
+    if not a or not b:
+        return []
+    out = [field.zero()] * (len(a) + len(b) - 1)
+    for i, ci in enumerate(a):
+        for j, cj in enumerate(b):
+            out[i + j] = out[i + j] + ci * cj
+    return _trim(out)
+
+
+def oracle_divmod(a, b, field):
+    r = list(a)
+    d = len(b) - 1
+    lead_inv = b[-1].inverse()
+    q = [field.zero()] * max(len(r) - d, 0)
+    while r and len(r) - 1 >= d:
+        c = r[-1] * lead_inv
+        shift = len(r) - 1 - d
+        q[shift] = c
+        for j in range(d + 1):
+            r[shift + j] = r[shift + j] - c * b[j]
+        r = _trim(r)
+    return _trim(q), r
+
+
+def oracle_monic(a):
+    if not a:
+        return a
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+def oracle_gcd(a, b, field):
+    while b:
+        a, b = b, oracle_divmod(a, b, field)[1]
+    return oracle_monic(a)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (5, 2)])
+def test_table_arithmetic_matches_fieldelement_oracle(p, m):
+    field = make_field(p, m)
+    rng = random.Random(100 * p + m)
+
+    def rand_poly(max_len):
+        return _trim(field.from_int(rng.randrange(field.order))
+                     for _ in range(rng.randrange(0, max_len + 1)))
+
+    for _ in range(60):
+        a, b = rand_poly(9), rand_poly(6)
+        pa, pb = Poly(field, a), Poly(field, b)
+        assert list(pa.coeffs) == a
+        assert list((pa * pb).coeffs) == oracle_mul(a, b, field)
+        assert list(pa.monic().coeffs) == oracle_monic(a)
+        assert list(pa.substitute_neg_x().coeffs) == [
+            c if i % 2 == 0 else -c for i, c in enumerate(a)]
+        if a and not a[0].is_zero():
+            inv = a[0].inverse()
+            assert list(pa.reciprocal().coeffs) == [c * inv for c in reversed(a)]
+        if b:
+            q, r = divmod(pa, pb)
+            oq, orr = oracle_divmod(a, b, field)
+            assert (list(q.coeffs), list(r.coeffs)) == (oq, orr)
+            assert list(pa.gcd(pb).coeffs) == oracle_gcd(a, b, field)
+
+
+def test_poly_arithmetic_needs_index_tables():
+    big = make_field(3, 7)  # order 2187 > Field.TABLE_CAP
+    with pytest.raises(FieldError):
+        Poly.x(big) * Poly.x(big)
