@@ -1,23 +1,32 @@
 """Arithmetic in GF(p^m): construction, primitive elements, roots of unity,
 traces, and subfield embeddings.
 
-Elements are coordinate tuples in the power basis of the modulus root.  Every
-search performed here (default modulus, primitive element, subfield root) scans
-candidates in ascending integer encoding, so repeated runs construct identical
-objects.  Field and FieldElement are immutable after construction and safe to
-share across threads.
+An element is its power-basis coordinates packed into one Python int by
+Kronecker substitution: digit i sits in the i-th byte-aligned slot, and a slot
+is wide enough for any unreduced product coefficient, at most (p-1)^2 * m.  A
+product is one big-int multiply; the digits are then reduced mod p by one
+bytes.translate and the high digits folded back through the field's table of
+x^(m+i) mod f.  Sums, differences and negation are one int operation and the
+same digit reduction.  `coeffs`, `as_int` and `from_int` convert to and from
+the packed form.  Every search performed here (default modulus, primitive
+element, subfield root) scans candidates in ascending integer encoding, so
+repeated runs construct identical objects.  Field and FieldElement are
+immutable after construction and safe to share across threads.
 
 All polynomial arithmetic mod f is FieldElement arithmetic in the ring
 GF(p)[x]/(f).  The default modulus of GF(p^m) is the smallest-encoding f for
 which x has order p^m - 1 in that ring, which proves f primitive; GF(3^6),
 GF(3^14), GF(3^18), GF(3^20), GF(3^22) and GF(3^25) instead keep the pinned
 primitive moduli of _PINNED_MODULI.  A supplied modulus must pass Rabin's
-irreducibility test in its ring, or the error names its smallest factor.
+irreducibility test in its ring, or the error names its smallest factor,
+found by distinct-degree factorization and a seeded equal-degree split.
 """
 
 from __future__ import annotations
 
 import functools
+import random
+from operator import getitem
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -99,27 +108,85 @@ def _has_full_order(x: "FieldElement") -> bool:
 def _search_modulus(p: int, m: int) -> list[int]:
     """Smallest-encoding primitive polynomial of degree m over GF(p)."""
     for enc in range(1, p ** m):
-        if enc % p == 0:
-            continue  # f(0) = 0: x divides f
         cand = _monic(p, enc, m)
+        if any(sum(c * pow(a, i, p) for i, c in enumerate(cand)) % p == 0
+               for a in range(p)):
+            continue  # f(a) = 0: x - a divides f
         if _has_full_order(Field._ring(p, cand).modulus_root()):
             return cand
     raise FieldError(f"no primitive modulus found for GF({p}^{m})")
 
 
 def _smallest_factor(f: Sequence[int], p: int) -> list[int]:
-    """Smallest-degree, smallest-encoding monic g with f = 0 in GF(p)[x]/(g)."""
+    """Smallest-degree, smallest-encoding monic irreducible factor of f.
+
+    Distinct-degree factorization: the smallest factor degree d is the first
+    with gcd(f, x^(p^d) - x) != 1, x^(p^d) taken in GF(p)[x]/(f).  That gcd
+    is the product of f's distinct degree-d factors, which an equal-degree
+    split separates.
+    """
+    from .poly import Poly
+    gfp = make_field(p, 1)
+    fp = Poly.from_scalars(gfp, f)
+    x = Poly.x(gfp)
+    xq = Field._ring(p, f).modulus_root()
     for d in range(1, (len(f) - 1) // 2 + 1):
-        for enc in range(p ** d):
-            g = _monic(p, enc, d)
-            ring = Field._ring(p, g)
-            x = ring.modulus_root()
-            acc = ring.zero()
-            for c in reversed(f):
-                acc = acc * x + ring.scalar(c)
-            if acc.is_zero():
-                return g
+        xq = xq.frobenius()
+        h = fp.gcd(Poly.from_scalars(gfp, xq.coeffs) - x)
+        if h.degree > 0:
+            factors = _equal_degree_split(h, d, random.Random(d))
+            return min((g.to_ints() for g in factors), key=lambda c: c[::-1])
     return list(f)
+
+
+def _equal_degree_split(h, d: int, rng: random.Random) -> list:
+    """The factors of h, a monic product of distinct irreducible degree-d
+    Polys over GF(p), by Cantor-Zassenhaus: for random a in GF(p)[x]/(h),
+    gcd(h, a^((p^d-1)/2) - 1) (for p = 2, the trace a + a^2 + ... +
+    a^(2^(d-1))) is a proper factor about half the time."""
+    if h.degree == d:
+        return [h]
+    from .poly import Poly
+    p = h.field.p
+    ring = Field._ring(p, h.to_ints())
+    while True:
+        a = ring.from_int(rng.randrange(1, ring.order))
+        if p == 2:
+            s = t = a
+            for _ in range(d - 1):
+                t = t * t
+                s = s + t
+        else:
+            s = a._pow_pos((p ** d - 1) // 2) - ring.one()
+        g = h.gcd(Poly.from_scalars(h.field, s.coeffs))
+        if 0 < g.degree < h.degree:
+            return (_equal_degree_split(g, d, rng)
+                    + _equal_degree_split(h // g, d, rng))
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(p: int, m: int) -> tuple:
+    """Packed layout of GF(p)[x]/(f), f of degree m.
+
+    Digit i fills byte slot i, w bytes wide.  A slot holds any unreduced
+    product coefficient, at most (p-1)^2 * m, and any sum of two digits, so
+    big-int products and sums never carry between slots.  Returns w, the
+    packed int with p in each of the m slots, the mod-p translate table for
+    one byte, and the carry rounds over 2m - 1 slots: slot value hi*256 + lo
+    -> hi*(256 % p) + lo keeps it mod p, and enough rounds (none when w = 1)
+    bring every slot below 256, where the translate table finishes.
+    """
+    bound = max((p - 1) ** 2 * m, 2 * p - 1)
+    w = (bound.bit_length() + 7) // 8
+    unit = sum(1 << (8 * w * i) for i in range(2 * m - 1))
+    rounds = 0
+    while bound > 255:
+        hi = bound >> 8
+        bound = max(hi * (256 % p) + (bound & 255), (hi - 1) * (256 % p) + 255)
+        rounds += 1
+    carry = (rounds, ((1 << (8 * w - 8)) - 1) * unit, 255 * unit, 256 % p)
+    pones = p * (unit & ((1 << (8 * w * m)) - 1))
+    return w, pones, bytes(i % p for i in range(256)), carry
 
 
 # Default moduli that differ from the search's answer.  Earlier releases
@@ -146,12 +213,15 @@ class Field:
     GF(3^20), GF(3^22) and GF(3^25) keep the pinned primitive moduli in
     _PINNED_MODULI.  A supplied modulus passes Rabin's irreducibility test,
     run in the ring GF(p)[x]/(f); otherwise the error names its smallest
-    factor.
+    factor.  The characteristic p is at most 251, so that a digit fits in
+    one byte of the packed form.
     """
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
         if not is_prime(p):
             raise FieldError(f"characteristic {p} is not prime")
+        if p > 251:
+            raise FieldError(f"characteristic {p} > 251: digits are packed one byte each")
         if m < 1:
             raise FieldError(f"extension degree must be >= 1, got {m}")
         searched = modulus is None and m > 1 and (p, m) not in _PINNED_MODULI
@@ -175,11 +245,35 @@ class Field:
 
     def _set_ring(self, p: int, modulus: Sequence[int]) -> None:
         self.p = p
-        self.m = len(modulus) - 1
-        self.order = p ** self.m
+        self.m = m = len(modulus) - 1
+        self.order = p ** m
         self.modulus = tuple(modulus)
-        # x^m = -(low part of modulus)
-        self._neg_tail = tuple((-c) % p for c in modulus[:-1])
+        self._w, self._pones, self._modp, self._carry = _layout(p, m)
+        self._nbytes = m * self._w
+        # _fold[i][d] = d * (x^(m+i) mod f), for the high digits of a product;
+        # tail is x^m mod f, and cur steps from x^(m-1) by x
+        slot, top = 8 * self._w, 8 * self._nbytes
+        tail = sum(((-c) % p) << (slot * i) for i, c in enumerate(modulus[:-1]))
+        fold = []
+        cur = 1 << (top - slot)
+        for _ in range(m - 1):
+            cur <<= slot
+            cur = self._norm((cur & ((1 << top) - 1)) + (cur >> top) * tail, m)
+            fold.append(tuple(d * cur for d in range(p)))
+        self._fold = tuple(fold)
+
+    def _norm(self, v: int, slots: int) -> int:
+        """v with every slot reduced mod p (slots: how many v spans)."""
+        return int.from_bytes(self._digit_bytes(v, slots), "little")
+
+    def _digit_bytes(self, v: int, slots: int) -> bytes:
+        rounds, hi, lo, r = self._carry
+        for _ in range(rounds):
+            v = ((v >> 8) & hi) * r + (v & lo)
+        return v.to_bytes(slots * self._w, "little").translate(self._modp)
+
+    def _digits(self, v: int) -> bytes:
+        return v.to_bytes(self._nbytes, "little")[::self._w]
 
     @classmethod
     def _ring(cls, p: int, modulus: Sequence[int]) -> "Field":
@@ -203,32 +297,34 @@ class Field:
 
     # -- element constructors ------------------------------------------------
 
-    def _elem(self, coeffs: Sequence[int]) -> "FieldElement":
-        return FieldElement(self, tuple(c % self.p for c in coeffs))
-
     def zero(self) -> "FieldElement":
-        return self._elem((0,) * self.m)
+        return FieldElement(self, 0)
 
     def one(self) -> "FieldElement":
-        return self._elem((1,) + (0,) * (self.m - 1))
+        return FieldElement(self, 1)
 
     def from_int(self, i: int) -> "FieldElement":
         if not 0 <= i < self.order:
             raise FieldError(f"element encoding {i} out of range for {self}")
-        return self._elem([(i // self.p ** j) % self.p for j in range(self.m)])
+        v = shift = 0
+        while i:
+            i, c = divmod(i, self.p)
+            v |= c << shift
+            shift += 8 * self._w
+        return FieldElement(self, v)
 
     def modulus_root(self) -> "FieldElement":
         """The class of x: a root of the modulus."""
         if self.m == 1:
-            return self._elem((-self.modulus[0],))
-        return self.from_int(self.p)
+            return self.scalar(-self.modulus[0])
+        return FieldElement(self, 1 << (8 * self._w))
 
     def elements(self) -> Iterator["FieldElement"]:
         for i in range(self.order):
             yield self.from_int(i)
 
     def scalar(self, c: int) -> "FieldElement":
-        return self._elem((c % self.p,) + (0,) * (self.m - 1))
+        return FieldElement(self, c % self.p)
 
     # -- identity ------------------------------------------------------------
 
@@ -287,64 +383,54 @@ class FieldTables:
 
 
 class FieldElement:
-    """Immutable element of a Field, stored as power-basis coordinates."""
+    """Immutable element of a Field: its power-basis coordinates c_0..c_{m-1}
+    packed as the int sum of c_i << (8 * w * i), w the field's slot width in
+    bytes (see the module docstring)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "v")
 
-    def __init__(self, field: Field, coeffs: tuple[int, ...]):
+    def __init__(self, field: Field, v: int):
         self.field = field
-        self.coeffs = coeffs
+        self.v = v
 
     def _check(self, other: "FieldElement"):
-        if self.field != other.field:
+        if other.field is not self.field and self.field != other.field:
             raise FieldError(f"mixed fields: {self.field} vs {other.field}")
 
     def __add__(self, other):
         self._check(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple(
-            (a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        f = self.field
+        return FieldElement(f, f._norm(self.v + other.v, f.m))
 
     def __sub__(self, other):
         self._check(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple(
-            (a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        f = self.field
+        return FieldElement(f, f._norm(self.v + f._pones - other.v, f.m))
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
+        f = self.field
+        return FieldElement(f, f._norm(f._pones - self.v, f.m))
 
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        p, m = f.p, f.m
-        if m == 1:
-            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        t = [0] * (2 * m - 1)
-        a, b = self.coeffs, other.coeffs
-        for i in range(m):
-            ai = a[i]
-            if ai:
-                for j in range(m):
-                    t[i + j] += ai * b[j]
-        tail = f._neg_tail
-        for i in range(2 * m - 2, m - 1, -1):
-            v = t[i] % p
-            if v:
-                for j in range(m):
-                    t[i - m + j] += v * tail[j]
-        return FieldElement(f, tuple(c % p for c in t[:m]))
+        d = f._digit_bytes(self.v * other.v, 2 * f.m - 1)
+        n = f._nbytes
+        v = sum(map(getitem, f._fold, d[n::f._w]), int.from_bytes(d[:n], "little"))
+        return FieldElement(f, f._norm(v, f.m))
 
     def _pow_pos(self, e: int) -> "FieldElement":
-        acc = self.field.one()
+        if not e:
+            return self.field.one()
+        acc = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                acc = acc * base
-            base = base * base
+                acc = base if acc is None else acc * base
             e >>= 1
-        return acc
+            if not e:
+                return acc
+            base = base * base
 
     def __pow__(self, e: int) -> "FieldElement":
         if e >= 0:
@@ -357,10 +443,10 @@ class FieldElement:
         return self._pow_pos(self.field.order - 2)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.v
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.v == 1
 
     def order(self) -> int:
         """Multiplicative order (via the factored group order)."""
@@ -378,19 +464,25 @@ class FieldElement:
         """The p^s-power map."""
         return self._pow_pos(self.field.p ** s)
 
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Power-basis coordinates c_0..c_{m-1}."""
+        return tuple(self.field._digits(self.v))
+
     def as_int(self) -> int:
+        """The integer encoding sum of c_i * p^i (inverse of Field.from_int)."""
         p = self.field.p
         out = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.field._digits(self.v)):
             out = out * p + c
         return out
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldElement)
-                and self.field == other.field and self.coeffs == other.coeffs)
+        return (isinstance(other, FieldElement) and self.v == other.v
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self) -> int:
-        return hash((self.coeffs, self.field.p, self.field.m))
+        return hash(self.v)
 
     def __repr__(self) -> str:
         return f"{self.field}<{self.as_int()}>"

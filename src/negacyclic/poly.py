@@ -16,6 +16,7 @@ never -1 arithmetic).
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -249,6 +250,11 @@ class Poly:
         return "Poly<" + " + ".join(terms) + ">"
 
 
+@functools.lru_cache(maxsize=256)
+def _element_order(beta: FieldElement) -> int:
+    return beta.order()
+
+
 def minimal_polynomial(beta: FieldElement, coset: Sequence[int],
                        base: Field) -> Poly:
     """Minimal polynomial over `base` of beta^i for the given exponent coset.
@@ -257,22 +263,29 @@ def minimal_polynomial(beta: FieldElement, coset: Sequence[int],
     |base| modulo ord(beta), i.e. x -> x^|base| must permute the roots
     beta^j; the product of (x - beta^j) over the roots then has coefficients
     in the embedded copy of `base`, and is returned as a monic irreducible
-    Poly over `base`.
+    Poly over `base`.  The roots are one power of beta and its conjugates
+    under the |base|-power Frobenius map.
     """
     host = beta.field
     emb = get_embedding(host, base)
-    roots = {beta ** j for j in coset}
-    if {r.frobenius(base.m) for r in roots} != roots:
+    n = _element_order(beta)
+    l = min(coset) % n
+    orbit = [l]
+    while (j := orbit[-1] * base.order % n) != l:
+        orbit.append(j)
+    if set(orbit) != {j % n for j in coset}:
         raise PolyError(
             f"exponent set {sorted(set(coset))} is not closed under "
             f"multiplication by {base.order} mod ord(beta)")
+    root = beta ** l
     prod = [host.one()]
-    for root in roots:
+    for _ in orbit:
         nxt = [host.zero()] * (len(prod) + 1)
         for i, c in enumerate(prod):
             nxt[i + 1] = nxt[i + 1] + c
             nxt[i] = nxt[i] - c * root
         prod = nxt
+        root = root.frobenius(base.m)
     out = []
     for c in prod:
         try:

@@ -63,6 +63,19 @@ def test_family1_rho7_distances():
     assert exact_distance_enum(b.companion_dual).d == 4
 
 
+def test_family1_rho43_builds_on_gf3_42_host():
+    b = build_family1(43)
+    parts = (b.code, b.dual, b.companion, b.companion_dual)
+    assert [c.k for c in parts] == [42, 44, 21, 22]
+    host = b.code.host
+    assert (host.p, host.m) == (3, 42)
+    assert host.descriptor()["modulus"] == "2,1,1,1,1,1" + ",0" * 36 + ",1"
+    for c, d in ((b.code, b.dual), (b.companion, b.companion_dual)):
+        assert d.g == c.h.reciprocal()
+        dd = c.dual().dual()
+        assert dd.g == c.g and dd.descriptor() == c.descriptor()
+
+
 def test_family1_rejects_out_of_family():
     with pytest.raises(FamilyError, match="outside"):
         build_family1(13)

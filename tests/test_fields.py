@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -170,6 +171,56 @@ def test_arithmetic_matches_naive_oracle(m):
                                        zip(a.coeffs, b.coeffs))
 
 
+def _digits(i, p, m):
+    return tuple((i // p ** j) % p for j in range(m))
+
+
+def _naive_pow(a, e, modulus, p):
+    m = len(modulus) - 1
+    acc = (1,) + (0,) * (m - 1)
+    for bit in bin(e)[2:]:
+        acc = naive_mul(acc, acc, modulus, p)
+        if bit == "1":
+            acc = naive_mul(acc, a, modulus, p)
+    return acc
+
+
+def _recorded_modulus(p, m):
+    if m == 1:
+        return "0,1"
+    if p == 3:
+        return DEFAULT_MODULI_GF3[m]
+    return {(11, 3): "4,1,0,1", (13, 2): "2,1,1"}.get((p, m)) \
+        or DEFAULT_MODULI_OTHER[(p, m)]
+
+
+@pytest.mark.parametrize("p,m", [(2, 16), (3, 1), (3, 2), (3, 7), (3, 28),
+                                 (3, 42), (5, 8), (11, 3), (13, 2)])
+def test_packed_arithmetic_matches_digit_oracles(p, m):
+    # GF(11^3) and GF(13^2): (p-1)^2 * m > 255, so digit slots span two bytes.
+    # The ring of the recorded default modulus: the arithmetic alone, without
+    # the modulus search that runs on it.
+    f = Field._ring(p, [int(c) for c in _recorded_modulus(p, m).split(",")])
+    rng = random.Random(1000 * p + m)
+    one = (1,) + (0,) * (m - 1)
+    for _ in range(60):
+        i, j = rng.randrange(f.order), rng.randrange(f.order)
+        a, b = f.from_int(i), f.from_int(j)
+        da, db = _digits(i, p, m), _digits(j, p, m)
+        assert a.as_int() == i and a.coeffs == da and f.from_int(a.as_int()) == a
+        assert (a * b).coeffs == naive_mul(da, db, f.modulus, p)
+        assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(da, db))
+        assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(da, db))
+        assert (-a).coeffs == tuple((-x) % p for x in da)
+        s = rng.randrange(1, 3)
+        assert a.frobenius(s).coeffs == _naive_pow(da, p ** s, f.modulus, p)
+        if i:
+            assert naive_mul(a.inverse().coeffs, da, f.modulus, p) == one
+        twin = f.from_int(i)
+        assert twin == a and hash(twin) == hash(a)
+        assert (a == b) == (i == j)
+
+
 def test_power_identities():
     f = make_field(3, 3)
     for e in f.elements():
@@ -312,6 +363,42 @@ DEFAULT_MODULI_GF3 = {
     20: "2,2,1,0,0,1" + ",0" * 14 + ",1",
     21: "1,1,0,1" + ",0" * 17 + ",1",
     22: "2,1,2,2" + ",0" * 18 + ",1",
+    23: "1,1,0,1" + ",0" * 19 + ",1",
+    24: "2,2,0,1,2" + ",0" * 19 + ",1",
+    25: "1,2,2,2" + ",0" * 21 + ",1",
+    26: "2,1,0,1" + ",0" * 22 + ",1",
+    27: "1,2,0,2,1,1" + ",0" * 21 + ",1",
+    28: "2,2,0,0,1,1" + ",0" * 22 + ",1",
+    29: "1,0,1,0,1" + ",0" * 24 + ",1",
+    30: "2,1" + ",0" * 28 + ",1",
+    42: "2,1,1,1,1,1" + ",0" * 36 + ",1",
+}
+
+# Default moduli of GF(5^m) and GF(2^m) as released before elements were
+# packed; descriptors and cache keys depend on them.
+DEFAULT_MODULI_OTHER = {
+    (5, 2): "2,1,1",
+    (5, 3): "2,3,0,1",
+    (5, 4): "2,2,1,0,1",
+    (5, 5): "2,4" + ",0" * 3 + ",1",
+    (5, 6): "2,1" + ",0" * 4 + ",1",
+    (5, 7): "2,3" + ",0" * 5 + ",1",
+    (5, 8): "3,2,1" + ",0" * 5 + ",1",
+    (2, 2): "1,1,1",
+    (2, 3): "1,1,0,1",
+    (2, 4): "1,1,0,0,1",
+    (2, 5): "1,0,1,0,0,1",
+    (2, 6): "1,1" + ",0" * 4 + ",1",
+    (2, 7): "1,1" + ",0" * 5 + ",1",
+    (2, 8): "1,0,1,1,1" + ",0" * 3 + ",1",
+    (2, 9): "1,0,0,0,1" + ",0" * 4 + ",1",
+    (2, 10): "1,0,0,1" + ",0" * 6 + ",1",
+    (2, 11): "1,0,1" + ",0" * 8 + ",1",
+    (2, 12): "1,1,0,0,1,0,1" + ",0" * 5 + ",1",
+    (2, 13): "1,1,0,1,1" + ",0" * 8 + ",1",
+    (2, 14): "1,1,0,1,0,1" + ",0" * 8 + ",1",
+    (2, 15): "1,1" + ",0" * 13 + ",1",
+    (2, 16): "1,0,1,1,0,1" + ",0" * 10 + ",1",
 }
 
 
@@ -320,6 +407,33 @@ def test_default_modulus_golden(m):
     f = make_field(3, m)
     assert f.descriptor()["modulus"] == DEFAULT_MODULI_GF3[m]
     assert f.primitive_flag
+
+
+@pytest.mark.parametrize("p,m", sorted(DEFAULT_MODULI_OTHER))
+def test_default_modulus_golden_gf5_gf2(p, m):
+    f = make_field(p, m)
+    assert f.descriptor()["modulus"] == DEFAULT_MODULI_OTHER[(p, m)]
+    assert f.primitive_flag
+
+
+def _poly_mul(a, b, p):
+    t = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            t[i + j] = (t[i + j] + x * y) % p
+    return t
+
+
+def test_product_of_two_degree9_irreducibles_rejected_fast():
+    small = [1, 0, 1, 2, 0, 0, 0, 0, 0, 1]  # the default GF(3^9) modulus
+    large = [2, 1, 1, 2, 0, 0, 0, 0, 0, 1]
+    for g in (small, large):
+        assert make_field(3, 9, g).modulus == tuple(g)
+    t0 = time.perf_counter()
+    with pytest.raises(FieldError) as exc:
+        make_field(3, 18, _poly_mul(large, small, 3))
+    assert time.perf_counter() - t0 < 1.0
+    assert str(exc.value).endswith("divisible by 1,0,1,2,0,0,0,0,0,1")
 
 
 def test_pinned_moduli_are_primitive_and_the_search_finds_smaller_ones():
@@ -346,3 +460,8 @@ def test_has_order_matches_order():
             o = x.order()
             for n in divisors:
                 assert _has_order(x, n) == (o == n)
+
+
+def test_characteristic_above_one_byte_digits_rejected():
+    with pytest.raises(FieldError, match="> 251"):
+        make_field(257, 1)
