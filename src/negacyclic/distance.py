@@ -2,12 +2,14 @@
 
 Two engines: a blocked full-message enumeration and a meet-in-the-middle
 low-weight search over parity-check syndromes for high-rate codes.  The
-enumeration precomputes the partial codewords of an inner block of messages
-once and stores them bitsliced, as q one-hot uint64 planes per row
-(ceil(n/64) words each; table and planes together within 6 MB); the outer
-digits walk an odometer over one int8 row b, and each outer step reads the
-weights of the whole block with at most q ANDs, q-1 ORs and one popcount,
-for any field with index tables (Boothby & Bradshaw, arXiv:0901.1413).
+enumeration keeps the partial codewords of an inner block of messages
+bitsliced, as q one-hot uint64 planes per row (ceil(n/64) words each;
+planes and a step's temporaries within 6 MB), and has one kernel: the planes of the table A + c, read off
+A's planes with at most q ANDs and q-1 ORs per plane, for any field with
+index tables (Boothby & Bradshaw, arXiv:0901.1413).  The inner block is
+built from the zero word by shifting it by every multiple of each inner
+row; each outer message is encoded directly as c, and plane 0 of A + c
+gives the weights of the whole block with one popcount.
 The column search uses the same representation for syndromes: a syndrome
 of r entries of GF(p^s) is its N = r*s base-p digits (an element index is
 its digit string), kept as p one-hot uint64 planes (N <= 61 under the
@@ -36,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import CodeError, NegacyclicCode, encode_rows, span_rows
+from .codes import CodeError, NegacyclicCode, encode_rows
 
 
 #: Version of the engines' answers; part of every result-cache key, so bump it
@@ -121,8 +123,9 @@ class DistanceReport:
 # ---------------------------------------------------------------------------
 # blocked enumeration over one-hot bit planes
 
-# bytes of the inner block's int8 table plus its q one-hot planes: enough
-# rows that the per-step Python work is small, few enough to stay a few MB
+# bytes of the inner block's q one-hot planes plus the two one-plane
+# temporaries of each _shift: enough rows that the per-step Python work is
+# small, few enough to stay a few MB
 _INNER_BYTES = 6 << 20
 
 
@@ -135,20 +138,6 @@ def _words(n):
     return -(-n // 64)
 
 
-def _inner_planes(tables, rows):
-    """One-hot planes of the partial codewords of every message over a prefix
-    of the rows (see _planes), and the prefix length k_in."""
-    k, n = rows.shape
-    q = tables.q
-    row_bytes = n + 8 * q * _words(n)
-    k_in, size = 0, 1
-    while k_in < k and size * q * row_bytes <= _INNER_BYTES:
-        size *= q
-        k_in += 1
-    k_in = max(k_in, 1)
-    return _planes(span_rows(tables, rows[:k_in]), q), k_in
-
-
 def _bits(mask):
     """Pack the last axis of a boolean array into uint64 words: bit i of word
     w is coordinate 64*w + i, and the padding bits are zero."""
@@ -158,65 +147,58 @@ def _bits(mask):
     return out.view("<u8")
 
 
-def _planes(A, q):
-    """One-hot planes of the inner table: bit i of planes[e][r] is A[r, i] == e."""
-    planes = np.empty((q, A.shape[0], _words(A.shape[1])), dtype="<u8")
-    for e in range(q):
-        planes[e] = _bits(A == e)
-    return planes
+def _shift(tables, planes, c, e):
+    """Plane e of the table A + c, from the one-hot planes of A (bit i of
+    planes[e][r] is A[r, i] == e): A[r, i] + c[i] = e exactly where
+    A[r, i] = e - c[i], so it is the OR over the values v of c of
+    planes[e - v] & (c == v)."""
+    vals = np.unique(c)
+    masks = _bits(c[None, :] == vals[:, None])
+    out = planes[tables.add[e, tables.neg[vals[0]]]] & masks[0]
+    for v, m in zip(vals[1:], masks[1:]):
+        out |= planes[tables.add[e, tables.neg[v]]] & m
+    return out
 
 
-def _outer_steps(tables, rows_out):
-    """Per-digit increment and wrap row deltas for the outer odometer: digit
-    v -> v + 1 adds (v + 1 - v) * row, and q - 1 -> 0 adds -(q - 1) * row."""
+def _inner_planes(tables, rows):
+    """One-hot planes of the partial codewords of every message over a prefix
+    of the rows, and the prefix length k_in: bit i of planes[e][j] is set
+    when coordinate i of message j's word is e, with messages ordered as in
+    span_rows.  The table of the zero word is extended row by row, by the
+    concatenation over v of the table shifted by v * row."""
+    k, n = rows.shape
     q = tables.q
-    steps = tables.add[np.arange(1, q), tables.neg[:q - 1]]
-    inc = [tables.mul[steps[:, None], row[None, :]] for row in rows_out]
-    wrap = [tables.mul[tables.neg[q - 1]][row] for row in rows_out]
-    return inc, wrap
+    row_bytes = 8 * (q + 2) * _words(n)
+    k_in, size = 0, 1
+    while k_in < k and size * q * row_bytes <= _INNER_BYTES:
+        size *= q
+        k_in += 1
+    k_in = max(k_in, 1)
+    planes = np.zeros((q, 1, _words(n)), dtype="<u8")
+    planes[0] = _bits(np.ones(n, dtype=bool))
+    for row in rows[:k_in]:
+        planes = np.concatenate(
+            [np.stack([_shift(tables, planes, tables.mul[v][row], e)
+                       for e in range(q)]) for v in range(q)], axis=1)
+    return planes, k_in
 
 
-def _walk_shard(tables, planes, rows_out, j0, j1, n, mode,
-                check_every=4096, deadline=None):
+def _walk_shard(tables, planes, rows_out, j0, j1, n, mode, deadline=None):
     """Walk outer messages j0..j1-1; returns (hist) or (best_w, best_msg).
 
-    Each outer step reads the weights of all inner codewords A + b from the
-    planes: coordinate i of A[r] + b is zero exactly where A[r, i] = -b[i], so
-    the zero count of row r is popcount(OR over values v of b of
-    planes[-v][r] & (b == v)).
+    Each outer message is encoded directly as c, and the zero counts of all
+    inner codewords A + c are the popcounts of plane 0 of the shifted table
+    (_shift).  The deadline is checked once per outer message.
     """
     q = tables.q
-    k_out = len(rows_out)
     size = planes.shape[1]
-    _check_deadline(deadline, "enumeration")
-    digits = _message_digits(q, k_out, j0)
-    b = encode_rows(tables, rows_out, digits)
-    inc, wrap = _outer_steps(tables, rows_out)
-    acc = np.empty(planes.shape[1:], dtype=np.uint64)
-    hit = np.empty_like(acc)
     zhist = np.zeros(n + 1, dtype=np.int64)
     best_w, best_msg = n + 1, -1
     for j in range(j0, j1):
-        if j > j0:
-            pos = 0
-            while digits[pos] == q - 1:
-                digits[pos] = 0
-                b = tables.add[b, wrap[pos]]
-                pos += 1
-            b = tables.add[b, inc[pos][digits[pos]]]
-            digits[pos] += 1
-            if (j - j0) % check_every == 0:
-                _check_deadline(deadline, "enumeration")
-                direct = encode_rows(tables, rows_out, digits)
-                if not np.array_equal(b, direct):  # pragma: no cover
-                    raise AssertionError("odometer codeword drifted from direct encoding")
-        vals = np.unique(b)
-        masks = _bits(b[None, :] == vals[:, None])
-        np.bitwise_and(planes[tables.neg[vals[0]]], masks[0], out=acc)
-        for v, m in zip(vals[1:], masks[1:]):
-            np.bitwise_and(planes[tables.neg[v]], m, out=hit)
-            np.bitwise_or(acc, hit, out=acc)
-        zeros = np.bitwise_count(acc).sum(axis=1, dtype=np.int16)
+        _check_deadline(deadline, "enumeration")
+        c = encode_rows(tables, rows_out, _message_digits(q, len(rows_out), j))
+        zeros = np.bitwise_count(_shift(tables, planes, c, 0)).sum(
+            axis=1, dtype=np.int16)
         if mode == "hist":
             zhist += np.bincount(zeros, minlength=n + 1)
         else:
@@ -252,19 +234,16 @@ def _enum(code, mode, budget: SearchBudget, threads: int = 1):
     outer_total = q ** (k - k_in)
     deadline = (time.monotonic() + budget.time_cap
                 if budget.time_cap is not None else None)
-    # self-check the running codeword about once per 2^20 enumerated messages
-    check_every = max(1, (1 << 20) // planes.shape[1])
     threads = max(1, min(threads, outer_total))
     bounds = [outer_total * t // threads for t in range(threads + 1)]
     shards = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
     if len(shards) == 1:
         results = [_walk_shard(tables, planes, rows_out,
-                               shards[0][0], shards[0][1], n, mode,
-                               check_every, deadline)]
+                               shards[0][0], shards[0][1], n, mode, deadline)]
     else:
         with ThreadPoolExecutor(max_workers=len(shards)) as ex:
             futs = [ex.submit(_walk_shard, tables, planes, rows_out,
-                              a, b, n, mode, check_every, deadline)
+                              a, b, n, mode, deadline)
                     for a, b in shards]
             results = [f.result() for f in futs]
     if mode == "hist":

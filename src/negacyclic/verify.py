@@ -65,8 +65,9 @@ class ResultCache:
     flock on the sidecar file <path>.lock.  A put first re-reads and merges
     the file when its (inode, size, mtime) differs from what this instance
     last read or wrote, so records written meanwhile by another instance or
-    process are kept.  A corrupt file is rebuilt from scratch with a
-    warning, never partially read.
+    process are kept.  A corrupt file (not JSON, or not a schema-1 object
+    whose records are an object) is rebuilt from scratch with a warning,
+    never partially read.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -81,13 +82,15 @@ class ResultCache:
             with open(self.path) as fh:
                 self._stat = _signature(os.fstat(fh.fileno()))
                 payload = json.load(fh)
-            if payload.get("schema") != SCHEMA:
-                raise ValueError(f"unknown cache schema {payload.get('schema')}")
+            if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
+                raise ValueError("not a schema-1 cache object")
+            if not isinstance(payload.get("records"), dict):
+                raise ValueError("cache records are not an object")
             return dict(payload["records"])
         except FileNotFoundError:
             self._stat = None
             return {}
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # json.JSONDecodeError too
             warnings.warn(f"rebuilding corrupt result cache {self.path}: {exc}")
             return {}
 
@@ -120,7 +123,7 @@ class ResultCache:
             fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
-                    json.dump(payload, fh, sort_keys=True)
+                    fh.write(json.dumps(payload, sort_keys=True))
                 os.replace(tmp, self.path)
             except BaseException:
                 if os.path.exists(tmp):
@@ -141,12 +144,13 @@ def report_cache_key(code, budget: SearchBudget) -> str:
 
 
 def _certified(code, rep: DistanceReport, budget: SearchBudget) -> bool:
-    """An engine report must be exact, with a witness of length n, entries
-    in range(q) (contains() reduces mod q), weight rep.lower and membership.
-    A bounds-only report must carry the sphere-packing upper bound, and a
-    lower bound that its source reproduces: the BCH bound at the named
-    multiplier, or W + 1 for a column search up to W = the weight the budget
-    allows; it is exact exactly when the bounds meet."""
+    """An engine report must be exact with upper == lower, and carry a
+    witness of length n, entries in range(q) (contains() reduces mod q),
+    weight rep.lower and membership.  A bounds-only report must carry the
+    sphere-packing upper bound, and a lower bound that its source
+    reproduces: the BCH bound at the named multiplier, or W + 1 for a column
+    search up to W = the weight the budget allows; it is exact exactly when
+    the bounds meet."""
     if rep.method == "bounds-only":
         n, k, q = code.n, code.k, code.field.order
         pack = sphere_packing_max_d(n, k, q)
@@ -163,7 +167,8 @@ def _certified(code, rep: DistanceReport, budget: SearchBudget) -> bool:
         cap = _column_cap(q, n, k, budget, pack)
         return bool(col) and int(col[1]) == cap >= 1 and rep.lower == cap + 1
     w = rep.witness
-    return (rep.exact and w is not None and len(w) == code.n
+    return (rep.exact and rep.upper == rep.lower and w is not None
+            and len(w) == code.n
             and all(0 <= v < code.field.order for v in w)
             and sum(1 for v in w if v) == rep.lower and code.contains(w))
 
@@ -172,20 +177,26 @@ def cached_distance_report(code, budget: Optional[SearchBudget] = None,
                            threads: int = 1,
                            cache: Optional[ResultCache] = None) -> DistanceReport:
     """distance_report through the cache.  A hit is served only after its
-    certificate is checked again (_certified); a hit that fails the check is
-    recomputed and overwritten, with a warning."""
+    certificate is checked again (_certified); a hit that fails the check,
+    or cannot be decoded, is recomputed and overwritten, with a warning."""
     budget = budget or SearchBudget()
     if cache is None:
         return distance_report(code, budget, threads)
     key = report_cache_key(code, budget)
     hit = cache.get(key)
     if hit is not None:
-        rep = DistanceReport.from_json(hit)
-        if _certified(code, rep, budget):
-            rep.elapsed_s = 0.0
-            return rep
-        warnings.warn(f"recomputing cached report for {code!r}: its "
-                      f"certificate does not support {rep.lower}..{rep.upper}")
+        try:
+            rep = DistanceReport.from_json(hit)
+            ok = _certified(code, rep, budget)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            warnings.warn(f"recomputing cached report for {code!r}: its "
+                          f"record cannot be decoded ({exc!r})")
+        else:
+            if ok:
+                rep.elapsed_s = 0.0
+                return rep
+            warnings.warn(f"recomputing cached report for {code!r}: its "
+                          f"certificate does not support {rep.lower}..{rep.upper}")
     rep = distance_report(code, budget, threads)
     cache.put(key, rep.to_json())
     return rep

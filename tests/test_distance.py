@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from negacyclic import distance
-from negacyclic.codes import CodeError, LinearCode, NegacyclicCode
+from negacyclic.codes import CodeError, LinearCode, NegacyclicCode, span_rows
 from negacyclic.cosets import build_cosets, mult_order
 from negacyclic.distance import (BudgetExceeded, DistanceReport, SearchBudget,
                                  exact_distance_enum, distance_report,
@@ -356,8 +356,9 @@ def test_weight_distribution_matches_direct_encoding(spec):
 
 def _check_blocks_and_threads(code):
     hist, d, witness, _ = direct_oracle(code)
-    # with no room the inner block falls back to q messages, and the
-    # odometer walks q^(k-1) outer steps, split into shards when threads > 1
+    # with no room the inner block falls back to q messages, and the walk
+    # encodes q^(k-1) outer messages directly, split into shards when
+    # threads > 1
     for cap in (distance._INNER_BYTES, 0):
         with mock.patch.object(distance, "_INNER_BYTES", cap):
             for threads in (1, 2):
@@ -386,6 +387,30 @@ def test_enum_on_random_generator_matrices(data):
     rows = data.draw(st.lists(st.lists(digits, min_size=n, max_size=n),
                               min_size=k, max_size=k))
     _check_blocks_and_threads(LinearCode(field, np.array(rows)))
+
+
+def _planes_oracle(tables, rows, k_in):
+    """The inner planes by way of the int8 table: every word of the first
+    k_in rows (span_rows), packed as one one-hot plane per element."""
+    A = span_rows(tables, rows[:k_in])
+    return np.stack([distance._bits(A == e) for e in range(tables.q)])
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("name,k", [("GF(3)", 12), ("GF(9)", 6), ("GF(5)", 8)])
+def test_inner_planes_match_int8_table(name, k, n):
+    tables = FIELDS[name].tables()
+    rng = np.random.default_rng(1000 * tables.q + n)
+    rows = rng.integers(0, tables.q, size=(k, n)).astype(tables.dtype)
+    valid = distance._bits(np.ones(n, dtype=bool))
+    for cap in (distance._INNER_BYTES, 0):
+        with mock.patch.object(distance, "_INNER_BYTES", cap):
+            planes, k_in = distance._inner_planes(tables, rows)
+        # the default cap binds before the last row; a cap of 0 keeps one row
+        assert k_in == 1 if cap == 0 else 1 < k_in < k
+        assert planes.shape == (tables.q, tables.q ** k_in, distance._words(n))
+        assert np.array_equal(planes, _planes_oracle(tables, rows, k_in))
+        assert not (planes & ~valid).any()  # padding bits beyond n are zero
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,35 @@ def test_cache_forged_bounds_only_exact_is_recomputed(tmp_path):
     _served_fresh(c, SearchBudget(), path, good)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda rec: rec.update(upper=9),          # a d in 6..7 claim would not match
+    lambda rec: rec.pop("upper"),
+    lambda rec: rec.update(witness="1,2,x"),
+], ids=["upper", "no-upper", "witness-not-int"])
+def test_cache_forged_engine_record_is_recomputed(edit, tmp_path):
+    # an enumeration record of the [10,4,6] code whose upper bound is edited
+    # or missing, or whose witness does not decode
+    path = tmp_path / "results.json"
+    c = NegacyclicCode.from_check(GF3, 10, [1])
+    good = cached_distance_report(c, cache=ResultCache(str(path))).to_json()
+    _edit_only_record(path, edit)
+    _served_fresh(c, SearchBudget(), path, good)
+
+
+def test_cli_distance_recomputes_undecodable_cached_witness(tmp_path, capsys):
+    # a record the cache cannot decode is not a usage error (exit 3)
+    code = tmp_path / "code.json"
+    cache = tmp_path / "results.json"
+    assert main(["build", "--n", "10", "--check", "1", "--out", str(code)]) == 0
+    args = ["distance", "--code", str(code), "--cache", str(cache)]
+    assert main(args) == 0
+    good = json.loads(capsys.readouterr().out)
+    _edit_only_record(cache, lambda rec: rec.update(witness="1,2,x"))
+    with pytest.warns(UserWarning, match="cannot be decoded"):
+        assert main(args) == 0
+    assert json.loads(capsys.readouterr().out) == good
+
+
 # [14,6,6] (family 1, rho = 7): BCH gives 5, sphere packing 7, and a column
 # search up to weight 5 finds nothing, so its bounds-only report is 6..7
 _BOUNDS_BUDGET = SearchBudget(max_message_enum=3, max_column_weight=5)
@@ -255,6 +284,19 @@ def test_cache_corrupt_file_rebuilt(tmp_path):
     c = NegacyclicCode.from_check(GF3, 10, [1])
     cached_distance_report(c, cache=cache)
     assert json.loads(path.read_text())["schema"] == 1
+
+
+@pytest.mark.parametrize("text", [
+    "[]", "null", '{"schema": 1, "records": [1, 2]}',
+], ids=["list", "null", "records-list"])
+def test_cache_malformed_payload_rebuilt(text, tmp_path):
+    path = tmp_path / "results.json"
+    path.write_text(text)
+    cache = ResultCache(str(path))
+    with pytest.warns(UserWarning, match="corrupt"):
+        assert cache.get("nothing") is None
+    cache.put("k", {"v": 1})
+    assert json.loads(path.read_text()) == {"schema": 1, "records": {"k": {"v": 1}}}
 
 
 def test_cache_env_override(tmp_path, monkeypatch):
