@@ -13,8 +13,10 @@ from negacyclic import (SearchBudget, build_family1, build_family2,
                         low_weight_search, sphere_packing_max_d,
                         weight_distribution)
 
-# Enumeration walks all q^k messages: an inner block of partial codewords
-# kept as one-hot bit planes, shifted by each directly encoded outer message.
+# Enumeration covers all q^k messages (`work` counts them) but walks one per
+# scalar class: an inner block of partial codewords kept as one-hot bit
+# planes, shifted by each directly encoded outer message whose top nonzero
+# digit is 1 (and by the zero outer message).
 b = build_family2(4, 41)
 t0 = time.time()
 rep = exact_distance_enum(b.code)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -29,6 +30,20 @@ from .verify import (ResultCache, best_code_search, cached_distance_report,
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _threads(text: str) -> int:
+    """--threads: 1..os.cpu_count(); a shard per thread beyond the cores
+    only adds contention."""
+    cpus = os.cpu_count() or 1
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or not 1 <= n <= cpus:
+        raise argparse.ArgumentTypeError(f"must be an integer in 1..{cpus}, "
+                                         f"got {text!r}")
+    return n
 
 
 def _emit(payload: dict, out: Optional[str]):
@@ -105,7 +120,7 @@ def main(argv=None) -> int:
     p.add_argument("--code", required=True)
     p.add_argument("--budget", default=None, help="e.g. 3^16")
     p.add_argument("--w-max", type=int, default=None, dest="w_max")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--cache", default=None)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--out")
@@ -126,7 +141,7 @@ def main(argv=None) -> int:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lam", type=int, default=-1, choices=(-1, 1))
     p.add_argument("--budget", default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--cache", default=None)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--out")
@@ -135,7 +150,7 @@ def main(argv=None) -> int:
     p.add_argument("--scope", default="all")
     p.add_argument("--budget", default=None)
     p.add_argument("--w-max", type=int, default=None, dest="w_max")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--cache", default=None)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--render", action="store_true",

@@ -9,7 +9,11 @@ A's planes with at most q ANDs and q-1 ORs per plane, for any field with
 index tables (Boothby & Bradshaw, arXiv:0901.1413).  The inner block is
 built from the zero word by shifting it by every multiple of each inner
 row; each outer message is encoded directly as c, and plane 0 of A + c
-gives the weights of the whole block with one popcount.
+gives the weights of the whole block with one popcount.  Weights are
+invariant under scalar multiples, so the walk is projective: besides outer
+message 0 (the whole block) it visits only the outer messages whose top
+nonzero digit is the field's one, (q^K - 1)/(q - 1) of the q^K - 1 for K
+outer rows, and counts each q - 1 times in the weight distribution.
 The column search uses the same representation for syndromes: a syndrome
 of r entries of GF(p^s) is its N = r*s base-p digits (an element index is
 its digit string), kept as p one-hot uint64 planes (N <= 61 under the
@@ -22,9 +26,9 @@ before it can yield a word, so hash collisions cost time, never answers.
 A sphere-packing upper bound (with the even-distance refinement) and the BCH
 multiplier bound bracket whatever the engines cannot settle exactly.
 
-Engines only read the code object; outer-message shards may run on several
-threads and reduce by (weight, message-index) minimum, so results do not
-depend on the inner block size or the shard count.
+Engines only read the code object; shards of the walked outer messages may
+run on several threads and reduce by (weight, message-index) minimum, so
+results do not depend on the inner block size or the shard count.
 """
 
 from __future__ import annotations
@@ -52,14 +56,23 @@ class BudgetExceeded(RuntimeError):
 
 
 def parse_budget(text) -> int:
-    """Accept plain integers or 'B^E' strings like '3^16'."""
+    """Accept plain integers or 'B^E' strings like '3^16', in 1..2^64.
+
+    A power is range-checked before it is computed, so '3^10000000' fails
+    at once instead of building a huge integer."""
+    bad = ValueError(f"budget {text} must be an integer in 1..2^64")
     if isinstance(text, int):
-        return text
-    s = str(text).strip()
-    if "^" in s:
-        b, e = s.split("^", 1)
-        return int(b) ** int(e)
-    return int(s)
+        value = text
+    elif "^" in str(text):
+        b, e = (int(v) for v in str(text).split("^", 1))
+        if e < 0 or (abs(b) > 1 and e > 64):
+            raise bad
+        value = b ** e
+    else:
+        value = int(str(text).strip())
+    if not 1 <= value <= 2 ** 64:
+        raise bad
+    return value
 
 
 @dataclass(frozen=True)
@@ -165,12 +178,18 @@ def _inner_planes(tables, rows):
     of the rows, and the prefix length k_in: bit i of planes[e][j] is set
     when coordinate i of message j's word is e, with messages ordered as in
     span_rows.  The table of the zero word is extended row by row, by the
-    concatenation over v of the table shifted by v * row."""
+    concatenation over v of the table shifted by v * row.
+
+    k_in is the most rows whose table fits _INNER_BYTES, but at most k - 2
+    and at least 1, so the top rows stay outer, where the walk takes one
+    message per scalar class: a block of k - 2 rows costs q + 2 outer steps,
+    and one of k - 1 rows costs 2 steps but q times the building, which
+    measured slower on the small codes that fit."""
     k, n = rows.shape
     q = tables.q
     row_bytes = 8 * (q + 2) * _words(n)
     k_in, size = 0, 1
-    while k_in < k and size * q * row_bytes <= _INNER_BYTES:
+    while k_in < k - 2 and size * q * row_bytes <= _INNER_BYTES:
         size *= q
         k_in += 1
     k_in = max(k_in, 1)
@@ -183,24 +202,37 @@ def _inner_planes(tables, rows):
     return planes, k_in
 
 
-def _walk_shard(tables, planes, rows_out, j0, j1, n, mode, deadline=None):
-    """Walk outer messages j0..j1-1; returns (hist) or (best_w, best_msg).
+def _outer_messages(q, K):
+    """The outer messages the walk visits, ascending: 0, then one per scalar
+    class of the others, the indices whose top nonzero base-q digit is 1
+    (element index 1 is the field's one), which fill the ranges
+    [q^t, 2 q^t) for t < K; (q^K - 1)/(q - 1) + 1 in all."""
+    return np.concatenate([np.zeros(1, dtype=np.int64)]
+                          + [np.arange(q ** t, 2 * q ** t) for t in range(K)])
+
+
+def _walk_shard(tables, planes, rows_out, outer, n, mode, deadline=None):
+    """Walk the outer messages in outer; returns (hist) or (best_w, best_msg).
 
     Each outer message is encoded directly as c, and the zero counts of all
     inner codewords A + c are the popcounts of plane 0 of the shifted table
-    (_shift).  The deadline is checked once per outer message.
+    (_shift).  An outer message j > 0 stands for its q - 1 scalar multiples
+    (a times the block of j is the block of a * j), so its counts enter the
+    histogram q - 1 times; it is the smallest index of its class, so the
+    minimum is found at the same message index as by a walk of every
+    message.  The deadline is checked once per outer message.
     """
     q = tables.q
     size = planes.shape[1]
     zhist = np.zeros(n + 1, dtype=np.int64)
     best_w, best_msg = n + 1, -1
-    for j in range(j0, j1):
+    for j in outer.tolist():
         _check_deadline(deadline, "enumeration")
         c = encode_rows(tables, rows_out, _message_digits(q, len(rows_out), j))
         zeros = np.bitwise_count(_shift(tables, planes, c, 0)).sum(
             axis=1, dtype=np.int16)
         if mode == "hist":
-            zhist += np.bincount(zeros, minlength=n + 1)
+            zhist += np.bincount(zeros, minlength=n + 1) * (q - 1 if j else 1)
         else:
             # the most zeros is the least weight; skip the zero message
             i = int(np.argmax(zeros[1:])) + 1 if j == 0 else int(np.argmax(zeros))
@@ -231,20 +263,20 @@ def _enum(code, mode, budget: SearchBudget, threads: int = 1):
     rows = np.asarray(code.rows(), dtype=tables.dtype)
     planes, k_in = _inner_planes(tables, rows)
     rows_out = rows[k_in:]
-    outer_total = q ** (k - k_in)
+    outer = _outer_messages(q, k - k_in)
     deadline = (time.monotonic() + budget.time_cap
                 if budget.time_cap is not None else None)
-    threads = max(1, min(threads, outer_total))
-    bounds = [outer_total * t // threads for t in range(threads + 1)]
-    shards = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    threads = max(1, min(threads, len(outer)))
+    bounds = [len(outer) * t // threads for t in range(threads + 1)]
+    shards = [outer[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
     if len(shards) == 1:
-        results = [_walk_shard(tables, planes, rows_out,
-                               shards[0][0], shards[0][1], n, mode, deadline)]
+        results = [_walk_shard(tables, planes, rows_out, shards[0], n, mode,
+                               deadline)]
     else:
         with ThreadPoolExecutor(max_workers=len(shards)) as ex:
-            futs = [ex.submit(_walk_shard, tables, planes, rows_out,
-                              a, b, n, mode, deadline)
-                    for a, b in shards]
+            futs = [ex.submit(_walk_shard, tables, planes, rows_out, shard, n,
+                              mode, deadline)
+                    for shard in shards]
             results = [f.result() for f in futs]
     if mode == "hist":
         return sum(results)

@@ -247,6 +247,15 @@ def test_parse_budget():
     assert parse_budget("3^16") == 3 ** 16
     assert parse_budget("1000") == 1000
     assert parse_budget(81) == 81
+    assert parse_budget("2^64") == 2 ** 64
+    assert parse_budget("1^100000000") == 1
+
+
+@pytest.mark.parametrize("text", ["3^100000000", "2^65", "-3^65", "3^-1",
+                                  "0^3", "0", "-5", 2 ** 64 + 1, 0])
+def test_parse_budget_rejects_out_of_range(text):
+    with pytest.raises(ValueError, match="in 1..2\\^64"):
+        parse_budget(text)
 
 
 def test_budget_validation():
@@ -278,6 +287,9 @@ def test_bch_lower_bounds_exact_distance():
 
 FIELDS = {"GF(3)": make_field(3, 1), "GF(9)": make_field(3, 2),
           "GF(5)": make_field(5, 1)}
+# fields of the random generator matrices: GF(4) adds q - 1 = 3 scalar
+# multiples per class in characteristic 2
+MATRIX_FIELDS = {**FIELDS, "GF(4)": make_field(2, 2)}
 MAX_MESSAGES = 3 ** 8
 
 
@@ -357,8 +369,8 @@ def test_weight_distribution_matches_direct_encoding(spec):
 def _check_blocks_and_threads(code):
     hist, d, witness, _ = direct_oracle(code)
     # with no room the inner block falls back to q messages, and the walk
-    # encodes q^(k-1) outer messages directly, split into shards when
-    # threads > 1
+    # encodes one outer message per scalar class of the other k - 1 digits
+    # directly, split into shards when threads > 1
     for cap in (distance._INNER_BYTES, 0):
         with mock.patch.object(distance, "_INNER_BYTES", cap):
             for threads in (1, 2):
@@ -379,9 +391,9 @@ def test_enum_independent_of_threads_and_inner_block(spec):
 def test_enum_on_random_generator_matrices(data):
     # unlike the shifted rows of a constacyclic code, random rows can put the
     # first minimum-weight message at the start of an inner block
-    name = data.draw(st.sampled_from(sorted(FIELDS)))
-    field = FIELDS[name]
-    k = data.draw(st.integers(1, {3: 8, 9: 4, 5: 5}[field.order]))
+    name = data.draw(st.sampled_from(sorted(MATRIX_FIELDS)))
+    field = MATRIX_FIELDS[name]
+    k = data.draw(st.integers(1, {3: 8, 9: 4, 5: 5, 4: 5}[field.order]))
     n = data.draw(st.integers(1, 80))
     digits = st.integers(0, field.order - 1)
     rows = data.draw(st.lists(st.lists(digits, min_size=n, max_size=n),
@@ -411,6 +423,42 @@ def test_inner_planes_match_int8_table(name, k, n):
         assert planes.shape == (tables.q, tables.q ** k_in, distance._words(n))
         assert np.array_equal(planes, _planes_oracle(tables, rows, k_in))
         assert not (planes & ~valid).any()  # padding bits beyond n are zero
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_outer_messages_one_per_scalar_class(q):
+    for K in range(5):
+        outer = distance._outer_messages(q, K).tolist()
+        assert len(outer) == (q ** K - 1) // (q - 1) + 1
+        top = [0] + [int(np.base_repr(j, q)[0], q) for j in range(1, q ** K)]
+        assert outer == [j for j in range(q ** K) if top[j] <= 1]
+
+
+@pytest.mark.parametrize("name", ["GF(3)", "GF(9)", "GF(5)", "GF(4)"])
+def test_enum_walks_one_outer_message_per_scalar_class(name):
+    field = MATRIX_FIELDS[name]
+    rng = np.random.default_rng(field.order)
+    k = 4
+    code = LinearCode(field, rng.integers(0, field.order, size=(k, 70)))
+    hist, *_ = direct_oracle(code)
+    q = field.order
+    # a cap of 0 keeps one inner row, so K = k - 1 rows are outer
+    with mock.patch.object(distance, "_INNER_BYTES", 0), \
+            mock.patch.object(distance, "encode_rows",
+                              wraps=distance.encode_rows) as enc:
+        assert weight_distribution(code) == hist
+    assert enc.call_count == (q ** (k - 1) - 1) // (q - 1) + 1
+
+
+@pytest.mark.parametrize("name", ["GF(3)", "GF(9)", "GF(5)", "GF(4)"])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_inner_planes_leave_two_rows_outer(name, k):
+    # a block with room keeps k - 2 rows (1 when k <= 2), so the walk is
+    # projective over the top two rows
+    tables = MATRIX_FIELDS[name].tables()
+    rows = np.ones((k, 10), dtype=tables.dtype)
+    _, k_in = distance._inner_planes(tables, rows)
+    assert k_in == max(1, k - 2)
 
 
 # ---------------------------------------------------------------------------

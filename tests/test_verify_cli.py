@@ -1,6 +1,12 @@
 import json
+import os
+import threading
+import time
+from unittest import mock
 
 import pytest
+
+from negacyclic import cli, distance
 
 from negacyclic.cli import main
 from negacyclic.codes import CodeError, NegacyclicCode
@@ -506,3 +512,43 @@ def test_cli_build_requires_one_source():
     with pytest.raises(SystemExit) as exc:
         main(["build", "--n", "10"])
     assert exc.value.code == 3
+
+
+@pytest.mark.parametrize("cmd", [
+    ["best", "--n", "20", "--k", "10"],
+    ["verify", "--scope", "properties"],
+    ["distance", "--code", "-"],
+], ids=["best", "verify", "distance"])
+@pytest.mark.parametrize("threads", ["0", "-4", str((os.cpu_count() or 1) + 1),
+                                     "10000000", "two"])
+def test_cli_threads_out_of_range_is_usage_error(cmd, threads, capsys):
+    # the parser rejects the value: no command runs and no thread starts
+    before = threading.active_count()
+    with mock.patch.object(cli, "_run") as run, \
+            mock.patch.object(distance, "ThreadPoolExecutor") as pool:
+        with pytest.raises(SystemExit) as exc:
+            main(cmd + ["--no-cache", "--threads", threads])
+    assert exc.value.code == 3
+    assert not run.called and not pool.called
+    assert threading.active_count() == before
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "argument --threads" in err
+
+
+def test_cli_threads_at_cpu_count_is_accepted(tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["verify", "--scope", "properties", "--no-cache", "--threads",
+                 str(os.cpu_count() or 1), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("budget", ["3^100000000", "3^10000000", "2^65",
+                                    "18446744073709551617", "0^3", "3^-1", "0"])
+def test_cli_budget_out_of_range_fails_fast(budget, capsys):
+    t0 = time.monotonic()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--scope", "properties", "--no-cache",
+              "--budget", budget])
+    assert time.monotonic() - t0 < 1.0
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be an integer in 1..2^64" in err
