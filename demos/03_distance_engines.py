@@ -14,9 +14,10 @@ from negacyclic import (SearchBudget, build_family1, build_family2,
                         weight_distribution)
 
 # Enumeration covers all q^k messages (`work` counts them) but walks one per
-# scalar class: an inner block of partial codewords kept as one-hot bit
-# planes, shifted by each directly encoded outer message whose top nonzero
-# digit is 1 (and by the zero outer message).
+# scalar class: an inner block of partial codewords kept as one-hot planes of
+# their base-p digits, plus each directly encoded outer message whose top
+# nonzero digit is 1 (and the zero outer message); the column search adds
+# syndromes with the same digit-plane kernel.
 b = build_family2(4, 41)
 t0 = time.time()
 rep = exact_distance_enum(b.code)

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 from .codes import NegacyclicCode
@@ -56,7 +57,7 @@ def _emit(payload: dict, out: Optional[str]):
 
 
 def _load_code(path: str) -> NegacyclicCode:
-    with (sys.stdin if path == "-" else open(path)) as fh:
+    with (nullcontext(sys.stdin) if path == "-" else open(path)) as fh:
         try:
             return NegacyclicCode.from_descriptor(json.load(fh))
         except (json.JSONDecodeError, KeyError, TypeError,

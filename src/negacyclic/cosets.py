@@ -57,6 +57,8 @@ class CosetTable:
 
 def build_cosets(q: int, N: int) -> CosetTable:
     """Partition {0,...,N-1} into orbits under multiplication by q mod N."""
+    if N < 1:
+        raise CosetError(f"modulus N = {N} must be at least 1")
     if math.gcd(q, N) != 1:
         raise CosetError(f"gcd({q}, {N}) != 1; residues would not partition")
     seen = [False] * N

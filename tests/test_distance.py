@@ -403,15 +403,20 @@ def test_enum_on_random_generator_matrices(data):
 
 def _planes_oracle(tables, rows, k_in):
     """The inner planes by way of the int8 table: every word of the first
-    k_in rows (span_rows), packed as one one-hot plane per element."""
-    A = span_rows(tables, rows[:k_in])
-    return np.stack([distance._bits(A == e) for e in range(tables.q)])
+    k_in rows (span_rows), split into power-basis digits with
+    FieldElement.coeffs and packed as one one-hot plane per digit value."""
+    field = tables.field
+    coeffs = np.array([field.from_int(e).coeffs for e in range(tables.q)])
+    A = coeffs[span_rows(tables, rows[:k_in])]         # (q^k_in, n, s)
+    return np.stack([distance._bits(np.moveaxis(A == v, -1, 0))
+                     for v in range(field.p)])
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 @pytest.mark.parametrize("name,k", [("GF(3)", 12), ("GF(9)", 6), ("GF(5)", 8)])
 def test_inner_planes_match_int8_table(name, k, n):
     tables = FIELDS[name].tables()
+    p, s = tables.field.p, tables.field.m
     rng = np.random.default_rng(1000 * tables.q + n)
     rows = rng.integers(0, tables.q, size=(k, n)).astype(tables.dtype)
     valid = distance._bits(np.ones(n, dtype=bool))
@@ -420,9 +425,40 @@ def test_inner_planes_match_int8_table(name, k, n):
             planes, k_in = distance._inner_planes(tables, rows)
         # the default cap binds before the last row; a cap of 0 keeps one row
         assert k_in == 1 if cap == 0 else 1 < k_in < k
-        assert planes.shape == (tables.q, tables.q ** k_in, distance._words(n))
+        assert planes.shape == (p, s, tables.q ** k_in, distance._words(n))
         assert np.array_equal(planes, _planes_oracle(tables, rows, k_in))
         assert not (planes & ~valid).any()  # padding bits beyond n are zero
+
+
+KERNEL_FIELDS = {**MATRIX_FIELDS, "GF(2)": make_field(2, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_plane_add_matches_add_table(name):
+    # every pair (a, b) of elements, as two vectors of q^2 entries
+    tables = KERNEL_FIELDS[name].tables()
+    a, b = np.divmod(np.arange(tables.q ** 2), tables.q)
+    x, y = (distance._digit_planes(tables, v) for v in (a, b))
+    want = distance._digit_planes(tables, tables.add[a, b])
+    assert np.array_equal(distance._plane_add(x, y), want)
+    assert np.array_equal(distance._plane_add(x, y, (0,)), want[:1])
+
+
+@pytest.mark.parametrize("L", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_digit_planes_decode_to_their_input(name, L):
+    tables = KERNEL_FIELDS[name].tables()
+    p, s = tables.field.p, tables.field.m
+    words = np.random.default_rng(L).integers(0, tables.q, size=(3, L))
+    planes = distance._digit_planes(tables, words)
+    assert planes.shape == (p, s, 3, distance._words(L))
+    bits = np.unpackbits(planes.view(np.uint8), axis=-1, bitorder="little")
+    assert not bits[..., L:].any()  # padding bits are zero
+    bits = bits[..., :L].astype(np.int64)
+    assert (bits.sum(axis=0) == 1).all()  # one value per digit
+    digits = np.tensordot(np.arange(p), bits, axes=(0, 0))  # (s, 3, L)
+    assert np.array_equal(np.tensordot(p ** np.arange(s), digits, axes=(0, 0)),
+                          words)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])

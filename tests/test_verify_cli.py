@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import sys
 import threading
 import time
 from unittest import mock
@@ -219,6 +221,11 @@ def test_cache_bounds_only_hit_is_certified(edit, rho7_code, tmp_path):
     _served_fresh(rho7_code, _BOUNDS_BUDGET, path, good)
 
 
+def _records(path):
+    with open(path) as fh:
+        return json.load(fh)["records"]
+
+
 def test_cache_put_keeps_records_of_other_instances(tmp_path):
     path = str(tmp_path / "results.json")
     a = ResultCache(path)
@@ -226,10 +233,9 @@ def test_cache_put_keeps_records_of_other_instances(tmp_path):
     b = ResultCache(path)
     b.put("k1", {"v": 1})
     a.put("k2", {"v": 2})
-    assert json.loads(open(path).read())["records"] == {"k1": {"v": 1},
-                                                        "k2": {"v": 2}}
+    assert _records(path) == {"k1": {"v": 1}, "k2": {"v": 2}}
     b.put("k3", {"v": 3})  # B merges A's write in turn
-    assert set(json.loads(open(path).read())["records"]) == {"k1", "k2", "k3"}
+    assert set(_records(path)) == {"k1", "k2", "k3"}
     assert ResultCache(path).get("k3") == {"v": 3}
 
 
@@ -249,7 +255,7 @@ def test_cache_puts_from_several_processes_keep_every_record(tmp_path):
     for proc in procs:
         proc.join(60)
         assert not proc.is_alive() and proc.exitcode == 0
-    assert len(json.loads(open(path).read())["records"]) == 75
+    assert len(_records(path)) == 75
 
 
 def test_cache_distinct_budgets_distinct_keys(tmp_path):
@@ -423,6 +429,17 @@ def test_cli_build_dual_distance_roundtrip(tmp_path, capsys):
     assert cache_path.exists()
 
 
+def test_cli_code_from_stdin_leaves_stdin_open(capsys):
+    desc = NegacyclicCode.from_check(make_field(3, 1), 10, [1]).descriptor()
+    stdin = io.StringIO(json.dumps(desc))
+    with mock.patch.object(sys, "stdin", stdin):
+        for _ in range(2):
+            stdin.seek(0)
+            assert main(["dual", "--code", "-"]) == 0
+            assert json.loads(capsys.readouterr().out)["k"] == 6
+    assert not stdin.closed
+
+
 def test_cli_psi(tmp_path, capsys):
     desc_path = tmp_path / "code.json"
     main(["build", "--n", "13", "--check", "1,17", "--out", str(desc_path)])
@@ -481,9 +498,12 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     (["build", "--n", "10", "--check", "1", "--host-modulus", "2,0,0,0,1"],
      "reducible over GF(3); divisible by 1,1"),
     (["dual", "--code", "{tmp}/gf25-as-gf9.json"], "q = 9 disagrees"),
+    (["cosets", "--q", "3", "--n-mod", "-5"], "N = -5 must be at least 1"),
+    (["cosets", "--q", "3", "--n-mod", "0"], "N = 0 must be at least 1"),
 ], ids=["missing-code", "bad-scope", "composite-p", "build-composite-q",
         "missing-file", "descriptor-without-g", "descriptor-not-json",
-        "reducible-modulus", "reducible-host-modulus", "descriptor-q-k-edited"])
+        "reducible-modulus", "reducible-host-modulus", "descriptor-q-k-edited",
+        "cosets-negative-modulus", "cosets-zero-modulus"])
 def test_cli_usage_error_exit_3(argv, message, tmp_path, capsys):
     (tmp_path / "no-g.json").write_text('{"q": 3, "n": 10, "lambda": -1}')
     (tmp_path / "not-json.json").write_text("[1, 2")
