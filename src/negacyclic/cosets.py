@@ -57,6 +57,8 @@ class CosetTable:
 
 def build_cosets(q: int, N: int) -> CosetTable:
     """Partition {0,...,N-1} into orbits under multiplication by q mod N."""
+    if q < 2:
+        raise CosetError(f"q = {q} must be at least 2")
     if N < 1:
         raise CosetError(f"modulus N = {N} must be at least 1")
     if math.gcd(q, N) != 1:

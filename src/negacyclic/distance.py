@@ -1,7 +1,8 @@
 """Exact minimum distances and weight distributions.
 
-Two engines: a blocked full-message enumeration and a meet-in-the-middle
-low-weight search over parity-check syndromes for high-rate codes.  Both
+Three engines: a blocked full-message enumeration, a Brouwer-Zimmermann
+information-set search for constacyclic codes, and a meet-in-the-middle
+low-weight search over parity-check syndromes for high-rate codes.  All
 keep vectors bitsliced the same way (Boothby & Bradshaw, arXiv:0901.1413):
 an element index of GF(p^s) is its string of s base-p digits, kept as p
 one-hot uint64 planes per digit (_digit_planes), so adding vectors adds
@@ -22,6 +23,11 @@ the planes of c * column i are built once per code.  Each side is sorted or
 probed on a 64-bit key, a hash of the planes whose low bits carry the
 entry's index, and every key match is compared plane by plane before it
 can yield a word, so hash collisions cost time, never answers.
+The information-set search reuses the column search's tables on the
+redundancy parts of a systematic generator matrix: the words of weight w
+on window [0, k) stand, through the constashift by k, for those of every
+window [jk, (j+1)k) mod n, and the search stops once the windows' bound
+L(w) reaches the least weight found.
 A sphere-packing upper bound (with the even-distance refinement) and the BCH
 multiplier bound bracket whatever the engines cannot settle exactly.
 
@@ -42,13 +48,15 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import CodeError, NegacyclicCode, encode_rows
+from .codes import (CodeError, ConstacyclicCode, NegacyclicCode, encode_rows,
+                    rref)
 
 
 #: Version of the engines' answers; part of every result-cache key, so bump it
 #: whenever a change can alter a report (2: bit-plane enumeration, column
-#: search work carried into bounds-only reports, column search time cap).
-ENGINE_VERSION = 2
+#: search work carried into bounds-only reports, column search time cap;
+#: 3: the information-set search settles codes the column search cannot).
+ENGINE_VERSION = 3
 
 
 class BudgetExceeded(RuntimeError):
@@ -95,7 +103,7 @@ class DistanceReport:
     lower: int
     upper: int
     exact: bool
-    method: str                       # enumeration | column-search | bounds-only
+    method: str     # enumeration | information-set | column-search | bounds-only
     witness: Optional[tuple[int, ...]] = None
     lower_src: str = ""
     upper_src: str = ""
@@ -173,14 +181,17 @@ def _digit_planes(tables, words):
     return _bits(_onehot(tables.field.p, tables.field.m)[..., words])
 
 
-def _plane_add(x, y, ks=None):
+def _plane_add(x, y, ks=None, out=None, tmp=None):
     """Planes ks (default all) of the digit sum of x and y (which broadcast
-    after the plane axis): plane k is the OR over i of x_i & y_(k-i mod p)."""
+    after the plane axis): plane k is the OR over i of x_i & y_(k-i mod p).
+    out (the result, len(ks) planes) and tmp (one plane) may be passed in
+    to reuse buffers; they are allocated otherwise."""
     p = len(x)
     ks = range(p) if ks is None else ks
-    z = np.empty((len(ks),) + np.broadcast_shapes(x.shape[1:], y.shape[1:]),
-                 dtype=np.uint64)
-    tmp = np.empty_like(z[0])
+    z = out if out is not None else np.empty(
+        (len(ks),) + np.broadcast_shapes(x.shape[1:], y.shape[1:]),
+        dtype=np.uint64)
+    tmp = tmp if tmp is not None else np.empty_like(z[0])
     for z_k, k in zip(z, ks):
         np.bitwise_and(x[0], y[k], out=z_k)
         for i in range(1, p):
@@ -240,16 +251,20 @@ def _walk_shard(tables, planes, rows_out, outer, n, mode, deadline=None):
     size = planes.shape[2]
     zhist = np.zeros(n + 1, dtype=np.int64)
     best_w, best_msg = n + 1, -1
+    # one set of step buffers per shard: fresh ones at every step page-fault
+    # until the allocator's mmap threshold has risen
+    zero, other, tmp = np.empty((3,) + planes.shape[2:], dtype=np.uint64)
+    counts = np.empty(planes.shape[2:], dtype=np.uint8)
     for j in outer.tolist():
         _check_deadline(deadline, "enumeration")
         c = encode_rows(tables, rows_out, _message_digits(q, len(rows_out), j))
         cp = _digit_planes(tables, c)[:, :, None]
         # per digit block: one call on all s blocks is 20% slower over GF(9)
-        zero = _plane_add(planes[:, 0], cp[:, 0], (0,))[0]
+        _plane_add(planes[:, 0], cp[:, 0], (0,), zero[None], tmp)
         for d in range(1, cp.shape[1]):
-            zero &= _plane_add(planes[:, d], cp[:, d], (0,))[0]
+            zero &= _plane_add(planes[:, d], cp[:, d], (0,), other[None], tmp)[0]
         # by word columns: sum(axis=1) over 2-word rows is 10x the popcount
-        counts = np.bitwise_count(zero)
+        np.bitwise_count(zero, out=counts)
         zeros = sum(counts[:, 1:].T, counts[:, 0].astype(np.int16))
         if mode == "hist":
             zhist += np.bincount(zeros, minlength=n + 1) * (q - 1 if j else 1)
@@ -568,6 +583,110 @@ def low_weight_search(code, w_max: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
+# Brouwer-Zimmermann information-set search over the column search's tables
+
+def _info_set_bound(n, k, w):
+    """L(w): the least weight of a codeword with more than w nonzeros in
+    every window [jk, (j+1)k) mod n.  Window j holds r_j = min(k, n - jk)
+    positions that no earlier window holds, so at least w + 1 - (k - r_j)
+    of its nonzeros are new."""
+    return sum(max(0, w + 1 - (k - min(k, n - j * k)))
+               for j in range(-(-n // k)))
+
+
+def _info_set_words(n, k, q, d_max):
+    """Words, one per scalar class, that the levels up to the first w with
+    L(w) > d_max enumerate: C(k, w) (q - 1)^(w - 1) at level w."""
+    words, w = 0, 0
+    while _info_set_bound(n, k, w) <= d_max:
+        w += 1
+        words += comb(k, w) * (q - 1) ** (w - 1)
+    return words
+
+
+def information_set_search(code, budget: Optional[SearchBudget] = None
+                           ) -> Optional[DistanceReport]:
+    """Exact minimum distance of a constacyclic code by the Brouwer-Zimmermann
+    information-set method (Zimmermann 1996, as in Grassl 2006).
+
+    G is put in systematic form on window 0 = [0, k).  A shift by k
+    positions is a weight-preserving automorphism that maps window j to
+    window j + 1, so the words with at most w nonzeros on window 0 stand
+    for those of every window [jk, (j+1)k) mod n.  Level w enumerates the
+    messages of weight w, one per scalar class: the pinned side of the
+    column search (_Side) over the redundancy parts of the k systematic rows
+    (_column_planes of G[:, k:].T), streamed in _CHUNK blocks, built from
+    the table of all (w-1)-term sums.  A word's weight is w plus the
+    nonzeros of its redundancy part, the popcount of ~plane 0 with the s
+    digit blocks of r = n - k bits ORed together.  The search stops once
+    L(w) (_info_set_bound) reaches the least weight found, whose word is
+    re-checked with code.contains.
+
+    Returns None for a code that is not constacyclic, or not admitted: the
+    redundancy must fit the column search's q^r < 2^62 guard, and the words
+    up to the level where L(w) exceeds the sphere-packing bound must fit
+    budget.max_message_enum, so an admitted code always ends exact.  `work`
+    counts the words enumerated; the deadline is checked before each block.
+    """
+    budget = budget or SearchBudget()
+    if not isinstance(code, ConstacyclicCode):
+        return None
+    q, k, n = code.field.order, code.k, code.n
+    if k == 0:
+        raise CodeError("the zero code has no nonzero codeword")
+    if q ** (n - k) >= 2 ** 62 or _info_set_words(
+            n, k, q, sphere_packing_max_d(n, k, q)) > budget.max_message_enum:
+        return None
+    t0 = time.monotonic()
+    deadline = t0 + budget.time_cap if budget.time_cap is not None else None
+    tables = code.field.tables()
+    G, pivots = rref(tables, code.rows())
+    if pivots != list(range(k)):  # pragma: no cover
+        raise AssertionError("window 0 is not an information set")
+    r = n - k
+    # with no redundancy (the full space) every plane is masked away
+    cplanes = (_column_planes(tables, G[:, k:].T) if r else
+               np.zeros((tables.field.p, q * k), dtype=np.uint64))
+    mask = np.uint64((1 << r) - 1)
+    shifts = [np.uint64(j * r) for j in range(tables.field.m)]
+    subs = np.zeros((1, 0), dtype=np.int64)   # the (w-1)-subsets
+    sums = cplanes[:, :1]                     # every (w-1)-term sum
+    best_w, best, work = n + 1, None, 0
+    for w in range(1, k + 1):  # L(k) = n + windows: the last level stops
+        side = _Side(cplanes, k, q, subs, sums, pinned=True)
+        for c, e, s, idx in side.blocks():
+            _check_deadline(deadline, "information-set search")
+            nonzero = ~side.planes(c, e, s)[0]
+            nonzero = np.bitwise_or.reduce([nonzero >> t & mask
+                                            for t in shifts])
+            weights = np.bitwise_count(nonzero)
+            i = int(np.argmin(weights))
+            if w + int(weights[i]) < best_w:
+                best_w, best = w + int(weights[i]), (side, int(idx[i]))
+        work += side.size
+        if _info_set_bound(n, k, w) >= best_w:
+            break
+        side = _Side(cplanes, k, q, subs, sums)
+        sums = side.planes(np.arange(side.n_prefix)[:, None, None],
+                           np.arange(side.k)[None, :, None],
+                           np.arange(len(side.subs))[None, None, :])
+        subs = side.subs
+    side, entry = best
+    support, coeffs = side.coeffs(entry)
+    message = np.zeros(k, dtype=np.int64)
+    message[support] = coeffs
+    word = encode_rows(tables, G, message)
+    if np.count_nonzero(word) != best_w or not code.contains(word):
+        raise AssertionError(  # pragma: no cover
+            "information-set search produced a wrong witness")
+    return DistanceReport(
+        lower=best_w, upper=best_w, exact=True, method="information-set",
+        witness=tuple(int(v) for v in word), lower_src="information-set",
+        upper_src="information-set", work=work,
+        elapsed_s=time.monotonic() - t0)
+
+
+# ---------------------------------------------------------------------------
 # bounds
 
 def sphere_packing_max_d(n: int, k: int, q: int) -> int:
@@ -613,7 +732,9 @@ def _column_cap(q, n, k, budget: SearchBudget, pack: int) -> int:
 
 def distance_report(code, budget: Optional[SearchBudget] = None,
                     threads: int = 1) -> DistanceReport:
-    """Policy: enumerate when q^k fits the budget; otherwise run the column
+    """Policy: enumerate when q^k fits the budget; otherwise, when the column
+    search cannot reach the packing bound (_column_cap < pack), run the
+    information-set search if it admits the code; otherwise run the column
     search up to min(cap, packing bound + 1); otherwise report bounds only,
     with the work of any column search that ran.  An engine that hits
     budget.time_cap falls through to the next step."""
@@ -628,6 +749,11 @@ def distance_report(code, budget: Optional[SearchBudget] = None,
     except BudgetExceeded:
         rep = None
     w_cap = _column_cap(q, n, k, budget, pack)
+    if rep is None and w_cap < pack:
+        try:
+            rep = information_set_search(code, budget)
+        except BudgetExceeded:
+            pass  # time cap hit: on to the column search
     lower, work = bch, 0
     if rep is None and w_cap >= 1:
         try:

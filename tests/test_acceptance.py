@@ -20,8 +20,7 @@ from negacyclic.families import (FAMILY2_EXAMPLES, FAMILY3_EXAMPLES,
                                  build_family4, family4_multiplier)
 from negacyclic.ff import make_field
 from negacyclic.poly import Poly
-from negacyclic.verify import (BOUND_ONLY, EXTERNAL, MATCH, ResultCache,
-                               verify_claims)
+from negacyclic.verify import EXTERNAL, MATCH, ResultCache, verify_claims
 
 FULL = os.environ.get("NEGACYCLIC_ACCEPT_FULL") == "1"
 GF3 = make_field(3, 1)
@@ -57,16 +56,18 @@ def test_criterion_2_family1_table_default_budget(cache):
     manifest = verify_claims("table2", cache=cache)
     by_label = {r["label"]: r for r in manifest.records}
     assert manifest.summary["mismatch"] == 0
-    for rho in (5, 7):
+    for rho in (5, 7, 17, 19):
         for part in ("code", "dual", "companion", "companion_dual"):
             assert by_label[f"table2/rho={rho}/{part}"]["verdict"] == MATCH
-    # rho = 17: entries within the default 3^16 enumeration budget are exact
-    assert by_label["table2/rho=17/code"]["verdict"] == MATCH          # [34,16,12]
-    assert by_label["table2/rho=17/companion"]["verdict"] == MATCH     # [17,8,8]
-    for part in ("dual", "companion_dual"):
-        assert by_label[f"table2/rho=17/{part}"]["verdict"] in (MATCH, BOUND_ONLY)
-    for part in ("code", "dual", "companion", "companion_dual"):
-        assert by_label[f"table2/rho=19/{part}"]["verdict"] in (MATCH, BOUND_ONLY)
+    # rho = 17: entries within the default 3^16 enumeration budget are
+    # enumerated; the rest, and all of rho = 19, go to the information-set
+    # search
+    assert by_label["table2/rho=17/code"]["computed"]["method"] == "enumeration"
+    for rho, parts in ((17, ("dual", "companion_dual")),
+                       (19, ("code", "dual", "companion", "companion_dual"))):
+        for part in parts:
+            computed = by_label[f"table2/rho={rho}/{part}"]["computed"]
+            assert computed["method"] == "information-set"
     for rho in (29, 31, 43):
         for part in ("code", "dual", "companion", "companion_dual"):
             assert by_label[f"table2/rho={rho}/{part}"]["verdict"] == EXTERNAL
@@ -74,8 +75,9 @@ def test_criterion_2_family1_table_default_budget(cache):
     b17 = build_family1(17)
     rep = low_weight_search(b17.companion_dual, 7)
     assert rep.exact and rep.d == 7
-    _pass(2, "rho 5/7 fully exact; rho 17 k<=16 exact plus [17,9,7] by column "
-             "search; rho 29/31/43 external-unverified")
+    _pass(2, "rho 5/7/17/19 fully exact (rho 17 k<=16 by enumeration, the rest "
+             "by information sets), [17,9,7] also by column search; "
+             "rho 29/31/43 external-unverified")
 
 
 @pytest.mark.skipif(not FULL, reason="raised-budget run: set NEGACYCLIC_ACCEPT_FULL=1")

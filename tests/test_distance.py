@@ -11,8 +11,9 @@ from negacyclic.codes import CodeError, LinearCode, NegacyclicCode, span_rows
 from negacyclic.cosets import build_cosets, mult_order
 from negacyclic.distance import (BudgetExceeded, DistanceReport, SearchBudget,
                                  exact_distance_enum, distance_report,
-                                 low_weight_search, parse_budget,
-                                 sphere_packing_max_d, weight_distribution)
+                                 information_set_search, low_weight_search,
+                                 parse_budget, sphere_packing_max_d,
+                                 weight_distribution)
 from negacyclic.families import (build_family2, build_family3, build_family4,
                                  build_family1)
 from negacyclic.ff import make_field
@@ -220,8 +221,9 @@ def test_time_cap_aborts_enum_and_report_falls_back(family1_rho19):
     rep = distance_report(b.code, SearchBudget(time_cap=0.0))
     assert not rep.exact
     assert rep.lower >= 61  # the BCH floor survives the fallback
-    # [19,9] over GF(9): 9^9 messages exceed the budget, so only the column
-    # search runs, and a zero cap stops it too
+    # [19,9] over GF(9): 9^9 messages exceed the budget, so the
+    # information-set search and then the column search run, and a zero cap
+    # stops both
     comp = family1_rho19.companion
     with pytest.raises(BudgetExceeded):
         low_weight_search(comp, budget=SearchBudget(time_cap=0.0))
@@ -230,17 +232,26 @@ def test_time_cap_aborts_enum_and_report_falls_back(family1_rho19):
     v, bch = comp.best_bch_multiplier()
     assert rep.lower == bch and rep.lower_src == f"bch(v={v})"
     assert rep.work == 0
-    # uncapped, the search finishes and its lower bound is kept
-    assert distance_report(comp).lower_src == "column-search w<=6"
+    # uncapped, under 3^12 (which does not admit the information-set search)
+    # the column search finishes and its lower bound is kept
+    small = SearchBudget(max_message_enum=3 ** 12)
+    assert distance_report(comp, small).lower_src == "column-search w<=6"
+    # the default budget admits the information-set search: d is exact
+    rep = distance_report(comp)
+    assert (rep.exact, rep.d, rep.method) == (True, 10, "information-set")
 
 
 def test_bounds_only_report_carries_column_search_work(family1_rho19):
     code = family1_rho19.code  # [38,18]: 3^18 messages, over the budget
-    rep = distance_report(code)
+    # under 3^12 the information-set search (2.8 M words) is not admitted
+    rep = distance_report(code, SearchBudget(max_message_enum=3 ** 12))
     assert rep.method == "bounds-only"
     searched = low_weight_search(code, 6)
     assert not searched.exact
     assert rep.work == searched.work > 0
+    # the default budget admits it, and it settles the row
+    rep = distance_report(code)
+    assert (rep.exact, rep.d, rep.method) == (True, 10, "information-set")
 
 
 def test_parse_budget():
@@ -593,3 +604,105 @@ def test_column_search_words_survive_colliding_keys():
             got = low_weight_search(code, w)
         assert (got.lower, got.exact, got.witness) == (
             want.lower, want.exact, want.witness)
+
+
+# ---------------------------------------------------------------------------
+# the information-set search against enumeration and the column search
+
+def _check_info_set(code, d):
+    """information_set_search finds d with a weight-d codeword witness."""
+    rep = information_set_search(code)
+    assert (rep.exact, rep.lower, rep.upper) == (True, d, d)
+    assert rep.method == "information-set" and rep.work > 0
+    assert len(rep.witness) == code.n
+    assert all(0 <= v < code.field.order for v in rep.witness)
+    assert sum(1 for v in rep.witness if v) == d
+    assert code.contains(rep.witness)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_codes())
+@example(("GF(3)", 10, 1, (0, 1)))     # stops at L(w) = d exactly
+@example(("GF(5)", 12, 1, (0, 1)))
+@example(("GF(9)", 80, 1, (0, 40)))    # n > 64 over GF(9)
+@example(("GF(3)", 4, -1, (1, 5)))     # the full space: no redundancy
+def test_information_set_agrees_with_enumeration(spec):
+    code = _code(spec)
+    q, r = code.field.order, code.n - code.k
+    if q ** r >= 2 ** 62:  # the column search's guard
+        assert information_set_search(code) is None
+        return
+    _check_info_set(code, exact_distance_enum(code).d)
+
+
+HIGH_RATE_DUALS = {"family2 l=4 n=41": lambda: build_family2(4, 41).dual,
+                   "family2 l=3 n=28": lambda: build_family2(3, 28).dual,
+                   "family2 l=4 n=82": lambda: build_family2(4, 82).dual,
+                   "family3 m=4 n=40": lambda: build_family3(4, 40).dual}
+
+
+@pytest.mark.parametrize("name", sorted(HIGH_RATE_DUALS))
+def test_information_set_agrees_with_column_search(name):
+    code = HIGH_RATE_DUALS[name]()
+    _check_info_set(code, low_weight_search(code, 6).d)
+
+
+@pytest.fixture(scope="module")
+def family1_rho17():
+    return build_family1(17)
+
+
+def _table2_rows(b17, b19):
+    """The rho = 17, 19 rows that neither enumeration at 3^16 nor the column
+    search to weight 6 settles, with their Table 2 distances."""
+    return [(b17.dual, 10), (b17.companion_dual, 7), (b19.code, 10),
+            (b19.dual, 9), (b19.companion, 10), (b19.companion_dual, 9)]
+
+
+def test_information_set_settles_table2_rows(family1_rho17, family1_rho19):
+    for code, d in _table2_rows(family1_rho17, family1_rho19):
+        _check_info_set(code, d)
+
+
+def test_information_set_wrong_bound_is_caught(family1_rho17, family1_rho19):
+    # a bound one too high (one r_j off by one) stops a level too early on
+    # some code, so some comparison above must fail
+    cases = _table2_rows(family1_rho17, family1_rho19)
+    cases += [(_code(spec), exact_distance_enum(_code(spec)).d)
+              for spec in (("GF(3)", 10, 1, (0, 1)), ("GF(5)", 12, 1, (0, 1)))]
+    real = distance._info_set_bound
+    with mock.patch.object(distance, "_info_set_bound",
+                           lambda n, k, w: real(n, k, w) + 1):
+        got = [information_set_search(code).d for code, _ in cases]
+    assert got != [d for _, d in cases]
+
+
+def test_information_set_time_cap(family1_rho17):
+    with pytest.raises(BudgetExceeded):
+        information_set_search(family1_rho17.dual, SearchBudget(time_cap=0.0))
+
+
+def test_information_set_declines(family1_rho19):
+    # not constacyclic
+    rows = NegacyclicCode.from_check(GF3, 10, [1]).rows()
+    assert information_set_search(LinearCode(GF3, rows)) is None
+    # the [38,20] dual needs 6.5 M words to pass the packing bound
+    assert information_set_search(family1_rho19.dual,
+                                  SearchBudget(max_message_enum=3 ** 14)) is None
+    # 3^170 syndromes fail the q^r < 2^62 guard
+    assert information_set_search(build_family3(6, 182).code) is None
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_info_set_bound_is_the_least_window_weight(n):
+    # L(w) is the least size of a support with at least w + 1 positions in
+    # each window [jk, (j+1)k) mod n, over all 2^n supports
+    supports = np.arange(1 << n, dtype=np.uint64)
+    sizes = np.bitwise_count(supports)
+    for k in range(1, n + 1):
+        windows = [sum(1 << ((j * k + i) % n) for i in range(k))
+                   for j in range(-(-n // k))]
+        least = np.bitwise_count(supports[:, None]
+                                 & np.array(windows, dtype=np.uint64)).min(axis=1)
+        for w in range(k):
+            assert distance._info_set_bound(n, k, w) == sizes[least > w].min()

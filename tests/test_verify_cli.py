@@ -500,10 +500,13 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     (["dual", "--code", "{tmp}/gf25-as-gf9.json"], "q = 9 disagrees"),
     (["cosets", "--q", "3", "--n-mod", "-5"], "N = -5 must be at least 1"),
     (["cosets", "--q", "3", "--n-mod", "0"], "N = 0 must be at least 1"),
+    (["cosets", "--q", "1", "--n-mod", "5"], "q = 1 must be at least 2"),
+    (["cosets", "--q", "-2", "--n-mod", "5"], "q = -2 must be at least 2"),
 ], ids=["missing-code", "bad-scope", "composite-p", "build-composite-q",
         "missing-file", "descriptor-without-g", "descriptor-not-json",
         "reducible-modulus", "reducible-host-modulus", "descriptor-q-k-edited",
-        "cosets-negative-modulus", "cosets-zero-modulus"])
+        "cosets-negative-modulus", "cosets-zero-modulus", "cosets-q-one",
+        "cosets-negative-q"])
 def test_cli_usage_error_exit_3(argv, message, tmp_path, capsys):
     (tmp_path / "no-g.json").write_text('{"q": 3, "n": 10, "lambda": -1}')
     (tmp_path / "not-json.json").write_text("[1, 2")
