@@ -1,30 +1,34 @@
 """Walkthrough: how minimum distances get settled.
 
-Four tools: blocked full enumeration (exact, for q^k within budget), the
-Brouwer-Zimmermann information-set search (exact for constacyclic codes
-whose words up to the packing bound fit the budget), the meet-in-the-middle
-column search (exact for small weights, any dimension), and the
-BCH/sphere-packing bracket when no engine can finish.
+Three tools: the Brouwer-Zimmermann information-set search (exact for any
+linear code whose words up to the packing bound fit the budget), the
+meet-in-the-middle column search (exact for small weights, any dimension),
+and the BCH/sphere-packing bracket when no engine can finish.  A blocked
+full enumeration of all q^k messages gives weight distributions.
 Run:  python demos/03_distance_engines.py
 """
 
 import time
 
 from negacyclic import (SearchBudget, build_family1, build_family2,
-                        distance_report, exact_distance_enum,
-                        information_set_search, low_weight_search,
-                        sphere_packing_max_d, weight_distribution)
+                        distance_report, information_set_search,
+                        low_weight_search, sphere_packing_max_d,
+                        weight_distribution)
 
-# Enumeration covers all q^k messages (`work` counts them) but walks one per
-# scalar class: an inner block of partial codewords kept as one-hot planes of
-# their base-p digits, plus each directly encoded outer message whose top
-# nonzero digit is 1 (and the zero outer message); the column search adds
-# syndromes with the same digit-plane kernel.
+# The [41,8] code has d = 22.  G in reduced row-echelon form makes [0, 8)
+# an information set, and each negacyclic shift by 8 positions maps it to
+# the next window [8j, 8j + 8) mod 41, so the words with at most w nonzeros
+# on the first window stand for those of all six windows.  Any other word
+# has w + 1 nonzeros on each window, so its weight is at least the windows'
+# bound L(w); once that reaches the best word found, the word is a minimum.
+# The levels are built from the redundancy parts of the rows, kept as
+# one-hot planes of their base-p digits; the column search adds syndromes
+# with the same digit-plane kernel.
 b = build_family2(4, 41)
 t0 = time.time()
-rep = exact_distance_enum(b.code)
-print(f"[41,8] enumerated: d = {rep.d} in {time.time()-t0:.2f}s "
-      f"({rep.work} codewords)")
+rep = information_set_search(b.code)
+print(f"[41,8] information sets: d = {rep.d} in {time.time()-t0:.2f}s "
+      f"({rep.work} words of 3^8 messages, one per scalar class)")
 print("witness:", "".join(str(v) for v in rep.witness))
 
 # The dual has dimension 33 -- hopeless to enumerate, but its distance is
@@ -34,12 +38,10 @@ rep = low_weight_search(b.dual, 6)
 print(f"[41,33] column search: d = {rep.d} in {time.time()-t0:.2f}s")
 
 # The [34,18] dual of family 1 at rho = 17 has 3^18 messages, over the
-# default 3^16 budget, and d = 10, beyond the column search.  G in
-# systematic form makes [0, 18) an information set; the negacyclic shift by
-# 18 positions maps it to [18, 36) mod 34, so the words with at most w
-# nonzeros on the first window stand for those of both.  Any other word has
-# w + 1 nonzeros on each window, 2 positions shared, so weight >= 2w; once
-# that reaches the best word found, the word is a minimum.
+# default 3^16 budget, and d = 10, beyond the column search.  Its two
+# windows [0, 18) and [18, 36) mod 34 share 2 positions, so a word with
+# w + 1 nonzeros on each has weight >= 2w: a few hundred thousand words
+# settle it.
 b17 = build_family1(17)
 t0 = time.time()
 rep = information_set_search(b17.dual)
@@ -56,6 +58,8 @@ print(f"bounds-only report: {rep.lower}..{rep.upper} exact={rep.exact} "
 # [41,33] code the plain volume bound allows 6, the refinement does not.
 print("packing max d at (41,33):", sphere_packing_max_d(41, 33, 3))
 
-# Weight distributions come from the same walk as the minimum.
+# Weight distributions come from the blocked enumeration: an inner block of
+# partial codewords as digit planes, plus one directly encoded outer
+# message per scalar class.
 b1 = build_family1(5)
 print("weight distribution of [10,4,6]:", weight_distribution(b1.code))

@@ -7,7 +7,7 @@ such root, so the demonstration field is GF(5).
 Run:  python demos/04_even_length_split.py
 """
 
-from negacyclic import (NegacyclicCode, Poly, exact_distance_enum, make_field,
+from negacyclic import (NegacyclicCode, Poly, distance_report, make_field,
                         residue_distance_relation, uv_construct,
                         weight_distribution)
 
@@ -26,11 +26,11 @@ print("dimension additivity:", code.k, "=", res_minus.k, "+", res_plus.k)
 
 # Distances: one zero residue doubles the other side; two live residues give
 # either an exact value or only an interval.
-d1 = exact_distance_enum(res_minus).d
-d2 = exact_distance_enum(res_plus).d
+d1 = distance_report(res_minus).d
+d2 = distance_report(res_plus).d
 print("residue distances:", d1, d2)
 print("relation:", residue_distance_relation(d1, d2),
-      "| true distance:", exact_distance_enum(code).d)
+      "| true distance:", distance_report(code).d)
 
 # The idempotent recombination e1*c1 + e2*c2 rebuilds the code exactly.
 words = {tuple(int(v) for v in w) for w in code.codewords()}

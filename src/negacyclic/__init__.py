@@ -10,9 +10,9 @@ from .cosets import (CosetError, CosetTable, build_cosets, mult_order,
 from .codes import (CodeError, ConstacyclicCode, LinearCode, NegacyclicCode,
                     residue_distance_relation, uv_construct)
 from .distance import (BudgetExceeded, DistanceReport, SearchBudget,
-                       exact_distance_enum, information_set_search,
-                       low_weight_search, parse_budget, distance_report,
-                       sphere_packing_max_d, weight_distribution)
+                       distance_report, information_set_search,
+                       low_weight_search, parse_budget, sphere_packing_max_d,
+                       weight_distribution)
 from .families import (Claim, FamilyError, build_family1, build_family2,
                        build_family3, build_family4, family1_eligible,
                        family4_multiplier)

@@ -28,14 +28,17 @@ from .verify import (ResultCache, best_code_search, cached_distance_report,
                      render_scope, verify_claims)
 
 
+THREADS_HELP = ("1..cpu count; accepted and checked, but unused: every "
+                "distance engine runs on one thread")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
 def _threads(text: str) -> int:
-    """--threads: 1..os.cpu_count(); a shard per thread beyond the cores
-    only adds contention."""
+    """--threads: an integer in 1..os.cpu_count() (see THREADS_HELP)."""
     cpus = os.cpu_count() or 1
     try:
         n = int(text)
@@ -121,7 +124,7 @@ def main(argv=None) -> int:
     p.add_argument("--code", required=True)
     p.add_argument("--budget", default=None, help="e.g. 3^16")
     p.add_argument("--w-max", type=int, default=None, dest="w_max")
-    p.add_argument("--threads", type=_threads, default=1)
+    p.add_argument("--threads", type=_threads, default=1, help=THREADS_HELP)
     p.add_argument("--cache", default=None)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--out")
@@ -142,7 +145,7 @@ def main(argv=None) -> int:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lam", type=int, default=-1, choices=(-1, 1))
     p.add_argument("--budget", default=None)
-    p.add_argument("--threads", type=_threads, default=1)
+    p.add_argument("--threads", type=_threads, default=1, help=THREADS_HELP)
     p.add_argument("--cache", default=None)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--out")
@@ -151,7 +154,7 @@ def main(argv=None) -> int:
     p.add_argument("--scope", default="all")
     p.add_argument("--budget", default=None)
     p.add_argument("--w-max", type=int, default=None, dest="w_max")
-    p.add_argument("--threads", type=_threads, default=1)
+    p.add_argument("--threads", type=_threads, default=1, help=THREADS_HELP)
     p.add_argument("--cache", default=None)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--render", action="store_true",
@@ -216,8 +219,7 @@ def _run(ap: _Parser, args) -> int:
 
     if args.cmd == "distance":
         code = _load_code(args.code)
-        rep = cached_distance_report(code, _budget(args), args.threads,
-                                     _cache(args))
+        rep = cached_distance_report(code, _budget(args), _cache(args))
         _emit(rep.to_json(), args.out)
         return 0
 
@@ -255,15 +257,13 @@ def _run(ap: _Parser, args) -> int:
 
     if args.cmd == "best":
         d, gen, code = best_code_search(args.q, args.n, args.k, args.lam,
-                                        _budget(args), args.threads,
-                                        _cache(args))
+                                        _budget(args), _cache(args))
         _emit({"d": d, "generator": gen.to_text(),
                "code": code.descriptor()}, args.out)
         return 0
 
     if args.cmd == "verify":
-        manifest = verify_claims(args.scope, _budget(args), args.threads,
-                                 _cache(args))
+        manifest = verify_claims(args.scope, _budget(args), _cache(args))
         _emit(manifest.to_json(), args.out)
         if args.render:
             print(render_scope(manifest), file=sys.stderr)

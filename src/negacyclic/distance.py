@@ -1,13 +1,14 @@
 """Exact minimum distances and weight distributions.
 
-Three engines: a blocked full-message enumeration, a Brouwer-Zimmermann
-information-set search for constacyclic codes, and a meet-in-the-middle
-low-weight search over parity-check syndromes for high-rate codes.  All
-keep vectors bitsliced the same way (Boothby & Bradshaw, arXiv:0901.1413):
-an element index of GF(p^s) is its string of s base-p digits, kept as p
-one-hot uint64 planes per digit (_digit_planes), so adding vectors adds
-digits mod p for every field, by the one-hot cyclic convolution
-z_k = OR_i x_i & y_(k-i mod p) (_plane_add), and negation permutes planes.
+Two exact distance engines: a Brouwer-Zimmermann information-set search for
+low-rate codes and a meet-in-the-middle low-weight search over
+parity-check syndromes for high-rate codes.  A blocked full-message
+enumeration serves weight distributions.  All keep vectors bitsliced the
+same way (Boothby & Bradshaw, arXiv:0901.1413): an element index of
+GF(p^s) is its string of s base-p digits, kept as p one-hot uint64 planes
+per digit (_digit_planes), so adding vectors adds digits mod p for every
+field, by the one-hot cyclic convolution z_k = OR_i x_i & y_(k-i mod p)
+(_plane_add), and negation permutes planes.
 The enumeration keeps the partial codewords of an inner block of messages
 (ceil(n/64) words per row and digit; planes and a step's temporaries within
 6 MB), built from the zero word by adding every multiple of each inner row.
@@ -16,24 +17,24 @@ all s digits is set, so one popcount gives the weights of the whole block.
 Weights are invariant under scalar multiples, so the walk is projective:
 besides outer message 0 (the whole block) it visits only the outer messages
 whose top nonzero digit is the field's one, (q^K - 1)/(q - 1) of the
-q^K - 1 for K outer rows, and counts each q - 1 times in the weight
-distribution.  The column search folds a syndrome's s digit blocks of r
-entries into one uint64 per plane (r*s <= 61 under the q^r < 2^62 guard);
-the planes of c * column i are built once per code.  Each side is sorted or
-probed on a 64-bit key, a hash of the planes whose low bits carry the
-entry's index, and every key match is compared plane by plane before it
-can yield a word, so hash collisions cost time, never answers.
-The information-set search reuses the column search's tables on the
-redundancy parts of a systematic generator matrix: the words of weight w
-on window [0, k) stand, through the constashift by k, for those of every
-window [jk, (j+1)k) mod n, and the search stops once the windows' bound
-L(w) reaches the least weight found.
+q^K - 1 for K outer rows, and counts each q - 1 times.  Shards of the
+walked outer messages may run on several threads; their histograms add, so
+the counts do not depend on the inner block size or the shard count.
+The column search folds a syndrome's s digit blocks of r entries into one
+uint64 per plane (r*s <= 61 under the q^r < 2^62 guard); the planes of
+c * column i are built once per code.  Each side is sorted or probed on a
+64-bit key, a hash of the planes whose low bits carry the entry's index,
+and every key match is compared plane by plane before it can yield a word,
+so hash collisions cost time, never answers.
+The information-set search builds its levels with the column search's side
+tables (_Side) over the redundancy parts of a generator matrix in reduced
+row-echelon form, kept as s*ceil(r/64) words per plane, so r has no limit.  For a
+constacyclic code the words of weight w on window [0, k) stand, through
+the constashift by k, for those of every window [jk, (j+1)k) mod n; the
+search stops once the windows' bound L(w) reaches the least weight found.
 A sphere-packing upper bound (with the even-distance refinement) and the BCH
 multiplier bound bracket whatever the engines cannot settle exactly.
-
-Engines only read the code object; shards of the walked outer messages may
-run on several threads and reduce by (weight, message-index) minimum, so
-results do not depend on the inner block size or the shard count.
+Engines only read the code object.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Optional
 
 import numpy as np
@@ -55,8 +56,10 @@ from .codes import (CodeError, ConstacyclicCode, NegacyclicCode, encode_rows,
 #: Version of the engines' answers; part of every result-cache key, so bump it
 #: whenever a change can alter a report (2: bit-plane enumeration, column
 #: search work carried into bounds-only reports, column search time cap;
-#: 3: the information-set search settles codes the column search cannot).
-ENGINE_VERSION = 3
+#: 3: the information-set search settles codes the column search cannot;
+#: 4: it replaces enumeration for every exact distance, of any redundancy
+#: and of any linear code).
+ENGINE_VERSION = 4
 
 
 class BudgetExceeded(RuntimeError):
@@ -69,15 +72,14 @@ def parse_budget(text) -> int:
     A power is range-checked before it is computed, so '3^10000000' fails
     at once instead of building a huge integer."""
     bad = ValueError(f"budget {text} must be an integer in 1..2^64")
-    if isinstance(text, int):
-        value = text
-    elif "^" in str(text):
-        b, e = (int(v) for v in str(text).split("^", 1))
-        if e < 0 or (abs(b) > 1 and e > 64):
-            raise bad
-        value = b ** e
-    else:
-        value = int(str(text).strip())
+    try:
+        base, caret, exp = str(text).partition("^")
+        b, e = int(base), int(exp) if caret else 1
+    except ValueError:
+        raise bad from None  # malformed text: never Python's own message
+    if e < 0 or (abs(b) > 1 and e > 64):
+        raise bad
+    value = b ** e
     if not 1 <= value <= 2 ** 64:
         raise bad
     return value
@@ -85,7 +87,10 @@ def parse_budget(text) -> int:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for the distance engines."""
+    """Caps for the distance engines: max_message_enum caps the words the
+    information-set search may need (one per scalar class) and the q^k
+    messages of weight_distribution; max_column_weight caps the column
+    search; time_cap (seconds) stops any engine."""
 
     max_message_enum: int = 3 ** 16
     max_column_weight: int = 6
@@ -103,7 +108,7 @@ class DistanceReport:
     lower: int
     upper: int
     exact: bool
-    method: str     # enumeration | information-set | column-search | bounds-only
+    method: str     # information-set | column-search | bounds-only
     witness: Optional[tuple[int, ...]] = None
     lower_src: str = ""
     upper_src: str = ""
@@ -235,22 +240,18 @@ def _outer_messages(q, K):
                           + [np.arange(q ** t, 2 * q ** t) for t in range(K)])
 
 
-def _walk_shard(tables, planes, rows_out, outer, n, mode, deadline=None):
-    """Walk the outer messages in outer; returns (hist) or (best_w, best_msg).
+def _walk_shard(tables, planes, rows_out, n, deadline, outer):
+    """The weight histogram of the codewords of the outer messages in outer.
 
     Each outer message is encoded directly as c.  A coordinate of an inner
     codeword A + c is zero when all s of its digits are, so the zero counts
     are the popcounts of plane 0 of A + c (_plane_add) ANDed over the digit
     blocks.  An outer message j > 0 stands for its q - 1 scalar multiples
     (a times the block of j is the block of a * j), so its counts enter the
-    histogram q - 1 times; it is the smallest index of its class, so the
-    minimum is found at the same message index as by a walk of every
-    message.  The deadline is checked once per outer message.
+    histogram q - 1 times.  The deadline is checked once per outer message.
     """
     q = tables.q
-    size = planes.shape[2]
     zhist = np.zeros(n + 1, dtype=np.int64)
-    best_w, best_msg = n + 1, -1
     # one set of step buffers per shard: fresh ones at every step page-fault
     # until the allocator's mmap threshold has risen
     zero, other, tmp = np.empty((3,) + planes.shape[2:], dtype=np.uint64)
@@ -266,91 +267,50 @@ def _walk_shard(tables, planes, rows_out, outer, n, mode, deadline=None):
         # by word columns: sum(axis=1) over 2-word rows is 10x the popcount
         np.bitwise_count(zero, out=counts)
         zeros = sum(counts[:, 1:].T, counts[:, 0].astype(np.int16))
-        if mode == "hist":
-            zhist += np.bincount(zeros, minlength=n + 1) * (q - 1 if j else 1)
-        else:
-            # the most zeros is the least weight; skip the zero message
-            i = int(np.argmax(zeros[1:])) + 1 if j == 0 else int(np.argmax(zeros))
-            w = n - int(zeros[i])
-            if w < best_w:
-                best_w, best_msg = w, j * size + i
-    if mode == "hist":
-        return zhist[::-1]
-    return best_w, best_msg
+        zhist += np.bincount(zeros, minlength=n + 1) * (q - 1 if j else 1)
+    return zhist[::-1]
 
 
 def _message_digits(q, k, msg_index):
     return [(msg_index // q ** r) % q for r in range(k)]
 
 
-def _enum(code, mode, budget: SearchBudget, threads: int = 1):
+def weight_distribution(code, budget: Optional[SearchBudget] = None,
+                        threads: int = 1) -> Optional[dict[int, int]]:
+    """Counts A_w of codewords of each weight w, by the blocked enumeration
+    of all q^k messages; None when q^k exceeds budget.max_message_enum.
+    The walked outer messages are split into `threads` shards, each on its
+    own thread."""
+    budget = budget or SearchBudget()
     tables = code.field.tables()
-    q = tables.q
-    k, n = code.k, code.n
+    q, k, n = tables.q, code.k, code.n
     if k == 0:
-        if mode == "hist":
-            hist = np.zeros(n + 1, dtype=np.int64)
-            hist[0] = 1
-            return hist
-        raise CodeError("the zero code has no nonzero codeword")
+        return {0: 1}
     if q ** k > budget.max_message_enum:
         return None
     rows = np.asarray(code.rows(), dtype=tables.dtype)
     planes, k_in = _inner_planes(tables, rows)
-    rows_out = rows[k_in:]
     outer = _outer_messages(q, k - k_in)
     deadline = (time.monotonic() + budget.time_cap
                 if budget.time_cap is not None else None)
+    walk = functools.partial(_walk_shard, tables, planes, rows[k_in:], n,
+                             deadline)
     threads = max(1, min(threads, len(outer)))
     bounds = [len(outer) * t // threads for t in range(threads + 1)]
     shards = [outer[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
     if len(shards) == 1:
-        results = [_walk_shard(tables, planes, rows_out, shards[0], n, mode,
-                               deadline)]
+        hist = walk(shards[0])
     else:
         with ThreadPoolExecutor(max_workers=len(shards)) as ex:
-            futs = [ex.submit(_walk_shard, tables, planes, rows_out, shard, n,
-                              mode, deadline)
-                    for shard in shards]
-            results = [f.result() for f in futs]
-    return sum(results) if mode == "hist" else min(results)
-
-
-def exact_distance_enum(code, budget: Optional[SearchBudget] = None,
-                        threads: int = 1) -> Optional[DistanceReport]:
-    """Exact minimum weight over all q^k - 1 nonzero codewords.
-
-    Returns None when q^k exceeds the enumeration budget (caller falls back).
-    """
-    budget = budget or SearchBudget()
-    t0 = time.monotonic()
-    got = _enum(code, "min", budget, threads)
-    if got is None:
-        return None
-    best_w, best_msg = got
-    digits = _message_digits(code.field.tables().q, code.k, best_msg)
-    witness = tuple(int(v) for v in code.encode(digits))
-    return DistanceReport(
-        lower=best_w, upper=best_w, exact=True, method="enumeration",
-        witness=witness, lower_src="enumeration", upper_src="enumeration",
-        work=code.field.order ** code.k,
-        elapsed_s=time.monotonic() - t0)
-
-
-def weight_distribution(code, budget: Optional[SearchBudget] = None,
-                        threads: int = 1) -> Optional[dict[int, int]]:
-    """Counts A_w of codewords of each weight w; None when over budget."""
-    budget = budget or SearchBudget()
-    hist = _enum(code, "hist", budget, threads)
-    if hist is None:
-        return None
+            hist = sum(ex.map(walk, shards))
     return {w: int(c) for w, c in enumerate(hist) if c}
 
 
 # ---------------------------------------------------------------------------
 # meet-in-the-middle low-weight search over one-hot syndrome planes
 
-# side entries built, keyed and probed per block
+# plane words per block of side entries (one word per entry in the column
+# search), and key-match pairs per batch
 _CHUNK = 1 << 16
 # odd 64-bit multiplier; plane v of a syndrome enters its hash times _GOLDEN^v
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -393,7 +353,8 @@ class _Side:
     major.  Entry ((c, e), s), for prefix tuple c and last coefficient e + 1,
     is entry (c, prefix[s]) of the table of all (j-1)-term sums plus
     (e + 1) * column last[s]; its index is (c * k + e) * len(subs) + s, where
-    k is the number of last coefficients."""
+    k is the number of last coefficients.  cplanes holds the planes of
+    c * column i at index c*n + i of its last axis, after any word axis."""
 
     def __init__(self, cplanes, n, q, prev_subs, prev_planes, pinned=False):
         self.cplanes, self.n, self.q = cplanes, n, q
@@ -401,15 +362,18 @@ class _Side:
         self.subs = np.column_stack([prev_subs[self.prefix], self.last])
         self.n_prev = len(prev_subs)
         self.prev_planes = prev_planes
-        self.n_prefix = prev_planes.shape[1] // self.n_prev
+        self.n_prefix = prev_planes.shape[-1] // self.n_prev
         self.k = 1 if pinned else q - 1
         self.size = self.n_prefix * self.k * len(self.subs)
 
-    def planes(self, c, e, s):
-        """Planes of entries ((c, e), s) (index arrays that broadcast), flat."""
-        x = self.prev_planes[:, c * self.n_prev + self.prefix[s]]
-        y = self.cplanes[:, (e + 1) * self.n + self.last[s]]
-        return _plane_add(x, y).reshape(len(x), -1)
+    def planes(self, c, e, s, ks=None):
+        """Planes ks (default all) of entries ((c, e), s) (index arrays that
+        broadcast), flat along the last axis; any word axis of cplanes,
+        between the plane and the entry axes, stays."""
+        x = self.prev_planes[..., c * self.n_prev + self.prefix[s]]
+        y = self.cplanes[..., (e + 1) * self.n + self.last[s]]
+        z = _plane_add(x, y, ks)
+        return z.reshape((len(z),) + self.cplanes.shape[1:-1] + (-1,))
 
     def entries(self, idx):
         """(c, e, s) of flat entry indices."""
@@ -418,10 +382,12 @@ class _Side:
 
     def blocks(self):
         """(c, e, s, flat entry index) of consecutive blocks of about _CHUNK
-        entries; c, e and s broadcast along three axes."""
+        plane words (one word per entry for the column search); c, e and s
+        broadcast along three axes."""
         n_subs = len(self.subs)
-        per = max(1, _CHUNK // (self.k * n_subs))
-        step = n_subs if per > 1 else max(1, _CHUNK // self.k)
+        chunk = max(1, _CHUNK // prod(self.cplanes.shape[1:-1]))
+        per = max(1, chunk // (self.k * n_subs))
+        step = n_subs if per > 1 else max(1, chunk // self.k)
         e = np.arange(self.k)[None, :, None]
         for c0 in range(0, self.n_prefix, per):
             c = np.arange(c0, min(c0 + per, self.n_prefix))[:, None, None]
@@ -589,16 +555,17 @@ def _info_set_bound(n, k, w):
     """L(w): the least weight of a codeword with more than w nonzeros in
     every window [jk, (j+1)k) mod n.  Window j holds r_j = min(k, n - jk)
     positions that no earlier window holds, so at least w + 1 - (k - r_j)
-    of its nonzeros are new."""
+    of its nonzeros are new.  One window (n = k) gives L(w) = w + 1."""
     return sum(max(0, w + 1 - (k - min(k, n - j * k)))
                for j in range(-(-n // k)))
 
 
 def _info_set_words(n, k, q, d_max):
     """Words, one per scalar class, that the levels up to the first w with
-    L(w) > d_max enumerate: C(k, w) (q - 1)^(w - 1) at level w."""
+    L(w) > d_max, and at most level k, enumerate: C(k, w) (q - 1)^(w - 1) at
+    level w, so at most (q^k - 1)/(q - 1) in all."""
     words, w = 0, 0
-    while _info_set_bound(n, k, w) <= d_max:
+    while w < k and _info_set_bound(n, k, w) <= d_max:
         w += 1
         words += comb(k, w) * (q - 1) ** (w - 1)
     return words
@@ -606,65 +573,79 @@ def _info_set_words(n, k, q, d_max):
 
 def information_set_search(code, budget: Optional[SearchBudget] = None
                            ) -> Optional[DistanceReport]:
-    """Exact minimum distance of a constacyclic code by the Brouwer-Zimmermann
+    """Exact minimum distance of a linear code by the Brouwer-Zimmermann
     information-set method (Zimmermann 1996, as in Grassl 2006).
 
-    G is put in systematic form on window 0 = [0, k).  A shift by k
+    G is put in reduced row-echelon form (codes.rref): its pivot columns are
+    an information set and the other r = n - k columns the redundancy.
+    Level w enumerates the messages of weight w, one per scalar class: the
+    pinned side of the column search (_Side) over the redundancy parts of
+    the k rows (their digit planes, s*ceil(r/64) words per plane), streamed
+    in blocks of about _CHUNK plane words, built from the table of all
+    (w-1)-term sums.  A word's weight is w plus the nonzeros of its
+    redundancy part: the popcount of ~plane 0, ORed over the s digit blocks
+    and masked to the r valid bits.
+
+    A word not yet met after level w has more than w nonzeros on each
+    window, so its weight is at least L(w) (_info_set_bound).  For a
+    constacyclic code the pivots are window 0 = [0, k), and a shift by k
     positions is a weight-preserving automorphism that maps window j to
-    window j + 1, so the words with at most w nonzeros on window 0 stand
-    for those of every window [jk, (j+1)k) mod n.  Level w enumerates the
-    messages of weight w, one per scalar class: the pinned side of the
-    column search (_Side) over the redundancy parts of the k systematic rows
-    (_column_planes of G[:, k:].T), streamed in _CHUNK blocks, built from
-    the table of all (w-1)-term sums.  A word's weight is w plus the
-    nonzeros of its redundancy part, the popcount of ~plane 0 with the s
-    digit blocks of r = n - k bits ORed together.  The search stops once
-    L(w) (_info_set_bound) reaches the least weight found, whose word is
+    window j + 1, so the words met stand for those of every window
+    [jk, (j+1)k) mod n.  Any other code has the one window of its pivots,
+    and L(w) = w + 1.  The search stops once L(w) reaches the least weight
+    found, or after level k, when every message has been met; the word is
     re-checked with code.contains.
 
-    Returns None for a code that is not constacyclic, or not admitted: the
-    redundancy must fit the column search's q^r < 2^62 guard, and the words
-    up to the level where L(w) exceeds the sphere-packing bound must fit
-    budget.max_message_enum, so an admitted code always ends exact.  `work`
-    counts the words enumerated; the deadline is checked before each block.
+    Returns None when the code is not admitted: the words up to the level
+    where L(w) exceeds the sphere-packing bound must fit
+    budget.max_message_enum, so an admitted code always ends exact, and
+    every code whose q^k fits is admitted.  `work` counts the words
+    enumerated; the deadline is checked before each block.  Raises
+    CodeError for the zero code and for linearly dependent generator rows.
     """
     budget = budget or SearchBudget()
-    if not isinstance(code, ConstacyclicCode):
-        return None
     q, k, n = code.field.order, code.k, code.n
     if k == 0:
         raise CodeError("the zero code has no nonzero codeword")
-    if q ** (n - k) >= 2 ** 62 or _info_set_words(
-            n, k, q, sphere_packing_max_d(n, k, q)) > budget.max_message_enum:
+    # the positions the windows cover: all n for a constacyclic code, the k
+    # pivots (one window, L(w) = w + 1) for any other
+    cyclic = isinstance(code, ConstacyclicCode)
+    span = n if cyclic else k
+    if _info_set_words(span, k, q, sphere_packing_max_d(n, k, q)) \
+            > budget.max_message_enum:
         return None
     t0 = time.monotonic()
     deadline = t0 + budget.time_cap if budget.time_cap is not None else None
     tables = code.field.tables()
     G, pivots = rref(tables, code.rows())
-    if pivots != list(range(k)):  # pragma: no cover
+    if len(pivots) < k:
+        raise CodeError(f"the {k} generator rows are linearly dependent")
+    if cyclic and pivots != list(range(k)):  # pragma: no cover
         raise AssertionError("window 0 is not an information set")
-    r = n - k
-    # with no redundancy (the full space) every plane is masked away
-    cplanes = (_column_planes(tables, G[:, k:].T) if r else
-               np.zeros((tables.field.p, q * k), dtype=np.uint64))
-    mask = np.uint64((1 << r) - 1)
-    shifts = [np.uint64(j * r) for j in range(tables.field.m)]
+    red = np.delete(np.arange(n), pivots)
+    # the full space has no redundancy: one zero column, masked away
+    R = G[:, red] if len(red) else np.zeros((k, 1), dtype=tables.dtype)
+    cplanes = _digit_planes(tables, tables.mul[:, R])    # (p, m, q, k, W)
+    p, m, W = len(cplanes), tables.field.m, cplanes.shape[-1]
+    # word-major, so that _Side gathers each word row contiguously:
+    # cplanes[v, j*W + u, c*k + i] is word u of digit j of c * row i
+    cplanes = np.moveaxis(cplanes, -1, 2).reshape(p, m * W, q * k)
+    valid = _bits(np.arange(64 * W) < len(red))[:, None]
     subs = np.zeros((1, 0), dtype=np.int64)   # the (w-1)-subsets
-    sums = cplanes[:, :1]                     # every (w-1)-term sum
+    sums = cplanes[..., :1]                   # every (w-1)-term sum
     best_w, best, work = n + 1, None, 0
-    for w in range(1, k + 1):  # L(k) = n + windows: the last level stops
+    for w in range(1, k + 1):
         side = _Side(cplanes, k, q, subs, sums, pinned=True)
         for c, e, s, idx in side.blocks():
             _check_deadline(deadline, "information-set search")
-            nonzero = ~side.planes(c, e, s)[0]
-            nonzero = np.bitwise_or.reduce([nonzero >> t & mask
-                                            for t in shifts])
-            weights = np.bitwise_count(nonzero)
+            zero = side.planes(c, e, s, (0,))[0].reshape(m, W, -1)
+            nonzero = np.bitwise_or.reduce(~zero) & valid
+            weights = np.bitwise_count(nonzero).sum(axis=0)
             i = int(np.argmin(weights))
             if w + int(weights[i]) < best_w:
                 best_w, best = w + int(weights[i]), (side, int(idx[i]))
         work += side.size
-        if _info_set_bound(n, k, w) >= best_w:
+        if w == k or _info_set_bound(span, k, w) >= best_w:
             break
         side = _Side(cplanes, k, q, subs, sums)
         sums = side.planes(np.arange(side.n_prefix)[:, None, None],
@@ -730,26 +711,23 @@ def _column_cap(q, n, k, budget: SearchBudget, pack: int) -> int:
     return min(budget.max_column_weight, pack + 1)
 
 
-def distance_report(code, budget: Optional[SearchBudget] = None,
-                    threads: int = 1) -> DistanceReport:
-    """Policy: enumerate when q^k fits the budget; otherwise, when the column
-    search cannot reach the packing bound (_column_cap < pack), run the
-    information-set search if it admits the code; otherwise run the column
-    search up to min(cap, packing bound + 1); otherwise report bounds only,
-    with the work of any column search that ran.  An engine that hits
-    budget.time_cap falls through to the next step."""
+def distance_report(code, budget: Optional[SearchBudget] = None
+                    ) -> DistanceReport:
+    """Policy: when the column search cannot reach the packing bound
+    (_column_cap < pack), run the information-set search if it admits the
+    code; otherwise run the column search up to min(cap, packing bound + 1);
+    otherwise report bounds only, with the work of any column search that
+    ran.  An engine that hits budget.time_cap falls through to the next
+    step."""
     budget = budget or SearchBudget()
     q, k, n = code.field.order, code.k, code.n
     if k == 0:
         raise CodeError("the zero code has no distance report")
     pack = sphere_packing_max_d(n, k, q)
     bch, bch_v = bch_lower(code)
-    try:
-        rep = exact_distance_enum(code, budget, threads)
-    except BudgetExceeded:
-        rep = None
+    rep = None
     w_cap = _column_cap(q, n, k, budget, pack)
-    if rep is None and w_cap < pack:
+    if w_cap < pack:
         try:
             rep = information_set_search(code, budget)
         except BudgetExceeded:

@@ -27,7 +27,7 @@ from .codes import (CodeError, NegacyclicCode, residue_distance_relation,
                     uv_construct)
 from .cosets import build_cosets, weight_class_sizes, weight_classes, wt3
 from .distance import (ENGINE_VERSION, DistanceReport, SearchBudget,
-                       _column_cap, distance_report, exact_distance_enum,
+                       _column_cap, distance_report, information_set_search,
                        sphere_packing_max_d, weight_distribution)
 from .families import Claim
 from .ff import make_field
@@ -174,14 +174,13 @@ def _certified(code, rep: DistanceReport, budget: SearchBudget) -> bool:
 
 
 def cached_distance_report(code, budget: Optional[SearchBudget] = None,
-                           threads: int = 1,
                            cache: Optional[ResultCache] = None) -> DistanceReport:
     """distance_report through the cache.  A hit is served only after its
     certificate is checked again (_certified); a hit that fails the check,
     or cannot be decoded, is recomputed and overwritten, with a warning."""
     budget = budget or SearchBudget()
     if cache is None:
-        return distance_report(code, budget, threads)
+        return distance_report(code, budget)
     key = report_cache_key(code, budget)
     hit = cache.get(key)
     if hit is not None:
@@ -197,7 +196,7 @@ def cached_distance_report(code, budget: Optional[SearchBudget] = None,
                 return rep
             warnings.warn(f"recomputing cached report for {code!r}: its "
                           f"certificate does not support {rep.lower}..{rep.upper}")
-    rep = distance_report(code, budget, threads)
+    rep = distance_report(code, budget)
     cache.put(key, rep.to_json())
     return rep
 
@@ -206,14 +205,13 @@ def cached_distance_report(code, budget: Optional[SearchBudget] = None,
 # best code of given length/dimension by exhaustive coset-subset search
 
 def best_code_search(q: int, n: int, k: int, lam_int: int = -1,
-                     budget: Optional[SearchBudget] = None, threads: int = 1,
+                     budget: Optional[SearchBudget] = None,
                      cache: Optional[ResultCache] = None):
     """Exhaustive search over zero-coset subsets with degree n-k.
 
-    Returns (best_d, generator Poly, best_code).  Candidates of dimension
-    up to 3^12-style enumeration go to the enumerator; larger dimensions go
-    to the column search, falling back to enumeration within the caller's
-    budget if the search cannot settle them.
+    Returns (best_d, generator Poly, best_code).  Every candidate gets one
+    distance report under the caller's budget; a candidate it does not
+    settle exactly is an error.
     """
     budget = budget or SearchBudget()
     field = make_field(q, 1)
@@ -233,16 +231,10 @@ def best_code_search(q: int, n: int, k: int, lam_int: int = -1,
         raise CodeError(f"no {'negacyclic' if lam_int == -1 else 'cyclic'} "
                         f"code of length {n} and dimension {k} exists")
     picks.sort()
-    enum_cap = min(budget.max_message_enum, 3 ** 12)
     best = None
     for leaders_pick in picks:
         code = NegacyclicCode.from_zeros(field, n, leaders_pick, lam_int)
-        small = SearchBudget(max_message_enum=enum_cap,
-                             max_column_weight=budget.max_column_weight,
-                             time_cap=budget.time_cap)
-        rep = cached_distance_report(code, small, threads, cache)
-        if not rep.exact and q ** k <= budget.max_message_enum:
-            rep = cached_distance_report(code, budget, threads, cache)
+        rep = cached_distance_report(code, budget, cache)
         if not rep.exact:
             raise CodeError(
                 f"candidate {code!r} not settled exactly within budget")
@@ -320,9 +312,9 @@ def make_record(label: str, claim: Claim, descriptor: Optional[dict],
     }
 
 
-def _code_record(label: str, claim: Claim, code, budget, threads, cache) -> dict:
+def _code_record(label: str, claim: Claim, code, budget, cache) -> dict:
     t0 = time.monotonic()
-    rep = cached_distance_report(code, budget, threads, cache)
+    rep = cached_distance_report(code, budget, cache)
     verdict = claim_verdict(claim, code.k, rep)
     return make_record(label, claim, code.descriptor(), rep.to_json(), verdict,
                        rep.work, time.monotonic() - t0)
@@ -361,14 +353,14 @@ class Manifest:
 # ---------------------------------------------------------------------------
 # scope runners
 
-def _run_table1(budget, threads, cache, records, overrides):
+def _run_table1(budget, cache, records, overrides):
     for (n, k), (d_nega, d_cyc) in sorted(TABLE1.items()):
         for lam, d_ref, kind in ((-1, d_nega, "negacyclic"), (1, d_cyc, "cyclic")):
             label = f"table1/n={n}/k={k}/{kind}"
             claim = overrides.get(label) or Claim(
                 label, n, k, "reference-table/best-codes", d_exact=d_ref)
             t0 = time.monotonic()
-            d, gen, code = best_code_search(3, n, k, lam, budget, threads, cache)
+            d, gen, code = best_code_search(3, n, k, lam, budget, cache)
             rep = DistanceReport(d, d, True, "search-best",
                                  lower_src="exhaustive subset search",
                                  upper_src="exhaustive subset search")
@@ -380,7 +372,7 @@ def _run_table1(budget, threads, cache, records, overrides):
                                        elapsed=time.monotonic() - t0))
 
 
-def _run_table2(budget, threads, cache, records, overrides):
+def _run_table2(budget, cache, records, overrides):
     for rho, row in sorted(families.FAMILY1_TABLE.items()):
         if rho not in families.FAMILY1_BUILDABLE:
             for part, (n, k, d) in sorted(row.items()):
@@ -398,38 +390,38 @@ def _run_table2(budget, threads, cache, records, overrides):
             label = f"table2/rho={rho}/{part}"
             claim = overrides.get(label) or Claim(
                 part, n, k, "reference-table/family1", d_exact=d)
-            records.append(_code_record(label, claim, code, budget, threads, cache))
+            records.append(_code_record(label, claim, code, budget, cache))
 
 
-def _example_records(kind, builds, budget, threads, cache, records, overrides):
+def _example_records(kind, builds, budget, cache, records, overrides):
     for key, code, dual, code_ref, dual_ref in builds:
         for part, c, (n, k, d) in (("code", code, code_ref),
                                    ("dual", dual, dual_ref)):
             label = f"{kind}/{key}/{part}"
             claim = overrides.get(label) or Claim(
                 part, n, k, f"example/{kind}", d_exact=d)
-            records.append(_code_record(label, claim, c, budget, threads, cache))
+            records.append(_code_record(label, claim, c, budget, cache))
 
 
-def _run_examples(budget, threads, cache, records, overrides):
+def _run_examples(budget, cache, records, overrides):
     f2 = []
     for ell, n, code_ref, dual_ref in families.FAMILY2_EXAMPLES:
         b = families.build_family2(ell, n)
         f2.append((f"l={ell}/n={n}", b.code, b.dual, code_ref, dual_ref))
-    _example_records("family2", f2, budget, threads, cache, records, overrides)
+    _example_records("family2", f2, budget, cache, records, overrides)
     f3 = []
     for m, n, code_ref, dual_ref in families.FAMILY3_EXAMPLES:
         b = families.build_family3(m, n)
         f3.append((f"m={m}/n={n}", b.code, b.dual, code_ref, dual_ref))
-    _example_records("family3", f3, budget, threads, cache, records, overrides)
+    _example_records("family3", f3, budget, cache, records, overrides)
 
 
-def _run_family4(budget, threads, cache, records, overrides):
+def _run_family4(budget, cache, records, overrides):
     for j in (1, 3):
         b = families.build_family4(j, 3)
         label = f"family4/m=3/j={j}"
         claim = overrides.get(label) or b.claims["code"]
-        records.append(_code_record(label, claim, b.code, budget, threads, cache))
+        records.append(_code_record(label, claim, b.code, budget, cache))
     for m in (5, 7):
         built = {j: families.build_family4(j, m) for j in (1, 3)}
         dim1, dim3 = families._family4_dims(m)
@@ -464,7 +456,7 @@ def _run_family4(budget, threads, cache, records, overrides):
 
 def _property_checks() -> list[tuple[str, bool, dict]]:
     """A compact battery of structural identities, each (label, holds, info);
-    its codes are fixed and small, so it takes no budget, threads or cache."""
+    its codes are fixed and small, so it takes no budget or cache."""
     out = []
     gf3 = make_field(3, 1)
 
@@ -490,10 +482,10 @@ def _property_checks() -> list[tuple[str, bool, dict]]:
     code = NegacyclicCode.from_generator(gf5, 6, lin1 * lin2, -1)
     r1, r2, lam = code.residue_decompose()
     ok_dim = code.k == r1.k + r2.k
-    d1 = exact_distance_enum(r1).d if r1.k else None
-    d2 = exact_distance_enum(r2).d if r2.k else None
+    d1 = information_set_search(r1).d if r1.k else None
+    d2 = information_set_search(r2).d if r2.k else None
     rel = residue_distance_relation(d1, d2)
-    d_true = exact_distance_enum(code).d
+    d_true = information_set_search(code).d
     ok_rel = (rel[0] == "exact" and rel[1] == d_true) or \
              (rel[0] == "interval" and rel[1] <= d_true <= rel[2])
     wd_uv = weight_distribution(uv_construct(r1, r2), SearchBudget())
@@ -515,14 +507,14 @@ def _property_checks() -> list[tuple[str, bool, dict]]:
                    for s in range(2, 9) for i in range(3 ** s))
     out.append(("properties/digit-complement", ok_compl, {"s": "2..8"}))
 
-    rep = exact_distance_enum(c10)
+    rep = information_set_search(c10)
     bch = c10.best_bch_multiplier()[1]
     out.append(("properties/bch-below-exact", bch <= rep.d,
                 {"bch": bch, "d": rep.d}))
     return out
 
 
-def _run_properties(budget, threads, cache, records, overrides):
+def _run_properties(budget, cache, records, overrides):
     for label, ok, info in _property_checks():
         claim = overrides.get(label) or Claim(
             label.split("/", 1)[1], 0, 0, "structural-identity")
@@ -535,8 +527,8 @@ SCOPES = ("table1", "table2", "examples", "family4", "properties", "all")
 
 
 def verify_claims(scope: str = "all", budget: Optional[SearchBudget] = None,
-                 threads: int = 1, cache: Optional[ResultCache] = None,
-                 claims_override: Optional[dict[str, Claim]] = None) -> Manifest:
+                  cache: Optional[ResultCache] = None,
+                  claims_override: Optional[dict[str, Claim]] = None) -> Manifest:
     """Run one verification scope and return its manifest.
 
     claims_override substitutes specific claims by record label; it exists so
@@ -556,7 +548,7 @@ def verify_claims(scope: str = "all", budget: Optional[SearchBudget] = None,
     }
     order = [scope] if scope != "all" else list(runners)
     for name in order:
-        runners[name](budget, threads, cache, manifest.records, overrides)
+        runners[name](budget, cache, manifest.records, overrides)
     return manifest
 
 

@@ -1,8 +1,9 @@
 """Acceptance battery: one test per criterion, each printing a PASS line.
 
-Default-budget runs (3^16 enumeration, column search to weight 6) finish in a
-couple of minutes.  Set NEGACYCLIC_ACCEPT_FULL=1 to also run the raised-budget
-checks (3^18-scale enumeration and weight-9 column searches, tens of minutes).
+Default-budget runs (3^16 words for the information-set search and weight
+distributions, column search to weight 6) finish in a couple of minutes.  Set
+NEGACYCLIC_ACCEPT_FULL=1 to also run the raised-budget checks (3^18 words and
+weight-9 column searches).
 """
 
 import os
@@ -12,7 +13,7 @@ import pytest
 from negacyclic.codes import NegacyclicCode, uv_construct, \
     residue_distance_relation
 from negacyclic.cosets import weight_class_sizes, weight_classes, wt3
-from negacyclic.distance import (SearchBudget, exact_distance_enum,
+from negacyclic.distance import (SearchBudget, distance_report,
                                  low_weight_search, sphere_packing_max_d,
                                  weight_distribution)
 from negacyclic.families import (FAMILY2_EXAMPLES, FAMILY3_EXAMPLES,
@@ -59,13 +60,10 @@ def test_criterion_2_family1_table_default_budget(cache):
     for rho in (5, 7, 17, 19):
         for part in ("code", "dual", "companion", "companion_dual"):
             assert by_label[f"table2/rho={rho}/{part}"]["verdict"] == MATCH
-    # rho = 17: entries within the default 3^16 enumeration budget are
-    # enumerated; the rest, and all of rho = 19, go to the information-set
-    # search
-    assert by_label["table2/rho=17/code"]["computed"]["method"] == "enumeration"
-    for rho, parts in ((17, ("dual", "companion_dual")),
-                       (19, ("code", "dual", "companion", "companion_dual"))):
-        for part in parts:
+    # every rho = 17, 19 part is beyond the column search at weight 6 and
+    # goes to the information-set search
+    for rho in (17, 19):
+        for part in ("code", "dual", "companion", "companion_dual"):
             computed = by_label[f"table2/rho={rho}/{part}"]["computed"]
             assert computed["method"] == "information-set"
     for rho in (29, 31, 43):
@@ -75,15 +73,15 @@ def test_criterion_2_family1_table_default_budget(cache):
     b17 = build_family1(17)
     rep = low_weight_search(b17.companion_dual, 7)
     assert rep.exact and rep.d == 7
-    _pass(2, "rho 5/7/17/19 fully exact (rho 17 k<=16 by enumeration, the rest "
-             "by information sets), [17,9,7] also by column search; "
+    _pass(2, "rho 5/7/17/19 fully exact (rho 17/19 by information sets), "
+             "[17,9,7] also by column search; "
              "rho 29/31/43 external-unverified")
 
 
 @pytest.mark.skipif(not FULL, reason="raised-budget run: set NEGACYCLIC_ACCEPT_FULL=1")
 def test_criterion_2_family1_table_raised_budget(cache):
     budget = SearchBudget(max_message_enum=3 ** 18, max_column_weight=9)
-    manifest = verify_claims("table2", budget=budget, threads=4, cache=cache)
+    manifest = verify_claims("table2", budget=budget, cache=cache)
     by_label = {r["label"]: r for r in manifest.records}
     for rho in (5, 7, 17, 19):
         for part in ("code", "dual", "companion", "companion_dual"):
@@ -194,10 +192,10 @@ def test_criterion_6_property_suites(cache):
         r1, r2, lam = c.residue_decompose()
         assert c.k == r1.k + r2.k
         if 0 < c.k:
-            d1 = exact_distance_enum(r1).d if r1.k else None
-            d2 = exact_distance_enum(r2).d if r2.k else None
+            d1 = distance_report(r1).d if r1.k else None
+            d2 = distance_report(r2).d if r2.k else None
             rel = residue_distance_relation(d1, d2)
-            d = exact_distance_enum(c).d
+            d = distance_report(c).d
             if rel[0] == "exact":
                 assert rel[1] == d
             else:
@@ -220,7 +218,7 @@ def test_criterion_6_property_suites(cache):
                  build_family2(3, 14).code, build_family3(3, 13).code,
                  build_family3(4, 20).code, build_family4(1, 3).code,
                  build_family4(3, 3).code):
-        assert code.best_bch_multiplier()[1] <= exact_distance_enum(code).d
+        assert code.best_bch_multiplier()[1] <= distance_report(code).d
 
     _pass(6, "structure, trace, psi, even-length split, class counts, "
              "complement identity, and BCH-vs-exact suites all hold")

@@ -6,7 +6,7 @@ import pytest
 from negacyclic.codes import (CodeError, ConstacyclicCode, NegacyclicCode,
                               mat_mul, mat_rank, residue_distance_relation,
                               rref, uv_construct)
-from negacyclic.distance import exact_distance_enum, weight_distribution
+from negacyclic.distance import distance_report, weight_distribution
 from negacyclic.families import (FAMILY2_EXAMPLES, FAMILY3_EXAMPLES,
                                  build_family1, build_family2, build_family3,
                                  build_family4)
@@ -99,7 +99,7 @@ def test_dual_c5_parameters():
     c = NegacyclicCode.from_check(GF3, 10, [1])
     d = c.dual()
     assert (d.n, d.k) == (10, 6)
-    assert exact_distance_enum(d).d == 4
+    assert distance_report(d).d == 4
 
 
 def test_double_dual_family3_m4():
@@ -226,7 +226,7 @@ def test_best_multiplier_at_least_v1():
               build_family4(1, 3).code):
         v, b = c.best_bch_multiplier()
         assert b >= c.bch_bound(1)
-        assert b <= exact_distance_enum(c).d
+        assert b <= distance_report(c).d
 
 
 def test_psi_image_parameters_and_weights():
@@ -234,7 +234,7 @@ def test_psi_image_parameters_and_weights():
     img = b.code.psi_image()
     assert img.lam_int == 1
     assert (img.n, img.k) == (13, 6)
-    assert exact_distance_enum(img).d == 6
+    assert distance_report(img).d == 6
     assert weight_distribution(img) == weight_distribution(b.code)
 
 
@@ -325,7 +325,7 @@ def test_residue_distance_doubling_one_sided():
     r1, r2, lam = c.residue_decompose()
     assert lam == lam2
     assert r2.k == 0
-    assert exact_distance_enum(c).d == 2 * exact_distance_enum(r1).d
+    assert distance_report(c).d == 2 * distance_report(r1).d
 
 
 def test_residue_recombination_reconstructs_code():
@@ -341,10 +341,10 @@ def test_residue_recombination_reconstructs_code():
 def test_residue_interval_case_brackets_distance():
     c = _q5_code([1, 0, 1])
     r1, r2, _ = c.residue_decompose()
-    d1 = exact_distance_enum(r1).d
-    d2 = exact_distance_enum(r2).d
+    d1 = distance_report(r1).d
+    d2 = distance_report(r2).d
     rel = residue_distance_relation(d1, d2)
-    d = exact_distance_enum(c).d
+    d = distance_report(c).d
     if rel[0] == "exact":
         assert rel[1] == d
     else:

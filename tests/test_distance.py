@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from negacyclic import distance
-from negacyclic.codes import CodeError, LinearCode, NegacyclicCode, span_rows
+from negacyclic.codes import (CodeError, LinearCode, NegacyclicCode, mat_rank,
+                              span_rows)
 from negacyclic.cosets import build_cosets, mult_order
 from negacyclic.distance import (BudgetExceeded, DistanceReport, SearchBudget,
-                                 exact_distance_enum, distance_report,
-                                 information_set_search, low_weight_search,
-                                 parse_budget, sphere_packing_max_d,
-                                 weight_distribution)
+                                 distance_report, information_set_search,
+                                 low_weight_search, parse_budget,
+                                 sphere_packing_max_d, weight_distribution)
 from negacyclic.families import (build_family2, build_family3, build_family4,
                                  build_family1)
 from negacyclic.ff import make_field
@@ -36,10 +36,17 @@ def brute_weights(code):
     return out
 
 
+def min_weight(code):
+    """The least nonzero weight of weight_distribution: the enumeration is
+    the oracle the distance engines are checked against."""
+    return min(w for w in weight_distribution(code) if w)
+
+
 def test_enum_c5_distance_and_witness():
     c = NegacyclicCode.from_check(GF3, 10, [1])
-    rep = exact_distance_enum(c)
-    assert rep.d == 6 and rep.exact and rep.method == "enumeration"
+    assert min_weight(c) == 6
+    rep = distance_report(c)
+    assert rep.d == 6 and rep.exact
     assert sum(1 for v in rep.witness if v) == 6
     assert c.contains(rep.witness)
 
@@ -61,19 +68,16 @@ def test_check_x2p1_code_distribution():
     wd = weight_distribution(c)
     assert wd == brute_weights(c)
     assert wd == {0: 1, 5: 4, 10: 4}
-    assert exact_distance_enum(c).d == 5
+    assert distance_report(c).d == 5
 
 
 def test_enum_declines_over_budget():
     c = NegacyclicCode.from_check(GF3, 13, [1, 17])
-    assert exact_distance_enum(c, SearchBudget(max_message_enum=100)) is None
+    assert weight_distribution(c, SearchBudget(max_message_enum=100)) is None
 
 
 def test_enum_thread_determinism():
     c = NegacyclicCode.from_check(GF3, 13, [1, 17])
-    reps = [exact_distance_enum(c, threads=t) for t in (1, 2, 5)]
-    assert len({r.d for r in reps}) == 1
-    assert len({r.witness for r in reps}) == 1
     hists = [weight_distribution(c, threads=t) for t in (1, 3)]
     assert hists[0] == hists[1]
 
@@ -82,9 +86,10 @@ def test_zero_code_distribution_and_enum():
     zero = NegacyclicCode.from_generator(
         GF3, 10, Poly.x_pow_minus(GF3, 10, -GF3.one()))
     assert weight_distribution(zero) == {0: 1}
-    from negacyclic.codes import CodeError
     with pytest.raises(CodeError):
-        exact_distance_enum(zero)
+        information_set_search(zero)
+    with pytest.raises(CodeError):
+        distance_report(zero)
 
 
 def test_low_weight_finds_weight_two_cyclic_word():
@@ -117,9 +122,8 @@ def test_low_weight_agrees_with_enum():
              b1.companion,                                     # [5,2,4] / GF(9)
              b1.companion_dual]                                # [5,3,3] / GF(9)
     for c in cases:
-        d_enum = exact_distance_enum(c).d
         rep = low_weight_search(c, 6)
-        assert rep.exact and rep.lower == d_enum
+        assert rep.exact and rep.lower == min_weight(c)
 
 
 def test_low_weight_not_found_reports_bound():
@@ -170,10 +174,14 @@ def test_weight_distribution_macwilliams_duality():
     assert dual_from_transform == [wd_dual.get(w, 0) for w in range(n + 1)]
 
 
-def test_distance_report_enumeration_path():
+def test_distance_report_small_code_paths():
+    # [10,4,6]: the column search to weight 6 reaches the packing bound 6
     c = NegacyclicCode.from_check(GF3, 10, [1])
     rep = distance_report(c)
-    assert rep.exact and rep.d == 6 and rep.method == "enumeration"
+    assert rep.exact and rep.d == 6 and rep.method == "column-search"
+    # [14,6,6]: packing bound 7, so the information-set search runs
+    rep = distance_report(build_family1(7).code)
+    assert rep.exact and rep.d == 6 and rep.method == "information-set"
 
 
 def test_distance_report_column_path():
@@ -217,7 +225,9 @@ def family1_rho19():
 def test_time_cap_aborts_enum_and_report_falls_back(family1_rho19):
     b = build_family3(6, 182)  # 3^12 messages, long enough to hit a zero cap
     with pytest.raises(BudgetExceeded):
-        exact_distance_enum(b.code, SearchBudget(time_cap=0.0))
+        weight_distribution(b.code, SearchBudget(time_cap=0.0))
+    with pytest.raises(BudgetExceeded):
+        information_set_search(b.code, SearchBudget(time_cap=0.0))
     rep = distance_report(b.code, SearchBudget(time_cap=0.0))
     assert not rep.exact
     assert rep.lower >= 61  # the BCH floor survives the fallback
@@ -263,7 +273,9 @@ def test_parse_budget():
 
 
 @pytest.mark.parametrize("text", ["3^100000000", "2^65", "-3^65", "3^-1",
-                                  "0^3", "0", "-5", 2 ** 64 + 1, 0])
+                                  "0^3", "0", "-5", 2 ** 64 + 1, 0,
+                                  # malformed text, not Python's int() message
+                                  "abc", "3^", "^3", "3^1.5", "3^2^2", ""])
 def test_parse_budget_rejects_out_of_range(text):
     with pytest.raises(ValueError, match="in 1..2\\^64"):
         parse_budget(text)
@@ -277,12 +289,10 @@ def test_budget_validation():
 def test_gf9_enumeration_small():
     # [5,2,4] over GF(9): companion code at rho=5
     b = build_family1(5)
-    rep = exact_distance_enum(b.companion)
-    assert rep.d == 4
     wd = weight_distribution(b.companion)
     assert sum(wd.values()) == 9 ** 2
-    rep_dual = exact_distance_enum(b.companion_dual)
-    assert rep_dual.d == 3
+    assert min_weight(b.companion) == distance_report(b.companion).d == 4
+    assert min_weight(b.companion_dual) == distance_report(b.companion_dual).d == 3
 
 
 def test_bch_lower_bounds_exact_distance():
@@ -290,7 +300,7 @@ def test_bch_lower_bounds_exact_distance():
                  build_family3(3, 13).code,
                  build_family4(3, 3).code):
         v, b = code.best_bch_multiplier()
-        assert b <= exact_distance_enum(code).d
+        assert b <= distance_report(code).d
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +352,8 @@ def _code(spec):
 
 def direct_oracle(code):
     """Encode all q^k messages by field-table arithmetic (message index m has
-    base-q digit r on generator row r); return the weight distribution, d,
-    the word of the lowest-index message of weight d, and all the words."""
+    base-q digit r on generator row r); return the weight distribution, d
+    and all the words."""
     t = code.field.tables()
     idx = np.arange(t.q ** code.k)
     words = np.zeros((len(idx), code.n), dtype=t.dtype)
@@ -353,8 +363,7 @@ def direct_oracle(code):
     weights = np.count_nonzero(words, axis=1)
     hist = {int(w): int(c) for w, c in
             zip(*np.unique(weights, return_counts=True))}
-    msg = 1 + int(np.argmin(weights[1:]))
-    return hist, int(weights[msg]), tuple(int(v) for v in words[msg]), words
+    return hist, int(weights[1:].min()), words
 
 
 @settings(max_examples=40, deadline=None)
@@ -365,12 +374,11 @@ def direct_oracle(code):
 @example(("GF(3)", 13, -1, (13,)))     # host GF(27): p divides m_h/m_l = 3
 def test_weight_distribution_matches_direct_encoding(spec):
     code = _code(spec)
-    hist, d, witness, words = direct_oracle(code)
+    hist, d, words = direct_oracle(code)
     wd = weight_distribution(code)
     assert wd == hist
     assert sum(wd.values()) == code.field.order ** code.k
-    rep = exact_distance_enum(code)
-    assert (rep.d, rep.witness) == (d, witness)
+    _check_info_set(code, d)
     # the one span builder lists the same words in the same order, and the
     # trace form (spanned from k trace rows) gives the same set
     assert np.array_equal(code.codewords(), words)
@@ -378,7 +386,7 @@ def test_weight_distribution_matches_direct_encoding(spec):
 
 
 def _check_blocks_and_threads(code):
-    hist, d, witness, _ = direct_oracle(code)
+    hist, *_ = direct_oracle(code)
     # with no room the inner block falls back to q messages, and the walk
     # encodes one outer message per scalar class of the other k - 1 digits
     # directly, split into shards when threads > 1
@@ -386,8 +394,6 @@ def _check_blocks_and_threads(code):
         with mock.patch.object(distance, "_INNER_BYTES", cap):
             for threads in (1, 2):
                 assert weight_distribution(code, threads=threads) == hist
-                rep = exact_distance_enum(code, threads=threads)
-                assert (rep.d, rep.witness) == (d, witness)
 
 
 @settings(max_examples=25, deadline=None)
@@ -607,7 +613,8 @@ def test_column_search_words_survive_colliding_keys():
 
 
 # ---------------------------------------------------------------------------
-# the information-set search against enumeration and the column search
+# the information-set search against the weight distribution and the column
+# search
 
 def _check_info_set(code, d):
     """information_set_search finds d with a weight-d codeword witness."""
@@ -626,13 +633,48 @@ def _check_info_set(code, d):
 @example(("GF(5)", 12, 1, (0, 1)))
 @example(("GF(9)", 80, 1, (0, 40)))    # n > 64 over GF(9)
 @example(("GF(3)", 4, -1, (1, 5)))     # the full space: no redundancy
+@example(("GF(3)", 91, -1, (91,)))     # r = 90: two plane words
 def test_information_set_agrees_with_enumeration(spec):
     code = _code(spec)
-    q, r = code.field.order, code.n - code.k
-    if q ** r >= 2 ** 62:  # the column search's guard
-        assert information_set_search(code) is None
+    _check_info_set(code, min_weight(code))
+
+
+# the family-2/3 example codes whose 3^(n - k) syndromes exceed the column
+# search's q^r < 2^62 guard, with their distances
+GUARDED = {"family2 l=5 n=61": (lambda: build_family2(5, 61).code, 31),
+           "family2 l=4 n=82": (lambda: build_family2(4, 82).code, 48),
+           "family3 m=5 n=121": (lambda: build_family3(5, 121).code, 71),
+           "family2 l=5 n=122": (lambda: build_family2(5, 122).code, 71),
+           "family3 m=6 n=182": (lambda: build_family3(6, 182).code, 104)}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_information_set_has_no_redundancy_limit(name):
+    build, d = GUARDED[name]
+    code = build()
+    assert code.field.order ** (code.n - code.k) >= 2 ** 62
+    assert min_weight(code) == d
+    _check_info_set(code, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_information_set_on_random_generator_matrices(data):
+    # any linear code: the pivots of rref are the one information set, so
+    # L(w) = w + 1; rows of rank < k are refused
+    name = data.draw(st.sampled_from(sorted(KERNEL_FIELDS)))
+    field = KERNEL_FIELDS[name]
+    k = data.draw(st.integers(1, {2: 10, 3: 7, 4: 5, 5: 4, 9: 3}[field.order]))
+    n = data.draw(st.integers(k, 150))
+    digits = st.integers(0, field.order - 1)
+    rows = data.draw(st.lists(st.lists(digits, min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    code = LinearCode(field, np.array(rows))
+    if mat_rank(field.tables(), code.rows()) < k:
+        with pytest.raises(CodeError, match="linearly dependent"):
+            information_set_search(code)
         return
-    _check_info_set(code, exact_distance_enum(code).d)
+    _check_info_set(code, min_weight(code))
 
 
 HIGH_RATE_DUALS = {"family2 l=4 n=41": lambda: build_family2(4, 41).dual,
@@ -668,7 +710,7 @@ def test_information_set_wrong_bound_is_caught(family1_rho17, family1_rho19):
     # a bound one too high (one r_j off by one) stops a level too early on
     # some code, so some comparison above must fail
     cases = _table2_rows(family1_rho17, family1_rho19)
-    cases += [(_code(spec), exact_distance_enum(_code(spec)).d)
+    cases += [(_code(spec), min_weight(_code(spec)))
               for spec in (("GF(3)", 10, 1, (0, 1)), ("GF(5)", 12, 1, (0, 1)))]
     real = distance._info_set_bound
     with mock.patch.object(distance, "_info_set_bound",
@@ -683,14 +725,18 @@ def test_information_set_time_cap(family1_rho17):
 
 
 def test_information_set_declines(family1_rho19):
-    # not constacyclic
-    rows = NegacyclicCode.from_check(GF3, 10, [1]).rows()
-    assert information_set_search(LinearCode(GF3, rows)) is None
     # the [38,20] dual needs 6.5 M words to pass the packing bound
     assert information_set_search(family1_rho19.dual,
                                   SearchBudget(max_message_enum=3 ** 14)) is None
-    # 3^170 syndromes fail the q^r < 2^62 guard
-    assert information_set_search(build_family3(6, 182).code) is None
+    # a plain LinearCode is admitted: the rows of the [10,4,6] code, with
+    # the one window of its pivots
+    rows = NegacyclicCode.from_check(GF3, 10, [1]).rows()
+    _check_info_set(LinearCode(GF3, rows), 6)
+    # so is every code whose q^k fits the budget, over every field
+    for code in (build_family1(7).code, build_family1(5).companion,
+                 _code(("GF(5)", 12, 1, (0, 1)))):
+        budget = SearchBudget(max_message_enum=code.field.order ** code.k)
+        assert information_set_search(code, budget).d == min_weight(code)
 
 
 @pytest.mark.parametrize("n", range(1, 13))

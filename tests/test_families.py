@@ -1,7 +1,7 @@
 import pytest
 
 from negacyclic.cosets import build_cosets, mult_order, weight_class_sizes, wt3
-from negacyclic.distance import exact_distance_enum, low_weight_search
+from negacyclic.distance import distance_report, low_weight_search
 from negacyclic.families import (FAMILY1_TABLE, FAMILY2_EXAMPLES,
                                  FAMILY3_EXAMPLES, FamilyError, build_family1,
                                  build_family2, build_family3, build_family4,
@@ -52,15 +52,15 @@ def test_family1_rho5_with_explicit_host_modulus():
     b = build_family1(5, host_modulus=[1, 2, 0, 1, 1])
     assert b.code.host.modulus == (1, 2, 0, 1, 1)
     assert b.code.beta == b.code.host.modulus_root()
-    assert exact_distance_enum(b.code).d == 6
+    assert distance_report(b.code).d == 6
 
 
 def test_family1_rho7_distances():
     b = build_family1(7)
-    assert exact_distance_enum(b.code).d == 6
-    assert exact_distance_enum(b.dual).d == 5
-    assert exact_distance_enum(b.companion).d == 5
-    assert exact_distance_enum(b.companion_dual).d == 4
+    assert distance_report(b.code).d == 6
+    assert distance_report(b.dual).d == 5
+    assert distance_report(b.companion).d == 5
+    assert distance_report(b.companion_dual).d == 4
 
 
 def test_family1_rho43_builds_on_gf3_42_host():
@@ -106,7 +106,7 @@ def test_family2_l3_half_variant():
     assert (b.code.n, b.code.k) == (14, 6)
     assert b.claims["code"].d_lower == 5
     assert b.claims["dual"].d_exact == 5
-    assert exact_distance_enum(b.code).d == 6
+    assert distance_report(b.code).d == 6
     assert low_weight_search(b.dual, 6).d == 5
 
 
@@ -115,8 +115,8 @@ def test_family2_l2_full_variant():
     assert b.variant == "full"
     assert b.claims["code"].d_lower == 6
     assert b.claims["dual"].d_exact == 4
-    assert exact_distance_enum(b.code).d == 6
-    assert exact_distance_enum(b.dual).d == 4
+    assert distance_report(b.code).d == 6
+    assert distance_report(b.dual).d == 4
 
 
 def test_family2_l3_full_variant():
@@ -124,7 +124,7 @@ def test_family2_l3_full_variant():
     assert b.variant == "full"
     assert b.claims["code"].d_lower == 15
     assert b.claims["dual"].d_exact == 3
-    assert exact_distance_enum(b.code).d == 15
+    assert distance_report(b.code).d == 15
     assert low_weight_search(b.dual, 4).d == 3
 
 
@@ -159,7 +159,7 @@ def test_family3_m3_half_variant():
     assert (b.code.n, b.code.k) == (13, 6)
     assert b.claims["code"].d_lower == 4
     assert b.claims["dual"].d_exact == 5
-    assert exact_distance_enum(b.code).d == 6
+    assert distance_report(b.code).d == 6
 
 
 def test_family3_m4_quarter_variant():
@@ -167,7 +167,7 @@ def test_family3_m4_quarter_variant():
     assert b.variant == "quarter"
     assert b.claims["code"].d_lower == 7
     assert b.claims["dual"].d_exact == 5  # m = 0 mod 4
-    assert exact_distance_enum(b.code).d == 8
+    assert distance_report(b.code).d == 8
     assert low_weight_search(b.dual, 6).d == 5
 
 
@@ -208,8 +208,8 @@ def test_family4_m3_codes():
     b3 = build_family4(3, 3)
     assert (b1.code.n, b1.code.k) == (13, 7)
     assert (b3.code.n, b3.code.k) == (13, 6)
-    assert exact_distance_enum(b1.code).d == 5
-    assert exact_distance_enum(b3.code).d == 6
+    assert distance_report(b1.code).d == 5
+    assert distance_report(b3.code).d == 6
     assert b1.claims["code"].d_exact == 5
     assert b3.claims["code"].d_exact == 6
 
@@ -293,9 +293,9 @@ def test_family1_inequalities_small_rho():
     # d(C) >= d(companion) and d(C dual) >= d(companion dual), both exact
     for rho in (5, 7):
         b = build_family1(rho)
-        d_c = exact_distance_enum(b.code).d
-        d_comp = exact_distance_enum(b.companion).d
-        d_cd = exact_distance_enum(b.dual).d
-        d_compd = exact_distance_enum(b.companion_dual).d
+        d_c = distance_report(b.code).d
+        d_comp = distance_report(b.companion).d
+        d_cd = distance_report(b.dual).d
+        d_compd = distance_report(b.companion_dual).d
         assert d_c >= d_comp >= b.claims["companion"].d_lower
         assert d_cd >= d_compd >= b.claims["companion_dual"].d_lower

@@ -50,9 +50,9 @@ def test_best_code_search_no_dimension():
 def test_best_code_search_beats_any_member():
     # the family code at (10, 4) is in the search space
     c = NegacyclicCode.from_check(GF3, 10, [1])
-    from negacyclic.distance import exact_distance_enum
+    from negacyclic.distance import distance_report
     d, _, _ = best_code_search(3, 10, 4, -1)
-    assert d >= exact_distance_enum(c).d
+    assert d >= distance_report(c).d
 
 
 # -- cache ---------------------------------------------------------------------
@@ -134,7 +134,7 @@ def _served_fresh(code, budget, path, good):
 
 
 def test_cache_forged_bounds_only_exact_is_recomputed(tmp_path):
-    # an enumeration record of the [10,4,6] code edited into a witnessless
+    # an engine record of the [10,4,6] code edited into a witnessless
     # bounds-only d = 2 must not be served as exact
     path = tmp_path / "results.json"
     c = NegacyclicCode.from_check(GF3, 10, [1])
@@ -150,7 +150,7 @@ def test_cache_forged_bounds_only_exact_is_recomputed(tmp_path):
     lambda rec: rec.update(witness="1,2,x"),
 ], ids=["upper", "no-upper", "witness-not-int"])
 def test_cache_forged_engine_record_is_recomputed(edit, tmp_path):
-    # an enumeration record of the [10,4,6] code whose upper bound is edited
+    # an engine record of the [10,4,6] code whose upper bound is edited
     # or missing, or whose witness does not decode
     path = tmp_path / "results.json"
     c = NegacyclicCode.from_check(GF3, 10, [1])
@@ -327,7 +327,7 @@ def test_record_requires_source():
 
 def test_claim_verdict_logic():
     from negacyclic.distance import DistanceReport
-    exact6 = DistanceReport(6, 6, True, "enumeration")
+    exact6 = DistanceReport(6, 6, True, "information-set")
     interval = DistanceReport(5, 9, False, "bounds-only")
     c_exact = Claim("x", 10, 4, "s", d_exact=6)
     assert claim_verdict(c_exact, 4, exact6) == MATCH
@@ -425,7 +425,8 @@ def test_cli_build_dual_distance_roundtrip(tmp_path, capsys):
                  "--cache", str(cache_path)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["exact"] and rep["lower"] == 6
-    assert rep["method"] == "enumeration"
+    # the column search to weight 6 reaches the packing bound 6
+    assert rep["method"] == "column-search"
     assert cache_path.exists()
 
 
@@ -565,7 +566,9 @@ def test_cli_threads_at_cpu_count_is_accepted(tmp_path):
 
 
 @pytest.mark.parametrize("budget", ["3^100000000", "3^10000000", "2^65",
-                                    "18446744073709551617", "0^3", "3^-1", "0"])
+                                    "18446744073709551617", "0^3", "3^-1", "0",
+                                    # malformed: the same one-line error
+                                    "abc", "3^", "^3", "3^1.5"])
 def test_cli_budget_out_of_range_fails_fast(budget, capsys):
     t0 = time.monotonic()
     with pytest.raises(SystemExit) as exc:
