@@ -27,12 +27,18 @@ c * column i are built once per code.  Each side is sorted or probed on a
 and every key match is compared plane by plane before it can yield a word,
 so hash collisions cost time, never answers.
 The information-set search builds its levels with the column search's side
-tables (_Side) over the redundancy parts of a generator matrix in reduced
-row-echelon form, kept as s*ceil(r/64) words per plane, so r has no limit.  For a
-constacyclic code the words of weight w on window [0, k) stand, through
-the constashift by k, for those of every window [jk, (j+1)k) mod n; the
-search stops once the windows' bound L(w) reaches the least weight found.
-A sphere-packing upper bound (with the even-distance refinement) and the BCH
+tables (_Side, each table filled block by block) over the redundancy parts
+of a generator matrix in reduced row-echelon form, kept as s*ceil(r/64)
+words per plane, so r has no limit.  For a constacyclic code the words of
+weight w on window [0, k) stand, through the constashift by k, for those of
+every window [jk, (j+1)k) mod n; the search stops once the windows' bound
+L(w) reaches the least weight found, or, short of that, at the first level
+W with L(W) above a given reach, which proves d >= L(W).
+distance_report runs, for each guarantee, the engine that counts fewer
+words: to settle d, the column search (when it reaches the packing bound)
+or the information-set search; when neither can, to prove d > w_cap, the
+column search to w_cap or the information-set search with reach w_cap.  A
+sphere-packing upper bound (with the even-distance refinement) and the BCH
 multiplier bound bracket whatever the engines cannot settle exactly.
 Engines only read the code object.
 """
@@ -58,8 +64,10 @@ from .codes import (CodeError, ConstacyclicCode, NegacyclicCode, encode_rows,
 #: search work carried into bounds-only reports, column search time cap;
 #: 3: the information-set search settles codes the column search cannot;
 #: 4: it replaces enumeration for every exact distance, of any redundancy
-#: and of any linear code).
-ENGINE_VERSION = 4
+#: and of any linear code; 5: distance_report runs whichever engine counts
+#: fewer words, and the information-set search proves bounds-only lower
+#: bounds).
+ENGINE_VERSION = 5
 
 
 class BudgetExceeded(RuntimeError):
@@ -88,9 +96,11 @@ def parse_budget(text) -> int:
 @dataclass(frozen=True)
 class SearchBudget:
     """Caps for the distance engines: max_message_enum caps the words the
-    information-set search may need (one per scalar class) and the q^k
-    messages of weight_distribution; max_column_weight caps the column
-    search; time_cap (seconds) stops any engine."""
+    information-set search may need (one per scalar class) to its reach,
+    and the q^k messages of weight_distribution; max_column_weight caps the
+    column search and sets w_cap (_column_cap), the weight to which
+    distance_report proves d > w_cap when no engine can settle d; time_cap
+    (seconds) stops any engine."""
 
     max_message_enum: int = 3 ** 16
     max_column_weight: int = 6
@@ -375,17 +385,33 @@ class _Side:
         z = _plane_add(x, y, ks)
         return z.reshape((len(z),) + self.cplanes.shape[1:-1] + (-1,))
 
+    def table(self):
+        """The planes of every entry, flat along the last axis, filled block
+        by block into one preallocated array; a block holds about _CHUNK
+        words over all p planes, so the gathered operands and the sum stay
+        within about one block, whatever the size of the table."""
+        lead = self.cplanes.shape[:-1]
+        out = np.empty(lead + (self.n_prefix, self.k, len(self.subs)),
+                       dtype=np.uint64)
+        for c, e, s, _ in self.blocks(_CHUNK // len(self.cplanes)):
+            # a block is a run of prefixes c by every e by a run of subsets s
+            rows = slice(c[0, 0, 0], c[-1, 0, 0] + 1)
+            cols = slice(s[0, 0, 0], s[0, 0, -1] + 1)
+            out[..., rows, :, cols] = self.planes(c, e, s).reshape(
+                lead + (len(c), self.k, -1))
+        return out.reshape(lead + (-1,))
+
     def entries(self, idx):
         """(c, e, s) of flat entry indices."""
         ce, s = np.divmod(idx, len(self.subs))
         return (*np.divmod(ce, self.k), s)
 
-    def blocks(self):
-        """(c, e, s, flat entry index) of consecutive blocks of about _CHUNK
+    def blocks(self, words=_CHUNK):
+        """(c, e, s, flat entry index) of consecutive blocks of about `words`
         plane words (one word per entry for the column search); c, e and s
         broadcast along three axes."""
         n_subs = len(self.subs)
-        chunk = max(1, _CHUNK // prod(self.cplanes.shape[1:-1]))
+        chunk = max(1, words // prod(self.cplanes.shape[1:-1]))
         per = max(1, chunk // (self.k * n_subs))
         step = n_subs if per > 1 else max(1, chunk // self.k)
         e = np.arange(self.k)[None, :, None]
@@ -544,7 +570,7 @@ def low_weight_search(code, w_max: Optional[int] = None,
                 work=work, elapsed_s=time.monotonic() - t0)
     return DistanceReport(
         lower=w_max + 1, upper=code.n, exact=False, method="column-search",
-        witness=None, lower_src=f"no dependence up to {w_max} columns",
+        witness=None, lower_src=f"column-search w<={w_max}",
         upper_src="trivial", work=work, elapsed_s=time.monotonic() - t0)
 
 
@@ -560,21 +586,35 @@ def _info_set_bound(n, k, w):
                for j in range(-(-n // k)))
 
 
-def _info_set_words(n, k, q, d_max):
-    """Words, one per scalar class, that the levels up to the first w with
-    L(w) > d_max, and at most level k, enumerate: C(k, w) (q - 1)^(w - 1) at
-    level w, so at most (q^k - 1)/(q - 1) in all."""
-    words, w = 0, 0
+def _info_set_span(code):
+    """The positions the windows cover: all n for a constacyclic code, the k
+    pivots (one window, L(w) = w + 1) for any other."""
+    return code.n if isinstance(code, ConstacyclicCode) else code.k
+
+
+def _info_set_levels(n, k, d_max):
+    """The last level the search with reach d_max enumerates: the first w
+    with L(w) > d_max, and at most k."""
+    w = 0
     while w < k and _info_set_bound(n, k, w) <= d_max:
         w += 1
-        words += comb(k, w) * (q - 1) ** (w - 1)
-    return words
+    return w
 
 
-def information_set_search(code, budget: Optional[SearchBudget] = None
+def _info_set_words(n, k, q, d_max):
+    """Words, one per scalar class, that the levels up to _info_set_levels
+    enumerate: C(k, w) (q - 1)^(w - 1) at level w, so at most
+    (q^k - 1)/(q - 1) in all."""
+    return sum(comb(k, w) * (q - 1) ** (w - 1)
+               for w in range(1, _info_set_levels(n, k, d_max) + 1))
+
+
+def information_set_search(code, budget: Optional[SearchBudget] = None,
+                           d_max: Optional[int] = None
                            ) -> Optional[DistanceReport]:
-    """Exact minimum distance of a linear code by the Brouwer-Zimmermann
-    information-set method (Zimmermann 1996, as in Grassl 2006).
+    """Minimum distance of a linear code by the Brouwer-Zimmermann
+    information-set method (Zimmermann 1996, as in Grassl 2006), exact, or
+    a lower bound above the reach d_max.
 
     G is put in reduced row-echelon form (codes.rref): its pivot columns are
     an information set and the other r = n - k columns the redundancy.
@@ -582,9 +622,9 @@ def information_set_search(code, budget: Optional[SearchBudget] = None
     pinned side of the column search (_Side) over the redundancy parts of
     the k rows (their digit planes, s*ceil(r/64) words per plane), streamed
     in blocks of about _CHUNK plane words, built from the table of all
-    (w-1)-term sums.  A word's weight is w plus the nonzeros of its
-    redundancy part: the popcount of ~plane 0, ORed over the s digit blocks
-    and masked to the r valid bits.
+    (w-1)-term sums (_Side.table, filled block by block).  A word's weight
+    is w plus the nonzeros of its redundancy part: the popcount of ~plane
+    0, ORed over the s digit blocks and masked to the r valid bits.
 
     A word not yet met after level w has more than w nonzeros on each
     window, so its weight is at least L(w) (_info_set_bound).  For a
@@ -592,27 +632,28 @@ def information_set_search(code, budget: Optional[SearchBudget] = None
     positions is a weight-preserving automorphism that maps window j to
     window j + 1, so the words met stand for those of every window
     [jk, (j+1)k) mod n.  Any other code has the one window of its pivots,
-    and L(w) = w + 1.  The search stops once L(w) reaches the least weight
-    found, or after level k, when every message has been met; the word is
-    re-checked with code.contains.
+    and L(w) = w + 1.  The search ends exact once L(w) reaches the least
+    weight found, or after level k, when every message has been met; the
+    word is re-checked with code.contains.  Otherwise it stops at the first
+    level W with L(W) > d_max and returns the inexact report lower = L(W),
+    lower_src "information-set w<=W", with no witness (a word found on the
+    way is not reported).  With no reach (d_max None) the reach is the
+    sphere-packing bound, which always ends exact.
 
-    Returns None when the code is not admitted: the words up to the level
-    where L(w) exceeds the sphere-packing bound must fit
-    budget.max_message_enum, so an admitted code always ends exact, and
-    every code whose q^k fits is admitted.  `work` counts the words
-    enumerated; the deadline is checked before each block.  Raises
-    CodeError for the zero code and for linearly dependent generator rows.
+    Returns None when the code is not admitted: the words up to level W
+    (_info_set_words) must fit budget.max_message_enum, and every code whose
+    q^k fits is admitted.  `work` counts the words enumerated; the deadline
+    is checked before each block.  Raises CodeError for the zero code and
+    for linearly dependent generator rows.
     """
     budget = budget or SearchBudget()
     q, k, n = code.field.order, code.k, code.n
     if k == 0:
         raise CodeError("the zero code has no nonzero codeword")
-    # the positions the windows cover: all n for a constacyclic code, the k
-    # pivots (one window, L(w) = w + 1) for any other
-    cyclic = isinstance(code, ConstacyclicCode)
-    span = n if cyclic else k
-    if _info_set_words(span, k, q, sphere_packing_max_d(n, k, q)) \
-            > budget.max_message_enum:
+    span = _info_set_span(code)
+    pack = sphere_packing_max_d(n, k, q)
+    reach = pack if d_max is None else min(d_max, pack)
+    if _info_set_words(span, k, q, reach) > budget.max_message_enum:
         return None
     t0 = time.monotonic()
     deadline = t0 + budget.time_cap if budget.time_cap is not None else None
@@ -620,8 +661,9 @@ def information_set_search(code, budget: Optional[SearchBudget] = None
     G, pivots = rref(tables, code.rows())
     if len(pivots) < k:
         raise CodeError(f"the {k} generator rows are linearly dependent")
-    if cyclic and pivots != list(range(k)):  # pragma: no cover
-        raise AssertionError("window 0 is not an information set")
+    if isinstance(code, ConstacyclicCode) and pivots != list(range(k)):
+        raise AssertionError(  # pragma: no cover
+            "window 0 is not an information set")
     red = np.delete(np.arange(n), pivots)
     # the full space has no redundancy: one zero column, masked away
     R = G[:, red] if len(red) else np.zeros((k, 1), dtype=tables.dtype)
@@ -633,8 +675,12 @@ def information_set_search(code, budget: Optional[SearchBudget] = None
     valid = _bits(np.arange(64 * W) < len(red))[:, None]
     subs = np.zeros((1, 0), dtype=np.int64)   # the (w-1)-subsets
     sums = cplanes[..., :1]                   # every (w-1)-term sum
-    best_w, best, work = n + 1, None, 0
-    for w in range(1, k + 1):
+    best_w, best, work, w = n + 1, None, 0, 0
+    while w < k and _info_set_bound(span, k, w) < min(best_w, reach + 1):
+        if w:
+            side = _Side(cplanes, k, q, subs, sums)
+            sums, subs = side.table(), side.subs
+        w += 1
         side = _Side(cplanes, k, q, subs, sums, pinned=True)
         for c, e, s, idx in side.blocks():
             _check_deadline(deadline, "information-set search")
@@ -645,13 +691,12 @@ def information_set_search(code, budget: Optional[SearchBudget] = None
             if w + int(weights[i]) < best_w:
                 best_w, best = w + int(weights[i]), (side, int(idx[i]))
         work += side.size
-        if w == k or _info_set_bound(span, k, w) >= best_w:
-            break
-        side = _Side(cplanes, k, q, subs, sums)
-        sums = side.planes(np.arange(side.n_prefix)[:, None, None],
-                           np.arange(side.k)[None, :, None],
-                           np.arange(len(side.subs))[None, None, :])
-        subs = side.subs
+    lower = _info_set_bound(span, k, w)
+    if w < k and lower < best_w:  # stopped at the reach: a lower bound only
+        return DistanceReport(
+            lower=lower, upper=n, exact=False, method="information-set",
+            witness=None, lower_src=f"information-set w<={w}",
+            upper_src="trivial", work=work, elapsed_s=time.monotonic() - t0)
     side, entry = best
     support, coeffs = side.coeffs(entry)
     message = np.zeros(k, dtype=np.int64)
@@ -711,41 +756,72 @@ def _column_cap(q, n, k, budget: SearchBudget, pack: int) -> int:
     return min(budget.max_column_weight, pack + 1)
 
 
+def _column_words(n, q, w_cap):
+    """Side entries the column search builds up to level w_cap: at level w,
+    C(n, t) (q - 1)^t on the left and C(n, u) (q - 1)^(u - 1) on the
+    pinned right, for t = floor(w/2) and u = w - t."""
+    return sum(comb(n, w // 2) * (q - 1) ** (w // 2)
+               + comb(n, w - w // 2) * (q - 1) ** (w - w // 2 - 1)
+               for w in range(1, w_cap + 1))
+
+
 def distance_report(code, budget: Optional[SearchBudget] = None
                     ) -> DistanceReport:
-    """Policy: when the column search cannot reach the packing bound
-    (_column_cap < pack), run the information-set search if it admits the
-    code; otherwise run the column search up to min(cap, packing bound + 1);
-    otherwise report bounds only, with the work of any column search that
-    ran.  An engine that hits budget.time_cap falls through to the next
-    step."""
+    """The minimum distance, exact or bracketed, from whichever engine
+    counts fewer words (_column_words for the column search up to
+    w_cap = _column_cap, _info_set_words for the information-set search).
+
+    First the engines that settle d: the column search when w_cap reaches
+    the packing bound, and the information-set search when it is admitted.
+    When neither can, the engines that prove d > w_cap: the column search
+    (skipped when w_cap < the BCH bound, where it can neither find a word
+    nor raise the bound) and the information-set search with reach w_cap,
+    when its words fit budget.max_message_enum; it proves d >= L(W) for the
+    first level W with L(W) > w_cap.  Each list runs cheapest first, and a
+    tie keeps the column search.  An engine that hits budget.time_cap falls
+    through to the next one, then to bounds.  A report that no engine
+    settles is bounds-only: the sphere-packing upper bound, and the larger
+    of the BCH bound and the lower bound of the engine that ran (whose work
+    it carries)."""
     budget = budget or SearchBudget()
     q, k, n = code.field.order, code.k, code.n
     if k == 0:
         raise CodeError("the zero code has no distance report")
     pack = sphere_packing_max_d(n, k, q)
     bch, bch_v = bch_lower(code)
-    rep = None
     w_cap = _column_cap(q, n, k, budget, pack)
+    span = _info_set_span(code)
+
+    def ranked(column, reach):
+        # (words, rank, engine): rank 0 lets the column search win a tie
+        out = []
+        if column:
+            out.append((_column_words(n, q, w_cap), 0, functools.partial(
+                low_weight_search, code, w_cap, budget)))
+        words = _info_set_words(span, k, q, reach)
+        if words <= budget.max_message_enum:
+            out.append((words, 1, functools.partial(
+                information_set_search, code, budget, reach)))
+        return [run for *_, run in sorted(out)]
+
+    engines = ranked(w_cap >= pack, pack)
     if w_cap < pack:
+        engines += ranked(bch <= w_cap, w_cap)
+    lower, lower_src, work = bch, f"bch(v={bch_v})", 0
+    for run in engines:
         try:
-            rep = information_set_search(code, budget)
+            rep = run()
         except BudgetExceeded:
-            pass  # time cap hit: on to the column search
-    lower, work = bch, 0
-    if rep is None and w_cap >= 1:
-        try:
-            rep = low_weight_search(code, w_cap, budget)
-        except BudgetExceeded:
-            pass  # time cap hit: bounds only
-        if rep is not None and not rep.exact:
-            lower, work, rep = max(bch, rep.lower), rep.work, None
-    if rep is not None:
-        if not (bch <= rep.lower <= pack):  # pragma: no cover
-            raise AssertionError(
-                f"bounds violated: bch={bch} d={rep.lower} packing={pack}")
-        return rep
-    lower_src = f"bch(v={bch_v})" if lower == bch else f"column-search w<={w_cap}"
+            continue  # time cap hit: on to the next engine
+        if rep.exact:
+            if not (bch <= rep.lower <= pack):  # pragma: no cover
+                raise AssertionError(
+                    f"bounds violated: bch={bch} d={rep.lower} packing={pack}")
+            return rep
+        work = rep.work
+        if rep.lower > bch:
+            lower, lower_src = rep.lower, rep.lower_src
+        break
     return DistanceReport(
         lower=lower, upper=pack, exact=(lower == pack), method="bounds-only",
         witness=None, lower_src=lower_src, upper_src="sphere-packing",

@@ -27,7 +27,8 @@ from .codes import (CodeError, NegacyclicCode, residue_distance_relation,
                     uv_construct)
 from .cosets import build_cosets, weight_class_sizes, weight_classes, wt3
 from .distance import (ENGINE_VERSION, DistanceReport, SearchBudget,
-                       _column_cap, distance_report, information_set_search,
+                       _column_cap, _info_set_bound, _info_set_levels,
+                       _info_set_span, distance_report, information_set_search,
                        sphere_packing_max_d, weight_distribution)
 from .families import Claim
 from .ff import make_field
@@ -147,15 +148,17 @@ def _certified(code, rep: DistanceReport, budget: SearchBudget) -> bool:
     """An engine report must be exact with upper == lower, and carry a
     witness of length n, entries in range(q) (contains() reduces mod q),
     weight rep.lower and membership.  A bounds-only report must carry the
-    sphere-packing upper bound, and a lower bound that its source
-    reproduces: the BCH bound at the named multiplier, or W + 1 for a column
-    search up to W = the weight the budget allows; it is exact exactly when
-    the bounds meet."""
+    sphere-packing upper bound, and a lower bound no larger that its source
+    reproduces: the BCH bound at the named multiplier, W + 1 for a column
+    search up to W = the weight w_cap the budget allows, or L(W) for an
+    information-set search stopped at the first level W with L(W) > w_cap
+    (its windows span n positions for a constacyclic code, k for any
+    other); it is exact exactly when the bounds meet."""
     if rep.method == "bounds-only":
         n, k, q = code.n, code.k, code.field.order
         pack = sphere_packing_max_d(n, k, q)
         if (rep.upper, rep.upper_src, rep.witness) != (pack, "sphere-packing", None) \
-                or rep.exact != (rep.lower == rep.upper):
+                or rep.exact != (rep.lower == rep.upper) or rep.lower > rep.upper:
             return False
         bch = re.fullmatch(r"bch\(v=(\d+)\)", rep.lower_src)
         if bch:
@@ -163,8 +166,13 @@ def _certified(code, rep: DistanceReport, budget: SearchBudget) -> bool:
             if not isinstance(code, NegacyclicCode):
                 return (v, rep.lower) == (1, 1)
             return math.gcd(v, code.R) == 1 and rep.lower == code.bch_bound(v)
-        col = re.fullmatch(r"column-search w<=(\d+)", rep.lower_src)
         cap = _column_cap(q, n, k, budget, pack)
+        info = re.fullmatch(r"information-set w<=(\d+)", rep.lower_src)
+        if info:
+            span, w = _info_set_span(code), int(info[1])
+            return (w == _info_set_levels(span, k, cap) < k
+                    and rep.lower == _info_set_bound(span, k, w))
+        col = re.fullmatch(r"column-search w<=(\d+)", rep.lower_src)
         return bool(col) and int(col[1]) == cap >= 1 and rep.lower == cap + 1
     w = rep.witness
     return (rep.exact and rep.upper == rep.lower and w is not None

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from negacyclic import distance
-from negacyclic.codes import (CodeError, LinearCode, NegacyclicCode, mat_rank,
-                              span_rows)
+from negacyclic.codes import (CodeError, ConstacyclicCode, LinearCode,
+                              NegacyclicCode, mat_rank, span_rows)
 from negacyclic.cosets import build_cosets, mult_order
 from negacyclic.distance import (BudgetExceeded, DistanceReport, SearchBudget,
                                  distance_report, information_set_search,
@@ -175,11 +175,11 @@ def test_weight_distribution_macwilliams_duality():
 
 
 def test_distance_report_small_code_paths():
-    # [10,4,6]: the column search to weight 6 reaches the packing bound 6
-    c = NegacyclicCode.from_check(GF3, 10, [1])
-    rep = distance_report(c)
-    assert rep.exact and rep.d == 6 and rep.method == "column-search"
-    # [14,6,6]: packing bound 7, so the information-set search runs
+    # [28,22,3]: the column search to weight 5 reaches the packing bound 4
+    # with 17 k side entries, where the information-set search needs 65 k words
+    rep = distance_report(build_family2(3, 28).dual)
+    assert rep.exact and rep.d == 3 and rep.method == "column-search"
+    # [14,6,6]: packing bound 7, so only the information-set search settles it
     rep = distance_report(build_family1(7).code)
     assert rep.exact and rep.d == 6 and rep.method == "information-set"
 
@@ -200,12 +200,21 @@ def test_distance_report_bounds_only_exact_via_bch_and_packing():
 
 
 def test_distance_report_interval_when_budget_too_small():
-    c = build_family1(7).code  # [14,6,6]
+    # [14,6,6]: BCH 5, packing 7; 3 words admit no information-set search,
+    # so the column search to weight 5 proves d > 5
+    c = build_family1(7).code
+    rep = distance_report(c, SearchBudget(max_message_enum=3,
+                                          max_column_weight=5))
+    assert not rep.exact and rep.method == "bounds-only"
+    assert (rep.lower, rep.upper, rep.lower_src) == (6, 7, "column-search w<=5")
+    assert rep.work > 0
+    # 100 words admit the information-set search with reach 5 (36 words,
+    # against 2633 column-search entries); it stops at level 2, where
+    # L(2) = 6 meets the weight-6 word it found, so it settles d
     rep = distance_report(c, SearchBudget(max_message_enum=100,
-                                          max_column_weight=3))
-    assert not rep.exact
-    assert rep.lower >= 4
-    assert rep.upper >= rep.lower
+                                          max_column_weight=5))
+    assert (rep.exact, rep.d, rep.method, rep.work) == (
+        True, 6, "information-set", 36)
 
 
 def test_report_json_round_trip():
@@ -242,24 +251,49 @@ def test_time_cap_aborts_enum_and_report_falls_back(family1_rho19):
     v, bch = comp.best_bch_multiplier()
     assert rep.lower == bch and rep.lower_src == f"bch(v={v})"
     assert rep.work == 0
-    # uncapped, under 3^12 (which does not admit the information-set search)
-    # the column search finishes and its lower bound is kept
+    # under 3^12, which does not admit the information-set search to the
+    # packing bound, its reach 6 (5673 words to L(3) = 8) is cheaper than
+    # the column search to weight 6 (645 k entries), and proves d >= 8
     small = SearchBudget(max_message_enum=3 ** 12)
-    assert distance_report(comp, small).lower_src == "column-search w<=6"
-    # the default budget admits the information-set search: d is exact
+    rep = distance_report(comp, small)
+    assert (rep.lower, rep.lower_src) == (8, "information-set w<=3")
+    # an information-set search that hits the cap falls through to the
+    # column search, whose bound is kept
+    with mock.patch.object(distance, "information_set_search",
+                           side_effect=BudgetExceeded("capped")):
+        rep = distance_report(comp)
+    assert (rep.lower, rep.lower_src) == (7, "column-search w<=6")
+    # the default budget admits it: d is exact
     rep = distance_report(comp)
     assert (rep.exact, rep.d, rep.method) == (True, 10, "information-set")
 
 
 def test_bounds_only_report_carries_column_search_work(family1_rho19):
-    code = family1_rho19.code  # [38,18]: 3^18 messages, over the budget
-    # under 3^12 the information-set search (2.8 M words) is not admitted
-    rep = distance_report(code, SearchBudget(max_message_enum=3 ** 12))
-    assert rep.method == "bounds-only"
-    searched = low_weight_search(code, 6)
+    # [82,74,4], BCH 3, packing 4: under 3^12 and weight 3 no engine can
+    # settle d (the column search stops short of 4, and the information-set
+    # search to the packing bound needs 9.5 M words), and the column search
+    # to weight 3 (7135 entries) is cheaper than the information-set search
+    # with reach 3 (265 k words)
+    code = build_family2(4, 82).dual
+    budget = SearchBudget(max_message_enum=3 ** 12, max_column_weight=3)
+    rep = distance_report(code, budget)
+    assert (rep.method, rep.lower_src) == ("bounds-only", "column-search w<=3")
+    searched = low_weight_search(code, 3)
     assert not searched.exact
     assert rep.work == searched.work > 0
-    # the default budget admits it, and it settles the row
+    assert rep.exact and rep.lower == rep.upper == 4  # w <= 3 meets packing
+    # the default budget lets the column search reach the packing bound
+    rep = distance_report(code)
+    assert (rep.exact, rep.d, rep.method) == (True, 4, "column-search")
+    # [38,18,10] under 3^12: the information-set search to L(3) = 8 (3588
+    # words) proves the bound, and its work is carried
+    code = family1_rho19.code
+    rep = distance_report(code, SearchBudget(max_message_enum=3 ** 12))
+    assert (rep.method, rep.lower, rep.lower_src) == (
+        "bounds-only", 8, "information-set w<=3")
+    searched = information_set_search(code, d_max=6)
+    assert rep.work == searched.work == 3588
+    # the default budget admits it to the packing bound, and it settles d
     rep = distance_report(code)
     assert (rep.exact, rep.d, rep.method) == (True, 10, "information-set")
 
@@ -618,7 +652,10 @@ def test_column_search_words_survive_colliding_keys():
 
 def _check_info_set(code, d):
     """information_set_search finds d with a weight-d codeword witness."""
-    rep = information_set_search(code)
+    _check_witness(code, information_set_search(code), d)
+
+
+def _check_witness(code, rep, d):
     assert (rep.exact, rep.lower, rep.upper) == (True, d, d)
     assert rep.method == "information-set" and rep.work > 0
     assert len(rep.witness) == code.n
@@ -737,6 +774,81 @@ def test_information_set_declines(family1_rho19):
                  _code(("GF(5)", 12, 1, (0, 1)))):
         budget = SearchBudget(max_message_enum=code.field.order ** code.k)
         assert information_set_search(code, budget).d == min_weight(code)
+
+
+def _check_reach(code):
+    """information_set_search with every reach D in 0..packing bound: its
+    lower bound never exceeds d; an inexact report stops at the first level
+    W with L(W) > D and reports L(W) with no witness; an exact one carries
+    a weight-d witness."""
+    q, k, n = code.field.order, code.k, code.n
+    d = min_weight(code)
+    span = n if isinstance(code, ConstacyclicCode) else k
+    for D in range(sphere_packing_max_d(n, k, q) + 1):
+        rep = information_set_search(code, d_max=D)
+        assert rep.lower <= d
+        if rep.exact:
+            _check_witness(code, rep, d)
+            continue
+        W = int(rep.lower_src.removeprefix("information-set w<="))
+        assert rep.lower_src == f"information-set w<={W}" and W < k
+        assert rep.lower == distance._info_set_bound(span, k, W) > D
+        assert W == 0 or distance._info_set_bound(span, k, W - 1) <= D
+        assert (rep.method, rep.upper, rep.witness) == ("information-set", n, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_codes())
+@example(("GF(3)", 10, 1, (0, 1)))
+@example(("GF(9)", 80, 1, (0, 40)))
+@example(("GF(3)", 4, -1, (1, 5)))     # the full space: no redundancy
+def test_information_set_reach_is_sound(spec):
+    _check_reach(_code(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_information_set_reach_is_sound_on_random_generator_matrices(data):
+    name = data.draw(st.sampled_from(sorted(KERNEL_FIELDS)))
+    field = KERNEL_FIELDS[name]
+    k = data.draw(st.integers(1, {2: 10, 3: 7, 4: 5, 5: 4, 9: 3}[field.order]))
+    n = data.draw(st.integers(k, 100))
+    digits = st.integers(0, field.order - 1)
+    rows = data.draw(st.lists(st.lists(digits, min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    code = LinearCode(field, np.array(rows))
+    if mat_rank(field.tables(), code.rows()) == k:
+        _check_reach(code)
+
+
+# distance_report's choice: the engine that counts fewer words settles d
+POLICY = {
+    # low rate: a few dozen information-set words against thousands of
+    # column-search entries
+    "[10,4,6]": (lambda: NegacyclicCode.from_check(GF3, 10, [1]), 6,
+                 "information-set"),
+    "[13,6,6]": (lambda: build_family3(3, 13).code, 6, "information-set"),
+    "[7,3,5] GF(9)": (lambda: build_family1(7).companion, 5, "information-set"),
+    # high rate: k = 33..170 message digits against a search to weight 6
+    "[41,33,5]": (lambda: build_family2(4, 41).dual, 5, "column-search"),
+    "[122,112,5]": (lambda: build_family2(5, 122).dual, 5, "column-search"),
+    "[182,170,5]": (lambda: build_family3(6, 182).dual, 5, "column-search"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLICY))
+def test_distance_report_runs_the_engine_that_counts_fewer_words(name):
+    build, d, method = POLICY[name]
+    rep = distance_report(build())
+    assert (rep.exact, rep.d, rep.method) == (True, d, method)
+
+
+def test_distance_report_tie_keeps_the_column_search():
+    c = NegacyclicCode.from_check(GF3, 10, [1])
+    with mock.patch.object(distance, "_column_words", lambda n, q, w: 0), \
+            mock.patch.object(distance, "_info_set_words", lambda n, k, q, d: 0):
+        rep = distance_report(c)
+    assert (rep.d, rep.method) == (6, "column-search")
 
 
 @pytest.mark.parametrize("n", range(1, 13))

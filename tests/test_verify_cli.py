@@ -11,14 +11,14 @@ import pytest
 from negacyclic import cli, distance
 
 from negacyclic.cli import main
-from negacyclic.codes import CodeError, NegacyclicCode
-from negacyclic.distance import SearchBudget
+from negacyclic.codes import CodeError, LinearCode, NegacyclicCode
+from negacyclic.distance import DistanceReport, SearchBudget, distance_report
 from negacyclic.families import Claim
 from negacyclic.ff import make_field
-from negacyclic.verify import (MATCH, MISMATCH, ResultCache, best_code_search,
-                               cached_distance_report, claim_verdict,
-                               descriptor_hash, make_record, render_scope,
-                               report_cache_key, verify_claims)
+from negacyclic.verify import (MATCH, MISMATCH, ResultCache, _certified,
+                               best_code_search, cached_distance_report,
+                               claim_verdict, descriptor_hash, make_record,
+                               render_scope, report_cache_key, verify_claims)
 
 GF3 = make_field(3, 1)
 
@@ -176,6 +176,11 @@ def test_cli_distance_recomputes_undecodable_cached_witness(tmp_path, capsys):
 # [14,6,6] (family 1, rho = 7): BCH gives 5, sphere packing 7, and a column
 # search up to weight 5 finds nothing, so its bounds-only report is 6..7
 _BOUNDS_BUDGET = SearchBudget(max_message_enum=3, max_column_weight=5)
+# [34,16,12] (family 1, rho = 17): BCH gives 5, sphere packing 14; 300 words
+# admit the information-set search with reach 4 (256 words to level 2, where
+# L(2) = 6 > 4), cheaper than the column search to weight 4, so its
+# bounds-only report is 6..14
+_INFO_BUDGET = SearchBudget(max_message_enum=300, max_column_weight=4)
 
 
 @pytest.fixture(scope="module")
@@ -184,41 +189,82 @@ def rho7_code():
     return build_family1(7).code
 
 
-def test_cache_genuine_bounds_only_hits_are_served(rho7_code, tmp_path):
+@pytest.fixture(scope="module")
+def rho17_code():
+    from negacyclic.families import build_family1
+    return build_family1(17).code
+
+
+def test_cache_genuine_bounds_only_hits_are_served(rho7_code, rho17_code,
+                                                   tmp_path):
     import warnings
-    for budget, src in ((_BOUNDS_BUDGET, "column-search w<=5"),
-                        (SearchBudget(max_message_enum=3, max_column_weight=2),
-                         "bch(v=1)")):
-        path = tmp_path / f"{budget.max_column_weight}.json"
-        rep = cached_distance_report(rho7_code, budget, cache=ResultCache(str(path)))
+    for code, budget, src in (
+            (rho7_code, _BOUNDS_BUDGET, "column-search w<=5"),
+            (rho7_code, SearchBudget(max_message_enum=3, max_column_weight=2),
+             "bch(v=1)"),
+            (rho17_code, _INFO_BUDGET, "information-set w<=2")):
+        path = tmp_path / f"{code.n}-{budget.max_column_weight}.json"
+        rep = cached_distance_report(code, budget, cache=ResultCache(str(path)))
         assert rep.method == "bounds-only" and rep.lower_src == src
         cache = ResultCache(str(path))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            again = cached_distance_report(rho7_code, budget, cache=cache)
+            again = cached_distance_report(code, budget, cache=cache)
         assert cache.hits == 1 and again.to_json() == rep.to_json()
 
 
-@pytest.mark.parametrize("edit", [
-    lambda rec: rec.update(upper=6),                          # not the packing bound
-    lambda rec: rec.update(upper_src="trivial"),
-    lambda rec: rec.update(lower=7, exact=True),              # w<=5 proves 6
-    lambda rec: rec.update(lower_src="column-search w<=6", lower=7, exact=True),
-    lambda rec: rec.update(lower_src="bch(v=1)"),             # BCH at v=1 is 5
-    lambda rec: rec.update(lower_src="bch(v=2)", lower=5),    # 2 shares a factor with 28
-    lambda rec: rec.update(lower_src="exhaustive"),           # unknown source
-    lambda rec: rec.update(exact=True),                       # 6..7 is not exact
-    lambda rec: rec.update(witness="1" + ",0" * 13),
+@pytest.mark.parametrize("info,edit", [
+    (False, lambda rec: rec.update(upper=6)),                 # not the packing bound
+    (False, lambda rec: rec.update(upper_src="trivial")),
+    (False, lambda rec: rec.update(lower=7, exact=True)),     # w<=5 proves 6
+    (False, lambda rec: rec.update(lower_src="column-search w<=6", lower=7,
+                                   exact=True)),
+    (False, lambda rec: rec.update(lower_src="bch(v=1)")),    # BCH at v=1 is 5
+    (False, lambda rec: rec.update(lower_src="bch(v=2)", lower=5)),  # 2 | 28
+    (False, lambda rec: rec.update(lower_src="exhaustive")),  # unknown source
+    (False, lambda rec: rec.update(exact=True)),              # 6..7 is not exact
+    (False, lambda rec: rec.update(witness="1" + ",0" * 13)),
+    # level 2 is the first with L > 4: L(1) = 4 and L(3) = 8 are not its bound
+    (True, lambda rec: rec.update(lower_src="information-set w<=1", lower=4)),
+    (True, lambda rec: rec.update(lower_src="information-set w<=3", lower=8)),
+    (True, lambda rec: rec.update(lower=5)),                  # L(2) is 6
+    (True, lambda rec: rec.update(lower=7)),
 ], ids=["upper", "upper-src", "lower", "cap", "bch-bound", "bch-multiplier",
-        "source", "exact-flag", "witness"])
-def test_cache_bounds_only_hit_is_certified(edit, rho7_code, tmp_path):
+        "source", "exact-flag", "witness", "info-level-below",
+        "info-level-above", "info-lower-below", "info-lower-above"])
+def test_cache_bounds_only_hit_is_certified(info, edit, rho7_code, rho17_code,
+                                            tmp_path):
+    if info:
+        code, budget, want = rho17_code, _INFO_BUDGET, (6, 14, "information-set w<=2")
+    else:
+        code, budget, want = rho7_code, _BOUNDS_BUDGET, (6, 7, "column-search w<=5")
     path = tmp_path / "results.json"
-    good = cached_distance_report(rho7_code, _BOUNDS_BUDGET,
+    good = cached_distance_report(code, budget,
                                   cache=ResultCache(str(path))).to_json()
-    assert (good["lower"], good["upper"], good["lower_src"]) == (
-        6, 7, "column-search w<=5")
+    assert (good["lower"], good["upper"], good["lower_src"]) == want
     _edit_only_record(path, edit)
-    _served_fresh(rho7_code, _BOUNDS_BUDGET, path, good)
+    _served_fresh(code, budget, path, good)
+
+
+def test_bounds_only_record_above_the_packing_bound_is_rejected():
+    # [10,4,6]: the default budget's column search reaches w_cap = 6 = the
+    # packing bound, so "column-search w<=6" would name lower 7 > upper 6
+    c = NegacyclicCode.from_check(GF3, 10, [1])
+    rep = DistanceReport(lower=7, upper=6, exact=False, method="bounds-only",
+                         lower_src="column-search w<=6",
+                         upper_src="sphere-packing")
+    assert not _certified(c, rep, SearchBudget())
+
+
+def test_information_set_bound_needs_the_constacyclic_windows(rho17_code):
+    # the record of the [34,16] code names level 2 of its two windows; the
+    # same rows as a plain LinearCode have the one window of their pivots,
+    # where L(w) = w + 1 first exceeds 4 at level 4
+    rep = distance_report(rho17_code, _INFO_BUDGET)
+    assert rep.lower_src == "information-set w<=2"
+    assert _certified(rho17_code, rep, _INFO_BUDGET)
+    plain = LinearCode(rho17_code.field, rho17_code.rows())
+    assert not _certified(plain, rep, _INFO_BUDGET)
 
 
 def _records(path):
@@ -411,21 +457,24 @@ def test_cli_field(capsys):
 
 def test_cli_build_dual_distance_roundtrip(tmp_path, capsys):
     desc_path = tmp_path / "code.json"
-    assert main(["build", "--n", "10", "--check", "1",
+    assert main(["build", "--n", "20", "--check", "1",
                  "--out", str(desc_path)]) == 0
     desc = json.loads(desc_path.read_text())
-    assert desc["k"] == 4 and desc["zero_leaders"] == [5, 11]
+    assert desc["k"] == 4 and desc["zero_leaders"] == [5, 7, 11, 13, 25]
 
-    assert main(["dual", "--code", str(desc_path)]) == 0
-    dual_desc = json.loads(capsys.readouterr().out)
-    assert dual_desc["k"] == 6
+    dual_path = tmp_path / "dual.json"
+    assert main(["dual", "--code", str(desc_path), "--out", str(dual_path)]) == 0
+    dual_desc = json.loads(dual_path.read_text())
+    assert dual_desc["k"] == 16 and dual_desc["zero_leaders"] == [13]
 
     cache_path = tmp_path / "results.json"
-    assert main(["distance", "--code", str(desc_path), "--budget", "3^16",
+    assert main(["distance", "--code", str(dual_path), "--budget", "3^16",
                  "--cache", str(cache_path)]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["exact"] and rep["lower"] == 6
-    # the column search to weight 6 reaches the packing bound 6
+    assert rep["exact"] and rep["lower"] == 3
+    # [20,16,3]: the column search to weight 4 reaches the packing bound 3
+    # with 1641 side entries, where the information-set search needs 2496
+    # words
     assert rep["method"] == "column-search"
     assert cache_path.exists()
 
