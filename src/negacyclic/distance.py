@@ -25,7 +25,11 @@ uint64 per plane (r*s <= 61 under the q^r < 2^62 guard); the planes of
 c * column i are built once per code.  Each side is sorted or probed on a
 64-bit key, a hash of the planes whose low bits carry the entry's index,
 and every key match is compared plane by plane before it can yield a word,
-so hash collisions cost time, never answers.
+so hash collisions cost time, never answers.  A side (_Side) holds in
+memory only its (j-1)-subsets, with the offset of each one's first
+extension and its extension count, plus the one block it is building: the
+prefix and last element of a block's j-subsets are derived from a run of
+offsets when the block is built.
 The information-set search builds its levels with the column search's side
 tables (_Side, each table filled block by block) over the redundancy parts
 of a generator matrix in reduced row-echelon form, kept as s*ceil(r/64)
@@ -107,8 +111,12 @@ class SearchBudget:
     time_cap: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_message_enum < 1 or self.max_column_weight < 0:
-            raise ValueError("budget caps must be positive")
+        if self.max_message_enum < 1:
+            raise ValueError(f"max_message_enum = {self.max_message_enum} "
+                             "must be at least 1")
+        if self.max_column_weight < 0:
+            raise ValueError(f"max_column_weight = {self.max_column_weight} "
+                             "must be at least 0")
 
 
 @dataclass
@@ -345,43 +353,71 @@ def _mix(planes):
     return mult @ planes[1:]
 
 
-def _extend(n, subs):
-    """The lexicographic (t+1)-subsets of range(n), given the t-subsets:
-    (prefix, last), where subset i is subs[prefix[i]] followed by last[i]."""
-    top = subs[:, -1] if subs.shape[1] else np.full(len(subs), -1)
-    counts = n - 1 - top
-    prefix = np.repeat(np.arange(len(subs)), counts)
-    last = np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts - top - 1,
-                                              counts)
-    return prefix, last
-
-
 class _Side:
     """The j-term side entries: every coefficient tuple in
     itertools.product(range(1, q), repeat=j) (the right side pins the last
     coefficient to 1) times every lexicographic j-subset, coefficient tuple
-    major.  Entry ((c, e), s), for prefix tuple c and last coefficient e + 1,
-    is entry (c, prefix[s]) of the table of all (j-1)-term sums plus
-    (e + 1) * column last[s]; its index is (c * k + e) * len(subs) + s, where
-    k is the number of last coefficients.  cplanes holds the planes of
-    c * column i at index c*n + i of its last axis, after any word axis."""
+    major.  Subset s is (j-1)-subset prefix(s) of prev_subs followed by
+    last(s); entry ((c, e), s), for prefix tuple c and last coefficient
+    e + 1, is entry (c, prefix(s)) of the table of all (j-1)-term sums plus
+    (e + 1) * column last(s); its index is (c * k + e) * n_subs + s, where k
+    is the number of last coefficients.  cplanes holds the planes of
+    c * column i at index c*n + i of its last axis, after any word axis.
+
+    A side holds only the (j-1)-subsets, the offset of each one's first
+    extension and its extension count, O(C(n, j-1)) memory; prefix(s) and
+    last(s) are derived for the subsets of one block when it is built
+    (split), so at most one block's worth of them exists at a time."""
 
     def __init__(self, cplanes, n, q, prev_subs, prev_planes, pinned=False):
         self.cplanes, self.n, self.q = cplanes, n, q
-        self.prefix, self.last = _extend(n, prev_subs)
-        self.subs = np.column_stack([prev_subs[self.prefix], self.last])
-        self.n_prev = len(prev_subs)
-        self.prev_planes = prev_planes
-        self.n_prefix = prev_planes.shape[-1] // self.n_prev
+        self.prev_subs, self.prev_planes = prev_subs, prev_planes
+        self.j = prev_subs.shape[1] + 1
+        # a prefix extends by every element above its top one
+        self.top = prev_subs[:, -1] if self.j > 1 else np.full(1, -1)
+        self.counts = n - 1 - self.top
+        self.start = np.cumsum(self.counts) - self.counts
+        self.n_subs = int(self.counts.sum())
+        self.n_prefix = prev_planes.shape[-1] // len(prev_subs)
         self.k = 1 if pinned else q - 1
-        self.size = self.n_prefix * self.k * len(self.subs)
+        self.size = self.n_prefix * self.k * self.n_subs
+
+    def split(self, s):
+        """(prefix(s), last(s)) of subsets s: a slice (a run of subsets,
+        which spans the prefixes a..b-1 found by two searchsorted calls and
+        takes one repeat over their counts, clipped to the run) or an index
+        array (one searchsorted)."""
+        if isinstance(s, slice):
+            a = np.searchsorted(self.start, s.start, side="right") - 1
+            b = np.searchsorted(self.start, s.stop)
+            start = self.start[a:b]
+            ends = np.minimum(start + self.counts[a:b], s.stop)
+            prefix = np.repeat(np.arange(a, b), ends - np.maximum(start, s.start))
+            s = np.arange(s.start, s.stop)
+        else:
+            prefix = np.searchsorted(self.start, s, side="right") - 1
+        return prefix, s - self.start[prefix] + self.top[prefix] + 1
+
+    def subsets(self, s):
+        """The j-subsets s (a slice or an index array), one per row; a side
+        that feeds the next level takes all of them in one call."""
+        prefix, last = self.split(s)
+        return np.column_stack([self.prev_subs[prefix], last])
+
+    def ends(self, s):
+        """(least, greatest) element of each of the subsets s."""
+        prefix, last = self.split(s)
+        return (self.prev_subs[prefix, 0] if self.j > 1 else last), last
 
     def planes(self, c, e, s, ks=None):
-        """Planes ks (default all) of entries ((c, e), s) (index arrays that
-        broadcast), flat along the last axis; any word axis of cplanes,
-        between the plane and the entry axes, stays."""
-        x = self.prev_planes[..., c * self.n_prev + self.prefix[s]]
-        y = self.cplanes[..., (e + 1) * self.n + self.last[s]]
+        """Planes ks (default all) of entries ((c, e), s), flat along the
+        last axis: c and e are index arrays that broadcast, s a slice (a run
+        along the last axis) or an index array that broadcasts with them;
+        any word axis of cplanes, between the plane and the entry axes,
+        stays."""
+        prefix, last = self.split(s)
+        x = self.prev_planes[..., c * len(self.prev_subs) + prefix]
+        y = self.cplanes[..., (e + 1) * self.n + last]
         z = _plane_add(x, y, ks)
         return z.reshape((len(z),) + self.cplanes.shape[1:-1] + (-1,))
 
@@ -391,41 +427,41 @@ class _Side:
         words over all p planes, so the gathered operands and the sum stay
         within about one block, whatever the size of the table."""
         lead = self.cplanes.shape[:-1]
-        out = np.empty(lead + (self.n_prefix, self.k, len(self.subs)),
+        out = np.empty(lead + (self.n_prefix, self.k, self.n_subs),
                        dtype=np.uint64)
         for c, e, s, _ in self.blocks(_CHUNK // len(self.cplanes)):
             # a block is a run of prefixes c by every e by a run of subsets s
             rows = slice(c[0, 0, 0], c[-1, 0, 0] + 1)
-            cols = slice(s[0, 0, 0], s[0, 0, -1] + 1)
-            out[..., rows, :, cols] = self.planes(c, e, s).reshape(
+            out[..., rows, :, s] = self.planes(c, e, s).reshape(
                 lead + (len(c), self.k, -1))
         return out.reshape(lead + (-1,))
 
     def entries(self, idx):
         """(c, e, s) of flat entry indices."""
-        ce, s = np.divmod(idx, len(self.subs))
+        ce, s = np.divmod(idx, self.n_subs)
         return (*np.divmod(ce, self.k), s)
 
     def blocks(self, words=_CHUNK):
         """(c, e, s, flat entry index) of consecutive blocks of about `words`
-        plane words (one word per entry for the column search); c, e and s
-        broadcast along three axes."""
-        n_subs = len(self.subs)
+        plane words (one word per entry for the column search); c and e
+        broadcast along the first two of three axes, and s is a slice, the
+        run of subsets along the third."""
         chunk = max(1, words // prod(self.cplanes.shape[1:-1]))
-        per = max(1, chunk // (self.k * n_subs))
-        step = n_subs if per > 1 else max(1, chunk // self.k)
+        per = max(1, chunk // (self.k * self.n_subs))
+        step = self.n_subs if per > 1 else max(1, chunk // self.k)
         e = np.arange(self.k)[None, :, None]
         for c0 in range(0, self.n_prefix, per):
             c = np.arange(c0, min(c0 + per, self.n_prefix))[:, None, None]
-            for s0 in range(0, n_subs, step):
-                s = np.arange(s0, min(s0 + step, n_subs))[None, None, :]
-                yield c, e, s, ((c * self.k + e) * n_subs + s).ravel()
+            for s0 in range(0, self.n_subs, step):
+                s = slice(s0, min(s0 + step, self.n_subs))
+                yield c, e, s, ((c * self.k + e) * self.n_subs
+                                + np.arange(s.start, s.stop)).ravel()
 
     def coeffs(self, idx):
         """Support and coefficients of the entry with flat index idx."""
         c, e, s = self.entries(idx)
-        pre = list(itertools.product(range(1, self.q), repeat=self.subs.shape[1] - 1))
-        return self.subs[s], pre[c] + (e + 1,)
+        pre = list(itertools.product(range(1, self.q), repeat=self.j - 1))
+        return self.subsets(np.atleast_1d(s))[0], pre[c] + (e + 1,)
 
 
 def _first_pair(left, right, lk, low, need, idx, r_pos, lo, hi):
@@ -441,7 +477,7 @@ def _first_pair(left, right, lk, low, need, idx, r_pos, lo, hi):
     l_idx = (lk[pos] & low).astype(np.int64)
     c, e, s = left.entries(l_idx)
     r_idx = idx[r_pos]
-    cand = np.flatnonzero(left.subs[s, -1] < right.subs[r_idx % len(right.subs), 0])
+    cand = np.flatnonzero(left.ends(s)[1] < right.ends(r_idx % right.n_subs)[0])
     same = (left.planes(c[cand], e[cand], s[cand])
             == need[:, r_pos[cand]]).all(axis=0)
     if not same.any():
@@ -486,10 +522,10 @@ def _level_search(tables, cplanes, w, n, deadline=None):
         side = _Side(cplanes, n, q, subs, sums)
         if j == t_size:
             left = side
+        full = slice(0, side.n_subs)
         sums = side.planes(np.arange(side.n_prefix)[:, None, None],
-                           np.arange(side.k)[None, :, None],
-                           np.arange(len(side.subs))[None, None, :])
-        subs = side.subs
+                           np.arange(side.k)[None, :, None], full)
+        subs = side.subsets(full)
     right = _Side(cplanes, n, q, subs, sums, pinned=True)
     if t_size == u_size:
         left = _Side(cplanes, n, q, subs, sums)
@@ -679,7 +715,7 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     while w < k and _info_set_bound(span, k, w) < min(best_w, reach + 1):
         if w:
             side = _Side(cplanes, k, q, subs, sums)
-            sums, subs = side.table(), side.subs
+            sums, subs = side.table(), side.subsets(slice(0, side.n_subs))
         w += 1
         side = _Side(cplanes, k, q, subs, sums, pinned=True)
         for c, e, s, idx in side.blocks():

@@ -148,7 +148,7 @@ def _certified(code, rep: DistanceReport, budget: SearchBudget) -> bool:
     """An engine report must be exact with upper == lower, and carry a
     witness of length n, entries in range(q) (contains() reduces mod q),
     weight rep.lower and membership.  A bounds-only report must carry the
-    sphere-packing upper bound, and a lower bound no larger that its source
+    sphere-packing upper bound, and a lower bound no larger than its source
     reproduces: the BCH bound at the named multiplier, W + 1 for a column
     search up to W = the weight w_cap the budget allows, or L(W) for an
     information-set search stopped at the first level W with L(W) > w_cap

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -316,8 +318,12 @@ def test_parse_budget_rejects_out_of_range(text):
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_message_enum = 0 must be at least 1"):
         SearchBudget(max_message_enum=0)
+    with pytest.raises(ValueError, match="max_column_weight = -1 must be at least 0"):
+        SearchBudget(max_column_weight=-1)
+    # a column search to weight 0 runs no level: the bounds alone remain
+    assert SearchBudget(max_column_weight=0).max_column_weight == 0
 
 
 def test_gf9_enumeration_small():
@@ -546,6 +552,94 @@ def test_inner_planes_leave_two_rows_outer(name, k):
     rows = np.ones((k, 10), dtype=tables.dtype)
     _, k_in = distance._inner_planes(tables, rows)
     assert k_in == max(1, k - 2)
+
+
+# ---------------------------------------------------------------------------
+# the side tables (_Side) of both searches against itertools
+
+def _side_layouts(tables, n):
+    """n random vectors and a function giving the c * vector planes of
+    vectors, for each layout: the column search's (5 entries folded into
+    one word per plane) and the information-set search's (70 entries: a word
+    axis of s * 2 words, word-major)."""
+    def worded(v):
+        planes = distance._digit_planes(tables, tables.mul[:, v])
+        p, s, W = planes.shape[0], planes.shape[1], planes.shape[-1]
+        return np.moveaxis(planes, -1, 2).reshape(p, s * W, -1)
+
+    rng = np.random.default_rng(tables.q * 10 + n)
+    return [(rng.integers(0, tables.q, size=(n, 5)).astype(tables.dtype),
+             lambda v: distance._column_planes(tables, v.T)),
+            (rng.integers(0, tables.q, size=(n, 70)).astype(tables.dtype),
+             worded)]
+
+
+def _side_oracle(q, n, j, pinned):
+    """(support, coefficients) of every j-term side entry, in the documented
+    order: prefix coefficient tuple, then last coefficient, then subset."""
+    return [(sub, pre + (e,))
+            for pre in itertools.product(range(1, q), repeat=j - 1)
+            for e in ([1] if pinned else range(1, q))
+            for sub in itertools.combinations(range(n), j)]
+
+
+def _check_side(side, tables, vecs, layout, want):
+    subs = np.array(list(itertools.combinations(range(side.n), side.j)))
+    n_subs = len(subs)
+    assert (side.size, side.n_subs) == (len(want), n_subs)
+    for idx, (sub, co) in enumerate(want):
+        got_sub, got_co = side.coeffs(idx)
+        assert (tuple(got_sub), tuple(got_co)) == (sub, co)
+    # the planes of every entry's sum, computed directly from the vectors
+    sup, co = (np.array([entry[i] for entry in want]) for i in (0, 1))
+    vec = np.zeros((len(want), vecs.shape[1]), dtype=np.int64)
+    for t in range(side.j):
+        vec = tables.add[vec, tables.mul[co[:, t, None], vecs[sup[:, t]]]]
+    planes = layout(vec)[..., len(want):2 * len(want)]   # 1 * each sum
+    # runs (every slice, with prefixes that have no extension among them)
+    # and index arrays give the same subsets and support ends
+    if side.j > 1:
+        assert (side.counts == 0).any()
+    for a in range(n_subs + 1):
+        for b in range(a, n_subs + 1):
+            assert np.array_equal(side.subsets(slice(a, b)).reshape(-1, side.j),
+                                  subs[a:b])
+    every = np.arange(n_subs)
+    assert np.array_equal(side.subsets(every[::-1]), subs[::-1])
+    first, last = side.ends(every)
+    assert np.array_equal(first, subs[:, 0]) and np.array_equal(last, subs[:, -1])
+    # blocks of a few subsets, of several prefixes and of the whole side
+    for words in (12, 100, 1 << 16):
+        seen = []
+        for c, e, s, idx in side.blocks(words):
+            assert isinstance(s, slice)
+            assert np.array_equal(side.planes(c, e, s), planes[..., idx])
+            seen.append(idx)
+        # every entry once (a block takes every e, so runs interleave them)
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(side.size))
+    perm = np.random.default_rng(side.size).permutation(side.size)
+    assert np.array_equal(side.planes(*side.entries(perm)), planes[..., perm])
+    if side.k > 1:
+        assert np.array_equal(side.table(), planes)
+
+
+@pytest.mark.parametrize("name,n", [
+    (name, n) for name in sorted(KERNEL_FIELDS) for n in (1, 2, 4, 6)
+    if (name, n) != ("GF(9)", 6)])  # 8^4 * C(6, 4) entries: a slow oracle
+def test_side_enumerates_every_entry_in_order(name, n):
+    # sides j = 1..4 (up to j = n), pinned and not, in both plane layouts,
+    # each built from the table of the side before, as both searches do
+    tables = KERNEL_FIELDS[name].tables()
+    q = tables.q
+    for vecs, layout in _side_layouts(tables, n):
+        cplanes = layout(vecs)
+        subs, sums = np.zeros((1, 0), dtype=np.int64), cplanes[..., :1]
+        for j in range(1, min(n, 4) + 1):
+            for pinned in (True, False):
+                side = distance._Side(cplanes, n, q, subs, sums, pinned)
+                want = _side_oracle(q, n, j, pinned)
+                _check_side(side, tables, vecs, layout, want)
+            sums, subs = side.table(), side.subsets(slice(0, side.n_subs))
 
 
 # ---------------------------------------------------------------------------
@@ -864,3 +958,54 @@ def test_info_set_bound_is_the_least_window_weight(n):
                                  & np.array(windows, dtype=np.uint64)).min(axis=1)
         for w in range(k):
             assert distance._info_set_bound(n, k, w) == sizes[least > w].min()
+
+
+# ---------------------------------------------------------------------------
+# memory: a side holds its (j-1)-subsets, and its entries one block at a time
+
+def _traced_peak(run):
+    """Peak bytes that run() allocates, by tracemalloc (numpy arrays count)."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def family3_m6_dual():
+    code = build_family3(6, 182).dual     # [182,170,5]
+    code.dual_rows()                      # outside the traced calls
+    return code
+
+
+def test_pinned_side_holds_only_its_prefixes(family3_m6_dual):
+    # the pinned 3-term side over n = 182 has C(182, 3) = 980,980 subsets
+    # (24 MB as an (N, 3) int64 array); it keeps the C(182, 2) 2-subsets
+    tables = GF3.tables()
+    cplanes = distance._column_planes(
+        tables, np.asarray(family3_m6_dual.dual_rows(), dtype=tables.dtype))
+    n = family3_m6_dual.n
+    pairs = distance._Side(cplanes, n, 3, np.arange(n)[:, None],
+                           cplanes[:, n:])
+    subs, sums = np.array(list(itertools.combinations(range(n), 2))), pairs.table()
+    peak = _traced_peak(lambda: distance._Side(cplanes, n, 3, subs, sums,
+                                               pinned=True))
+    assert peak < 1 << 20
+
+
+def test_column_search_memory_gate(family3_m6_dual):
+    peak = _traced_peak(lambda: low_weight_search(family3_m6_dual, 5))
+    assert peak < 20 << 20
+
+
+def test_information_set_memory_gate():
+    # the rho = 31 [62,32] dual to reach 8: the pinned level-5 side has
+    # 16 * C(32, 5) entries against the 13.8 MB table of 4-term sums
+    code = build_family1(31).dual
+    assert (code.n, code.k) == (62, 32)
+    rep = []
+    peak = _traced_peak(lambda: rep.append(information_set_search(code, d_max=8)))
+    assert (rep[0].lower, rep[0].lower_src) == (10, "information-set w<=5")
+    assert peak < 28 << 20

@@ -627,3 +627,22 @@ def test_cli_budget_out_of_range_fails_fast(budget, capsys):
     assert exc.value.code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "must be an integer in 1..2^64" in err
+
+
+@pytest.mark.parametrize("cmd", [["verify", "--scope", "properties"],
+                                 ["distance", "--code", "{tmp}/code.json"]],
+                         ids=["verify", "distance"])
+def test_cli_w_max_names_its_range(cmd, tmp_path, capsys):
+    # 0 is the least column-search cap (no level runs); below it the one
+    # error line names the cap and its range
+    assert main(["build", "--n", "20", "--check", "1",
+                 "--out", str(tmp_path / "code.json")]) == 0
+    cmd = [a.format(tmp=tmp_path) for a in cmd] + ["--no-cache"]
+    assert main(cmd + ["--w-max", "0", "--out", str(tmp_path / "o.json")]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(cmd + ["--w-max", "-1"])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and ": error: " in err
+    assert "max_column_weight = -1 must be at least 0" in err
