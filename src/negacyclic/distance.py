@@ -17,9 +17,8 @@ all s digits is set, so one popcount gives the weights of the whole block.
 Weights are invariant under scalar multiples, so the walk is projective:
 besides outer message 0 (the whole block) it visits only the outer messages
 whose top nonzero digit is the field's one, (q^K - 1)/(q - 1) of the
-q^K - 1 for K outer rows, and counts each q - 1 times.  Shards of the
-walked outer messages may run on several threads; their histograms add, so
-the counts do not depend on the inner block size or the shard count.
+q^K - 1 for K outer rows, and counts each q - 1 times, so the counts do
+not depend on the inner block size.
 The column search folds a syndrome's s digit blocks of r entries into one
 uint64 per plane (r*s <= 61 under the q^r < 2^62 guard); the planes of
 c * column i are built once per code.  Each side is sorted or probed on a
@@ -30,14 +29,17 @@ memory only its (j-1)-subsets, with the offset of each one's first
 extension and its extension count, plus the one block it is building: the
 prefix and last element of a block's j-subsets are derived from a run of
 offsets when the block is built.
-The information-set search builds its levels with the column search's side
-tables (_Side, each table filled block by block) over the redundancy parts
-of a generator matrix in reduced row-echelon form, kept as s*ceil(r/64)
-words per plane, so r has no limit.  For a constacyclic code the words of
-weight w on window [0, k) stand, through the constashift by k, for those of
-every window [jk, (j+1)k) mod n; the search stops once the windows' bound
-L(w) reaches the least weight found, or, short of that, at the first level
-W with L(W) above a given reach, which proves d >= L(W).
+The information-set search holds the sums of t of the redundancy parts of
+a generator matrix in reduced row-echelon form in one colex-ordered table
+(at most _TABLE_WORDS words per plane; the s digit blocks folded into one
+uint64 per plane when r*s <= 64, s*ceil(r/64) words per plane otherwise, so
+r has no limit).  A message of weight w is a top part of w - t rows plus a
+sum on the rows below them, which in colex order is a prefix of the table,
+so a level is tested without gathering an operand.  For a constacyclic code
+the words of weight w on window [0, k) stand, through the constashift by k,
+for those of every window [jk, (j+1)k) mod n; the search stops once the
+windows' bound L(w) reaches the least weight found, or, short of that, at
+the first level W with L(W) above a given reach, which proves d >= L(W).
 distance_report runs, for each guarantee, the engine that counts fewer
 words: to settle d, the column search (when it reaches the packing bound)
 or the information-set search; when neither can, to prove d > w_cap, the
@@ -52,9 +54,8 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -70,8 +71,9 @@ from .codes import (CodeError, ConstacyclicCode, NegacyclicCode, encode_rows,
 #: 4: it replaces enumeration for every exact distance, of any redundancy
 #: and of any linear code; 5: distance_report runs whichever engine counts
 #: fewer words, and the information-set search proves bounds-only lower
-#: bounds).
-ENGINE_VERSION = 5
+#: bounds; 6: the information-set search walks colex-ordered tables, so its
+#: witnesses may differ).
+ENGINE_VERSION = 6
 
 
 class BudgetExceeded(RuntimeError):
@@ -258,7 +260,7 @@ def _outer_messages(q, K):
                           + [np.arange(q ** t, 2 * q ** t) for t in range(K)])
 
 
-def _walk_shard(tables, planes, rows_out, n, deadline, outer):
+def _walk(tables, planes, rows_out, n, deadline, outer):
     """The weight histogram of the codewords of the outer messages in outer.
 
     Each outer message is encoded directly as c.  A coordinate of an inner
@@ -270,7 +272,7 @@ def _walk_shard(tables, planes, rows_out, n, deadline, outer):
     """
     q = tables.q
     zhist = np.zeros(n + 1, dtype=np.int64)
-    # one set of step buffers per shard: fresh ones at every step page-fault
+    # one set of step buffers per walk: fresh ones at every step page-fault
     # until the allocator's mmap threshold has risen
     zero, other, tmp = np.empty((3,) + planes.shape[2:], dtype=np.uint64)
     counts = np.empty(planes.shape[2:], dtype=np.uint8)
@@ -293,12 +295,10 @@ def _message_digits(q, k, msg_index):
     return [(msg_index // q ** r) % q for r in range(k)]
 
 
-def weight_distribution(code, budget: Optional[SearchBudget] = None,
-                        threads: int = 1) -> Optional[dict[int, int]]:
+def weight_distribution(code, budget: Optional[SearchBudget] = None
+                        ) -> Optional[dict[int, int]]:
     """Counts A_w of codewords of each weight w, by the blocked enumeration
-    of all q^k messages; None when q^k exceeds budget.max_message_enum.
-    The walked outer messages are split into `threads` shards, each on its
-    own thread."""
+    of all q^k messages; None when q^k exceeds budget.max_message_enum."""
     budget = budget or SearchBudget()
     tables = code.field.tables()
     q, k, n = tables.q, code.k, code.n
@@ -308,19 +308,10 @@ def weight_distribution(code, budget: Optional[SearchBudget] = None,
         return None
     rows = np.asarray(code.rows(), dtype=tables.dtype)
     planes, k_in = _inner_planes(tables, rows)
-    outer = _outer_messages(q, k - k_in)
     deadline = (time.monotonic() + budget.time_cap
                 if budget.time_cap is not None else None)
-    walk = functools.partial(_walk_shard, tables, planes, rows[k_in:], n,
-                             deadline)
-    threads = max(1, min(threads, len(outer)))
-    bounds = [len(outer) * t // threads for t in range(threads + 1)]
-    shards = [outer[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-    if len(shards) == 1:
-        hist = walk(shards[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(shards)) as ex:
-            hist = sum(ex.map(walk, shards))
+    hist = _walk(tables, planes, rows[k_in:], n, deadline,
+                 _outer_messages(q, k - k_in))
     return {w: int(c) for w, c in enumerate(hist) if c}
 
 
@@ -362,7 +353,7 @@ class _Side:
     e + 1, is entry (c, prefix(s)) of the table of all (j-1)-term sums plus
     (e + 1) * column last(s); its index is (c * k + e) * n_subs + s, where k
     is the number of last coefficients.  cplanes holds the planes of
-    c * column i at index c*n + i of its last axis, after any word axis.
+    c * column i at index c*n + i (_column_planes).
 
     A side holds only the (j-1)-subsets, the offset of each one's first
     extension and its extension count, O(C(n, j-1)) memory; prefix(s) and
@@ -412,43 +403,24 @@ class _Side:
     def planes(self, c, e, s, ks=None):
         """Planes ks (default all) of entries ((c, e), s), flat along the
         last axis: c and e are index arrays that broadcast, s a slice (a run
-        along the last axis) or an index array that broadcasts with them;
-        any word axis of cplanes, between the plane and the entry axes,
-        stays."""
+        along the last axis) or an index array that broadcasts with them."""
         prefix, last = self.split(s)
-        x = self.prev_planes[..., c * len(self.prev_subs) + prefix]
-        y = self.cplanes[..., (e + 1) * self.n + last]
+        x = self.prev_planes[:, c * len(self.prev_subs) + prefix]
+        y = self.cplanes[:, (e + 1) * self.n + last]
         z = _plane_add(x, y, ks)
-        return z.reshape((len(z),) + self.cplanes.shape[1:-1] + (-1,))
-
-    def table(self):
-        """The planes of every entry, flat along the last axis, filled block
-        by block into one preallocated array; a block holds about _CHUNK
-        words over all p planes, so the gathered operands and the sum stay
-        within about one block, whatever the size of the table."""
-        lead = self.cplanes.shape[:-1]
-        out = np.empty(lead + (self.n_prefix, self.k, self.n_subs),
-                       dtype=np.uint64)
-        for c, e, s, _ in self.blocks(_CHUNK // len(self.cplanes)):
-            # a block is a run of prefixes c by every e by a run of subsets s
-            rows = slice(c[0, 0, 0], c[-1, 0, 0] + 1)
-            out[..., rows, :, s] = self.planes(c, e, s).reshape(
-                lead + (len(c), self.k, -1))
-        return out.reshape(lead + (-1,))
+        return z.reshape(len(z), -1)
 
     def entries(self, idx):
         """(c, e, s) of flat entry indices."""
         ce, s = np.divmod(idx, self.n_subs)
         return (*np.divmod(ce, self.k), s)
 
-    def blocks(self, words=_CHUNK):
-        """(c, e, s, flat entry index) of consecutive blocks of about `words`
-        plane words (one word per entry for the column search); c and e
-        broadcast along the first two of three axes, and s is a slice, the
-        run of subsets along the third."""
-        chunk = max(1, words // prod(self.cplanes.shape[1:-1]))
-        per = max(1, chunk // (self.k * self.n_subs))
-        step = self.n_subs if per > 1 else max(1, chunk // self.k)
+    def blocks(self):
+        """(c, e, s, flat entry index) of consecutive blocks of about _CHUNK
+        entries; c and e broadcast along the first two of three axes, and s
+        is a slice, the run of subsets along the third."""
+        per = max(1, _CHUNK // (self.k * self.n_subs))
+        step = self.n_subs if per > 1 else max(1, _CHUNK // self.k)
         e = np.arange(self.k)[None, :, None]
         for c0 in range(0, self.n_prefix, per):
             c = np.arange(c0, min(c0 + per, self.n_prefix))[:, None, None]
@@ -611,7 +583,72 @@ def low_weight_search(code, w_max: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
-# Brouwer-Zimmermann information-set search over the column search's tables
+# Brouwer-Zimmermann information-set search over colex-ordered tables
+
+# plane words (per plane) of the largest colex table the search builds
+_TABLE_WORDS = 1 << 19
+
+
+def _colex_size(l, j, q):
+    """Entries of the colex table T_j on rows [0, l): C(l, j) (q - 1)^j."""
+    return comb(l, j) * (q - 1) ** j
+
+
+def _colex_table(prev, prev_least, rplanes, k, q, j):
+    """T_j, the j-term sums of the k rows with nonzero coefficients, and the
+    least row of each, from T_(j-1): the concatenation over rows l of the
+    q - 1 blocks T_(j-1)[:C(l, j-1)(q-1)^(j-1)] + c * row l (c = 1..q-1),
+    filled in place by one _plane_add per row, so the sums on rows [0, l)
+    are its first C(l, j)(q - 1)^j entries (colex order).  rplanes[...,
+    (c-1)*k + l] holds the planes of c * row l."""
+    out = np.empty(rplanes.shape[:-1] + (_colex_size(k, j, q),), dtype=np.uint64)
+    least = np.empty(out.shape[-1], dtype=prev_least.dtype)
+    for l in range(j - 1, k):
+        a, pre = _colex_size(l, j, q), _colex_size(l, j - 1, q)
+        b = a + (q - 1) * pre
+        block = out[..., a:b].reshape(out.shape[:-1] + (q - 1, pre))
+        _plane_add(prev[..., None, :pre], rplanes[..., l::k, None], out=block)
+        least[a:b].reshape(q - 1, pre)[:] = np.minimum(prev_least[:pre], l)
+    return out, least
+
+
+def _colex_prefixes(k, t, q):
+    """The prefix of T_t that a top part with least row u extends, for each
+    u < k: the C(u, t)(q - 1)^t sums on rows [0, u)."""
+    return np.array([_colex_size(u, t, q) for u in range(k)])
+
+
+def _colex_unrank(i, j, q):
+    """(rows, coefficients) of entry i of T_j, ascending by row."""
+    rows, coeffs = [], []
+    for j in range(j, 0, -1):
+        l = j - 1
+        while _colex_size(l + 1, j, q) <= i:
+            l += 1
+        c, i = divmod(i - _colex_size(l, j, q), _colex_size(l, j - 1, q))
+        rows.insert(0, l)
+        coeffs.insert(0, c + 1)
+    return rows, coeffs
+
+
+def _colex_sums(T, least, rplanes, k, q, j, l):
+    """Batches (planes, least rows, colex ranks) of the j-term sums on rows
+    [0, l): runs of T_j when it is built, otherwise the (j-1)-term sums on
+    rows [0, l') plus every c * row l', recursively."""
+    if j < len(T):
+        size = _colex_size(l, j, q)
+        for a in range(0, size, _CHUNK):
+            b = min(a + _CHUNK, size)
+            yield T[j][..., a:b], least[j][a:b], np.arange(a, b)
+        return
+    for l2 in range(j - 1, l):
+        block = _colex_size(l2, j - 1, q) * np.arange(q - 1)[:, None]
+        for planes, lo, ranks in _colex_sums(T, least, rplanes, k, q, j - 1, l2):
+            sums = _plane_add(planes[..., None, :], rplanes[..., l2::k, None])
+            yield (sums.reshape(sums.shape[:-2] + (-1,)),
+                   np.tile(np.minimum(lo, l2), q - 1),
+                   (_colex_size(l2, j, q) + block + ranks).ravel())
+
 
 def _info_set_bound(n, k, w):
     """L(w): the least weight of a codeword with more than w nonzeros in
@@ -645,6 +682,68 @@ def _info_set_words(n, k, q, d_max):
                for w in range(1, _info_set_levels(n, k, d_max) + 1))
 
 
+def _redundancy_planes(tables, R, r):
+    """Digit planes of c * row l of the redundancy parts R (k rows, r valid
+    columns) at index c*k + l of the last axis, after a word axis, and a
+    function giving the nonzero count of each redundancy part from the
+    plane 0 words z of its digit sum (z and tmp, of one shape, are
+    overwritten).  The s digit blocks fold into one uint64 per plane when
+    they fit, as in _column_planes (one word, digit j at bit j*R.shape[1]);
+    otherwise the word axis holds s*ceil(r/64) words, digit-major."""
+    k, cols = R.shape
+    s = tables.field.m
+    if cols * s <= 64:
+        planes = _column_planes(tables, R.T)[:, None]
+        mask, shift = np.uint64((1 << r) - 1), np.uint64(cols)
+
+        def nonzeros(z, tmp):
+            nz = np.invert(z[0], out=z[0])
+            for _ in range(s - 1):  # OR in digit j, shifted down j blocks
+                nz |= np.right_shift(nz, shift, out=tmp[0])
+            nz &= mask
+            return np.bitwise_count(nz)
+        return planes, nonzeros
+    planes = _digit_planes(tables, tables.mul[:, R])     # (p, s, q, k, W)
+    W = planes.shape[-1]
+    planes = np.moveaxis(planes, -1, 2).reshape(len(planes), s * W, -1)
+    valid = _bits(np.arange(64 * W) < r)[:, None, None]
+
+    def nonzeros(z, tmp):
+        z = np.invert(z, out=z).reshape((s, W) + z.shape[1:])
+        for j in range(1, s):
+            z[0] |= z[j]
+        z[0] &= valid
+        return np.bitwise_count(z[0]).sum(axis=0, dtype=np.int64)
+    return planes, nonzeros
+
+
+def _pair_runs(P, cap):
+    """Runs (b0, b1, x0, x1) pairing top parts b0..b1-1, sorted by the
+    length P of their table prefix, with table entries x0..x1-1, about cap
+    pairs each.  A run of top parts with several prefix lengths takes the
+    longest, and the pairs past each one's own prefix are masked."""
+    cuts = np.flatnonzero(np.diff(P)) + 1
+    starts, ends = [0] + cuts.tolist(), cuts.tolist() + [len(P)]
+    lengths = P[starts].tolist()
+    g, b0 = 0, 0
+    while g < len(ends):
+        size = lengths[g]
+        if size == 0:
+            b0, g = ends[g], g + 1
+        elif (ends[g] - b0) * size > cap:
+            b1 = b0 + max(1, cap // size)
+            for x0 in range(0, size, cap):
+                yield b0, b1, x0, min(x0 + cap, size)
+            b0 = b1
+            g += b0 == ends[g]
+        else:
+            h = g
+            while h + 1 < len(ends) and (ends[h + 1] - b0) * lengths[h + 1] <= cap:
+                h += 1
+            yield b0, ends[h], 0, lengths[h]
+            b0, g = ends[h], h + 1
+
+
 def information_set_search(code, budget: Optional[SearchBudget] = None,
                            d_max: Optional[int] = None
                            ) -> Optional[DistanceReport]:
@@ -654,13 +753,19 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
 
     G is put in reduced row-echelon form (codes.rref): its pivot columns are
     an information set and the other r = n - k columns the redundancy.
-    Level w enumerates the messages of weight w, one per scalar class: the
-    pinned side of the column search (_Side) over the redundancy parts of
-    the k rows (their digit planes, s*ceil(r/64) words per plane), streamed
-    in blocks of about _CHUNK plane words, built from the table of all
-    (w-1)-term sums (_Side.table, filled block by block).  A word's weight
-    is w plus the nonzeros of its redundancy part: the popcount of ~plane
-    0, ORed over the s digit blocks and masked to the r valid bits.
+    Level w enumerates the messages of weight w, one per scalar class, as
+    sums of the redundancy parts of the k rows (_redundancy_planes).  The
+    sums of t rows are held in one colex table T_t (_colex_table), where t
+    is w - 1, or less when T_(w-1) would exceed _TABLE_WORDS plane words.  A
+    message is a (w - t)-term top part y, whose top coefficient is pinned
+    to 1 (one per scalar class) and whose least row u bounds the others:
+    its t-term bottom parts are the prefix T_t[:C(u, t)(q - 1)^t].  Since
+    y is one vector, plane 0 of x + y is OR_v x_v & y_(-v) (_plane_add)
+    for every x of the prefix, so no operand is gathered; a top part of one
+    row is a row, and longer ones come in batches (_colex_sums), sorted by
+    their least row and paired with the prefixes in runs of about _CHUNK
+    plane words (_pair_runs).  A word's weight is w plus the nonzeros of
+    its redundancy part.
 
     A word not yet met after level w has more than w nonzeros on each
     window, so its weight is at least L(w) (_info_set_bound).  For a
@@ -670,17 +775,20 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     [jk, (j+1)k) mod n.  Any other code has the one window of its pivots,
     and L(w) = w + 1.  The search ends exact once L(w) reaches the least
     weight found, or after level k, when every message has been met; the
-    word is re-checked with code.contains.  Otherwise it stops at the first
-    level W with L(W) > d_max and returns the inexact report lower = L(W),
-    lower_src "information-set w<=W", with no witness (a word found on the
-    way is not reported).  With no reach (d_max None) the reach is the
-    sphere-packing bound, which always ends exact.
+    least word's bottom and top parts are unranked to a message
+    (_colex_unrank), and its word is re-checked with code.contains.
+    Otherwise it stops at the first level W with L(W) > d_max and returns
+    the inexact report lower = L(W), lower_src "information-set w<=W",
+    with no witness (a word found on the way is not reported).  With no
+    reach (d_max None) the reach is the sphere-packing bound, which always
+    ends exact.
 
     Returns None when the code is not admitted: the words up to level W
     (_info_set_words) must fit budget.max_message_enum, and every code whose
-    q^k fits is admitted.  `work` counts the words enumerated; the deadline
-    is checked before each block.  Raises CodeError for the zero code and
-    for linearly dependent generator rows.
+    q^k fits is admitted.  `work` counts the words enumerated, the prefix
+    lengths summed over the top parts: C(k, w)(q - 1)^(w - 1) at level w.
+    The deadline is checked before each run of pairs.  Raises CodeError for
+    the zero code and for linearly dependent generator rows.
     """
     budget = budget or SearchBudget()
     q, k, n = code.field.order, code.k, code.n
@@ -703,40 +811,65 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     red = np.delete(np.arange(n), pivots)
     # the full space has no redundancy: one zero column, masked away
     R = G[:, red] if len(red) else np.zeros((k, 1), dtype=tables.dtype)
-    cplanes = _digit_planes(tables, tables.mul[:, R])    # (p, m, q, k, W)
-    p, m, W = len(cplanes), tables.field.m, cplanes.shape[-1]
-    # word-major, so that _Side gathers each word row contiguously:
-    # cplanes[v, j*W + u, c*k + i] is word u of digit j of c * row i
-    cplanes = np.moveaxis(cplanes, -1, 2).reshape(p, m * W, q * k)
-    valid = _bits(np.arange(64 * W) < len(red))[:, None]
-    subs = np.zeros((1, 0), dtype=np.int64)   # the (w-1)-subsets
-    sums = cplanes[..., :1]                   # every (w-1)-term sum
+    cplanes, nonzeros = _redundancy_planes(tables, R, len(red))
+    p, words = len(cplanes), cplanes.shape[1]
+    rplanes = cplanes[..., k:]               # c * row l at (c - 1)*k + l
+    cap = max(1, _CHUNK // words)            # pairs per run
+    t_max = 0
+    while t_max < k and _colex_size(k, t_max + 1, q) * words <= _TABLE_WORDS:
+        t_max += 1
+    T, least = [cplanes[..., :1]], [np.full(1, k, np.min_scalar_type(k))]
     best_w, best, work, w = n + 1, None, 0, 0
     while w < k and _info_set_bound(span, k, w) < min(best_w, reach + 1):
-        if w:
-            side = _Side(cplanes, k, q, subs, sums)
-            sums, subs = side.table(), side.subsets(slice(0, side.n_subs))
         w += 1
-        side = _Side(cplanes, k, q, subs, sums, pinned=True)
-        for c, e, s, idx in side.blocks():
-            _check_deadline(deadline, "information-set search")
-            zero = side.planes(c, e, s, (0,))[0].reshape(m, W, -1)
-            nonzero = np.bitwise_or.reduce(~zero) & valid
-            weights = np.bitwise_count(nonzero).sum(axis=0)
-            i = int(np.argmin(weights))
-            if w + int(weights[i]) < best_w:
-                best_w, best = w + int(weights[i]), (side, int(idx[i]))
-        work += side.size
+        if len(T) < min(w, t_max + 1):
+            table, lo = _colex_table(T[-1], least[-1], rplanes, k, q, len(T))
+            T.append(table)
+            least.append(lo)
+        t = len(T) - 1
+        m = w - t
+        prefixes = _colex_prefixes(k, t, q)
+        if m == 1:   # the top part is one row, l = w-1..k-1
+            batches = [(rplanes[..., w - 1:k], np.arange(w - 1, k),
+                        np.arange(w - 1, k) * (q - 1))]
+        else:        # top row l with coefficient 1 over m-1 lower rows
+            batches = ((_plane_add(y, rplanes[..., l, None]), u,
+                        _colex_size(l, m, q) + ranks)
+                       for l in range(w - 1, k)
+                       for y, u, ranks in _colex_sums(T, least, rplanes, k,
+                                                      q, m - 1, l))
+        for y, u, ids in batches:
+            if m > 1:   # one-row top parts are already in row order
+                order = np.argsort(u, kind="stable")
+                y, u, ids = y[..., order], u[order], ids[order]
+            P = prefixes[u]
+            work += int(P.sum())
+            for b0, b1, x0, x1 in _pair_runs(P, cap):
+                _check_deadline(deadline, "information-set search")
+                x, yb = T[t][..., None, x0:x1], y[..., b0:b1, None]
+                z = x[0] & yb[0]
+                tmp = np.empty_like(z)
+                for v in range(1, p):
+                    z |= np.bitwise_and(x[v], yb[p - v], out=tmp)
+                weights = nonzeros(z, tmp)
+                if P[b0] != P[b1 - 1]:   # pairs past a shorter prefix
+                    weights[np.arange(x0, x1) >= P[b0:b1, None]] = np.iinfo(
+                        weights.dtype).max
+                i = int(np.argmin(weights))
+                bi, e = divmod(i, x1 - x0)
+                if w + int(weights[bi, e]) < best_w:
+                    best_w = w + int(weights[bi, e])
+                    best = (t, x0 + e, m, int(ids[b0 + bi]))
     lower = _info_set_bound(span, k, w)
     if w < k and lower < best_w:  # stopped at the reach: a lower bound only
         return DistanceReport(
             lower=lower, upper=n, exact=False, method="information-set",
             witness=None, lower_src=f"information-set w<={w}",
             upper_src="trivial", work=work, elapsed_s=time.monotonic() - t0)
-    side, entry = best
-    support, coeffs = side.coeffs(entry)
+    t, e, m, top = best
     message = np.zeros(k, dtype=np.int64)
-    message[support] = coeffs
+    for rows, coeffs in (_colex_unrank(e, t, q), _colex_unrank(top, m, q)):
+        message[rows] = coeffs
     word = encode_rows(tables, G, message)
     if np.count_nonzero(word) != best_w or not code.contains(word):
         raise AssertionError(  # pragma: no cover
@@ -818,7 +951,7 @@ def distance_report(code, budget: Optional[SearchBudget] = None
     through to the next one, then to bounds.  A report that no engine
     settles is bounds-only: the sphere-packing upper bound, and the larger
     of the BCH bound and the lower bound of the engine that ran (whose work
-    it carries)."""
+    and elapsed time it carries)."""
     budget = budget or SearchBudget()
     q, k, n = code.field.order, code.k, code.n
     if k == 0:
@@ -843,7 +976,7 @@ def distance_report(code, budget: Optional[SearchBudget] = None
     engines = ranked(w_cap >= pack, pack)
     if w_cap < pack:
         engines += ranked(bch <= w_cap, w_cap)
-    lower, lower_src, work = bch, f"bch(v={bch_v})", 0
+    lower, lower_src, work, elapsed = bch, f"bch(v={bch_v})", 0, 0.0
     for run in engines:
         try:
             rep = run()
@@ -854,11 +987,11 @@ def distance_report(code, budget: Optional[SearchBudget] = None
                 raise AssertionError(
                     f"bounds violated: bch={bch} d={rep.lower} packing={pack}")
             return rep
-        work = rep.work
+        work, elapsed = rep.work, rep.elapsed_s
         if rep.lower > bch:
             lower, lower_src = rep.lower, rep.lower_src
         break
     return DistanceReport(
         lower=lower, upper=pack, exact=(lower == pack), method="bounds-only",
         witness=None, lower_src=lower_src, upper_src="sphere-packing",
-        work=work)
+        work=work, elapsed_s=elapsed)

@@ -78,9 +78,12 @@ def test_enum_declines_over_budget():
     assert weight_distribution(c, SearchBudget(max_message_enum=100)) is None
 
 
-def test_enum_thread_determinism():
+def test_enum_inner_block_determinism():
     c = NegacyclicCode.from_check(GF3, 13, [1, 17])
-    hists = [weight_distribution(c, threads=t) for t in (1, 3)]
+    hists = []
+    for cap in (distance._INNER_BYTES, 0):
+        with mock.patch.object(distance, "_INNER_BYTES", cap):
+            hists.append(weight_distribution(c))
     assert hists[0] == hists[1]
 
 
@@ -300,6 +303,40 @@ def test_bounds_only_report_carries_column_search_work(family1_rho19):
     assert (rep.exact, rep.d, rep.method) == (True, 10, "information-set")
 
 
+def test_bounds_only_report_carries_engine_time(family1_rho19):
+    # the [38,18] code under 3^12: the information-set search with reach 6
+    # proves d >= 8, and the bounds-only report carries its time with its
+    # work
+    code = family1_rho19.code
+    budget = SearchBudget(max_message_enum=3 ** 12)
+    ran = information_set_search(code, budget, 6)
+    ran.elapsed_s = 1.25
+    with mock.patch.object(distance, "information_set_search", return_value=ran):
+        rep = distance_report(code, budget)
+    assert (rep.method, rep.lower, rep.work, rep.elapsed_s) == (
+        "bounds-only", 8, 3588, 1.25)
+
+
+@pytest.fixture(scope="module")
+def family1_large():
+    return [build_family1(rho) for rho in (29, 31)]
+
+
+def test_family1_large_bounds_carry_work_and_time(family1_large):
+    # the eight rho = 29, 31 rows stay bounds-only at the default budget;
+    # each report carries the words its information-set search counted,
+    # C(k, w)(q - 1)^(w - 1) summed over the levels, and a nonzero time
+    got = []
+    for b in family1_large:
+        for part in ("code", "dual", "companion", "companion_dual"):
+            rep = distance_report(getattr(b, part))
+            assert rep.method == "bounds-only"
+            assert rep.lower_src.startswith("information-set w<=")
+            assert rep.elapsed_s > 0
+            got.append(rep.work)
+    assert got == [13888, 236380, 24038, 29975, 17140, 308544, 29975, 36816]
+
+
 def test_parse_budget():
     assert parse_budget("3^16") == 3 ** 16
     assert parse_budget("1000") == 1000
@@ -425,22 +462,21 @@ def test_weight_distribution_matches_direct_encoding(spec):
     assert code.trace_code_set() == set(map(tuple, words.tolist()))
 
 
-def _check_blocks_and_threads(code):
+def _check_inner_blocks(code):
     hist, *_ = direct_oracle(code)
     # with no room the inner block falls back to q messages, and the walk
     # encodes one outer message per scalar class of the other k - 1 digits
-    # directly, split into shards when threads > 1
+    # directly
     for cap in (distance._INNER_BYTES, 0):
         with mock.patch.object(distance, "_INNER_BYTES", cap):
-            for threads in (1, 2):
-                assert weight_distribution(code, threads=threads) == hist
+            assert weight_distribution(code) == hist
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_codes())
 @example(("GF(3)", 91, -1, (1, 91)))
-def test_enum_independent_of_threads_and_inner_block(spec):
-    _check_blocks_and_threads(_code(spec))
+def test_enum_independent_of_inner_block(spec):
+    _check_inner_blocks(_code(spec))
 
 
 @settings(max_examples=25, deadline=None)
@@ -455,7 +491,7 @@ def test_enum_on_random_generator_matrices(data):
     digits = st.integers(0, field.order - 1)
     rows = data.draw(st.lists(st.lists(digits, min_size=n, max_size=n),
                               min_size=k, max_size=k))
-    _check_blocks_and_threads(LinearCode(field, np.array(rows)))
+    _check_inner_blocks(LinearCode(field, np.array(rows)))
 
 
 def _planes_oracle(tables, rows, k_in):
@@ -555,23 +591,24 @@ def test_inner_planes_leave_two_rows_outer(name, k):
 
 
 # ---------------------------------------------------------------------------
-# the side tables (_Side) of both searches against itertools
+# the column search's side tables (_Side) against itertools
 
-def _side_layouts(tables, n):
-    """n random vectors and a function giving the c * vector planes of
-    vectors, for each layout: the column search's (5 entries folded into
-    one word per plane) and the information-set search's (70 entries: a word
-    axis of s * 2 words, word-major)."""
-    def worded(v):
-        planes = distance._digit_planes(tables, tables.mul[:, v])
-        p, s, W = planes.shape[0], planes.shape[1], planes.shape[-1]
-        return np.moveaxis(planes, -1, 2).reshape(p, s * W, -1)
-
+def _side_vectors(tables, n):
+    """n random vectors of 5 entries, and a function giving the c * vector
+    planes of vectors in the column search's layout (folded into one word
+    per plane)."""
     rng = np.random.default_rng(tables.q * 10 + n)
-    return [(rng.integers(0, tables.q, size=(n, 5)).astype(tables.dtype),
-             lambda v: distance._column_planes(tables, v.T)),
-            (rng.integers(0, tables.q, size=(n, 70)).astype(tables.dtype),
-             worded)]
+    return (rng.integers(0, tables.q, size=(n, 5)).astype(tables.dtype),
+            lambda v: distance._column_planes(tables, v.T))
+
+
+def _side_table(side):
+    """The planes of every entry of a side, in flat index order, put
+    together from the planes of its blocks."""
+    out = np.empty((len(side.cplanes), side.size), dtype=np.uint64)
+    for c, e, s, idx in side.blocks():
+        out[:, idx] = side.planes(c, e, s)
+    return out
 
 
 def _side_oracle(q, n, j, pinned):
@@ -609,37 +646,37 @@ def _check_side(side, tables, vecs, layout, want):
     first, last = side.ends(every)
     assert np.array_equal(first, subs[:, 0]) and np.array_equal(last, subs[:, -1])
     # blocks of a few subsets, of several prefixes and of the whole side
-    for words in (12, 100, 1 << 16):
+    for chunk in (12, 100, 1 << 16):
         seen = []
-        for c, e, s, idx in side.blocks(words):
-            assert isinstance(s, slice)
-            assert np.array_equal(side.planes(c, e, s), planes[..., idx])
-            seen.append(idx)
+        with mock.patch.object(distance, "_CHUNK", chunk):
+            for c, e, s, idx in side.blocks():
+                assert isinstance(s, slice)
+                assert np.array_equal(side.planes(c, e, s), planes[..., idx])
+                seen.append(idx)
         # every entry once (a block takes every e, so runs interleave them)
         assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(side.size))
     perm = np.random.default_rng(side.size).permutation(side.size)
     assert np.array_equal(side.planes(*side.entries(perm)), planes[..., perm])
-    if side.k > 1:
-        assert np.array_equal(side.table(), planes)
+    assert np.array_equal(_side_table(side), planes)
 
 
 @pytest.mark.parametrize("name,n", [
     (name, n) for name in sorted(KERNEL_FIELDS) for n in (1, 2, 4, 6)
     if (name, n) != ("GF(9)", 6)])  # 8^4 * C(6, 4) entries: a slow oracle
 def test_side_enumerates_every_entry_in_order(name, n):
-    # sides j = 1..4 (up to j = n), pinned and not, in both plane layouts,
-    # each built from the table of the side before, as both searches do
+    # sides j = 1..4 (up to j = n), pinned and not, each built from the
+    # table of the side before, as the column search does
     tables = KERNEL_FIELDS[name].tables()
     q = tables.q
-    for vecs, layout in _side_layouts(tables, n):
-        cplanes = layout(vecs)
-        subs, sums = np.zeros((1, 0), dtype=np.int64), cplanes[..., :1]
-        for j in range(1, min(n, 4) + 1):
-            for pinned in (True, False):
-                side = distance._Side(cplanes, n, q, subs, sums, pinned)
-                want = _side_oracle(q, n, j, pinned)
-                _check_side(side, tables, vecs, layout, want)
-            sums, subs = side.table(), side.subsets(slice(0, side.n_subs))
+    vecs, layout = _side_vectors(tables, n)
+    cplanes = layout(vecs)
+    subs, sums = np.zeros((1, 0), dtype=np.int64), cplanes[:, :1]
+    for j in range(1, min(n, 4) + 1):
+        for pinned in (True, False):
+            side = distance._Side(cplanes, n, q, subs, sums, pinned)
+            want = _side_oracle(q, n, j, pinned)
+            _check_side(side, tables, vecs, layout, want)
+        sums, subs = _side_table(side), side.subsets(slice(0, side.n_subs))
 
 
 # ---------------------------------------------------------------------------
@@ -788,20 +825,29 @@ def test_information_set_has_no_redundancy_limit(name):
     _check_info_set(code, d)
 
 
+@st.composite
+def random_codes(draw, n_max):
+    """A LinearCode of k random rows of length k..n_max over a kernel
+    field, q^k small; its rows may be linearly dependent."""
+    field = KERNEL_FIELDS[draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
+    k = draw(st.integers(1, {2: 10, 3: 7, 4: 5, 5: 4, 9: 3}[field.order]))
+    n = draw(st.integers(k, n_max))
+    digits = st.integers(0, field.order - 1)
+    rows = draw(st.lists(st.lists(digits, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    return LinearCode(field, np.array(rows))
+
+
+def _full_rank(code):
+    return mat_rank(code.field.tables(), code.rows()) == code.k
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_information_set_on_random_generator_matrices(data):
+@given(random_codes(150))
+def test_information_set_on_random_generator_matrices(code):
     # any linear code: the pivots of rref are the one information set, so
     # L(w) = w + 1; rows of rank < k are refused
-    name = data.draw(st.sampled_from(sorted(KERNEL_FIELDS)))
-    field = KERNEL_FIELDS[name]
-    k = data.draw(st.integers(1, {2: 10, 3: 7, 4: 5, 5: 4, 9: 3}[field.order]))
-    n = data.draw(st.integers(k, 150))
-    digits = st.integers(0, field.order - 1)
-    rows = data.draw(st.lists(st.lists(digits, min_size=n, max_size=n),
-                              min_size=k, max_size=k))
-    code = LinearCode(field, np.array(rows))
-    if mat_rank(field.tables(), code.rows()) < k:
+    if not _full_rank(code):
         with pytest.raises(CodeError, match="linearly dependent"):
             information_set_search(code)
         return
@@ -901,18 +947,119 @@ def test_information_set_reach_is_sound(spec):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_information_set_reach_is_sound_on_random_generator_matrices(data):
-    name = data.draw(st.sampled_from(sorted(KERNEL_FIELDS)))
-    field = KERNEL_FIELDS[name]
-    k = data.draw(st.integers(1, {2: 10, 3: 7, 4: 5, 5: 4, 9: 3}[field.order]))
-    n = data.draw(st.integers(k, 100))
-    digits = st.integers(0, field.order - 1)
-    rows = data.draw(st.lists(st.lists(digits, min_size=n, max_size=n),
-                              min_size=k, max_size=k))
-    code = LinearCode(field, np.array(rows))
-    if mat_rank(field.tables(), code.rows()) == k:
+@given(random_codes(100))
+def test_information_set_reach_is_sound_on_random_generator_matrices(code):
+    if _full_rank(code):
         _check_reach(code)
+
+
+# ---------------------------------------------------------------------------
+# the information-set search's colex tables
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_colex_table_unranks_every_entry(name):
+    # T_1..T_4 of k random redundancy rows, folded (r = 5; r = 30, two digit
+    # blocks in one word over GF(9)) and worded (r = 70): each entry is the
+    # sum of c * row l over its unranked rows and coefficients, its least
+    # row is the least of them, the sums on rows [0, l) are its first
+    # C(l, j)(q - 1)^j entries, and every j-subset with every coefficient
+    # tuple occurs once
+    tables = KERNEL_FIELDS[name].tables()
+    q = tables.q
+    k = 4 if q == 9 else 6      # 8^4 * C(k, 4) entries: a slow oracle
+    rng = np.random.default_rng(q)
+    Rs = [rng.integers(0, q, size=(k, r)).astype(tables.dtype) for r in (5, 30, 70)]
+    cplanes = [distance._redundancy_planes(tables, R, R.shape[1])[0] for R in Rs]
+    tabs = [(c[..., :1], np.full(1, k, np.min_scalar_type(k))) for c in cplanes]
+    for j in range(1, 5):
+        tabs = [distance._colex_table(T, least, c[..., k:], k, q, j)
+                for (T, least), c in zip(tabs, cplanes)]
+        entries = [distance._colex_unrank(i, j, q)
+                   for i in range(distance._colex_size(k, j, q))]
+        got = [(tuple(rows), tuple(co)) for rows, co in entries]
+        assert sorted(got) == [
+            (sub, co) for sub in itertools.combinations(range(k), j)
+            for co in itertools.product(range(1, q), repeat=j)]
+        rows, co = (np.array([e[i] for e in entries]) for i in (0, 1))
+        for l in range(k + 1):
+            size = distance._colex_size(l, j, q)
+            assert (rows[:size, -1] < l).all() and (rows[size:, -1] >= l).all()
+        for R, (T, least) in zip(Rs, tabs):
+            assert np.array_equal(least, rows[:, 0])
+            vec = np.zeros((len(entries), R.shape[1]), dtype=np.int64)
+            for i in range(j):
+                vec = tables.add[vec, tables.mul[co[:, i, None], R[rows[:, i]]]]
+            want, _ = distance._redundancy_planes(tables, vec, R.shape[1])
+            assert np.array_equal(T, want[..., len(vec):2 * len(vec)])
+
+
+def test_information_set_wrong_prefix_is_caught(family1_rho17):
+    # a prefix one row too long, C(u + 1, t)(q - 1)^t, pairs top parts with
+    # bottom parts on their own least row: the words counted, or the
+    # witness check, give it away on every code
+    codes = [family1_rho17.dual, family1_rho17.companion_dual,
+             _code(("GF(3)", 10, 1, (0, 1))), _code(("GF(5)", 12, 1, (0, 1)))]
+    want = [(rep.d, rep.work) for rep in map(information_set_search, codes)]
+    got = []
+    with mock.patch.object(distance, "_colex_prefixes", lambda k, t, q: np.array(
+            [math.comb(u + 1, t) * (q - 1) ** t for u in range(k)])):
+        for code in codes:
+            try:
+                rep = information_set_search(code)
+            except AssertionError:
+                got.append(None)
+            else:
+                got.append((rep.d, rep.work))
+    assert all(g != w for g, w in zip(got, want))
+
+
+def _check_table_caps(code):
+    """With the table capped at 2^4 or 2^10 plane words (top parts of two
+    or more rows run wherever T_(w-1) does not fit), every report, exact
+    and with each reach D < d (a reach of d or more ends exact), keeps its
+    bounds, d and work."""
+    reaches = [None] + list(range(information_set_search(code).d))
+
+    def reports():
+        return [(rep.lower, rep.upper, rep.exact, rep.work, rep.lower_src)
+                for rep in (information_set_search(code, d_max=D)
+                            for D in reaches)]
+    want = reports()
+    for cap in (1 << 4, 1 << 10):
+        with mock.patch.object(distance, "_TABLE_WORDS", cap):
+            assert reports() == want
+
+
+def test_information_set_table_cap_runs_long_top_parts(family1_rho17):
+    # [34,18] (levels to 5) under a cap of 2^10 words holds T_2 and pairs it
+    # with top parts of up to three rows; [17,9] over GF(9) under 2^4 holds
+    # only T_0, so its top parts are whole messages, built recursively
+    for code, cap in ((family1_rho17.dual, 1 << 10),
+                      (family1_rho17.companion_dual, 1 << 4)):
+        want = information_set_search(code)
+        with mock.patch.object(distance, "_TABLE_WORDS", cap), \
+                mock.patch.object(distance, "_colex_sums",
+                                  wraps=distance._colex_sums) as sums:
+            got = information_set_search(code)
+        assert sums.called
+        assert (got.d, got.work) == (want.d, want.work)
+        _check_witness(code, got, want.d)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_codes())
+@example(("GF(3)", 10, 1, (0, 1)))
+@example(("GF(9)", 80, 1, (0, 40)))    # n > 64 over GF(9): worded planes
+@example(("GF(3)", 4, -1, (1, 5)))     # the full space: no redundancy
+def test_information_set_table_cap_changes_nothing(spec):
+    _check_table_caps(_code(spec))
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_codes(100))
+def test_information_set_table_cap_changes_nothing_on_random_generator_matrices(code):
+    if _full_rank(code):
+        _check_table_caps(code)
 
 
 # distance_report's choice: the engine that counts fewer words settles d
@@ -989,7 +1136,7 @@ def test_pinned_side_holds_only_its_prefixes(family3_m6_dual):
     n = family3_m6_dual.n
     pairs = distance._Side(cplanes, n, 3, np.arange(n)[:, None],
                            cplanes[:, n:])
-    subs, sums = np.array(list(itertools.combinations(range(n), 2))), pairs.table()
+    subs, sums = np.array(list(itertools.combinations(range(n), 2))), _side_table(pairs)
     peak = _traced_peak(lambda: distance._Side(cplanes, n, 3, subs, sums,
                                                pinned=True))
     assert peak < 1 << 20
@@ -1000,12 +1147,13 @@ def test_column_search_memory_gate(family3_m6_dual):
     assert peak < 20 << 20
 
 
-def test_information_set_memory_gate():
-    # the rho = 31 [62,32] dual to reach 8: the pinned level-5 side has
-    # 16 * C(32, 5) entries against the 13.8 MB table of 4-term sums
-    code = build_family1(31).dual
+def test_information_set_memory_gate(family1_large):
+    # the rho = 31 [62,32] dual to reach 8: level 5 pairs 16 * C(32, 5)
+    # words from top parts of two rows and the 1 MB colex table of 3-term
+    # sums (the whole 13.8 MB table of 4-term sums took 21.9 MB)
+    code = family1_large[1].dual
     assert (code.n, code.k) == (62, 32)
     rep = []
     peak = _traced_peak(lambda: rep.append(information_set_search(code, d_max=8)))
     assert (rep[0].lower, rep[0].lower_src) == (10, "information-set w<=5")
-    assert peak < 28 << 20
+    assert peak < 8 << 20

@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from negacyclic import cli, distance
+from negacyclic import cli
 
 from negacyclic.cli import main
 from negacyclic.codes import CodeError, LinearCode, NegacyclicCode
@@ -597,12 +597,11 @@ def test_cli_build_requires_one_source():
 def test_cli_threads_out_of_range_is_usage_error(cmd, threads, capsys):
     # the parser rejects the value: no command runs and no thread starts
     before = threading.active_count()
-    with mock.patch.object(cli, "_run") as run, \
-            mock.patch.object(distance, "ThreadPoolExecutor") as pool:
+    with mock.patch.object(cli, "_run") as run:
         with pytest.raises(SystemExit) as exc:
             main(cmd + ["--no-cache", "--threads", threads])
     assert exc.value.code == 3
-    assert not run.called and not pool.called
+    assert not run.called
     assert threading.active_count() == before
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "argument --threads" in err
