@@ -19,23 +19,25 @@ besides outer message 0 (the whole block) it visits only the outer messages
 whose top nonzero digit is the field's one, (q^K - 1)/(q - 1) of the
 q^K - 1 for K outer rows, and counts each q - 1 times, so the counts do
 not depend on the inner block size.
+Both searches take their vectors from one colex-ordered table builder
+(_colex_entries): the sums of j rows (or columns) with nonzero
+coefficients, ordered by top row, so the sums on rows [0, l) are a prefix
+of T_j.  Tables are filled in blocks while they fit _TABLE_WORDS words
+per plane; any other entry is unranked to its top row and coefficient and
+built from the shorter sums, one block at a time.
 The column search folds a syndrome's s digit blocks of r entries into one
-uint64 per plane (r*s <= 61 under the q^r < 2^62 guard); the planes of
-c * column i are built once per code.  Each side is sorted or probed on a
-64-bit key, a hash of the planes whose low bits carry the entry's index,
-and every key match is compared plane by plane before it can yield a word,
-so hash collisions cost time, never answers.  A side (_Side) holds in
-memory only its (j-1)-subsets, with the offset of each one's first
-extension and its extension count, plus the one block it is building: the
-prefix and last element of a block's j-subsets are derived from a run of
-offsets when the block is built.
+uint64 per plane (r*s <= 61 under the q^r < 2^62 guard).  Its left side is
+T_t of the columns of H, sorted on 64-bit keys, a hash of the planes whose
+low bits carry the entry's colex rank; its right side, the pinned sums, is
+probed block by block, and every key match is compared plane by plane
+before it can yield a word, so hash collisions cost time, never answers.
 The information-set search holds the sums of t of the redundancy parts of
-a generator matrix in reduced row-echelon form in one colex-ordered table
-(at most _TABLE_WORDS words per plane; the s digit blocks folded into one
-uint64 per plane when r*s <= 64, s*ceil(r/64) words per plane otherwise, so
-r has no limit).  A message of weight w is a top part of w - t rows plus a
-sum on the rows below them, which in colex order is a prefix of the table,
-so a level is tested without gathering an operand.  For a constacyclic code
+a generator matrix in reduced row-echelon form in one colex table (the s
+digit blocks folded into one uint64 per plane when r*s <= 64,
+s*ceil(r/64) words per plane otherwise, so r has no limit).  A message of
+weight w is a top part of w - t rows plus a sum on the rows below them,
+which is a prefix of the table, so a level is tested without gathering an
+operand.  For a constacyclic code
 the words of weight w on window [0, k) stand, through the constashift by k,
 for those of every window [jk, (j+1)k) mod n; the search stops once the
 windows' bound L(w) reaches the least weight found, or, short of that, at
@@ -52,7 +54,6 @@ Engines only read the code object.
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from dataclasses import dataclass
 from math import comb
@@ -72,8 +73,8 @@ from .codes import (CodeError, ConstacyclicCode, NegacyclicCode, encode_rows,
 #: and of any linear code; 5: distance_report runs whichever engine counts
 #: fewer words, and the information-set search proves bounds-only lower
 #: bounds; 6: the information-set search walks colex-ordered tables, so its
-#: witnesses may differ).
-ENGINE_VERSION = 6
+#: witnesses may differ; 7: so does the column search).
+ENGINE_VERSION = 7
 
 
 class BudgetExceeded(RuntimeError):
@@ -316,11 +317,104 @@ def weight_distribution(code, budget: Optional[SearchBudget] = None
 
 
 # ---------------------------------------------------------------------------
+# colex-ordered tables of row sums, shared by both search engines
+
+# plane words (per plane) of the largest colex table a search builds
+_TABLE_WORDS = 1 << 19
+# plane words (all planes) per block of entries a search streams, and pairs
+# per batch of key matches or run of prefix pairs; a table fill's blocks take
+# a quarter of that, since their gathers and sums are live next to the table
+# being filled
+_CHUNK = 1 << 16
+
+
+def _colex_size(l, j, q, pinned=False):
+    """Entries of the colex table T_j on rows [0, l): C(l, j) (q - 1)^j, or
+    C(l, j) (q - 1)^(j - 1) of its pinned entries (top coefficient 1)."""
+    return comb(l, j) * (q - 1) ** (j - 1 if pinned else j)
+
+
+@functools.lru_cache(maxsize=None)
+def _colex_offsets(k, j, q, pinned=False):
+    """_colex_size(l, j, q, pinned) for l = 0..k: the rank of the first
+    entry with top row l."""
+    out = np.array([_colex_size(l, j, q, pinned) for l in range(k + 1)])
+    out.flags.writeable = False
+    return out
+
+
+def _colex_prefixes(k, t, q):
+    """The prefix of T_t below each least row u < k: the C(u, t)(q - 1)^t
+    sums on rows [0, u)."""
+    return _colex_offsets(k, t, q)[:k]
+
+
+def _colex_entries(colex, planes, q, j, idx, pinned=False):
+    """Planes and least rows of the entries idx of T_j, or of the pinned
+    j-term sums.  T_j, the j-term sums of the k rows with nonzero
+    coefficients, is the concatenation over rows l of the q - 1 blocks
+    T_(j-1)[:C(l, j-1)(q-1)^(j-1)] + c * row l (c = 1..q-1), so the sums on
+    rows [0, l) are its first C(l, j)(q - 1)^j entries (colex order); the
+    pinned sums are the blocks with c = 1.  colex[j] = (T_j, least rows)
+    when T_j is built, and entries are read from it; otherwise the top row
+    and coefficient are unranked and the bottom entries computed
+    recursively.  planes[..., c*k + l] holds the planes of c * row l."""
+    if j < len(colex) and not pinned:
+        T, least = colex[j]
+        return T[..., idx], least[idx]
+    k = planes.shape[-1] // q
+    start = _colex_offsets(k, j, q, pinned)
+    l = np.searchsorted(start, idx, side="right") - 1
+    c, b = np.divmod(idx - start[l], _colex_offsets(k, j - 1, q)[l])
+    if j < len(colex):  # c = 0: entry (l, 1, b) of T_j
+        return _colex_entries(colex, planes, q, j, _colex_offsets(k, j, q)[l] + b)
+    x, least = _colex_entries(colex, planes, q, j - 1, b)
+    return _plane_add(x, planes[..., (c + 1) * k + l]), np.minimum(least, l)
+
+
+def _colex_unrank(i, j, q, pinned=False):
+    """(rows, coefficients) of entry i of T_j, or of the pinned j-term sums,
+    ascending by row."""
+    rows, coeffs = [], []
+    for j in range(j, 0, -1):
+        l = j - 1
+        while _colex_size(l + 1, j, q, pinned) <= i:
+            l += 1
+        c, i = divmod(i - _colex_size(l, j, q, pinned), _colex_size(l, j - 1, q))
+        rows.insert(0, l)
+        coeffs.insert(0, c + 1)
+        pinned = False
+    return rows, coeffs
+
+
+def _blocks(a, b, entry_words):
+    """Index arrays of consecutive blocks of a..b-1, _CHUNK // entry_words
+    entries each (at least one), the last block shorter."""
+    step = max(1, _CHUNK // entry_words)
+    for s in range(a, b, step):
+        yield np.arange(s, min(s + step, b))
+
+
+def _colex_grow(colex, planes, q, j):
+    """Build T_0.. up to T_j in colex, in blocks, stopping before the first
+    table over _TABLE_WORDS plane words per plane; T_0 is the zero vector
+    (0 * row 0), whose least row is k (no row)."""
+    p, words, k = planes.shape[0], planes.shape[1], planes.shape[2] // q
+    if not colex:
+        colex.append((planes[..., :1], np.full(1, k, np.min_scalar_type(k))))
+    while len(colex) <= j and _colex_size(k, len(colex), q) * words <= _TABLE_WORDS:
+        size = _colex_size(k, len(colex), q)
+        T = np.empty((p, words, size), dtype=np.uint64)
+        least = np.empty(size, dtype=colex[0][1].dtype)
+        for idx in _blocks(0, size, 4 * p * words):
+            T[..., idx], least[idx] = _colex_entries(
+                colex, planes, q, len(colex), idx)
+        colex.append((T, least))
+
+
+# ---------------------------------------------------------------------------
 # meet-in-the-middle low-weight search over one-hot syndrome planes
 
-# plane words per block of side entries (one word per entry in the column
-# search), and key-match pairs per batch
-_CHUNK = 1 << 16
 # odd 64-bit multiplier; plane v of a syndrome enters its hash times _GOLDEN^v
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -344,176 +438,68 @@ def _mix(planes):
     return mult @ planes[1:]
 
 
-class _Side:
-    """The j-term side entries: every coefficient tuple in
-    itertools.product(range(1, q), repeat=j) (the right side pins the last
-    coefficient to 1) times every lexicographic j-subset, coefficient tuple
-    major.  Subset s is (j-1)-subset prefix(s) of prev_subs followed by
-    last(s); entry ((c, e), s), for prefix tuple c and last coefficient
-    e + 1, is entry (c, prefix(s)) of the table of all (j-1)-term sums plus
-    (e + 1) * column last(s); its index is (c * k + e) * n_subs + s, where k
-    is the number of last coefficients.  cplanes holds the planes of
-    c * column i at index c*n + i (_column_planes).
-
-    A side holds only the (j-1)-subsets, the offset of each one's first
-    extension and its extension count, O(C(n, j-1)) memory; prefix(s) and
-    last(s) are derived for the subsets of one block when it is built
-    (split), so at most one block's worth of them exists at a time."""
-
-    def __init__(self, cplanes, n, q, prev_subs, prev_planes, pinned=False):
-        self.cplanes, self.n, self.q = cplanes, n, q
-        self.prev_subs, self.prev_planes = prev_subs, prev_planes
-        self.j = prev_subs.shape[1] + 1
-        # a prefix extends by every element above its top one
-        self.top = prev_subs[:, -1] if self.j > 1 else np.full(1, -1)
-        self.counts = n - 1 - self.top
-        self.start = np.cumsum(self.counts) - self.counts
-        self.n_subs = int(self.counts.sum())
-        self.n_prefix = prev_planes.shape[-1] // len(prev_subs)
-        self.k = 1 if pinned else q - 1
-        self.size = self.n_prefix * self.k * self.n_subs
-
-    def split(self, s):
-        """(prefix(s), last(s)) of subsets s: a slice (a run of subsets,
-        which spans the prefixes a..b-1 found by two searchsorted calls and
-        takes one repeat over their counts, clipped to the run) or an index
-        array (one searchsorted)."""
-        if isinstance(s, slice):
-            a = np.searchsorted(self.start, s.start, side="right") - 1
-            b = np.searchsorted(self.start, s.stop)
-            start = self.start[a:b]
-            ends = np.minimum(start + self.counts[a:b], s.stop)
-            prefix = np.repeat(np.arange(a, b), ends - np.maximum(start, s.start))
-            s = np.arange(s.start, s.stop)
-        else:
-            prefix = np.searchsorted(self.start, s, side="right") - 1
-        return prefix, s - self.start[prefix] + self.top[prefix] + 1
-
-    def subsets(self, s):
-        """The j-subsets s (a slice or an index array), one per row; a side
-        that feeds the next level takes all of them in one call."""
-        prefix, last = self.split(s)
-        return np.column_stack([self.prev_subs[prefix], last])
-
-    def ends(self, s):
-        """(least, greatest) element of each of the subsets s."""
-        prefix, last = self.split(s)
-        return (self.prev_subs[prefix, 0] if self.j > 1 else last), last
-
-    def planes(self, c, e, s, ks=None):
-        """Planes ks (default all) of entries ((c, e), s), flat along the
-        last axis: c and e are index arrays that broadcast, s a slice (a run
-        along the last axis) or an index array that broadcasts with them."""
-        prefix, last = self.split(s)
-        x = self.prev_planes[:, c * len(self.prev_subs) + prefix]
-        y = self.cplanes[:, (e + 1) * self.n + last]
-        z = _plane_add(x, y, ks)
-        return z.reshape(len(z), -1)
-
-    def entries(self, idx):
-        """(c, e, s) of flat entry indices."""
-        ce, s = np.divmod(idx, self.n_subs)
-        return (*np.divmod(ce, self.k), s)
-
-    def blocks(self):
-        """(c, e, s, flat entry index) of consecutive blocks of about _CHUNK
-        entries; c and e broadcast along the first two of three axes, and s
-        is a slice, the run of subsets along the third."""
-        per = max(1, _CHUNK // (self.k * self.n_subs))
-        step = self.n_subs if per > 1 else max(1, _CHUNK // self.k)
-        e = np.arange(self.k)[None, :, None]
-        for c0 in range(0, self.n_prefix, per):
-            c = np.arange(c0, min(c0 + per, self.n_prefix))[:, None, None]
-            for s0 in range(0, self.n_subs, step):
-                s = slice(s0, min(s0 + step, self.n_subs))
-                yield c, e, s, ((c * self.k + e) * self.n_subs
-                                + np.arange(s.start, s.stop)).ravel()
-
-    def coeffs(self, idx):
-        """Support and coefficients of the entry with flat index idx."""
-        c, e, s = self.entries(idx)
-        pre = list(itertools.product(range(1, self.q), repeat=self.j - 1))
-        return self.subsets(np.atleast_1d(s))[0], pre[c] + (e + 1,)
-
-
-def _first_pair(left, right, lk, low, need, idx, r_pos, lo, hi):
-    """(left entry, right entry) of the first key match with max(left
-    support) < min(right support) that is a genuine syndrome match, in
-    right-then-left entry order, among right block positions r_pos
-    (ascending) and their runs lo..hi of the sorted left keys; None if there
-    is none.  The support test is the cheap filter; the plane comparison
-    decides every pair that passes it."""
+def _first_pair(left, lk, low, need, limit, r_pos, lo, hi):
+    """(left rank, right block position) of the first key match whose left
+    entry lies below the right entry's least row (left rank < limit, per
+    right position) and is a genuine syndrome match, in right-then-left
+    entry order, among right block positions r_pos (ascending) and their
+    runs lo..hi of the sorted left keys; None if there is none.  The index
+    test is the cheap filter; the plane comparison, with the left planes
+    of ranks from left, decides every pair that passes it."""
     counts = hi - lo
     pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
     r_pos = np.repeat(r_pos, counts)
     l_idx = (lk[pos] & low).astype(np.int64)
-    c, e, s = left.entries(l_idx)
-    r_idx = idx[r_pos]
-    cand = np.flatnonzero(left.ends(s)[1] < right.ends(r_idx % right.n_subs)[0])
-    same = (left.planes(c[cand], e[cand], s[cand])
-            == need[:, r_pos[cand]]).all(axis=0)
+    cand = np.flatnonzero(l_idx < limit[r_pos])
+    x, _ = left(l_idx[cand])
+    same = (x[:, 0] == need[:, r_pos[cand]]).all(axis=0)
     if not same.any():
         return None
     first = cand[np.argmax(same)]  # pairs already run in right-then-left order
-    return int(l_idx[first]), int(r_idx[first])
+    return int(l_idx[first]), int(r_pos[first])
 
 
-def _level_search(tables, cplanes, w, n, deadline=None):
+def _level_search(tables, colex, cplanes, w, n, deadline=None):
     """Search for a weight-exactly-w dependence among the n columns.
 
-    Splits the support as (first t, last w-t) of the sorted support; the left
-    side enumerates all coefficient tuples, the right side pins its top
-    coefficient to 1 (one representative per scalar multiple).  Syndromes are
-    one-hot planes (_column_planes), and each side's are built from the table
-    of all shorter sums (_Side).  A left key is the syndrome's 64-bit hash
-    (_mix) with its low bits replaced by the entry's index, so one sort
-    orders the left side by hash and then by entry, as a stable sort would.
-    The negated right syndromes (planes permuted v -> -v) are hashed the
-    same way, sorted with their block positions, and probed with one
-    searchsorted on the hash bits plus an equality test.  A key match counts
-    only when max(left support) < min(right support) and its planes equal
-    the negated right syndrome's, compared plane by plane, so a hash
-    collision never yields a word; matches are checked in right entry order,
-    in batches of about _CHUNK pairs (_first_pair).  A counted match is a
-    codeword; the first in right-then-left entry order is returned.  The
-    deadline is checked before each block.
+    Splits the support as (first t, last u = w-t) of the sorted support: the
+    left side is T_t, the colex table of the t-term sums of the columns, and
+    the right side the pinned u-term sums (top coefficient 1, one
+    representative per scalar multiple), both taken in blocks from the
+    tables in colex (_colex_entries).  A left key is the syndrome's 64-bit
+    hash (_mix) with its low bits replaced by the entry's colex rank, so one
+    sort orders the left side by hash and then by rank, as a stable sort
+    would.  The negated right syndromes (planes permuted v -> -v) are
+    hashed the same way, sorted with their block positions, and probed with
+    one searchsorted on the hash bits plus an equality test.  A key match
+    counts only when the left support lies below the right one's least row
+    u1, which in colex order is the index test left rank < C(u1, t)(q-1)^t,
+    and the left planes, recomputed by rank, equal the negated right
+    syndrome's, compared plane by plane, so a hash collision never yields a
+    word; matches are checked in right entry order, in batches of about
+    _CHUNK pairs (_first_pair).  A counted match is a codeword, unranked
+    from both ranks (_colex_unrank); the first in right-then-left entry
+    order is returned.  The deadline is checked before each block.
     """
     q, p = tables.q, len(cplanes)
-    word = np.zeros(n, dtype=tables.dtype)
-    if w == 1:  # a zero column (the left side would be the zero syndrome)
-        zero = np.flatnonzero((cplanes[:, n:2 * n] == cplanes[:, :1]).all(axis=0))
-        if len(zero) == 0:
-            return None
-        word[zero[0]] = 1
-        return word
-    t_size = w // 2
-    u_size = w - t_size
-    subs = np.zeros((1, 0), dtype=np.int64)   # the j-subsets, j = 0, 1, ...
-    sums = cplanes[:, :1]                     # every j-term sum
-    for j in range(1, u_size):
-        side = _Side(cplanes, n, q, subs, sums)
-        if j == t_size:
-            left = side
-        full = slice(0, side.n_subs)
-        sums = side.planes(np.arange(side.n_prefix)[:, None, None],
-                           np.arange(side.k)[None, :, None], full)
-        subs = side.subsets(full)
-    right = _Side(cplanes, n, q, subs, sums, pinned=True)
-    if t_size == u_size:
-        left = _Side(cplanes, n, q, subs, sums)
-    if right.size == 0:
-        return None  # fewer than u <= w columns
-    low = np.uint64((1 << max(left.size, _CHUNK).bit_length()) - 1)
+    t, u = w // 2, w - w // 2
+    size, right = _colex_size(n, t, q), _colex_size(n, u, q, pinned=True)
+    _colex_grow(colex, cplanes, q, t)
+    left = functools.partial(_colex_entries, colex, cplanes, q, t)
+    low = np.uint64((1 << max(size, _CHUNK).bit_length()) - 1)
     high = ~low
-    lk = np.empty(left.size, dtype=np.uint64)
-    for c, e, s, idx in left.blocks():
+    lk = np.empty(size, dtype=np.uint64)
+    for idx in _blocks(0, size, p):
         _check_deadline(deadline, "column search")
-        lk[idx] = _mix(left.planes(c, e, s)) & high | idx.astype(np.uint64)
+        x, _ = left(idx)
+        lk[idx] = _mix(x[:, 0]) & high | idx.astype(np.uint64)
     lk.sort()
+    limits = _colex_prefixes(n, t, q)
     neg = [(-v) % p for v in range(p)]
-    for c, e, s, idx in right.blocks():
+    for idx in _blocks(0, right, p):
         _check_deadline(deadline, "column search")
-        need = right.planes(c, e, s)[neg]
+        y, least = _colex_entries(colex, cplanes, q, u, idx, pinned=True)
+        need = y[neg, 0]
         rk = np.sort(_mix(need) & high | np.arange(len(idx), dtype=np.uint64))
         lo = np.searchsorted(lk, rk & high)
         hit = lk[np.minimum(lo, len(lk) - 1)] & high == rk & high
@@ -528,12 +514,14 @@ def _level_search(tables, cplanes, w, n, deadline=None):
         while a < len(rk):
             b = max(a + 1, int(np.searchsorted(ends, ends[a] - (hi[a] - lo[a])
                                                + _CHUNK, side="right")))
-            pair = _first_pair(left, right, lk, low, need, idx,
+            pair = _first_pair(left, lk, low, need, limits[least],
                                (rk[a:b] & low).astype(np.int64), lo[a:b], hi[a:b])
             if pair is not None:
-                for side, entry in zip((left, right), pair):
-                    support, coeffs = side.coeffs(entry)
-                    word[support] = coeffs
+                word = np.zeros(n, dtype=tables.dtype)
+                for rank, j, pinned in ((pair[0], t, False),
+                                        (int(idx[pair[1]]), u, True)):
+                    rows, coeffs = _colex_unrank(rank, j, q, pinned)
+                    word[rows] = coeffs
                 return word
             a = b
     return None
@@ -543,6 +531,8 @@ def low_weight_search(code, w_max: Optional[int] = None,
                       budget: Optional[SearchBudget] = None) -> DistanceReport:
     """Find the minimum weight w <= w_max via parity-check column dependence.
 
+    The colex tables of column sums (_colex_grow, up to _TABLE_WORDS words
+    per plane) are built once and shared by every level (_level_search).
     Returns an exact report with a witness when a word is found, otherwise the
     lower bound w_max + 1.  Raises BudgetExceeded past budget.time_cap.
     """
@@ -562,12 +552,12 @@ def low_weight_search(code, w_max: Optional[int] = None,
                               "search", "search", 1, time.monotonic() - t0)
     if q ** r >= 2 ** 62:
         raise CodeError("syndrome space too large for integer keys")
-    cplanes = _column_planes(tables, H)
+    cplanes, colex = _column_planes(tables, H)[:, None], []
     work = 0
     for w in range(1, w_max + 1):
         _check_deadline(deadline, "column search")
         work += comb(n, w // 2) + comb(n, w - w // 2)
-        word = _level_search(tables, cplanes, w, n, deadline)
+        word = _level_search(tables, colex, cplanes, w, n, deadline)
         if word is not None:
             if not code.contains(word):  # pragma: no cover
                 raise AssertionError("column search produced a non-codeword")
@@ -584,71 +574,6 @@ def low_weight_search(code, w_max: Optional[int] = None,
 
 # ---------------------------------------------------------------------------
 # Brouwer-Zimmermann information-set search over colex-ordered tables
-
-# plane words (per plane) of the largest colex table the search builds
-_TABLE_WORDS = 1 << 19
-
-
-def _colex_size(l, j, q):
-    """Entries of the colex table T_j on rows [0, l): C(l, j) (q - 1)^j."""
-    return comb(l, j) * (q - 1) ** j
-
-
-def _colex_table(prev, prev_least, rplanes, k, q, j):
-    """T_j, the j-term sums of the k rows with nonzero coefficients, and the
-    least row of each, from T_(j-1): the concatenation over rows l of the
-    q - 1 blocks T_(j-1)[:C(l, j-1)(q-1)^(j-1)] + c * row l (c = 1..q-1),
-    filled in place by one _plane_add per row, so the sums on rows [0, l)
-    are its first C(l, j)(q - 1)^j entries (colex order).  rplanes[...,
-    (c-1)*k + l] holds the planes of c * row l."""
-    out = np.empty(rplanes.shape[:-1] + (_colex_size(k, j, q),), dtype=np.uint64)
-    least = np.empty(out.shape[-1], dtype=prev_least.dtype)
-    for l in range(j - 1, k):
-        a, pre = _colex_size(l, j, q), _colex_size(l, j - 1, q)
-        b = a + (q - 1) * pre
-        block = out[..., a:b].reshape(out.shape[:-1] + (q - 1, pre))
-        _plane_add(prev[..., None, :pre], rplanes[..., l::k, None], out=block)
-        least[a:b].reshape(q - 1, pre)[:] = np.minimum(prev_least[:pre], l)
-    return out, least
-
-
-def _colex_prefixes(k, t, q):
-    """The prefix of T_t that a top part with least row u extends, for each
-    u < k: the C(u, t)(q - 1)^t sums on rows [0, u)."""
-    return np.array([_colex_size(u, t, q) for u in range(k)])
-
-
-def _colex_unrank(i, j, q):
-    """(rows, coefficients) of entry i of T_j, ascending by row."""
-    rows, coeffs = [], []
-    for j in range(j, 0, -1):
-        l = j - 1
-        while _colex_size(l + 1, j, q) <= i:
-            l += 1
-        c, i = divmod(i - _colex_size(l, j, q), _colex_size(l, j - 1, q))
-        rows.insert(0, l)
-        coeffs.insert(0, c + 1)
-    return rows, coeffs
-
-
-def _colex_sums(T, least, rplanes, k, q, j, l):
-    """Batches (planes, least rows, colex ranks) of the j-term sums on rows
-    [0, l): runs of T_j when it is built, otherwise the (j-1)-term sums on
-    rows [0, l') plus every c * row l', recursively."""
-    if j < len(T):
-        size = _colex_size(l, j, q)
-        for a in range(0, size, _CHUNK):
-            b = min(a + _CHUNK, size)
-            yield T[j][..., a:b], least[j][a:b], np.arange(a, b)
-        return
-    for l2 in range(j - 1, l):
-        block = _colex_size(l2, j - 1, q) * np.arange(q - 1)[:, None]
-        for planes, lo, ranks in _colex_sums(T, least, rplanes, k, q, j - 1, l2):
-            sums = _plane_add(planes[..., None, :], rplanes[..., l2::k, None])
-            yield (sums.reshape(sums.shape[:-2] + (-1,)),
-                   np.tile(np.minimum(lo, l2), q - 1),
-                   (_colex_size(l2, j, q) + block + ranks).ravel())
-
 
 def _info_set_bound(n, k, w):
     """L(w): the least weight of a codeword with more than w nonzeros in
@@ -755,17 +680,17 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     an information set and the other r = n - k columns the redundancy.
     Level w enumerates the messages of weight w, one per scalar class, as
     sums of the redundancy parts of the k rows (_redundancy_planes).  The
-    sums of t rows are held in one colex table T_t (_colex_table), where t
+    sums of t rows are held in one colex table T_t (_colex_grow), where t
     is w - 1, or less when T_(w-1) would exceed _TABLE_WORDS plane words.  A
     message is a (w - t)-term top part y, whose top coefficient is pinned
     to 1 (one per scalar class) and whose least row u bounds the others:
     its t-term bottom parts are the prefix T_t[:C(u, t)(q - 1)^t].  Since
     y is one vector, plane 0 of x + y is OR_v x_v & y_(-v) (_plane_add)
-    for every x of the prefix, so no operand is gathered; a top part of one
-    row is a row, and longer ones come in batches (_colex_sums), sorted by
-    their least row and paired with the prefixes in runs of about _CHUNK
-    plane words (_pair_runs).  A word's weight is w plus the nonzeros of
-    its redundancy part.
+    for every x of the prefix, so no operand is gathered; the top parts are
+    the pinned (w - t)-term sums (_colex_entries), in blocks of about
+    _CHUNK plane words, each sorted by least row and paired with the
+    prefixes in runs of about _CHUNK plane words (_pair_runs).  A word's
+    weight is w plus the nonzeros of its redundancy part.
 
     A word not yet met after level w has more than w nonzeros on each
     window, so its weight is at least L(w) (_info_set_bound).  For a
@@ -813,40 +738,25 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     R = G[:, red] if len(red) else np.zeros((k, 1), dtype=tables.dtype)
     cplanes, nonzeros = _redundancy_planes(tables, R, len(red))
     p, words = len(cplanes), cplanes.shape[1]
-    rplanes = cplanes[..., k:]               # c * row l at (c - 1)*k + l
+    colex = []                               # (T_j, least rows), j <= t
     cap = max(1, _CHUNK // words)            # pairs per run
-    t_max = 0
-    while t_max < k and _colex_size(k, t_max + 1, q) * words <= _TABLE_WORDS:
-        t_max += 1
-    T, least = [cplanes[..., :1]], [np.full(1, k, np.min_scalar_type(k))]
     best_w, best, work, w = n + 1, None, 0, 0
     while w < k and _info_set_bound(span, k, w) < min(best_w, reach + 1):
         w += 1
-        if len(T) < min(w, t_max + 1):
-            table, lo = _colex_table(T[-1], least[-1], rplanes, k, q, len(T))
-            T.append(table)
-            least.append(lo)
-        t = len(T) - 1
-        m = w - t
+        _colex_grow(colex, cplanes, q, w - 1)
+        t = len(colex) - 1
+        m, T = w - t, colex[t][0]
         prefixes = _colex_prefixes(k, t, q)
-        if m == 1:   # the top part is one row, l = w-1..k-1
-            batches = [(rplanes[..., w - 1:k], np.arange(w - 1, k),
-                        np.arange(w - 1, k) * (q - 1))]
-        else:        # top row l with coefficient 1 over m-1 lower rows
-            batches = ((_plane_add(y, rplanes[..., l, None]), u,
-                        _colex_size(l, m, q) + ranks)
-                       for l in range(w - 1, k)
-                       for y, u, ranks in _colex_sums(T, least, rplanes, k,
-                                                      q, m - 1, l))
-        for y, u, ids in batches:
-            if m > 1:   # one-row top parts are already in row order
-                order = np.argsort(u, kind="stable")
-                y, u, ids = y[..., order], u[order], ids[order]
+        # top parts: the pinned m-term sums whose top row is at least w - 1
+        for ids in _blocks(*_colex_offsets(k, m, q, True)[[w - 1, k]], p * words):
+            y, u = _colex_entries(colex, cplanes, q, m, ids, pinned=True)
+            order = np.argsort(u, kind="stable")
+            y, u, ids = y[..., order], u[order], ids[order]
             P = prefixes[u]
             work += int(P.sum())
             for b0, b1, x0, x1 in _pair_runs(P, cap):
                 _check_deadline(deadline, "information-set search")
-                x, yb = T[t][..., None, x0:x1], y[..., b0:b1, None]
+                x, yb = T[..., None, x0:x1], y[..., b0:b1, None]
                 z = x[0] & yb[0]
                 tmp = np.empty_like(z)
                 for v in range(1, p):
@@ -868,7 +778,7 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
             upper_src="trivial", work=work, elapsed_s=time.monotonic() - t0)
     t, e, m, top = best
     message = np.zeros(k, dtype=np.int64)
-    for rows, coeffs in (_colex_unrank(e, t, q), _colex_unrank(top, m, q)):
+    for rows, coeffs in (_colex_unrank(e, t, q), _colex_unrank(top, m, q, True)):
         message[rows] = coeffs
     word = encode_rows(tables, G, message)
     if np.count_nonzero(word) != best_w or not code.contains(word):

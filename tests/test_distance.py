@@ -591,92 +591,72 @@ def test_inner_planes_leave_two_rows_outer(name, k):
 
 
 # ---------------------------------------------------------------------------
-# the column search's side tables (_Side) against itertools
+# the colex tables of both engines (_colex_entries) against itertools
 
-def _side_vectors(tables, n):
-    """n random vectors of 5 entries, and a function giving the c * vector
-    planes of vectors in the column search's layout (folded into one word
-    per plane)."""
-    rng = np.random.default_rng(tables.q * 10 + n)
-    return (rng.integers(0, tables.q, size=(n, 5)).astype(tables.dtype),
-            lambda v: distance._column_planes(tables, v.T))
-
-
-def _side_table(side):
-    """The planes of every entry of a side, in flat index order, put
-    together from the planes of its blocks."""
-    out = np.empty((len(side.cplanes), side.size), dtype=np.uint64)
-    for c, e, s, idx in side.blocks():
-        out[:, idx] = side.planes(c, e, s)
-    return out
+def _colex_oracle(k, j, q, pinned):
+    """(rows, coefficients) of every j-term sum of k rows with nonzero
+    coefficients (pinned: top coefficient 1), in colex order: by top row,
+    then top coefficient, then the order of the sum below them."""
+    return sorted(((sub, co) for sub in itertools.combinations(range(k), j)
+                   for co in itertools.product(range(1, q), repeat=j)
+                   if not pinned or co[-1] == 1),
+                  key=lambda e: list(zip(e[0][::-1], e[1][::-1])))
 
 
-def _side_oracle(q, n, j, pinned):
-    """(support, coefficients) of every j-term side entry, in the documented
-    order: prefix coefficient tuple, then last coefficient, then subset."""
-    return [(sub, pre + (e,))
-            for pre in itertools.product(range(1, q), repeat=j - 1)
-            for e in ([1] if pinned else range(1, q))
-            for sub in itertools.combinations(range(n), j)]
-
-
-def _check_side(side, tables, vecs, layout, want):
-    subs = np.array(list(itertools.combinations(range(side.n), side.j)))
-    n_subs = len(subs)
-    assert (side.size, side.n_subs) == (len(want), n_subs)
-    for idx, (sub, co) in enumerate(want):
-        got_sub, got_co = side.coeffs(idx)
-        assert (tuple(got_sub), tuple(got_co)) == (sub, co)
-    # the planes of every entry's sum, computed directly from the vectors
-    sup, co = (np.array([entry[i] for entry in want]) for i in (0, 1))
-    vec = np.zeros((len(want), vecs.shape[1]), dtype=np.int64)
-    for t in range(side.j):
-        vec = tables.add[vec, tables.mul[co[:, t, None], vecs[sup[:, t]]]]
-    planes = layout(vec)[..., len(want):2 * len(want)]   # 1 * each sum
-    # runs (every slice, with prefixes that have no extension among them)
-    # and index arrays give the same subsets and support ends
-    if side.j > 1:
-        assert (side.counts == 0).any()
-    for a in range(n_subs + 1):
-        for b in range(a, n_subs + 1):
-            assert np.array_equal(side.subsets(slice(a, b)).reshape(-1, side.j),
-                                  subs[a:b])
-    every = np.arange(n_subs)
-    assert np.array_equal(side.subsets(every[::-1]), subs[::-1])
-    first, last = side.ends(every)
-    assert np.array_equal(first, subs[:, 0]) and np.array_equal(last, subs[:, -1])
-    # blocks of a few subsets, of several prefixes and of the whole side
-    for chunk in (12, 100, 1 << 16):
-        seen = []
-        with mock.patch.object(distance, "_CHUNK", chunk):
-            for c, e, s, idx in side.blocks():
-                assert isinstance(s, slice)
-                assert np.array_equal(side.planes(c, e, s), planes[..., idx])
-                seen.append(idx)
-        # every entry once (a block takes every e, so runs interleave them)
-        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(side.size))
-    perm = np.random.default_rng(side.size).permutation(side.size)
-    assert np.array_equal(side.planes(*side.entries(perm)), planes[..., perm])
-    assert np.array_equal(_side_table(side), planes)
+def _check_colex(tables, R, layout, rng):
+    """T_1..T_4 and the pinned 1..4-term sums of the rows of R, whose
+    c * row l planes layout(R) holds at index c*k + l, with the tables filled
+    up to T_0, T_2 and T_4 (_colex_grow stops before the first table over
+    _TABLE_WORDS): entries up to T_built are read, the others recomputed
+    from them.  Each entry, taken in a random order, is the sum of c * row l
+    over the rows and coefficients of the oracle's entry of that rank and
+    _colex_unrank's, its least row is their least, and the sums on rows
+    [0, l) are the first _colex_offsets[l] entries."""
+    q, (k, r) = tables.q, R.shape
+    cplanes = layout(R)
+    sizes = [distance._colex_size(k, j, q) * cplanes.shape[1] for j in range(5)]
+    colexes = []
+    for built in (0, 2, 4):
+        cap = max(sizes[1:built + 1], default=0)
+        colex = []
+        with mock.patch.object(distance, "_TABLE_WORDS", cap):
+            distance._colex_grow(colex, cplanes, q, 4)
+        assert len(colex) == next((j for j in range(1, 5) if sizes[j] > cap), 5)
+        colexes.append(colex)
+    for j in range(1, 5):
+        for pinned in (False, True):
+            want = _colex_oracle(k, j, q, pinned)
+            assert [tuple(map(tuple, distance._colex_unrank(i, j, q, pinned)))
+                    for i in range(len(want))] == want
+            assert distance._colex_offsets(k, j, q, pinned).tolist() == [
+                sum(sub[-1] < l for sub, _ in want) for l in range(k + 1)]
+            rows, co = (np.array([e[i] for e in want], dtype=np.int64).reshape(-1, j)
+                        for i in (0, 1))
+            vec = np.zeros((len(want), r), dtype=np.int64)
+            for i in range(j):
+                vec = tables.add[vec, tables.mul[co[:, i, None], R[rows[:, i]]]]
+            idx = rng.permutation(len(want))
+            sums = layout(vec)[..., len(want) + idx] if want else None
+            for colex in colexes:
+                planes, least = distance._colex_entries(colex, cplanes, q, j,
+                                                        idx, pinned)
+                assert planes.shape[-1] == len(want)
+                if want:
+                    assert np.array_equal(planes, sums)
+                    assert np.array_equal(least, rows[idx, 0])
 
 
 @pytest.mark.parametrize("name,n", [
     (name, n) for name in sorted(KERNEL_FIELDS) for n in (1, 2, 4, 6)
     if (name, n) != ("GF(9)", 6)])  # 8^4 * C(6, 4) entries: a slow oracle
 def test_side_enumerates_every_entry_in_order(name, n):
-    # sides j = 1..4 (up to j = n), pinned and not, each built from the
-    # table of the side before, as the column search does
+    # the column search's sides: the sums of up to 4 of n columns of 5
+    # entries (none when n < j), in its folded layout
     tables = KERNEL_FIELDS[name].tables()
-    q = tables.q
-    vecs, layout = _side_vectors(tables, n)
-    cplanes = layout(vecs)
-    subs, sums = np.zeros((1, 0), dtype=np.int64), cplanes[:, :1]
-    for j in range(1, min(n, 4) + 1):
-        for pinned in (True, False):
-            side = distance._Side(cplanes, n, q, subs, sums, pinned)
-            want = _side_oracle(q, n, j, pinned)
-            _check_side(side, tables, vecs, layout, want)
-        sums, subs = _side_table(side), side.subsets(slice(0, side.n_subs))
+    rng = np.random.default_rng(tables.q * 10 + n)
+    vecs = rng.integers(0, tables.q, size=(n, 5)).astype(tables.dtype)
+    _check_colex(tables, vecs,
+                 lambda v: distance._column_planes(tables, v.T)[:, None], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -958,39 +938,16 @@ def test_information_set_reach_is_sound_on_random_generator_matrices(code):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
 def test_colex_table_unranks_every_entry(name):
-    # T_1..T_4 of k random redundancy rows, folded (r = 5; r = 30, two digit
-    # blocks in one word over GF(9)) and worded (r = 70): each entry is the
-    # sum of c * row l over its unranked rows and coefficients, its least
-    # row is the least of them, the sums on rows [0, l) are its first
-    # C(l, j)(q - 1)^j entries, and every j-subset with every coefficient
-    # tuple occurs once
+    # the sums of up to 4 of k random redundancy rows, folded (r = 5; r = 30,
+    # two digit blocks in one word over GF(9)) and worded (r = 70)
     tables = KERNEL_FIELDS[name].tables()
     q = tables.q
     k = 4 if q == 9 else 6      # 8^4 * C(k, 4) entries: a slow oracle
     rng = np.random.default_rng(q)
-    Rs = [rng.integers(0, q, size=(k, r)).astype(tables.dtype) for r in (5, 30, 70)]
-    cplanes = [distance._redundancy_planes(tables, R, R.shape[1])[0] for R in Rs]
-    tabs = [(c[..., :1], np.full(1, k, np.min_scalar_type(k))) for c in cplanes]
-    for j in range(1, 5):
-        tabs = [distance._colex_table(T, least, c[..., k:], k, q, j)
-                for (T, least), c in zip(tabs, cplanes)]
-        entries = [distance._colex_unrank(i, j, q)
-                   for i in range(distance._colex_size(k, j, q))]
-        got = [(tuple(rows), tuple(co)) for rows, co in entries]
-        assert sorted(got) == [
-            (sub, co) for sub in itertools.combinations(range(k), j)
-            for co in itertools.product(range(1, q), repeat=j)]
-        rows, co = (np.array([e[i] for e in entries]) for i in (0, 1))
-        for l in range(k + 1):
-            size = distance._colex_size(l, j, q)
-            assert (rows[:size, -1] < l).all() and (rows[size:, -1] >= l).all()
-        for R, (T, least) in zip(Rs, tabs):
-            assert np.array_equal(least, rows[:, 0])
-            vec = np.zeros((len(entries), R.shape[1]), dtype=np.int64)
-            for i in range(j):
-                vec = tables.add[vec, tables.mul[co[:, i, None], R[rows[:, i]]]]
-            want, _ = distance._redundancy_planes(tables, vec, R.shape[1])
-            assert np.array_equal(T, want[..., len(vec):2 * len(vec)])
+    for r in (5, 30, 70):
+        R = rng.integers(0, q, size=(k, r)).astype(tables.dtype)
+        _check_colex(tables, R,
+                     lambda v: distance._redundancy_planes(tables, v, r)[0], rng)
 
 
 def test_information_set_wrong_prefix_is_caught(family1_rho17):
@@ -1033,17 +990,34 @@ def _check_table_caps(code):
 def test_information_set_table_cap_runs_long_top_parts(family1_rho17):
     # [34,18] (levels to 5) under a cap of 2^10 words holds T_2 and pairs it
     # with top parts of up to three rows; [17,9] over GF(9) under 2^4 holds
-    # only T_0, so its top parts are whole messages, built recursively
-    for code, cap in ((family1_rho17.dual, 1 << 10),
-                      (family1_rho17.companion_dual, 1 << 4)):
+    # only T_0, so its top parts are whole messages, built recursively.  With
+    # blocks of 2^10 plane words, every block of top parts but the last of
+    # its level is full.
+    for code, cap, t in ((family1_rho17.dual, 1 << 10, 2),
+                         (family1_rho17.companion_dual, 1 << 4, 0)):
         want = information_set_search(code)
         with mock.patch.object(distance, "_TABLE_WORDS", cap), \
-                mock.patch.object(distance, "_colex_sums",
-                                  wraps=distance._colex_sums) as sums:
+                mock.patch.object(distance, "_CHUNK", 1 << 10), \
+                mock.patch.object(distance, "_colex_entries",
+                                  wraps=distance._colex_entries) as entries:
             got = information_set_search(code)
-        assert sums.called
         assert (got.d, got.work) == (want.d, want.work)
         _check_witness(code, got, want.d)
+        calls = entries.call_args_list
+        assert len(calls[0].args[0]) == t + 1             # T_0..T_t built
+        tops = [c.args[3:5] for c in calls if c.kwargs.get("pinned")]
+        assert max(j for j, _ in tops) > t                # the recursive path
+        full = (1 << 10) // len(calls[0].args[1])         # one word per plane
+        levels = [[tops[0][1]]]
+        for (_, prev), (_, ids) in zip(tops, tops[1:]):
+            if ids[0] == prev[-1] + 1:
+                levels[-1].append(ids)
+            else:
+                levels.append([ids])
+        assert max(map(len, levels)) > 1
+        for blocks in levels:
+            assert all(len(ids) == full for ids in blocks[:-1])
+            assert 0 < len(blocks[-1]) <= full
 
 
 @settings(max_examples=20, deadline=None)
@@ -1108,7 +1082,7 @@ def test_info_set_bound_is_the_least_window_weight(n):
 
 
 # ---------------------------------------------------------------------------
-# memory: a side holds its (j-1)-subsets, and its entries one block at a time
+# memory: the engines hold capped colex tables, and stream the rest in blocks
 
 def _traced_peak(run):
     """Peak bytes that run() allocates, by tracemalloc (numpy arrays count)."""
@@ -1128,18 +1102,23 @@ def family3_m6_dual():
 
 
 def test_pinned_side_holds_only_its_prefixes(family3_m6_dual):
-    # the pinned 3-term side over n = 182 has C(182, 3) = 980,980 subsets
-    # (24 MB as an (N, 3) int64 array); it keeps the C(182, 2) 2-subsets
+    # the C(182, 3) * 4 = 3,923,920 pinned 3-term column sums of [182,170]
+    # hold only T_2, the 2-term sums they extend, and stream in the column
+    # search's blocks (the 3-subsets alone took 24 MB as an (N, 3) int64
+    # array)
     tables = GF3.tables()
     cplanes = distance._column_planes(
-        tables, np.asarray(family3_m6_dual.dual_rows(), dtype=tables.dtype))
-    n = family3_m6_dual.n
-    pairs = distance._Side(cplanes, n, 3, np.arange(n)[:, None],
-                           cplanes[:, n:])
-    subs, sums = np.array(list(itertools.combinations(range(n), 2))), _side_table(pairs)
-    peak = _traced_peak(lambda: distance._Side(cplanes, n, 3, subs, sums,
-                                               pinned=True))
-    assert peak < 1 << 20
+        tables, np.asarray(family3_m6_dual.dual_rows(), dtype=tables.dtype))[:, None]
+    n, p, colex = family3_m6_dual.n, len(cplanes), []
+    distance._colex_grow(colex, cplanes, 3, 2)
+    assert len(colex) == 3
+    size = distance._colex_size(n, 3, 3, pinned=True)
+    assert size == math.comb(n, 3) * 4
+
+    def stream():
+        for idx in distance._blocks(0, size, p):
+            distance._colex_entries(colex, cplanes, 3, 3, idx, pinned=True)
+    assert _traced_peak(stream) < 4 << 20
 
 
 def test_column_search_memory_gate(family3_m6_dual):
