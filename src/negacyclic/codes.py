@@ -129,9 +129,11 @@ class LinearCode:
         return nullspace(self.field.tables(), self._rows, self.n)
 
     def contains(self, word) -> bool:
+        """word (entries reduced mod q) is a codeword; False for any length
+        but n."""
         t = self.field.tables()
         w = np.asarray(word, dtype=t.dtype).reshape(-1, 1)
-        return not mat_mul(t, self.dual_rows(), w).any()
+        return len(w) == self.n and not mat_mul(t, self.dual_rows(), w).any()
 
     def encode(self, message: Sequence[int]) -> np.ndarray:
         if len(message) != self.k:
@@ -187,7 +189,8 @@ class ConstacyclicCode(LinearCode):
         return ConstacyclicCode.dual(self).rows()
 
     def contains(self, word: Sequence[int]) -> bool:
-        return (Poly.from_ints(self.field, word) % self.g).is_zero()
+        return (len(word) == self.n
+                and (Poly.from_ints(self.field, word) % self.g).is_zero())
 
     def negashift(self, word: Sequence[int]) -> np.ndarray:
         """(lambda*c_{n-1}, c_0, ..., c_{n-2})."""
@@ -442,6 +445,11 @@ class NegacyclicCode(ConstacyclicCode):
         if "k" in desc and int(desc["k"]) != code.k:
             raise CodeError(f"descriptor k = {desc['k']} disagrees with the "
                             f"generator's dimension {code.k}")
+        if ("zero_leaders" in desc and sorted(int(l) for l in desc["zero_leaders"])
+                != list(code.zero_leaders)):
+            raise CodeError(f"descriptor zero_leaders = {desc['zero_leaders']} "
+                            f"disagree with the generator's "
+                            f"{list(code.zero_leaders)}")
         return code
 
     # -- zero-set structure ------------------------------------------------------

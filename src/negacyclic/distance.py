@@ -3,17 +3,19 @@
 Two exact distance engines: a Brouwer-Zimmermann information-set search for
 low-rate codes and a meet-in-the-middle low-weight search over
 parity-check syndromes for high-rate codes.  A blocked full-message
-enumeration serves weight distributions.  All keep vectors bitsliced the
-same way (Boothby & Bradshaw, arXiv:0901.1413): an element index of
-GF(p^s) is its string of s base-p digits, kept as p one-hot uint64 planes
-per digit (_digit_planes), so adding vectors adds digits mod p for every
-field, by the one-hot cyclic convolution z_k = OR_i x_i & y_(k-i mod p)
-(_plane_add), and negation permutes planes.
+enumeration serves weight distributions.  All keep vectors in one
+bitsliced layout (Boothby & Bradshaw, arXiv:0901.1413): an element index of
+GF(p^s) is its string of s base-p digits, and a vector of L entries is p
+one-hot planes of ceil(L / (64 // s)) uint64 words, entry i taking s
+adjacent bits of word i // (64 // s), one per digit (_digit_planes).
+Adding vectors adds digits mod p for every field, by the one-hot cyclic
+convolution z_k = OR_i x_i & y_(k-i mod p) (_plane_add), and negation
+permutes planes.  An entry of a sum is zero where plane 0 holds all s of
+its bits, which one kernel counts for every engine (_zero_counts).
 The enumeration keeps the partial codewords of an inner block of messages
-(ceil(n/64) words per row and digit; planes and a step's temporaries within
-6 MB), built from the zero word by adding every multiple of each inner row.
-Each outer message is encoded directly as c; A + c is zero where plane 0 of
-all s digits is set, so one popcount gives the weights of the whole block.
+(planes and a step's temporaries within 6 MB), built from the zero word by
+adding every multiple of each inner row; each outer message is encoded
+directly as c, and the zero counts of A + c give the whole block's weights.
 Weights are invariant under scalar multiples, so the walk is projective:
 besides outer message 0 (the whole block) it visits only the outer messages
 whose top nonzero digit is the field's one, (q^K - 1)/(q - 1) of the
@@ -25,19 +27,17 @@ coefficients, ordered by top row, so the sums on rows [0, l) are a prefix
 of T_j.  Tables are filled in blocks while they fit _TABLE_WORDS words
 per plane; any other entry is unranked to its top row and coefficient and
 built from the shorter sums, one block at a time.
-The column search folds a syndrome's s digit blocks of r entries into one
-uint64 per plane (r*s <= 61 under the q^r < 2^62 guard).  Its left side is
-T_t of the columns of H, sorted on 64-bit keys, a hash of the planes whose
-low bits carry the entry's colex rank; its right side, the pinned sums, is
-probed block by block, and every key match is compared plane by plane
-before it can yield a word, so hash collisions cost time, never answers.
+A syndrome of the column search fits one word per plane (r*s <= 61 under
+the q^r < 2^62 guard).  Its left side is T_t of the columns of H, sorted on
+64-bit keys, a hash of the planes whose low bits carry the entry's colex
+rank; its right side, the pinned sums, is probed block by block, and every
+key match is compared plane by plane before it can yield a word, so hash
+collisions cost time, never answers.
 The information-set search holds the sums of t of the redundancy parts of
-a generator matrix in reduced row-echelon form in one colex table (the s
-digit blocks folded into one uint64 per plane when r*s <= 64,
-s*ceil(r/64) words per plane otherwise, so r has no limit).  A message of
-weight w is a top part of w - t rows plus a sum on the rows below them,
-which is a prefix of the table, so a level is tested without gathering an
-operand.  For a constacyclic code
+a generator matrix in reduced row-echelon form in one colex table, in as
+many words as r takes.  A message of weight w is a top part of w - t rows
+plus a sum on the rows below them, which is a prefix of the table, so a
+level is tested without gathering an operand.  For a constacyclic code
 the words of weight w on window [0, k) stand, through the constashift by k,
 for those of every window [jk, (j+1)k) mod n; the search stops once the
 windows' bound L(w) reaches the least weight found, or, short of that, at
@@ -170,9 +170,9 @@ class DistanceReport:
 # ---------------------------------------------------------------------------
 # digit planes, and the blocked enumeration over them
 
-# bytes of the inner block's p*s digit planes plus a step's temporaries (at
-# most 2*s planes): enough rows that the per-step Python work is small, few
-# enough to stay a few MB
+# bytes of the inner block's p digit planes plus a step's two temporary
+# planes: enough rows that the per-step Python work is small, few enough to
+# stay a few MB
 _INNER_BYTES = 6 << 20
 
 
@@ -181,30 +181,42 @@ def _check_deadline(deadline, what):
         raise BudgetExceeded(f"{what} time cap hit")
 
 
-def _words(n):
-    return -(-n // 64)
-
-
-def _bits(mask):
-    """Pack the last axis of a boolean array into uint64 words: bit i of word
-    w is coordinate 64*w + i, and the padding bits are zero."""
-    n = mask.shape[-1]
-    out = np.zeros(mask.shape[:-1] + (8 * _words(n),), dtype=np.uint8)
-    out[..., :(n + 7) // 8] = np.packbits(mask, axis=-1, bitorder="little")
-    return out.view("<u8")
+def _words(L, s):
+    """uint64 words per plane of L entries of s digits: 64 // s a word."""
+    return -(-L // (64 // s))
 
 
 @functools.lru_cache(maxsize=None)
 def _onehot(p, s):
-    digits = np.arange(p ** s) // p ** np.arange(s)[:, None] % p
-    return digits == np.arange(p)[:, None, None]
+    """(p, q + 1, s) booleans: digit j of element e is v; element q, the
+    padding, has no digit set."""
+    digits = np.arange(p ** s)[:, None] // p ** np.arange(s) % p
+    return np.pad(digits == np.arange(p)[:, None, None], ((0, 0), (0, 1), (0, 0)))
 
 
-def _digit_planes(tables, words):
-    """Digit planes of index arrays of shape (..., L), shape
-    (p, s, ..., ceil(L/64)): bit i of planes[v, j] is set when base-p digit
-    j of entry i is v, where s = [GF(q) : GF(p)]; padding bits are zero."""
-    return _bits(_onehot(tables.field.p, tables.field.m)[..., words])
+def _digit_planes(tables, idx):
+    """Digit planes of index arrays of shape (..., L), shape (p, W, ...) with
+    W = _words(L, s), where s = [GF(q) : GF(p)]: entry i has the s bits
+    s*e .. s*e + s - 1 of word i // E (E = 64 // s entries a word,
+    e = i % E), and bit s*e + j of planes[v] is set when its base-p digit j
+    is v.  Padding bits are zero, bit 63 too when s does not divide 64."""
+    p, s, L = tables.field.p, tables.field.m, idx.shape[-1]
+    E, W = 64 // s, _words(L, s)
+    padded = np.full(idx.shape[:-1] + (W * E,), tables.q)
+    padded[..., :L] = idx
+    hot = np.zeros((p,) + idx.shape[:-1] + (W, 64), dtype=bool)
+    hot[..., :E * s] = _onehot(p, s).take(padded, axis=1).reshape(
+        hot.shape[:-1] + (E * s,))
+    words = np.packbits(hot, axis=-1, bitorder="little").view("<u8")[..., 0]
+    # word axis second; np.moveaxis would cost more than the rest per call
+    return np.ascontiguousarray(words.transpose((0, -1) + tuple(range(1, idx.ndim))))
+
+
+def _multiple_planes(tables, rows):
+    """Digit planes (p, W, q*k) of c * row l of the k rows, at index c*k + l
+    (c = 0 gives the zero vector): the vectors _colex_entries sums."""
+    planes = _digit_planes(tables, tables.mul[:, rows])
+    return planes.reshape(planes.shape[:2] + (-1,))
 
 
 def _plane_add(x, y, ks=None, out=None, tmp=None):
@@ -215,8 +227,7 @@ def _plane_add(x, y, ks=None, out=None, tmp=None):
     p = len(x)
     ks = range(p) if ks is None else ks
     z = out if out is not None else np.empty(
-        (len(ks),) + np.broadcast_shapes(x.shape[1:], y.shape[1:]),
-        dtype=np.uint64)
+        (len(ks),) + np.broadcast(x[0], y[0]).shape, dtype=np.uint64)
     tmp = tmp if tmp is not None else np.empty_like(z[0])
     for z_k, k in zip(z, ks):
         np.bitwise_and(x[0], y[k], out=z_k)
@@ -226,11 +237,25 @@ def _plane_add(x, y, ks=None, out=None, tmp=None):
     return z
 
 
+def _zero_counts(z, s, tmp):
+    """Zero entries of each vector, from plane 0 z (W, ...) of a digit sum: an
+    entry is zero when all s of its bits are set, so z ANDs in the next bit
+    s - 1 times, each shifted by one (by j would reach the next entry), and
+    the first bits are counted, word rows summed in Python (a reduction
+    measured slower); one word's counts stay uint8.  Overwrites z and tmp."""
+    for _ in range(s - 1):
+        z &= np.right_shift(z, 1, out=tmp)
+    if s > 1:  # the first bit of each entry: bits s*e, e < 64 // s
+        z &= np.uint64(((1 << 64 // s * s) - 1) // ((1 << s) - 1))
+    counts = np.bitwise_count(z)
+    return sum(counts[1:], counts[0].astype(np.int16)) if len(z) > 1 else counts[0]
+
+
 def _inner_planes(tables, rows):
-    """Digit planes (p, s, q^k_in, ceil(n/64)) of the partial codewords of
-    every message over a prefix of the rows, ordered as in span_rows, and
-    the prefix length k_in.  The table of the zero word is extended row by
-    row, to the concatenation over v of the table plus v * row.
+    """Digit planes (p, W, q^k_in) of the partial codewords of every message
+    over a prefix of the rows, ordered as in span_rows, and the prefix
+    length k_in.  The table of the zero word is extended row by row, to the
+    concatenation over v of the table plus v * row.
 
     k_in is the most rows whose table fits _INNER_BYTES, but at most k - 2
     and at least 1, so the top rows stay outer, where the walk takes one
@@ -238,17 +263,17 @@ def _inner_planes(tables, rows):
     and one of k - 1 rows costs 2 steps but q times the building, which
     measured slower on the small codes that fit."""
     k, n = rows.shape
-    q, p, s = tables.q, tables.field.p, tables.field.m
-    row_bytes = 8 * (p + 2) * s * _words(n)
+    q, p = tables.q, tables.field.p
+    W = _words(n, tables.field.m)
     k_in, size = 0, 1
-    while k_in < k - 2 and size * q * row_bytes <= _INNER_BYTES:
+    while k_in < k - 2 and size * q * 8 * (p + 2) * W <= _INNER_BYTES:
         size *= q
         k_in += 1
     k_in = max(k_in, 1)
     planes = _digit_planes(tables, np.zeros((1, n), dtype=tables.dtype))
     for row in rows[:k_in]:  # message v * len(table) + j: v * row + message j
-        shifts = _digit_planes(tables, tables.mul[:, row])[:, :, :, None]
-        planes = _plane_add(planes[:, :, None], shifts).reshape(p, s, -1, _words(n))
+        shifts = _digit_planes(tables, tables.mul[:, row])[..., None]
+        planes = _plane_add(planes[:, :, None], shifts).reshape(p, W, -1)
     return planes, k_in
 
 
@@ -264,31 +289,24 @@ def _outer_messages(q, K):
 def _walk(tables, planes, rows_out, n, deadline, outer):
     """The weight histogram of the codewords of the outer messages in outer.
 
-    Each outer message is encoded directly as c.  A coordinate of an inner
-    codeword A + c is zero when all s of its digits are, so the zero counts
-    are the popcounts of plane 0 of A + c (_plane_add) ANDed over the digit
-    blocks.  An outer message j > 0 stands for its q - 1 scalar multiples
-    (a times the block of j is the block of a * j), so its counts enter the
-    histogram q - 1 times.  The deadline is checked once per outer message.
+    Each outer message is encoded directly as c, and the zero counts of
+    every inner codeword A + c are those of plane 0 of the digit sum
+    (_plane_add, _zero_counts).  An outer message j > 0 stands for its
+    q - 1 scalar multiples (a times the block of j is the block of a * j),
+    so its counts enter the histogram q - 1 times.  The deadline is checked
+    once per outer message.
     """
-    q = tables.q
+    q, s = tables.q, tables.field.m
     zhist = np.zeros(n + 1, dtype=np.int64)
     # one set of step buffers per walk: fresh ones at every step page-fault
     # until the allocator's mmap threshold has risen
-    zero, other, tmp = np.empty((3,) + planes.shape[2:], dtype=np.uint64)
-    counts = np.empty(planes.shape[2:], dtype=np.uint8)
+    zero, tmp = np.empty((2,) + planes.shape[1:], dtype=np.uint64)
     for j in outer.tolist():
         _check_deadline(deadline, "enumeration")
         c = encode_rows(tables, rows_out, _message_digits(q, len(rows_out), j))
-        cp = _digit_planes(tables, c)[:, :, None]
-        # per digit block: one call on all s blocks is 20% slower over GF(9)
-        _plane_add(planes[:, 0], cp[:, 0], (0,), zero[None], tmp)
-        for d in range(1, cp.shape[1]):
-            zero &= _plane_add(planes[:, d], cp[:, d], (0,), other[None], tmp)[0]
-        # by word columns: sum(axis=1) over 2-word rows is 10x the popcount
-        np.bitwise_count(zero, out=counts)
-        zeros = sum(counts[:, 1:].T, counts[:, 0].astype(np.int16))
-        zhist += np.bincount(zeros, minlength=n + 1) * (q - 1 if j else 1)
+        _plane_add(planes, _digit_planes(tables, c)[..., None], (0,), zero[None], tmp)
+        zhist += np.bincount(_zero_counts(zero, s, tmp),
+                             minlength=n + 1) * (q - 1 if j else 1)
     return zhist[::-1]
 
 
@@ -419,17 +437,6 @@ def _colex_grow(colex, planes, q, j):
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _column_planes(tables, H):
-    """Digit planes of c * column i of H for every element c (c = 0 gives
-    the zero syndrome), with the s digit blocks folded into one uint64: bit
-    j*r + e of planes[v, c*n + i] is set when base-p digit j of entry e is
-    v.  r*s <= 61 under the q^r < 2^62 guard, so every plane fits."""
-    planes = _digit_planes(tables, tables.mul[:, H.T])[..., 0]
-    planes <<= (np.arange(tables.field.m, dtype=np.uint64)
-                * np.uint64(len(H)))[:, None, None]
-    return np.bitwise_or.reduce(planes, axis=1).reshape(len(planes), -1)
-
-
 def _mix(planes):
     """64-bit hash of each syndrome: the sum of plane v times _GOLDEN^v over
     the nonzero digit values v (plane 0 is implied), wrapping."""
@@ -552,7 +559,7 @@ def low_weight_search(code, w_max: Optional[int] = None,
                               "search", "search", 1, time.monotonic() - t0)
     if q ** r >= 2 ** 62:
         raise CodeError("syndrome space too large for integer keys")
-    cplanes, colex = _column_planes(tables, H)[:, None], []
+    cplanes, colex = _multiple_planes(tables, H.T), []  # one word: r*s <= 61
     work = 0
     for w in range(1, w_max + 1):
         _check_deadline(deadline, "column search")
@@ -576,10 +583,10 @@ def low_weight_search(code, w_max: Optional[int] = None,
 # Brouwer-Zimmermann information-set search over colex-ordered tables
 
 def _info_set_bound(n, k, w):
-    """L(w): the least weight of a codeword with more than w nonzeros in
-    every window [jk, (j+1)k) mod n.  Window j holds r_j = min(k, n - jk)
+    """L(w): the least weight of a codeword with more than w nonzero entries
+    in every window [jk, (j+1)k) mod n.  Window j holds r_j = min(k, n - jk)
     positions that no earlier window holds, so at least w + 1 - (k - r_j)
-    of its nonzeros are new.  One window (n = k) gives L(w) = w + 1."""
+    of its nonzero entries are new.  One window (n = k) gives L(w) = w + 1."""
     return sum(max(0, w + 1 - (k - min(k, n - j * k)))
                for j in range(-(-n // k)))
 
@@ -605,41 +612,6 @@ def _info_set_words(n, k, q, d_max):
     (q^k - 1)/(q - 1) in all."""
     return sum(comb(k, w) * (q - 1) ** (w - 1)
                for w in range(1, _info_set_levels(n, k, d_max) + 1))
-
-
-def _redundancy_planes(tables, R, r):
-    """Digit planes of c * row l of the redundancy parts R (k rows, r valid
-    columns) at index c*k + l of the last axis, after a word axis, and a
-    function giving the nonzero count of each redundancy part from the
-    plane 0 words z of its digit sum (z and tmp, of one shape, are
-    overwritten).  The s digit blocks fold into one uint64 per plane when
-    they fit, as in _column_planes (one word, digit j at bit j*R.shape[1]);
-    otherwise the word axis holds s*ceil(r/64) words, digit-major."""
-    k, cols = R.shape
-    s = tables.field.m
-    if cols * s <= 64:
-        planes = _column_planes(tables, R.T)[:, None]
-        mask, shift = np.uint64((1 << r) - 1), np.uint64(cols)
-
-        def nonzeros(z, tmp):
-            nz = np.invert(z[0], out=z[0])
-            for _ in range(s - 1):  # OR in digit j, shifted down j blocks
-                nz |= np.right_shift(nz, shift, out=tmp[0])
-            nz &= mask
-            return np.bitwise_count(nz)
-        return planes, nonzeros
-    planes = _digit_planes(tables, tables.mul[:, R])     # (p, s, q, k, W)
-    W = planes.shape[-1]
-    planes = np.moveaxis(planes, -1, 2).reshape(len(planes), s * W, -1)
-    valid = _bits(np.arange(64 * W) < r)[:, None, None]
-
-    def nonzeros(z, tmp):
-        z = np.invert(z, out=z).reshape((s, W) + z.shape[1:])
-        for j in range(1, s):
-            z[0] |= z[j]
-        z[0] &= valid
-        return np.bitwise_count(z[0]).sum(axis=0, dtype=np.int64)
-    return planes, nonzeros
 
 
 def _pair_runs(P, cap):
@@ -679,7 +651,7 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     G is put in reduced row-echelon form (codes.rref): its pivot columns are
     an information set and the other r = n - k columns the redundancy.
     Level w enumerates the messages of weight w, one per scalar class, as
-    sums of the redundancy parts of the k rows (_redundancy_planes).  The
+    sums of the redundancy parts of the k rows (_multiple_planes).  The
     sums of t rows are held in one colex table T_t (_colex_grow), where t
     is w - 1, or less when T_(w-1) would exceed _TABLE_WORDS plane words.  A
     message is a (w - t)-term top part y, whose top coefficient is pinned
@@ -690,9 +662,10 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     the pinned (w - t)-term sums (_colex_entries), in blocks of about
     _CHUNK plane words, each sorted by least row and paired with the
     prefixes in runs of about _CHUNK plane words (_pair_runs).  A word's
-    weight is w plus the nonzeros of its redundancy part.
+    weight is w plus its redundancy part's r entries less their zeros
+    (_zero_counts); the full space, with no redundancy, has one zero column.
 
-    A word not yet met after level w has more than w nonzeros on each
+    A word not yet met after level w has more than w nonzero entries on each
     window, so its weight is at least L(w) (_info_set_bound).  For a
     constacyclic code the pivots are window 0 = [0, k), and a shift by k
     positions is a weight-preserving automorphism that maps window j to
@@ -734,10 +707,10 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
         raise AssertionError(  # pragma: no cover
             "window 0 is not an information set")
     red = np.delete(np.arange(n), pivots)
-    # the full space has no redundancy: one zero column, masked away
+    # the full space has no redundancy: one zero column, always counted zero
     R = G[:, red] if len(red) else np.zeros((k, 1), dtype=tables.dtype)
-    cplanes, nonzeros = _redundancy_planes(tables, R, len(red))
-    p, words = len(cplanes), cplanes.shape[1]
+    cplanes = _multiple_planes(tables, R)
+    p, words, s = len(cplanes), cplanes.shape[1], tables.field.m
     colex = []                               # (T_j, least rows), j <= t
     cap = max(1, _CHUNK // words)            # pairs per run
     best_w, best, work, w = n + 1, None, 0, 0
@@ -756,12 +729,12 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
             work += int(P.sum())
             for b0, b1, x0, x1 in _pair_runs(P, cap):
                 _check_deadline(deadline, "information-set search")
-                x, yb = T[..., None, x0:x1], y[..., b0:b1, None]
-                z = x[0] & yb[0]
-                tmp = np.empty_like(z)
-                for v in range(1, p):
-                    z |= np.bitwise_and(x[v], yb[p - v], out=tmp)
-                weights = nonzeros(z, tmp)
+                # two allocations: one (2, ...) block puts z and tmp a power
+                # of two apart, which measured slower
+                tmp = np.empty((words, b1 - b0, x1 - x0), dtype=np.uint64)
+                z = _plane_add(T[..., None, x0:x1], y[..., b0:b1, None], (0,),
+                               tmp=tmp)[0]
+                weights = R.shape[1] - _zero_counts(z, s, tmp)
                 if P[b0] != P[b1 - 1]:   # pairs past a shorter prefix
                     weights[np.arange(x0, x1) >= P[b0:b1, None]] = np.iinfo(
                         weights.dtype).max

@@ -211,10 +211,10 @@ class Field:
     m with smallest coefficient encoding c0 + c1*p + ... (for m == 1 the
     conventional modulus is x), except that GF(3^6), GF(3^14), GF(3^18),
     GF(3^20), GF(3^22) and GF(3^25) keep the pinned primitive moduli in
-    _PINNED_MODULI.  A supplied modulus passes Rabin's irreducibility test,
-    run in the ring GF(p)[x]/(f); otherwise the error names its smallest
-    factor.  The characteristic p is at most 251, so that a digit fits in
-    one byte of the packed form.
+    _PINNED_MODULI.  A supplied modulus has its coefficients in 0..p-1 and
+    passes Rabin's irreducibility test, run in the ring GF(p)[x]/(f);
+    otherwise the error names its smallest factor.  The characteristic p is
+    at most 251, so that a digit fits in one byte of the packed form.
     """
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
@@ -229,7 +229,10 @@ class Field:
             modulus = _search_modulus(p, m)  # primitive, hence irreducible
         elif modulus is None:
             modulus = _PINNED_MODULI.get((p, m), (0, 1))  # m == 1: x
-        modulus = [c % p for c in modulus]
+        elif not all(0 <= c < p for c in modulus):
+            raise FieldError(f"modulus {_poly_text(modulus)} has a coefficient "
+                             f"outside 0..{p - 1}")
+        modulus = list(modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise FieldError(f"modulus must be monic of degree {m}")
         self._set_ring(p, modulus)
@@ -497,7 +500,8 @@ def make_field(p: int, m: int, modulus: Optional[Sequence[int]] = None) -> Field
     """Construct (or fetch the cached) GF(p^m).
 
     With no modulus the deterministic default is used; a supplied modulus must
-    be monic, degree m, and irreducible, otherwise the error names a factor.
+    have its coefficients in 0..p-1 and be monic, degree m, and irreducible,
+    otherwise the error names a factor.
     """
     key = tuple(int(c) for c in modulus) if modulus is not None else None
     return _cached_field(int(p), int(m), key)

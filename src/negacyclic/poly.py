@@ -79,9 +79,14 @@ class Poly:
 
     @classmethod
     def from_text(cls, field: Field, text: str) -> "Poly":
+        """Ascending comma-separated element indices, each in 0..q-1."""
         if text.strip() == "":
             return cls.zero(field)
-        return cls.from_ints(field, [int(c) for c in text.split(",")])
+        ints = [int(c) for c in text.split(",")]
+        if not all(0 <= c < field.order for c in ints):
+            raise PolyError(f"polynomial {text} has a coefficient outside "
+                            f"0..{field.order - 1}")
+        return cls.from_ints(field, ints)
 
     @classmethod
     def x_pow_minus(cls, field: Field, n: int, lam: FieldElement) -> "Poly":

@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from negacyclic.codes import (CodeError, ConstacyclicCode, NegacyclicCode,
-                              mat_mul, mat_rank, residue_distance_relation,
-                              rref, uv_construct)
+from negacyclic.codes import (CodeError, ConstacyclicCode, LinearCode,
+                              NegacyclicCode, mat_mul, mat_rank,
+                              residue_distance_relation, rref, uv_construct)
 from negacyclic.distance import distance_report, weight_distribution
 from negacyclic.families import (FAMILY2_EXAMPLES, FAMILY3_EXAMPLES,
                                  build_family1, build_family2, build_family3,
@@ -71,6 +71,19 @@ def test_from_generator_x2_plus_1():
     assert check_code.k == 2
     assert check_code.g == quot.monic()
     assert check_code.contains(word)
+
+
+def test_contains_rejects_words_of_the_wrong_length():
+    # the [10,4] family-2 code: its first row, padded with zeros or cut short
+    # (a polynomial still divisible by g), is no codeword of length 10
+    code = build_family2(2, 10).code
+    word = [int(v) for v in code.rows()[0]]
+    assert word[-3:] == [0, 0, 0]
+    linear = LinearCode(code.field, code.rows())
+    for c in (code, linear):
+        assert c.contains(word)
+        for bad in (word + [0] * 10, word[:9], word + [0, 0]):
+            assert not c.contains(bad)
 
 
 def test_from_generator_family4_m3():

@@ -494,6 +494,20 @@ def test_enum_on_random_generator_matrices(data):
     _check_inner_blocks(LinearCode(field, np.array(rows)))
 
 
+def _pack_oracle(hot):
+    """Booleans (..., L, s), digit j of entry i, packed one bit at a time
+    into uint64 words (W, ...): bit s*(i % E) + j of word i // E, with
+    E = 64 // s entries a word."""
+    *lead, L, s = hot.shape
+    E = 64 // s
+    out = np.zeros(tuple(lead) + (-(-L // E),), dtype=np.uint64)
+    for i in range(L):
+        for j in range(s):
+            out[..., i // E] |= (hot[..., i, j].astype(np.uint64)
+                                 << np.uint64(s * (i % E) + j))
+    return np.moveaxis(out, -1, 0)
+
+
 def _planes_oracle(tables, rows, k_in):
     """The inner planes by way of the int8 table: every word of the first
     k_in rows (span_rows), split into power-basis digits with
@@ -501,8 +515,7 @@ def _planes_oracle(tables, rows, k_in):
     field = tables.field
     coeffs = np.array([field.from_int(e).coeffs for e in range(tables.q)])
     A = coeffs[span_rows(tables, rows[:k_in])]         # (q^k_in, n, s)
-    return np.stack([distance._bits(np.moveaxis(A == v, -1, 0))
-                     for v in range(field.p)])
+    return np.stack([_pack_oracle(A == v) for v in range(field.p)])
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
@@ -512,18 +525,21 @@ def test_inner_planes_match_int8_table(name, k, n):
     p, s = tables.field.p, tables.field.m
     rng = np.random.default_rng(1000 * tables.q + n)
     rows = rng.integers(0, tables.q, size=(k, n)).astype(tables.dtype)
-    valid = distance._bits(np.ones(n, dtype=bool))
+    valid = _pack_oracle(np.ones((n, s), dtype=bool))
     for cap in (distance._INNER_BYTES, 0):
         with mock.patch.object(distance, "_INNER_BYTES", cap):
             planes, k_in = distance._inner_planes(tables, rows)
         # the default cap binds before the last row; a cap of 0 keeps one row
         assert k_in == 1 if cap == 0 else 1 < k_in < k
-        assert planes.shape == (p, s, tables.q ** k_in, distance._words(n))
+        assert planes.shape == (p, distance._words(n, s), tables.q ** k_in)
         assert np.array_equal(planes, _planes_oracle(tables, rows, k_in))
-        assert not (planes & ~valid).any()  # padding bits beyond n are zero
+        assert not (planes & ~valid[:, None]).any()  # padding bits are zero
 
 
-KERNEL_FIELDS = {**MATRIX_FIELDS, "GF(2)": make_field(2, 1)}
+# GF(8) and GF(27) have s = 3 digits an entry, 21 entries a word and a
+# spare bit 63
+KERNEL_FIELDS = {**MATRIX_FIELDS, "GF(2)": make_field(2, 1),
+                 "GF(8)": make_field(2, 3), "GF(27)": make_field(3, 3)}
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
@@ -535,23 +551,35 @@ def test_plane_add_matches_add_table(name):
     want = distance._digit_planes(tables, tables.add[a, b])
     assert np.array_equal(distance._plane_add(x, y), want)
     assert np.array_equal(distance._plane_add(x, y, (0,)), want[:1])
+    # _zero_counts of plane 0 counts the zero entries of each sum, here of
+    # random vectors of 130 entries, a few words long
+    a, b = np.random.default_rng(tables.q).integers(0, tables.q, (2, 40, 130))
+    z = distance._plane_add(*(distance._digit_planes(tables, v) for v in (a, b)),
+                            (0,))[0]
+    zeros = distance._zero_counts(z, tables.field.m, np.empty_like(z))
+    assert np.array_equal(zeros, (tables.add[a, b] == 0).sum(axis=1))
 
 
 @pytest.mark.parametrize("L", [1, 63, 64, 65, 130])
 @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
 def test_digit_planes_decode_to_their_input(name, L):
+    # entry i has bits s*e .. s*e + s - 1 of word i // E (E = 64 // s,
+    # e = i % E), bit s*e + j for its digit j
     tables = KERNEL_FIELDS[name].tables()
     p, s = tables.field.p, tables.field.m
+    E, W = 64 // s, -(-L // (64 // s))
     words = np.random.default_rng(L).integers(0, tables.q, size=(3, L))
     planes = distance._digit_planes(tables, words)
-    assert planes.shape == (p, s, 3, distance._words(L))
-    bits = np.unpackbits(planes.view(np.uint8), axis=-1, bitorder="little")
-    assert not bits[..., L:].any()  # padding bits are zero
-    bits = bits[..., :L].astype(np.int64)
+    assert planes.shape == (p, W, 3) and distance._words(L, s) == W
+    bits = np.unpackbits(np.moveaxis(planes, 1, -1).copy().view(np.uint8),
+                         axis=-1, bitorder="little").reshape(p, 3, W, 64)
+    assert not bits[..., E * s:].any()  # the spare bit 63 when s = 3 is zero
+    bits = bits[..., :E * s].reshape(p, 3, W * E, s)
+    assert not bits[:, :, L:].any()  # padding entries are zero
+    bits = bits[:, :, :L].astype(np.int64)
     assert (bits.sum(axis=0) == 1).all()  # one value per digit
-    digits = np.tensordot(np.arange(p), bits, axes=(0, 0))  # (s, 3, L)
-    assert np.array_equal(np.tensordot(p ** np.arange(s), digits, axes=(0, 0)),
-                          words)
+    digits = np.tensordot(np.arange(p), bits, axes=(0, 0))  # (3, L, s)
+    assert np.array_equal(digits @ p ** np.arange(s), words)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
@@ -603,17 +631,17 @@ def _colex_oracle(k, j, q, pinned):
                   key=lambda e: list(zip(e[0][::-1], e[1][::-1])))
 
 
-def _check_colex(tables, R, layout, rng):
+def _check_colex(tables, R, rng):
     """T_1..T_4 and the pinned 1..4-term sums of the rows of R, whose
-    c * row l planes layout(R) holds at index c*k + l, with the tables filled
-    up to T_0, T_2 and T_4 (_colex_grow stops before the first table over
-    _TABLE_WORDS): entries up to T_built are read, the others recomputed
-    from them.  Each entry, taken in a random order, is the sum of c * row l
-    over the rows and coefficients of the oracle's entry of that rank and
-    _colex_unrank's, its least row is their least, and the sums on rows
-    [0, l) are the first _colex_offsets[l] entries."""
+    c * row l planes _multiple_planes holds at index c*k + l, with the
+    tables filled up to T_0, T_2 and T_4 (_colex_grow stops before the first
+    table over _TABLE_WORDS): entries up to T_built are read, the others
+    recomputed from them.  Each entry, taken in a random order, is the sum
+    of c * row l over the rows and coefficients of the oracle's entry of
+    that rank and _colex_unrank's, its least row is their least, and the
+    sums on rows [0, l) are the first _colex_offsets[l] entries."""
     q, (k, r) = tables.q, R.shape
-    cplanes = layout(R)
+    cplanes = distance._multiple_planes(tables, R)
     sizes = [distance._colex_size(k, j, q) * cplanes.shape[1] for j in range(5)]
     colexes = []
     for built in (0, 2, 4):
@@ -636,7 +664,7 @@ def _check_colex(tables, R, layout, rng):
             for i in range(j):
                 vec = tables.add[vec, tables.mul[co[:, i, None], R[rows[:, i]]]]
             idx = rng.permutation(len(want))
-            sums = layout(vec)[..., len(want) + idx] if want else None
+            sums = distance._digit_planes(tables, vec)[..., idx]
             for colex in colexes:
                 planes, least = distance._colex_entries(colex, cplanes, q, j,
                                                         idx, pinned)
@@ -648,15 +676,15 @@ def _check_colex(tables, R, layout, rng):
 
 @pytest.mark.parametrize("name,n", [
     (name, n) for name in sorted(KERNEL_FIELDS) for n in (1, 2, 4, 6)
-    if (name, n) != ("GF(9)", 6)])  # 8^4 * C(6, 4) entries: a slow oracle
+    # past 40 k sums of 4 columns (8^4 * C(6, 4) over GF(9)): a slow oracle
+    if (KERNEL_FIELDS[name].order - 1) ** 4 * math.comb(n, 4) <= 40_000])
 def test_side_enumerates_every_entry_in_order(name, n):
     # the column search's sides: the sums of up to 4 of n columns of 5
-    # entries (none when n < j), in its folded layout
+    # entries (none when n < j), the rows of H^T, in one word
     tables = KERNEL_FIELDS[name].tables()
     rng = np.random.default_rng(tables.q * 10 + n)
     vecs = rng.integers(0, tables.q, size=(n, 5)).astype(tables.dtype)
-    _check_colex(tables, vecs,
-                 lambda v: distance._column_planes(tables, v.T)[:, None], rng)
+    _check_colex(tables, vecs, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +838,8 @@ def random_codes(draw, n_max):
     """A LinearCode of k random rows of length k..n_max over a kernel
     field, q^k small; its rows may be linearly dependent."""
     field = KERNEL_FIELDS[draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
-    k = draw(st.integers(1, {2: 10, 3: 7, 4: 5, 5: 4, 9: 3}[field.order]))
+    k = draw(st.integers(
+        1, {2: 10, 3: 7, 4: 5, 5: 4, 8: 3, 9: 3, 27: 2}[field.order]))
     n = draw(st.integers(k, n_max))
     digits = st.integers(0, field.order - 1)
     rows = draw(st.lists(st.lists(digits, min_size=n, max_size=n),
@@ -832,6 +861,28 @@ def test_information_set_on_random_generator_matrices(code):
             information_set_search(code)
         return
     _check_info_set(code, min_weight(code))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_engines_match_span_rows_on_random_codes(name):
+    # random [k + r, k] codes with r = 4 and r = 64 // s + 1, one entry past
+    # a plane word: the weight distribution and the d of both searches (the
+    # column search refuses the second code, past its q^r < 2^62 guard)
+    # against every word that span_rows lists
+    field = KERNEL_FIELDS[name]
+    tables, q = field.tables(), field.order
+    k = {2: 8, 3: 6, 4: 4, 5: 4, 8: 3, 9: 3, 27: 2}[q]
+    rng = np.random.default_rng(q)
+    for r in (4, 64 // field.m + 1):
+        code = LinearCode(field, rng.integers(0, q, size=(k, k + r)))
+        while not _full_rank(code):
+            code = LinearCode(field, rng.integers(0, q, size=(k, k + r)))
+        weights = np.count_nonzero(span_rows(tables, code.rows()), axis=1)
+        assert weight_distribution(code) == {
+            int(w): int(c) for w, c in zip(*np.unique(weights, return_counts=True))}
+        d = int(weights[weights > 0].min())
+        _check_info_set(code, d)
+        _check_column_search(code, d, d)
 
 
 HIGH_RATE_DUALS = {"family2 l=4 n=41": lambda: build_family2(4, 41).dual,
@@ -938,16 +989,16 @@ def test_information_set_reach_is_sound_on_random_generator_matrices(code):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
 def test_colex_table_unranks_every_entry(name):
-    # the sums of up to 4 of k random redundancy rows, folded (r = 5; r = 30,
-    # two digit blocks in one word over GF(9)) and worded (r = 70)
+    # the sums of up to 4 of k random redundancy rows, in one word (r = 5;
+    # r = 30 but over GF(8) and GF(27), where it takes two) and in two to
+    # four words (r = 70)
     tables = KERNEL_FIELDS[name].tables()
     q = tables.q
-    k = 4 if q == 9 else 6      # 8^4 * C(k, 4) entries: a slow oracle
+    k = {8: 4, 9: 4, 27: 3}.get(q, 6)   # (q - 1)^4 C(k, 4) entries: a slow oracle
     rng = np.random.default_rng(q)
     for r in (5, 30, 70):
         R = rng.integers(0, q, size=(k, r)).astype(tables.dtype)
-        _check_colex(tables, R,
-                     lambda v: distance._redundancy_planes(tables, v, r)[0], rng)
+        _check_colex(tables, R, rng)
 
 
 def test_information_set_wrong_prefix_is_caught(family1_rho17):
@@ -1107,8 +1158,8 @@ def test_pinned_side_holds_only_its_prefixes(family3_m6_dual):
     # search's blocks (the 3-subsets alone took 24 MB as an (N, 3) int64
     # array)
     tables = GF3.tables()
-    cplanes = distance._column_planes(
-        tables, np.asarray(family3_m6_dual.dual_rows(), dtype=tables.dtype))[:, None]
+    cplanes = distance._multiple_planes(
+        tables, np.asarray(family3_m6_dual.dual_rows(), dtype=tables.dtype).T)
     n, p, colex = family3_m6_dual.n, len(cplanes), []
     distance._colex_grow(colex, cplanes, 3, 2)
     assert len(colex) == 3

@@ -552,11 +552,24 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     (["cosets", "--q", "3", "--n-mod", "0"], "N = 0 must be at least 1"),
     (["cosets", "--q", "1", "--n-mod", "5"], "q = 1 must be at least 2"),
     (["cosets", "--q", "-2", "--n-mod", "5"], "q = -2 must be at least 2"),
+    # coefficients outside 0..p-1 or 0..q-1 were reduced, not refused
+    (["field", "--p", "3", "--m", "4", "--modulus", "5,1,0,0,1"],
+     "modulus 5,1,0,0,1 has a coefficient outside 0..2"),
+    (["field", "--p", "3", "--m", "4", "--modulus", "2,1,0,0,4"],
+     "modulus 2,1,0,0,4 has a coefficient outside 0..2"),
+    (["build", "--n", "10", "--generator", "4,0,1"],
+     "polynomial 4,0,1 has a coefficient outside 0..2"),
+    (["dual", "--code", "{tmp}/g-out-of-range.json"],
+     "polynomial 4,2,1,0,1,1,1 has a coefficient outside 0..2"),
+    (["distance", "--no-cache", "--code", "{tmp}/zero-leaders-edited.json"],
+     "zero_leaders = [1, 5] disagree with the generator's [5, 11]"),
 ], ids=["missing-code", "bad-scope", "composite-p", "build-composite-q",
         "missing-file", "descriptor-without-g", "descriptor-not-json",
         "reducible-modulus", "reducible-host-modulus", "descriptor-q-k-edited",
         "cosets-negative-modulus", "cosets-zero-modulus", "cosets-q-one",
-        "cosets-negative-q"])
+        "cosets-negative-q", "modulus-low-coefficient-above-p",
+        "modulus-top-coefficient-above-p", "generator-coefficient-above-q",
+        "descriptor-g-out-of-range", "descriptor-zero-leaders-edited"])
 def test_cli_usage_error_exit_3(argv, message, tmp_path, capsys):
     (tmp_path / "no-g.json").write_text('{"q": 3, "n": 10, "lambda": -1}')
     (tmp_path / "not-json.json").write_text("[1, 2")
@@ -564,6 +577,12 @@ def test_cli_usage_error_exit_3(argv, message, tmp_path, capsys):
     desc = NegacyclicCode.from_check(make_field(5, 2), 3, [1]).descriptor()
     (tmp_path / "gf25-as-gf9.json").write_text(json.dumps({**desc, "q": 9,
                                                             "k": 7}))
+    # the [10,4] code (g = 1,2,1,0,1,1,1, zero leaders 5, 11), edited
+    desc = NegacyclicCode.from_check(make_field(3, 1), 10, [1]).descriptor()
+    (tmp_path / "g-out-of-range.json").write_text(json.dumps(
+        {**desc, "g": "4,2,1,0,1,1,1"}))
+    (tmp_path / "zero-leaders-edited.json").write_text(json.dumps(
+        {**desc, "zero_leaders": [1, 5]}))
     argv = [a.format(tmp=tmp_path) for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
