@@ -18,6 +18,7 @@ from any number of workers concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Optional, Sequence
 
@@ -307,6 +308,29 @@ def residue_distance_relation(d1: Optional[int], d2: Optional[int]):
     return ("interval", hi, 2 * lo)
 
 
+@functools.lru_cache(maxsize=None)
+def _code_context(field: Field, n: int, lam_int: int,
+                  host_modulus: Optional[tuple[int, ...]],
+                  host: Optional[Field]):
+    if lam_int not in (-1, 1):
+        raise CodeError("lam_int must be -1 (negacyclic) or +1 (cyclic)")
+    if n < 1:
+        raise CodeError("length must be positive")
+    q0 = field.order
+    R = 2 * n if lam_int == -1 else n
+    if math.gcd(R, field.p) != 1:
+        raise CodeError(f"need gcd({R}, {field.p}) = 1 for semisimple structure")
+    table = build_cosets(q0, R)
+    if host is None:
+        mh = mult_order(q0, R)
+        if mh == 1 and host_modulus is None:
+            host = field
+        else:
+            host = make_field(field.p, field.m * mh, host_modulus)
+    beta = root_of_unity(host, R)
+    return table, host, beta
+
+
 class NegacyclicCode(ConstacyclicCode):
     """Negacyclic (lambda = -1) or cyclic (lambda = +1) code with its zero set.
 
@@ -345,23 +369,11 @@ class NegacyclicCode(ConstacyclicCode):
     def _context(field: Field, n: int, lam_int: int,
                  host_modulus: Optional[Sequence[int]] = None,
                  host: Optional[Field] = None):
-        if lam_int not in (-1, 1):
-            raise CodeError("lam_int must be -1 (negacyclic) or +1 (cyclic)")
-        if n < 1:
-            raise CodeError("length must be positive")
-        q0 = field.order
-        R = 2 * n if lam_int == -1 else n
-        if math.gcd(R, field.p) != 1:
-            raise CodeError(f"need gcd({R}, {field.p}) = 1 for semisimple structure")
-        table = build_cosets(q0, R)
-        if host is None:
-            mh = mult_order(q0, R)
-            if mh == 1 and host_modulus is None:
-                host = field
-            else:
-                host = make_field(field.p, field.m * mh, host_modulus)
-        beta = root_of_unity(host, R)
-        return table, host, beta
+        """(coset table, host field, beta) for (field, n, lambda), built once
+        per process and shared by every code over it; all three are
+        immutable."""
+        key = tuple(int(c) for c in host_modulus) if host_modulus is not None else None
+        return _code_context(field, n, lam_int, key, host)
 
     @staticmethod
     def _coset_leaders(table: CosetTable, exponents: Iterable[int],
@@ -402,7 +414,7 @@ class NegacyclicCode(ConstacyclicCode):
                    host: Optional[Field] = None) -> "NegacyclicCode":
         """Code whose check polynomial is the product of the given cosets'
         minimal polynomials; its zeros are every other eligible exponent."""
-        table, host, beta = cls._context(field, n, lam_int, host_modulus, host)
+        table = cls._context(field, n, lam_int, host_modulus, host)[0]
         checks = set(cls._coset_leaders(table, check_leaders, lam_int))
         eligible = table.odd_leaders if lam_int == -1 else table.leaders
         zero_leaders = [l for l in eligible if l not in checks]

@@ -775,15 +775,16 @@ def sphere_packing_max_d(n: int, k: int, q: int) -> int:
     cap = q ** (n - k)
     cap_even = q ** (n - 1 - k) if n - 1 - k >= 0 else 0
     best = 0
-    vol = 0
+    vol = vol_even = 0
     for d in range(1, n + 1):
+        t = (d - 1) // 2
         if d % 2 == 1:
-            vol += comb(n, (d - 1) // 2) * (q - 1) ** ((d - 1) // 2)
+            vol += comb(n, t) * (q - 1) ** t
         if vol > cap:
             break
         if d % 2 == 0:
-            vol_even = sum(comb(n - 1, i) * (q - 1) ** i
-                           for i in range((d - 2) // 2 + 1))
+            # sum over i <= t of C(n - 1, i)(q - 1)^i, one term per even d
+            vol_even += comb(n - 1, t) * (q - 1) ** t
             if vol_even > cap_even:
                 continue
         best = d

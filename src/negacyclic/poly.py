@@ -270,7 +270,20 @@ def minimal_polynomial(beta: FieldElement, coset: Sequence[int],
     in the embedded copy of `base`, and is returned as a monic irreducible
     Poly over `base`.  The roots are one power of beta and its conjugates
     under the |base|-power Frobenius map.
+
+    Each (beta, coset, base) is computed once per process and the same
+    immutable Poly is returned after that; a coset that is not closed raises
+    PolyError on every call.
     """
+    return _minimal_polynomial(beta, tuple(sorted(coset)), base)
+
+
+@functools.lru_cache(maxsize=None)
+def _minimal_polynomial(beta: FieldElement, coset: tuple[int, ...],
+                        base: Field) -> Poly:
+    # the key holds beta itself, not beta.v: FieldElement hashes its packed
+    # value alone and compares fields only in __eq__; the base is part of the
+    # key because one host serves several bases (GF(3^18) over GF(3) and GF(9))
     host = beta.field
     emb = get_embedding(host, base)
     n = _element_order(beta)

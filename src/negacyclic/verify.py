@@ -217,9 +217,17 @@ def best_code_search(q: int, n: int, k: int, lam_int: int = -1,
                      cache: Optional[ResultCache] = None):
     """Exhaustive search over zero-coset subsets with degree n-k.
 
-    Returns (best_d, generator Poly, best_code).  Every candidate gets one
-    distance report under the caller's budget; a candidate it does not
-    settle exactly is an error.
+    Returns (best_d, generator Poly, best_code): the first candidate, in
+    sorted order of zero-leader lists, of the largest distance.  There is one
+    distance report per multiplier-equivalence class under the caller's
+    budget; a candidate it does not settle exactly is an error.  For a unit
+    a mod R (gcd(a, R) = 1: odd a prime to n when lambda = -1), x -> x^a is
+    a monomial map between constacyclic codes that sends zero set T to
+    a^-1 T and keeps every weight (Huffman & Pless, Fundamentals of
+    Error-Correcting Codes, 2003, section 4.3).  So all candidates of one
+    orbit share d, and only the first of each orbit is scored: the first
+    candidate of the largest d is the first of its orbit, so the result is
+    the one a report on every candidate gives.
     """
     budget = budget or SearchBudget()
     field = make_field(q, 1)
@@ -239,8 +247,14 @@ def best_code_search(q: int, n: int, k: int, lam_int: int = -1,
         raise CodeError(f"no {'negacyclic' if lam_int == -1 else 'cyclic'} "
                         f"code of length {n} and dimension {k} exists")
     picks.sort()
+    units = [a for a in range(1, R) if math.gcd(a, R) == 1]
+    scored = set()   # every multiplier image of the picks scored so far
     best = None
     for leaders_pick in picks:
+        if tuple(leaders_pick) in scored:
+            continue
+        scored.update(tuple(sorted(table.leader_of[a * l % R]
+                                   for l in leaders_pick)) for a in units)
         code = NegacyclicCode.from_zeros(field, n, leaders_pick, lam_int)
         rep = cached_distance_report(code, budget, cache)
         if not rep.exact:

@@ -26,6 +26,19 @@ def test_from_check_c5():
     assert set(c.zero_exponents) == {5, 15, 11, 13, 17, 19}
 
 
+def test_codes_over_one_field_length_and_lambda_share_their_context():
+    a = NegacyclicCode.from_zeros(GF3, 10, [1])
+    b = NegacyclicCode.from_zeros(GF3, 10, [5, 11])
+    c = NegacyclicCode.from_check(GF3, 10, [1])
+    d = NegacyclicCode.from_generator(GF3, 10, a.g)
+    for other in (b, c, d):
+        assert other.table is a.table
+        assert other.host is a.host
+        assert other.beta is a.beta
+    cyc = NegacyclicCode.from_zeros(GF3, 10, [1], 1)
+    assert cyc.table is not a.table and cyc.R == 10
+
+
 def test_from_check_family3_m3():
     c = NegacyclicCode.from_check(GF3, 13, [1, 17])
     assert (c.n, c.k) == (13, 6)

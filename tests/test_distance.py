@@ -153,6 +153,24 @@ def test_sphere_packing_values():
     assert sphere_packing_max_d(20, 16, 3) == 3
 
 
+def test_sphere_packing_matches_the_direct_formula():
+    # largest d with V_q(n, (d - 1) // 2) <= q^(n - k) and, for even d,
+    # V_q(n - 1, (d - 2) // 2) <= q^(n - 1 - k), each volume summed afresh
+    def volume(n, t, q):
+        return sum(math.comb(n, i) * (q - 1) ** i for i in range(t + 1))
+
+    for q in (2, 3, 4, 5, 9):
+        for n in range(1, 90):
+            vol = [volume(n, t, q) for t in range(n + 1)]
+            vol_even = [volume(n - 1, t, q) for t in range(n)]
+            for k in range(1, n + 1):
+                cap_even = q ** (n - 1 - k) if k < n else 0
+                want = max(d for d in range(1, n + 1)
+                           if vol[(d - 1) // 2] <= q ** (n - k)
+                           and (d % 2 or vol_even[(d - 2) // 2] <= cap_even))
+                assert sphere_packing_max_d(n, k, q) == want, (n, k, q)
+
+
 def test_sphere_packing_validates_args():
     with pytest.raises(ValueError):
         sphere_packing_max_d(5, 6, 3)

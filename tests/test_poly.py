@@ -3,7 +3,8 @@ import random
 import pytest
 
 from negacyclic.cosets import build_cosets
-from negacyclic.ff import FieldError, make_field, root_of_unity
+from negacyclic.families import build_family1
+from negacyclic.ff import FieldError, get_embedding, make_field, root_of_unity
 from negacyclic.poly import NEG_INF, Poly, PolyError, minimal_polynomial
 
 GF3 = make_field(3, 1)
@@ -145,8 +146,44 @@ def test_lcm_of_disjoint_cosets_is_product():
 def test_non_closed_coset_rejected():
     f81 = make_field(3, 4)
     beta = root_of_unity(f81, 20)
-    with pytest.raises(PolyError, match="not closed"):
-        minimal_polynomial(beta, [1, 2], GF3)
+    for _ in range(2):   # a failure is not memoised
+        with pytest.raises(PolyError, match="not closed"):
+            minimal_polynomial(beta, [1, 2], GF3)
+
+
+def _root_product(beta, coset, base):
+    """prod over j in coset of (x - beta^j), projected onto base."""
+    host = beta.field
+    prod = [host.one()]
+    for j in coset:
+        root = beta ** j
+        prod = [(prod[i - 1] if i else host.zero())
+                - (prod[i] * root if i < len(prod) else host.zero())
+                for i in range(len(prod) + 1)]
+    proj = get_embedding(host, base)
+    return Poly(base, [proj.project(c) for c in prod])
+
+
+def test_memoised_minimal_polynomials_keep_their_base():
+    # family 1 at rho = 19: the [38,18] code over GF(3) and its [19,9]
+    # companion over GF(9) share the host GF(3^18)
+    b = build_family1(19)
+    code, comp = b.code, b.companion
+    assert code.host == comp.host == make_field(3, 18)
+    for c in (code, comp):
+        for l in c.table.leaders:
+            coset = c.table.cosets[l]
+            m = minimal_polynomial(c.beta, coset, c.field)
+            assert m == _root_product(c.beta, coset, c.field)
+            assert minimal_polynomial(c.beta, list(reversed(coset)), c.field) is m
+    # one beta and one coset, closed under both bases, over GF(3) and GF(9)
+    gf9 = comp.field
+    assert comp.table.cosets[19] == (19,)
+    m3 = minimal_polynomial(comp.beta, [19], GF3)
+    m9 = minimal_polynomial(comp.beta, [19], gf9)
+    assert (m3.field, m9.field) == (GF3, gf9) and m3 != m9
+    assert m3 == _root_product(comp.beta, [19], GF3)
+    assert m9 == _root_product(comp.beta, [19], gf9)
 
 
 def test_text_round_trip():

@@ -1,5 +1,7 @@
 import io
+import itertools
 import json
+import math
 import os
 import sys
 import threading
@@ -8,14 +10,16 @@ from unittest import mock
 
 import pytest
 
-from negacyclic import cli
+from negacyclic import cli, poly
 
 from negacyclic.cli import main
 from negacyclic.codes import CodeError, LinearCode, NegacyclicCode
-from negacyclic.distance import DistanceReport, SearchBudget, distance_report
+from negacyclic.cosets import build_cosets
+from negacyclic.distance import (DistanceReport, SearchBudget, distance_report,
+                                 weight_distribution)
 from negacyclic.families import Claim
 from negacyclic.ff import make_field
-from negacyclic.verify import (MATCH, MISMATCH, ResultCache, _certified,
+from negacyclic.verify import (MATCH, MISMATCH, TABLE1, ResultCache, _certified,
                                best_code_search, cached_distance_report,
                                claim_verdict, descriptor_hash, make_record,
                                render_scope, report_cache_key, verify_claims)
@@ -53,6 +57,65 @@ def test_best_code_search_beats_any_member():
     from negacyclic.distance import distance_report
     d, _, _ = best_code_search(3, 10, 4, -1)
     assert d >= distance_report(c).d
+
+
+def _table1_picks(n, k, lam):
+    """Every zero-leader list of degree n - k, sorted, and the units mod R."""
+    R = 2 * n if lam == -1 else n
+    table = build_cosets(3, R)
+    leaders = table.odd_leaders if lam == -1 else table.leaders
+    picks = sorted(list(c) for r in range(len(leaders) + 1)
+                   for c in itertools.combinations(leaders, r)
+                   if sum(len(table.cosets[l]) for l in c) == n - k)
+    units = [a for a in range(1, R) if math.gcd(a, R) == 1]
+    return table, picks, units
+
+
+@pytest.mark.parametrize("n,k,lam", [(n, k, lam) for n, k in sorted(TABLE1)
+                                     for lam in (-1, 1)])
+def test_best_code_search_scores_one_candidate_per_multiplier_orbit(n, k, lam):
+    table, picks, units = _table1_picks(n, k, lam)
+    scored = {}
+    for pick in picks:
+        code = NegacyclicCode.from_zeros(GF3, n, pick, lam)
+        wd = weight_distribution(code)
+        assert wd is not None
+        scored[tuple(pick)] = (code, distance_report(code).d, wd)
+    # x -> x^a maps each candidate onto a candidate of the same weights
+    for pick, (_, d, wd) in scored.items():
+        for a in units:
+            image = tuple(sorted(table.leader_of[a * l % table.N] for l in pick))
+            assert scored[image][1:] == (d, wd), (pick, a)
+    # the unpruned loop: a report on every candidate, first of the largest d
+    best = None
+    for pick in picks:
+        code, d, _ = scored[tuple(pick)]
+        if best is None or d > best[0]:
+            best = (d, code)
+    d, gen, code = best_code_search(3, n, k, lam)
+    assert (d, gen.to_text(), code.descriptor()) == (
+        best[0], best[1].g.to_text(), best[1].descriptor())
+
+
+def test_best_code_search_builds_one_code_per_multiplier_orbit():
+    built = []
+    real = NegacyclicCode.from_zeros.__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    with mock.patch.object(NegacyclicCode, "from_zeros", classmethod(counting)):
+        for n, k in TABLE1:
+            for lam in (-1, 1):
+                best_code_search(3, n, k, lam)
+    assert len(built) == 41   # of 70 candidates
+
+
+def test_cold_verify_computes_each_minimal_polynomial_once():
+    poly._minimal_polynomial.cache_clear()
+    verify_claims("all")
+    assert poly._minimal_polynomial.cache_info().misses == 298
 
 
 # -- cache ---------------------------------------------------------------------
