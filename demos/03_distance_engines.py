@@ -73,8 +73,8 @@ print(f"bounds-only report: {rep.lower}..{rep.upper} exact={rep.exact} "
 # [41,33] code the plain volume bound allows 6, the refinement does not.
 print("packing max d at (41,33):", sphere_packing_max_d(41, 33, 3))
 
-# Weight distributions come from the blocked enumeration: an inner block of
-# partial codewords as digit planes, plus one directly encoded outer
-# message per scalar class.
+# Weight distributions come from the blocked enumeration: an inner block,
+# every word of half the rows as digit planes, against one sum of the other
+# rows per scalar class, both taken from the engines' colex tables.
 b1 = build_family1(5)
 print("weight distribution of [10,4,6]:", weight_distribution(b1.code))

@@ -12,8 +12,8 @@ cyclic codes, and trace-form codewords.  The trace code is linear (Delsarte),
 so it is spanned from k rows: per check coset, the windows of the sequence
 Tr(theta^t).
 
-Code objects are immutable after construction; the distance engines read them
-from any number of workers concurrently.
+Code objects are immutable after construction; the distance engines only
+read them.
 """
 
 from __future__ import annotations

@@ -12,16 +12,14 @@ Adding vectors adds digits mod p for every field, by the one-hot cyclic
 convolution z_k = OR_i x_i & y_(k-i mod p) (_plane_add), and negation
 permutes planes.  An entry of a sum is zero where plane 0 holds all s of
 its bits, which one kernel counts for every engine (_zero_counts).
-The enumeration keeps the partial codewords of an inner block of messages
-(planes and a step's temporaries within 6 MB), built from the zero word by
-adding every multiple of each inner row; each outer message is encoded
-directly as c, and the zero counts of A + c give the whole block's weights.
-Weights are invariant under scalar multiples, so the walk is projective:
-besides outer message 0 (the whole block) it visits only the outer messages
-whose top nonzero digit is the field's one, (q^K - 1)/(q - 1) of the
-q^K - 1 for K outer rows, and counts each q - 1 times, so the counts do
-not depend on the inner block size.
-Both searches take their vectors from one colex-ordered table builder
+The enumeration holds an inner block A, every word of the first ceil(k/2)
+rows (fewer when A would not fit one run of _CHUNK plane words), and
+pairs it with sums c of the K other rows: the zero counts of A + c give
+the whole block's weights.  Weights are invariant under scalar multiples,
+so the walk is projective: besides c = 0 (A alone) it takes only the
+pinned sums, whose top coefficient is the field's one, (q^K - 1)/(q - 1)
+of the q^K - 1, and counts each q - 1 times.
+All three engines take their vectors from one colex-ordered table builder
 (_colex_entries): the sums of j rows (or columns) with nonzero
 coefficients, ordered by top row, so the sums on rows [0, l) are a prefix
 of T_j.  Tables are filled in blocks while they fit _TABLE_WORDS words
@@ -168,13 +166,7 @@ class DistanceReport:
 
 
 # ---------------------------------------------------------------------------
-# digit planes, and the blocked enumeration over them
-
-# bytes of the inner block's p digit planes plus a step's two temporary
-# planes: enough rows that the per-step Python work is small, few enough to
-# stay a few MB
-_INNER_BYTES = 6 << 20
-
+# digit planes: one bit layout, one add kernel, one zero-count kernel
 
 def _check_deadline(deadline, what):
     if deadline is not None and time.monotonic() >= deadline:
@@ -242,107 +234,28 @@ def _zero_counts(z, s, tmp):
     entry is zero when all s of its bits are set, so z ANDs in the next bit
     s - 1 times, each shifted by one (by j would reach the next entry), and
     the first bits are counted, word rows summed in Python (a reduction
-    measured slower); one word's counts stay uint8.  Overwrites z and tmp."""
+    measured slower); one word's counts stay uint8, and a sum is int16 while
+    the W * (64 // s) entries the words hold fit.  Overwrites z and tmp."""
     for _ in range(s - 1):
         z &= np.right_shift(z, 1, out=tmp)
     if s > 1:  # the first bit of each entry: bits s*e, e < 64 // s
         z &= np.uint64(((1 << 64 // s * s) - 1) // ((1 << s) - 1))
     counts = np.bitwise_count(z)
-    return sum(counts[1:], counts[0].astype(np.int16)) if len(z) > 1 else counts[0]
-
-
-def _inner_planes(tables, rows):
-    """Digit planes (p, W, q^k_in) of the partial codewords of every message
-    over a prefix of the rows, ordered as in span_rows, and the prefix
-    length k_in.  The table of the zero word is extended row by row, to the
-    concatenation over v of the table plus v * row.
-
-    k_in is the most rows whose table fits _INNER_BYTES, but at most k - 2
-    and at least 1, so the top rows stay outer, where the walk takes one
-    message per scalar class: a block of k - 2 rows costs q + 2 outer steps,
-    and one of k - 1 rows costs 2 steps but q times the building, which
-    measured slower on the small codes that fit."""
-    k, n = rows.shape
-    q, p = tables.q, tables.field.p
-    W = _words(n, tables.field.m)
-    k_in, size = 0, 1
-    while k_in < k - 2 and size * q * 8 * (p + 2) * W <= _INNER_BYTES:
-        size *= q
-        k_in += 1
-    k_in = max(k_in, 1)
-    planes = _digit_planes(tables, np.zeros((1, n), dtype=tables.dtype))
-    for row in rows[:k_in]:  # message v * len(table) + j: v * row + message j
-        shifts = _digit_planes(tables, tables.mul[:, row])[..., None]
-        planes = _plane_add(planes[:, :, None], shifts).reshape(p, W, -1)
-    return planes, k_in
-
-
-def _outer_messages(q, K):
-    """The outer messages the walk visits, ascending: 0, then one per scalar
-    class of the others, the indices whose top nonzero base-q digit is 1
-    (element index 1 is the field's one), which fill the ranges
-    [q^t, 2 q^t) for t < K; (q^K - 1)/(q - 1) + 1 in all."""
-    return np.concatenate([np.zeros(1, dtype=np.int64)]
-                          + [np.arange(q ** t, 2 * q ** t) for t in range(K)])
-
-
-def _walk(tables, planes, rows_out, n, deadline, outer):
-    """The weight histogram of the codewords of the outer messages in outer.
-
-    Each outer message is encoded directly as c, and the zero counts of
-    every inner codeword A + c are those of plane 0 of the digit sum
-    (_plane_add, _zero_counts).  An outer message j > 0 stands for its
-    q - 1 scalar multiples (a times the block of j is the block of a * j),
-    so its counts enter the histogram q - 1 times.  The deadline is checked
-    once per outer message.
-    """
-    q, s = tables.q, tables.field.m
-    zhist = np.zeros(n + 1, dtype=np.int64)
-    # one set of step buffers per walk: fresh ones at every step page-fault
-    # until the allocator's mmap threshold has risen
-    zero, tmp = np.empty((2,) + planes.shape[1:], dtype=np.uint64)
-    for j in outer.tolist():
-        _check_deadline(deadline, "enumeration")
-        c = encode_rows(tables, rows_out, _message_digits(q, len(rows_out), j))
-        _plane_add(planes, _digit_planes(tables, c)[..., None], (0,), zero[None], tmp)
-        zhist += np.bincount(_zero_counts(zero, s, tmp),
-                             minlength=n + 1) * (q - 1 if j else 1)
-    return zhist[::-1]
-
-
-def _message_digits(q, k, msg_index):
-    return [(msg_index // q ** r) % q for r in range(k)]
-
-
-def weight_distribution(code, budget: Optional[SearchBudget] = None
-                        ) -> Optional[dict[int, int]]:
-    """Counts A_w of codewords of each weight w, by the blocked enumeration
-    of all q^k messages; None when q^k exceeds budget.max_message_enum."""
-    budget = budget or SearchBudget()
-    tables = code.field.tables()
-    q, k, n = tables.q, code.k, code.n
-    if k == 0:
-        return {0: 1}
-    if q ** k > budget.max_message_enum:
-        return None
-    rows = np.asarray(code.rows(), dtype=tables.dtype)
-    planes, k_in = _inner_planes(tables, rows)
-    deadline = (time.monotonic() + budget.time_cap
-                if budget.time_cap is not None else None)
-    hist = _walk(tables, planes, rows[k_in:], n, deadline,
-                 _outer_messages(q, k - k_in))
-    return {w: int(c) for w, c in enumerate(hist) if c}
+    if len(z) == 1:
+        return counts[0]
+    acc = np.int16 if len(z) * (64 // s) < 1 << 15 else np.int64
+    return sum(counts[1:], counts[0].astype(acc))
 
 
 # ---------------------------------------------------------------------------
-# colex-ordered tables of row sums, shared by both search engines
+# colex-ordered tables of row sums, shared by every engine
 
 # plane words (per plane) of the largest colex table a search builds
 _TABLE_WORDS = 1 << 19
-# plane words (all planes) per block of entries a search streams, and pairs
-# per batch of key matches or run of prefix pairs; a table fill's blocks take
-# a quarter of that, since their gathers and sums are live next to the table
-# being filled
+# plane words (all planes) per block of entries an engine streams, and pairs
+# per batch of key matches or run of pairs (of prefixes and top parts, or of
+# the inner block and outer sums); a table fill's blocks take a quarter of
+# that, since their gathers and sums are live next to the table being filled
 _CHUNK = 1 << 16
 
 
@@ -379,7 +292,7 @@ def _colex_entries(colex, planes, q, j, idx, pinned=False):
     recursively.  planes[..., c*k + l] holds the planes of c * row l."""
     if j < len(colex) and not pinned:
         T, least = colex[j]
-        return T[..., idx], least[idx]
+        return T.take(idx, axis=-1), least[idx]
     k = planes.shape[-1] // q
     start = _colex_offsets(k, j, q, pinned)
     l = np.searchsorted(start, idx, side="right") - 1
@@ -387,7 +300,7 @@ def _colex_entries(colex, planes, q, j, idx, pinned=False):
     if j < len(colex):  # c = 0: entry (l, 1, b) of T_j
         return _colex_entries(colex, planes, q, j, _colex_offsets(k, j, q)[l] + b)
     x, least = _colex_entries(colex, planes, q, j - 1, b)
-    return _plane_add(x, planes[..., (c + 1) * k + l]), np.minimum(least, l)
+    return _plane_add(x, planes.take((c + 1) * k + l, axis=-1)), np.minimum(least, l)
 
 
 def _colex_unrank(i, j, q, pinned=False):
@@ -428,6 +341,15 @@ def _colex_grow(colex, planes, q, j):
             T[..., idx], least[idx] = _colex_entries(
                 colex, planes, q, len(colex), idx)
         colex.append((T, least))
+
+
+def _span_planes(tables, rows):
+    """Digit planes (p, W, q^k) of all q^k combinations of the k rows: their
+    colex tables T_0..T_k side by side."""
+    q, k, planes, colex = tables.q, len(rows), _multiple_planes(tables, rows), []
+    _colex_grow(colex, planes, q, k)
+    return np.concatenate([_colex_entries(colex, planes, q, j, np.arange(
+        _colex_size(k, j, q)))[0] for j in range(k + 1)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +646,7 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
         for ids in _blocks(*_colex_offsets(k, m, q, True)[[w - 1, k]], p * words):
             y, u = _colex_entries(colex, cplanes, q, m, ids, pinned=True)
             order = np.argsort(u, kind="stable")
-            y, u, ids = y[..., order], u[order], ids[order]
+            y, u, ids = y.take(order, axis=-1), u[order], ids[order]
             P = prefixes[u]
             work += int(P.sum())
             for b0, b1, x0, x1 in _pair_runs(P, cap):
@@ -765,6 +687,66 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
 
 
 # ---------------------------------------------------------------------------
+# weight distributions: an inner block against the pinned outer sums
+
+def weight_distribution(code, budget: Optional[SearchBudget] = None
+                        ) -> Optional[dict[int, int]]:
+    """Counts A_w of codewords of each weight w, by the blocked enumeration
+    of all q^k messages; None when q^k exceeds budget.max_message_enum.
+
+    The inner block A is the span of the first k_in rows, their colex tables
+    T_0..T_k_in side by side (_span_planes): k_in is ceil(k/2), or less
+    while A's q^k_in words exceed one run of about _CHUNK plane words, and
+    at least 1.  A codeword is a + c, a in A and c a combination of the
+    other K = k - k_in rows.  Weights are invariant under scalar multiples,
+    so besides c = 0 (A alone) the walk takes one c per scalar class: the
+    pinned j-term sums of the outer rows, j = 1..K, (q^K - 1)/(q - 1) in
+    all, each counted q - 1 times.  They are taken in blocks from their
+    colex tables (_colex_entries), and each block is paired with the whole
+    of A, as many sums a run as fit about _CHUNK plane words (at least
+    one): the zero counts (_zero_counts) of plane 0 of the digit sums
+    (_plane_add) give the run's weights.  The deadline is checked before
+    each run.  No message is encoded on its own.
+    """
+    budget = budget or SearchBudget()
+    tables = code.field.tables()
+    q, k, n, s = tables.q, code.k, code.n, tables.field.m
+    if k == 0:
+        return {0: 1}
+    if q ** k > budget.max_message_enum:
+        return None
+    deadline = (time.monotonic() + budget.time_cap
+                if budget.time_cap is not None else None)
+    rows = np.asarray(code.rows(), dtype=tables.dtype)
+    p, words = tables.field.p, _words(n, s)
+    cap = max(1, _CHUNK // words)            # pairs per run
+    k_in = 1
+    while k_in < -(-k // 2) and q ** (k_in + 1) <= cap:
+        k_in += 1
+    A, K = _span_planes(tables, rows[:k_in]), k - k_in
+    step = max(1, cap // q ** k_in)          # outer sums a run
+    oplanes, outer = _multiple_planes(tables, rows[k_in:]), []
+    _colex_grow(outer, oplanes, q, K - 1)
+    zeros = _zero_counts(A[0].copy(), s, np.empty_like(A[0]))     # c = 0
+    hist = np.bincount(zeros, minlength=n + 1)
+    # one z and tmp per walk: fresh ones at every run page-fault whenever
+    # the allocator trims its heap
+    z_buf, t_buf = (np.empty((words, min(step, q ** K), A.shape[-1]), np.uint64)
+                    for _ in "zt")
+    for j in range(1, K + 1):
+        for ids in _blocks(0, _colex_size(K, j, q, pinned=True), p * words):
+            y, _ = _colex_entries(outer, oplanes, q, j, ids, pinned=True)
+            for b0 in range(0, len(ids), step):
+                _check_deadline(deadline, "enumeration")
+                b1 = min(b0 + step, len(ids))
+                z, tmp = z_buf[:, :b1 - b0], t_buf[:, :b1 - b0]
+                _plane_add(A[..., None, :], y[..., b0:b1, None], (0,), z[None], tmp)
+                hist += (q - 1) * np.bincount(_zero_counts(z, s, tmp).ravel(),
+                                              minlength=n + 1)
+    return {w: int(c) for w, c in enumerate(hist[::-1]) if c}
+
+
+# ---------------------------------------------------------------------------
 # bounds
 
 def sphere_packing_max_d(n: int, k: int, q: int) -> int:
@@ -776,15 +758,20 @@ def sphere_packing_max_d(n: int, k: int, q: int) -> int:
     cap_even = q ** (n - 1 - k) if n - 1 - k >= 0 else 0
     best = 0
     vol = vol_even = 0
+    # the volumes' next terms C(n, t)(q - 1)^t and C(n - 1, t)(q - 1)^t,
+    # each carried to t + 1 by one multiply and one exact division
+    term = term_even = 1
     for d in range(1, n + 1):
         t = (d - 1) // 2
         if d % 2 == 1:
-            vol += comb(n, t) * (q - 1) ** t
+            vol += term
+            term = term * (n - t) * (q - 1) // (t + 1)
         if vol > cap:
             break
         if d % 2 == 0:
             # sum over i <= t of C(n - 1, i)(q - 1)^i, one term per even d
-            vol_even += comb(n - 1, t) * (q - 1) ** t
+            vol_even += term_even
+            term_even = term_even * (n - 1 - t) * (q - 1) // (t + 1)
             if vol_even > cap_even:
                 continue
         best = d

@@ -78,13 +78,19 @@ def test_enum_declines_over_budget():
     assert weight_distribution(c, SearchBudget(max_message_enum=100)) is None
 
 
+# run sizes of the enumeration: the default, a small one (a few inner rows,
+# a few outer sums a run), and 1, which keeps one inner row and takes one
+# outer sum a run
+CHUNKS = (distance._CHUNK, 64, 1)
+
+
 def test_enum_inner_block_determinism():
     c = NegacyclicCode.from_check(GF3, 13, [1, 17])
     hists = []
-    for cap in (distance._INNER_BYTES, 0):
-        with mock.patch.object(distance, "_INNER_BYTES", cap):
+    for chunk in CHUNKS:
+        with mock.patch.object(distance, "_CHUNK", chunk):
             hists.append(weight_distribution(c))
-    assert hists[0] == hists[1]
+    assert hists == [brute_weights(c)] * len(CHUNKS)
 
 
 def test_zero_code_distribution_and_enum():
@@ -169,6 +175,9 @@ def test_sphere_packing_matches_the_direct_formula():
                            if vol[(d - 1) // 2] <= q ** (n - k)
                            and (d % 2 or vol_even[(d - 2) // 2] <= cap_even))
                 assert sphere_packing_max_d(n, k, q) == want, (n, k, q)
+    # a long code, where summing each volume afresh took seconds: both
+    # volumes stay under their caps up to d = n
+    assert sphere_packing_max_d(8000, 2, 3) == 8000
 
 
 def test_sphere_packing_validates_args():
@@ -471,7 +480,7 @@ def test_weight_distribution_matches_direct_encoding(spec):
     code = _code(spec)
     hist, d, words = direct_oracle(code)
     wd = weight_distribution(code)
-    assert wd == hist
+    assert wd == hist and list(wd) == sorted(wd)   # weights ascending
     assert sum(wd.values()) == code.field.order ** code.k
     _check_info_set(code, d)
     # the one span builder lists the same words in the same order, and the
@@ -482,17 +491,18 @@ def test_weight_distribution_matches_direct_encoding(spec):
 
 def _check_inner_blocks(code):
     hist, *_ = direct_oracle(code)
-    # with no room the inner block falls back to q messages, and the walk
-    # encodes one outer message per scalar class of the other k - 1 digits
-    # directly
-    for cap in (distance._INNER_BYTES, 0):
-        with mock.patch.object(distance, "_INNER_BYTES", cap):
+    # at _CHUNK = 1 one inner row stays, and the walk takes one pinned sum
+    # per scalar class of the other k - 1 rows
+    for chunk in CHUNKS:
+        with mock.patch.object(distance, "_CHUNK", chunk):
             assert weight_distribution(code) == hist
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_codes())
 @example(("GF(3)", 91, -1, (1, 91)))
+@example(("GF(3)", 91, -1, (91,)))     # k = 1, n > 64: no outer row
+@example(("GF(5)", 3, -1, (3,)))       # k = 1
 def test_enum_independent_of_inner_block(spec):
     _check_inner_blocks(_code(spec))
 
@@ -526,32 +536,36 @@ def _pack_oracle(hot):
     return np.moveaxis(out, -1, 0)
 
 
-def _planes_oracle(tables, rows, k_in):
-    """The inner planes by way of the int8 table: every word of the first
-    k_in rows (span_rows), split into power-basis digits with
-    FieldElement.coeffs and packed as one one-hot plane per digit value."""
+def _planes_oracle(tables, rows):
+    """The span's planes by way of the int8 table: every word of the rows
+    (span_rows), split into power-basis digits with FieldElement.coeffs and
+    packed as one one-hot plane per digit value."""
     field = tables.field
     coeffs = np.array([field.from_int(e).coeffs for e in range(tables.q)])
-    A = coeffs[span_rows(tables, rows[:k_in])]         # (q^k_in, n, s)
+    A = coeffs[span_rows(tables, rows)]                # (q^k, n, s)
     return np.stack([_pack_oracle(A == v) for v in range(field.p)])
+
+
+def _columns(planes):
+    """The vectors of planes (p, W, N) as a sorted list of bytes: a multiset
+    that ignores their order."""
+    return sorted(c.tobytes() for c in planes.reshape(-1, planes.shape[-1]).T)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 @pytest.mark.parametrize("name,k", [("GF(3)", 12), ("GF(9)", 6), ("GF(5)", 8)])
 def test_inner_planes_match_int8_table(name, k, n):
+    # the inner block of a k-row code, the span of its first ceil(k/2) rows
+    # (colex tables side by side), holds the words span_rows lists
     tables = FIELDS[name].tables()
     p, s = tables.field.p, tables.field.m
     rng = np.random.default_rng(1000 * tables.q + n)
-    rows = rng.integers(0, tables.q, size=(k, n)).astype(tables.dtype)
+    rows = rng.integers(0, tables.q, size=(k, n)).astype(tables.dtype)[:-(-k // 2)]
     valid = _pack_oracle(np.ones((n, s), dtype=bool))
-    for cap in (distance._INNER_BYTES, 0):
-        with mock.patch.object(distance, "_INNER_BYTES", cap):
-            planes, k_in = distance._inner_planes(tables, rows)
-        # the default cap binds before the last row; a cap of 0 keeps one row
-        assert k_in == 1 if cap == 0 else 1 < k_in < k
-        assert planes.shape == (p, distance._words(n, s), tables.q ** k_in)
-        assert np.array_equal(planes, _planes_oracle(tables, rows, k_in))
-        assert not (planes & ~valid[:, None]).any()  # padding bits are zero
+    planes = distance._span_planes(tables, rows)
+    assert planes.shape == (p, distance._words(n, s), tables.q ** len(rows))
+    assert _columns(planes) == _columns(_planes_oracle(tables, rows))
+    assert not (planes & ~valid[:, None]).any()  # padding bits are zero
 
 
 # GF(8) and GF(27) have s = 3 digits an entry, 21 entries a word and a
@@ -578,6 +592,24 @@ def test_plane_add_matches_add_table(name):
     assert np.array_equal(zeros, (tables.add[a, b] == 0).sum(axis=1))
 
 
+@pytest.mark.parametrize("L", [2 ** 15, 40000])
+@pytest.mark.parametrize("name", ["GF(2)", "GF(3)", "GF(9)", "GF(27)"])
+def test_zero_counts_past_int16(name, L):
+    # L zero entries: the sum over word rows outgrows int16
+    tables = KERNEL_FIELDS[name].tables()
+    z = distance._digit_planes(tables, np.zeros((2, L), dtype=tables.dtype))[0]
+    assert distance._zero_counts(z, tables.field.m, np.empty_like(z)).tolist() == [L, L]
+
+
+def test_weight_distribution_past_int16_zeros():
+    # a [33000,2] code: row 0 all ones, row 1 = (0, 1, 1, 1, 1, 0, ...); the
+    # zero word's 33000 zero entries outgrow int16
+    rows = np.zeros((2, 33000), dtype=np.int64)
+    rows[0], rows[1, 1:5] = 1, 1
+    assert weight_distribution(LinearCode(GF3, rows)) == {
+        0: 1, 4: 2, 32996: 2, 33000: 4}
+
+
 @pytest.mark.parametrize("L", [1, 63, 64, 65, 130])
 @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
 def test_digit_planes_decode_to_their_input(name, L):
@@ -602,38 +634,64 @@ def test_digit_planes_decode_to_their_input(name, L):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_outer_messages_one_per_scalar_class(q):
-    for K in range(5):
-        outer = distance._outer_messages(q, K).tolist()
-        assert len(outer) == (q ** K - 1) // (q - 1) + 1
-        top = [0] + [int(np.base_repr(j, q)[0], q) for j in range(1, q ** K)]
-        assert outer == [j for j in range(q ** K) if top[j] <= 1]
+    # the pinned j-term sums of K unit rows, j = 1..K, as the walk takes
+    # them, are the messages whose top nonzero digit is the field's one
+    # (element index 1): one per scalar class of the q^K - 1 nonzero ones
+    tables = KERNEL_FIELDS[f"GF({q})"].tables()
+    for K in range(1, 5):
+        planes, colex = distance._multiple_planes(
+            tables, np.eye(K, dtype=tables.dtype)), []
+        distance._colex_grow(colex, planes, q, K - 1)
+        got = [distance._colex_entries(colex, planes, q, j, np.arange(
+            distance._colex_size(K, j, q, pinned=True)), pinned=True)[0]
+            for j in range(1, K + 1)]
+        msgs = np.array(list(itertools.product(range(q), repeat=K)),
+                        dtype=tables.dtype).reshape(-1, K)
+        top = [next((v for v in m[::-1] if v), 0) for m in msgs.tolist()]
+        want = distance._digit_planes(tables, msgs[np.equal(top, 1)])
+        assert want.shape[-1] == (q ** K - 1) // (q - 1)
+        assert _columns(np.concatenate(got, axis=-1)) == _columns(want)
 
 
 @pytest.mark.parametrize("name", ["GF(3)", "GF(9)", "GF(5)", "GF(4)"])
 def test_enum_walks_one_outer_message_per_scalar_class(name):
+    # a [70,4] code keeps two inner rows, and one at _CHUNK = 1: the walk
+    # asks for (q^K - 1)/(q - 1) pinned sums of the K outer rows and encodes
+    # no message
     field = MATRIX_FIELDS[name]
     rng = np.random.default_rng(field.order)
     k = 4
     code = LinearCode(field, rng.integers(0, field.order, size=(k, 70)))
     hist, *_ = direct_oracle(code)
     q = field.order
-    # a cap of 0 keeps one inner row, so K = k - 1 rows are outer
-    with mock.patch.object(distance, "_INNER_BYTES", 0), \
-            mock.patch.object(distance, "encode_rows",
-                              wraps=distance.encode_rows) as enc:
-        assert weight_distribution(code) == hist
-    assert enc.call_count == (q ** (k - 1) - 1) // (q - 1) + 1
+    for chunk, K in ((distance._CHUNK, 2), (1, 3)):
+        with mock.patch.object(distance, "_CHUNK", chunk), \
+                mock.patch.object(distance, "encode_rows",
+                                  wraps=distance.encode_rows) as enc, \
+                mock.patch.object(distance, "_colex_entries",
+                                  wraps=distance._colex_entries) as entries:
+            assert weight_distribution(code) == hist
+        assert enc.call_count == 0
+        assert sum(len(c.args[4]) for c in entries.call_args_list
+                   if c.kwargs.get("pinned")) == (q ** K - 1) // (q - 1)
 
 
 @pytest.mark.parametrize("name", ["GF(3)", "GF(9)", "GF(5)", "GF(4)"])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
-def test_inner_planes_leave_two_rows_outer(name, k):
-    # a block with room keeps k - 2 rows (1 when k <= 2), so the walk is
-    # projective over the top two rows
-    tables = MATRIX_FIELDS[name].tables()
-    rows = np.ones((k, 10), dtype=tables.dtype)
-    _, k_in = distance._inner_planes(tables, rows)
-    assert k_in == max(1, k - 2)
+def test_inner_block_takes_half_the_rows(name, k):
+    # the inner block spans ceil(k/2) rows while its q^k_in words fit one
+    # run of _CHUNK plane words (here one word each), and at least one row
+    field = MATRIX_FIELDS[name]
+    code, q = LinearCode(field, np.ones((k, 10), dtype=np.int64)), field.order
+    for chunk in (distance._CHUNK, q ** 2, 1):
+        with mock.patch.object(distance, "_CHUNK", chunk), \
+                mock.patch.object(distance, "_span_planes",
+                                  wraps=distance._span_planes) as span:
+            # a message is c times the all-one word, c its digit sum
+            assert weight_distribution(code) == {0: q ** (k - 1),
+                                                 10: q ** k - q ** (k - 1)}
+        fits = max(h for h in range(k + 1) if q ** h <= chunk)
+        assert len(span.call_args.args[1]) == max(1, min(-(-k // 2), fits))
 
 
 # ---------------------------------------------------------------------------
