@@ -18,11 +18,12 @@ from negacyclic import (SearchBudget, build_family1, build_family2,
                         weight_distribution)
 
 # The [41,8] code has d = 22.  G in reduced row-echelon form makes [0, 8)
-# an information set, and each negacyclic shift by 8 positions maps it to
-# the next window [8j, 8j + 8) mod 41, so the words with at most w nonzeros
-# on the first window stand for those of all six windows.  Any other word
-# has w + 1 nonzeros on each window, so its weight is at least the windows'
-# bound L(w); once that reaches the best word found, the word is a minimum.
+# an information set, and the negacyclic shift maps each window [j, j + 8)
+# mod 41 to the next, so the words with at most w nonzeros on the first
+# window stand for those of all 41 windows.  Any other word has w + 1
+# nonzeros on each window, and each position lies in 8 of them, so its
+# weight is at least ceil(41(w + 1)/8); once that reaches the best word
+# found, the word is a minimum.
 # The levels are built from the redundancy parts of the rows, kept as
 # one-hot planes of their base-p digits; the column search adds syndromes
 # with the same digit-plane kernel.
@@ -40,10 +41,11 @@ rep = low_weight_search(b.dual, 6)
 print(f"[41,33] column search: d = {rep.d} in {time.time()-t0:.2f}s")
 
 # The [34,18] dual of family 1 at rho = 17 has 3^18 messages, over the
-# default 3^16 budget, and d = 10, beyond the column search.  Its two
-# windows [0, 18) and [18, 36) mod 34 share 2 positions, so a word with
-# w + 1 nonzeros on each has weight >= 2w: a few hundred thousand words
-# settle it.
+# default 3^16 budget, and d = 10, beyond the column search.  A word with
+# w + 1 nonzeros on each of its 34 windows weighs at least
+# ceil(34(w + 1)/18), which reaches 10 at w = 4: some 28 k words settle it
+# (the two disjoint windows [0, 18) and [18, 36) mod 34 alone give 2w,
+# and took 165 k).
 b17 = build_family1(17)
 t0 = time.time()
 rep = information_set_search(b17.dual)
@@ -52,11 +54,13 @@ print(f"[34,18] information sets: d = {rep.d} in {time.time()-t0:.2f}s "
 
 # Settling the [58,28] code of family 1 at rho = 29 (d = 18 in Table 2)
 # would take 7.3 * 10^9 words or more.  With a reach D the same search stops
-# at the first level W whose window bound L(W) exceeds D, which proves
-# d >= L(W): its windows [0, 28), [28, 56) and [56, 84) mod 58 share 26
-# positions, so L(3) = 8.  distance_report asks for D = 6, the column
-# search's weight cap, since 14 k words are far fewer than the column
-# search's half a million side entries to weight 6.
+# at the first level W whose disjoint windows [0, 28), [28, 56) and
+# [56, 84) mod 58, which share 26 positions, give L(W) > D: L(3) = 8.
+# There a word it has not met has 4 nonzeros on each of the 58 windows
+# [j, j + 28), and each position lies in 28 of them, so d >= 58 * 4 / 28,
+# that is d >= 9.  distance_report asks for D = 6, the column search's
+# weight cap, since 14 k words are far fewer than the column search's half
+# a million side entries to weight 6.
 code29 = build_family1(29).code
 t0 = time.time()
 rep = distance_report(code29)

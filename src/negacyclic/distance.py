@@ -36,10 +36,12 @@ a generator matrix in reduced row-echelon form in one colex table, in as
 many words as r takes.  A message of weight w is a top part of w - t rows
 plus a sum on the rows below them, which is a prefix of the table, so a
 level is tested without gathering an operand.  For a constacyclic code
-the words of weight w on window [0, k) stand, through the constashift by k,
-for those of every window [jk, (j+1)k) mod n; the search stops once the
-windows' bound L(w) reaches the least weight found, or, short of that, at
-the first level W with L(W) above a given reach, which proves d >= L(W).
+the words of weight w on window [0, k) stand, through the constashift, for
+those of every window [j, j + k) mod n, so an unmet word weighs at least
+ceil(n(w + 1)/k); the search stops once that bound reaches the least
+weight found, or, short of that, at the first level W where the disjoint
+windows [jk, (j+1)k) give L(W) above a given reach, and proves the finer
+bound at W.
 distance_report runs, for each guarantee, the engine that counts fewer
 words: to settle d, the column search (when it reaches the packing bound)
 or the information-set search; when neither can, to prove d > w_cap, the
@@ -71,8 +73,10 @@ from .codes import (CodeError, ConstacyclicCode, NegacyclicCode, encode_rows,
 #: and of any linear code; 5: distance_report runs whichever engine counts
 #: fewer words, and the information-set search proves bounds-only lower
 #: bounds; 6: the information-set search walks colex-ordered tables, so its
-#: witnesses may differ; 7: so does the column search).
-ENGINE_VERSION = 7
+#: witnesses may differ; 7: so does the column search; 8: the
+#: information-set search bounds unmet words over all n windows of a
+#: constacyclic code).
+ENGINE_VERSION = 8
 
 
 class BudgetExceeded(RuntimeError):
@@ -504,7 +508,7 @@ def low_weight_search(code, w_max: Optional[int] = None,
 # ---------------------------------------------------------------------------
 # Brouwer-Zimmermann information-set search over colex-ordered tables
 
-def _info_set_bound(n, k, w):
+def _window_bound(n, k, w):
     """L(w): the least weight of a codeword with more than w nonzero entries
     in every window [jk, (j+1)k) mod n.  Window j holds r_j = min(k, n - jk)
     positions that no earlier window holds, so at least w + 1 - (k - r_j)
@@ -513,17 +517,29 @@ def _info_set_bound(n, k, w):
                for j in range(-(-n // k)))
 
 
+def _info_set_bound(n, k, w):
+    """The least weight of a codeword with more than w nonzero entries in
+    each of the n windows [j, j + k) mod n: ceil(n(w + 1)/k), since the
+    windows hold at least n(w + 1) nonzero entries in all and each position
+    lies in k of them (an evenly spaced support meets the bound).  The
+    disjoint windows [jk, (j+1)k) are among them, so it is never below
+    their L(w) (_window_bound); one window (n = k) gives w + 1."""
+    return -(-n * (w + 1) // k)
+
+
 def _info_set_span(code):
     """The positions the windows cover: all n for a constacyclic code, the k
-    pivots (one window, L(w) = w + 1) for any other."""
+    pivots (one window, bound w + 1) for any other."""
     return code.n if isinstance(code, ConstacyclicCode) else code.k
 
 
 def _info_set_levels(n, k, d_max):
     """The last level the search with reach d_max enumerates: the first w
-    with L(w) > d_max, and at most k."""
+    with L(w) > d_max, and at most k.  The disjoint windows' L sets the
+    levels, so the finer _info_set_bound raises what a level proves but
+    never moves the level."""
     w = 0
-    while w < k and _info_set_bound(n, k, w) <= d_max:
+    while w < k and _window_bound(n, k, w) <= d_max:
         w += 1
     return w
 
@@ -588,20 +604,25 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     (_zero_counts); the full space, with no redundancy, has one zero column.
 
     A word not yet met after level w has more than w nonzero entries on each
-    window, so its weight is at least L(w) (_info_set_bound).  For a
-    constacyclic code the pivots are window 0 = [0, k), and a shift by k
-    positions is a weight-preserving automorphism that maps window j to
-    window j + 1, so the words met stand for those of every window
-    [jk, (j+1)k) mod n.  Any other code has the one window of its pivots,
-    and L(w) = w + 1.  The search ends exact once L(w) reaches the least
-    weight found, or after level k, when every message has been met; the
-    least word's bottom and top parts are unranked to a message
+    window, so its weight is at least the bound at w (_info_set_bound).  For
+    a constacyclic code the pivots are window 0 = [0, k), any k cyclically
+    consecutive positions are an information set (MacWilliams & Sloane
+    1977, ch. 7), and the constashift is a weight-preserving automorphism
+    that maps window [j, j + k) to [j + 1, j + k + 1) mod n, so the words
+    met stand for those of all n windows: an unmet word weighs at least
+    ceil(n(w + 1)/k), never less than the disjoint windows' L(w)
+    (_window_bound).  Any other code has the one window of its pivots, and
+    the bound is w + 1.  The search ends exact once the bound reaches the
+    least weight found, or after level k, when every message has been met;
+    the least word's bottom and top parts are unranked to a message
     (_colex_unrank), and its word is re-checked with code.contains.
-    Otherwise it stops at the first level W with L(W) > d_max and returns
-    the inexact report lower = L(W), lower_src "information-set w<=W",
-    with no witness (a word found on the way is not reported).  With no
-    reach (d_max None) the reach is the sphere-packing bound, which always
-    ends exact.
+    Otherwise it stops at the level W of _info_set_levels, the first with
+    L(W) > d_max, and returns the inexact report lower = the bound at W,
+    lower_src "information-set w<=W", with no witness (a word found on the
+    way is not reported).  W stays the disjoint windows' level, which
+    admission counts: the finer bound passes d_max up to a level earlier,
+    where it proves less than it does at W.  With no reach (d_max None) the
+    reach is the sphere-packing bound, which always ends exact.
 
     Returns None when the code is not admitted: the words up to level W
     (_info_set_words) must fit budget.max_message_enum, and every code whose
@@ -636,7 +657,8 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     colex = []                               # (T_j, least rows), j <= t
     cap = max(1, _CHUNK // words)            # pairs per run
     best_w, best, work, w = n + 1, None, 0, 0
-    while w < k and _info_set_bound(span, k, w) < min(best_w, reach + 1):
+    last = _info_set_levels(span, k, reach)
+    while w < last and _info_set_bound(span, k, w) < best_w:
         w += 1
         _colex_grow(colex, cplanes, q, w - 1)
         t = len(colex) - 1
@@ -816,8 +838,10 @@ def distance_report(code, budget: Optional[SearchBudget] = None
     When neither can, the engines that prove d > w_cap: the column search
     (skipped when w_cap < the BCH bound, where it can neither find a word
     nor raise the bound) and the information-set search with reach w_cap,
-    when its words fit budget.max_message_enum; it proves d >= L(W) for the
-    first level W with L(W) > w_cap.  Each list runs cheapest first, and a
+    when its words fit budget.max_message_enum; it runs to the first level
+    W whose disjoint windows give L(W) > w_cap and proves d >= the bound of
+    all n windows there (_info_set_bound), or settles d if that bound
+    reaches the least word it found.  Each list runs cheapest first, and a
     tie keeps the column search.  An engine that hits budget.time_cap falls
     through to the next one, then to bounds.  A report that no engine
     settles is bounds-only: the sphere-packing upper bound, and the larger

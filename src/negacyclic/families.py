@@ -342,9 +342,10 @@ FAMILY1_TABLE: dict[int, dict[str, tuple[int, int, int]]] = {
 # external-unverified.  The host field no longer limits this (build_family1
 # builds GF(3^42) for rho = 43 in about 0.2 s); the distance engines do: at
 # the default budget every rho = 29 and 31 part stays bounds-only.  The
-# information-set search with reach 6 proves d >= 8 on six of those eight
-# parts (d >= 7 on the [29,15] and [31,16] GF(9) companion duals) with
-# 14 k-309 k words each, but settling any of them needs 7.3 * 10^9 words or
+# information-set search with reach 6 proves d >= 10 on [58,30] and
+# [62,32], d >= 9 on [58,28], [62,30], [29,14] and [31,15], and d >= 8 on
+# the [29,15] and [31,16] GF(9) companion duals, with 14 k-309 k words
+# each, but admitting it to settle any of them takes 7.3 * 10^9 words or
 # more.
 FAMILY1_BUILDABLE = (5, 7, 17, 19)
 

@@ -150,10 +150,12 @@ def _certified(code, rep: DistanceReport, budget: SearchBudget) -> bool:
     weight rep.lower and membership.  A bounds-only report must carry the
     sphere-packing upper bound, and a lower bound no larger than its source
     reproduces: the BCH bound at the named multiplier, W + 1 for a column
-    search up to W = the weight w_cap the budget allows, or L(W) for an
-    information-set search stopped at the first level W with L(W) > w_cap
-    (its windows span n positions for a constacyclic code, k for any
-    other); it is exact exactly when the bounds meet."""
+    search up to W = the weight w_cap the budget allows, or the window
+    bound ceil(span(W + 1)/k) (_info_set_bound) for an information-set
+    search stopped at the first level W whose disjoint windows give
+    L(W) > w_cap (_info_set_levels), where the windows span n positions for
+    a constacyclic code and k for any other; it is exact exactly when the
+    bounds meet."""
     if rep.method == "bounds-only":
         n, k, q = code.n, code.k, code.field.order
         pack = sphere_packing_max_d(n, k, q)

@@ -284,11 +284,12 @@ def test_time_cap_aborts_enum_and_report_falls_back(family1_rho19):
     assert rep.lower == bch and rep.lower_src == f"bch(v={v})"
     assert rep.work == 0
     # under 3^12, which does not admit the information-set search to the
-    # packing bound, its reach 6 (5673 words to L(3) = 8) is cheaper than
-    # the column search to weight 6 (645 k entries), and proves d >= 8
+    # packing bound, its reach 6 (5673 words to level 3, the first where the
+    # disjoint windows give L(3) = 8 > 6) is cheaper than the column search
+    # to weight 6 (645 k entries), and proves d >= ceil(19 * 4 / 9) = 9
     small = SearchBudget(max_message_enum=3 ** 12)
     rep = distance_report(comp, small)
-    assert (rep.lower, rep.lower_src) == (8, "information-set w<=3")
+    assert (rep.lower, rep.lower_src, rep.work) == (9, "information-set w<=3", 5673)
     # an information-set search that hits the cap falls through to the
     # column search, whose bound is kept
     with mock.patch.object(distance, "information_set_search",
@@ -317,12 +318,13 @@ def test_bounds_only_report_carries_column_search_work(family1_rho19):
     # the default budget lets the column search reach the packing bound
     rep = distance_report(code)
     assert (rep.exact, rep.d, rep.method) == (True, 4, "column-search")
-    # [38,18,10] under 3^12: the information-set search to L(3) = 8 (3588
-    # words) proves the bound, and its work is carried
+    # [38,18,10] under 3^12: the information-set search to level 3 (3588
+    # words), where L(3) = 8 > 6, proves d >= ceil(38 * 4 / 18) = 9 over all
+    # 38 windows, and its work is carried
     code = family1_rho19.code
     rep = distance_report(code, SearchBudget(max_message_enum=3 ** 12))
     assert (rep.method, rep.lower, rep.lower_src) == (
-        "bounds-only", 8, "information-set w<=3")
+        "bounds-only", 9, "information-set w<=3")
     searched = information_set_search(code, d_max=6)
     assert rep.work == searched.work == 3588
     # the default budget admits it to the packing bound, and it settles d
@@ -332,7 +334,7 @@ def test_bounds_only_report_carries_column_search_work(family1_rho19):
 
 def test_bounds_only_report_carries_engine_time(family1_rho19):
     # the [38,18] code under 3^12: the information-set search with reach 6
-    # proves d >= 8, and the bounds-only report carries its time with its
+    # proves d >= 9, and the bounds-only report carries its time with its
     # work
     code = family1_rho19.code
     budget = SearchBudget(max_message_enum=3 ** 12)
@@ -341,7 +343,7 @@ def test_bounds_only_report_carries_engine_time(family1_rho19):
     with mock.patch.object(distance, "information_set_search", return_value=ran):
         rep = distance_report(code, budget)
     assert (rep.method, rep.lower, rep.work, rep.elapsed_s) == (
-        "bounds-only", 8, 3588, 1.25)
+        "bounds-only", 9, 3588, 1.25)
 
 
 @pytest.fixture(scope="module")
@@ -1026,8 +1028,9 @@ def test_information_set_declines(family1_rho19):
 def _check_reach(code):
     """information_set_search with every reach D in 0..packing bound: its
     lower bound never exceeds d; an inexact report stops at the first level
-    W with L(W) > D and reports L(W) with no witness; an exact one carries
-    a weight-d witness."""
+    W with disjoint-window L(W) > D and reports the all-shift bound there,
+    at least L(W), with no witness; an exact one carries a weight-d
+    witness."""
     q, k, n = code.field.order, code.k, code.n
     d = min_weight(code)
     span = n if isinstance(code, ConstacyclicCode) else k
@@ -1039,8 +1042,9 @@ def _check_reach(code):
             continue
         W = int(rep.lower_src.removeprefix("information-set w<="))
         assert rep.lower_src == f"information-set w<={W}" and W < k
-        assert rep.lower == distance._info_set_bound(span, k, W) > D
-        assert W == 0 or distance._info_set_bound(span, k, W - 1) <= D
+        assert rep.lower == distance._info_set_bound(span, k, W)
+        assert rep.lower >= distance._window_bound(span, k, W) > D
+        assert W == 0 or distance._window_bound(span, k, W - 1) <= D
         assert (rep.method, rep.upper, rep.witness) == ("information-set", n, None)
 
 
@@ -1115,12 +1119,12 @@ def _check_table_caps(code):
 
 
 def test_information_set_table_cap_runs_long_top_parts(family1_rho17):
-    # [34,18] (levels to 5) under a cap of 2^10 words holds T_2 and pairs it
-    # with top parts of up to three rows; [17,9] over GF(9) under 2^4 holds
-    # only T_0, so its top parts are whole messages, built recursively.  With
-    # blocks of 2^10 plane words, every block of top parts but the last of
-    # its level is full.
-    for code, cap, t in ((family1_rho17.dual, 1 << 10, 2),
+    # [34,18] (levels to 4, where ceil(34 * 5 / 18) = 10 = d) under a cap
+    # of 2^9 words holds T_1 and pairs it with top parts of up to three
+    # rows; [17,9] over GF(9) under 2^4 holds only T_0, so its top parts are
+    # whole messages, built recursively.  With blocks of 2^10 plane words,
+    # every block of top parts but the last of its level is full.
+    for code, cap, t in ((family1_rho17.dual, 1 << 9, 1),
                          (family1_rho17.companion_dual, 1 << 4, 0)):
         want = information_set_search(code)
         with mock.patch.object(distance, "_TABLE_WORDS", cap), \
@@ -1195,17 +1199,82 @@ def test_distance_report_tie_keeps_the_column_search():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_info_set_bound_is_the_least_window_weight(n):
-    # L(w) is the least size of a support with at least w + 1 positions in
-    # each window [jk, (j+1)k) mod n, over all 2^n supports
+    # over all 2^n supports: L(w) is the least size of a support with at
+    # least w + 1 positions in each disjoint window [jk, (j+1)k) mod n, and
+    # the all-shift bound the least with w + 1 in each of the n windows
+    # [j, j + k) mod n, so never below L(w)
     supports = np.arange(1 << n, dtype=np.uint64)
     sizes = np.bitwise_count(supports)
+
+    def least(starts, k):
+        windows = np.array([sum(1 << ((j + i) % n) for i in range(k))
+                            for j in starts], dtype=np.uint64)
+        return np.bitwise_count(supports[:, None] & windows).min(axis=1)
     for k in range(1, n + 1):
-        windows = [sum(1 << ((j * k + i) % n) for i in range(k))
-                   for j in range(-(-n // k))]
-        least = np.bitwise_count(supports[:, None]
-                                 & np.array(windows, dtype=np.uint64)).min(axis=1)
+        disjoint, every = least(range(0, n, k), k), least(range(n), k)
         for w in range(k):
-            assert distance._info_set_bound(n, k, w) == sizes[least > w].min()
+            assert distance._window_bound(n, k, w) == sizes[disjoint > w].min()
+            assert distance._info_set_bound(n, k, w) == sizes[every > w].min()
+            assert distance._info_set_bound(n, k, w) >= distance._window_bound(n, k, w)
+
+
+# every codeword of the negacyclic and cyclic codes of length n <= 20 over
+# these fields whose q^k words fit BRUTE_WORDS and whose host field has
+# degree <= 6: 1143 codes
+BRUTE_FIELDS = {2: make_field(2, 1), 3: GF3, 4: make_field(2, 2),
+                5: make_field(5, 1), 9: make_field(3, 2)}
+BRUTE_WORDS = 3 ** 7
+
+
+@pytest.fixture(scope="module")
+def brute_codes():
+    """(code, its nonzero words) for every proper nonzero code above."""
+    out = []
+    for q, field in sorted(BRUTE_FIELDS.items()):
+        for lam in (1,) if field.p == 2 else (-1, 1):
+            for n in range(2, 21):
+                R = 2 * n if lam == -1 else n
+                if math.gcd(R, field.p) != 1 or mult_order(q, R) > 6:
+                    continue
+                table = build_cosets(q, R)
+                leaders = [l for l in table.leaders if lam == 1 or l % 2]
+                for size in range(1, len(leaders)):
+                    for pick in itertools.combinations(leaders, size):
+                        k = sum(len(table.cosets[l]) for l in pick)
+                        if q ** k <= BRUTE_WORDS:
+                            code = NegacyclicCode.from_check(field, n, pick, lam)
+                            out.append((code, code.codewords()[1:]))
+    return out
+
+
+def _bound_violations(brute_codes, bound):
+    """Nonzero codewords with more than w nonzero entries on every window
+    [j, j + k) mod n that weigh less than bound(n, k, w), over all w < k."""
+    bad = 0
+    for code, words in brute_codes:
+        n, k = code.n, code.k
+        ones = np.tile(words != 0, 2).cumsum(axis=1)
+        on_window = ones[:, k - 1:k - 1 + n] - np.pad(ones[:, :n - 1], ((0, 0), (1, 0)))
+        least, weights = on_window.min(axis=1), ones[:, n - 1]
+        bad += sum(int((weights[least > w] < bound(n, k, w)).sum())
+                   for w in range(k))
+    return bad
+
+
+def test_info_set_bound_holds_on_every_codeword(brute_codes):
+    assert len(brute_codes) == 1143
+    assert {c.field.order for c, _ in brute_codes} == set(BRUTE_FIELDS)
+    assert _bound_violations(brute_codes, distance._info_set_bound) == 0
+    # one more is too much: some word meets the bound exactly, so an
+    # off-by-one bound fails this test
+    assert _bound_violations(
+        brute_codes, lambda n, k, w: -(-n * (w + 1) // k) + 1) > 0
+
+
+def test_information_set_search_matches_brute_force(brute_codes):
+    for code, words in brute_codes:
+        d = int(np.count_nonzero(words, axis=1).min())
+        _check_info_set(code, d)
 
 
 # ---------------------------------------------------------------------------
@@ -1256,10 +1325,13 @@ def test_column_search_memory_gate(family3_m6_dual):
 def test_information_set_memory_gate(family1_large):
     # the rho = 31 [62,32] dual to reach 8: level 5 pairs 16 * C(32, 5)
     # words from top parts of two rows and the 1 MB colex table of 3-term
-    # sums (the whole 13.8 MB table of 4-term sums took 21.9 MB)
+    # sums (the whole 13.8 MB table of 4-term sums took 21.9 MB); there the
+    # bound over all 62 windows, ceil(62 * 6 / 32) = 12, meets the least
+    # word found, so the search settles d after the words of levels 1..5
     code = family1_large[1].dual
     assert (code.n, code.k) == (62, 32)
     rep = []
     peak = _traced_peak(lambda: rep.append(information_set_search(code, d_max=8)))
-    assert (rep[0].lower, rep[0].lower_src) == (10, "information-set w<=5")
+    assert (rep[0].exact, rep[0].d, rep[0].work) == (
+        True, 12, sum(math.comb(32, w) * 2 ** (w - 1) for w in range(1, 6)))
     assert peak < 8 << 20

@@ -239,11 +239,13 @@ def test_cli_distance_recomputes_undecodable_cached_witness(tmp_path, capsys):
 # [14,6,6] (family 1, rho = 7): BCH gives 5, sphere packing 7, and a column
 # search up to weight 5 finds nothing, so its bounds-only report is 6..7
 _BOUNDS_BUDGET = SearchBudget(max_message_enum=3, max_column_weight=5)
-# [34,16,12] (family 1, rho = 17): BCH gives 5, sphere packing 14; 300 words
-# admit the information-set search with reach 4 (256 words to level 2, where
-# L(2) = 6 > 4), cheaper than the column search to weight 4, so its
-# bounds-only report is 6..14
-_INFO_BUDGET = SearchBudget(max_message_enum=300, max_column_weight=4)
+# [34,18,10] (family 1, rho = 17, the dual): BCH gives 5, sphere packing 12;
+# 4000 words admit the information-set search with reach 4 (3588 words to
+# level 3, the first where its disjoint windows [0, 18), [18, 36) mod 34
+# give L(3) = 6 > 4), cheaper than the column search to weight 4 (4693
+# entries).  Over all 34 windows level 3 proves ceil(34 * 4 / 18) = 8, so
+# its bounds-only report is 8..12
+_INFO_BUDGET = SearchBudget(max_message_enum=4000, max_column_weight=4)
 
 
 @pytest.fixture(scope="module")
@@ -253,19 +255,19 @@ def rho7_code():
 
 
 @pytest.fixture(scope="module")
-def rho17_code():
+def rho17_dual():
     from negacyclic.families import build_family1
-    return build_family1(17).code
+    return build_family1(17).dual
 
 
-def test_cache_genuine_bounds_only_hits_are_served(rho7_code, rho17_code,
+def test_cache_genuine_bounds_only_hits_are_served(rho7_code, rho17_dual,
                                                    tmp_path):
     import warnings
     for code, budget, src in (
             (rho7_code, _BOUNDS_BUDGET, "column-search w<=5"),
             (rho7_code, SearchBudget(max_message_enum=3, max_column_weight=2),
              "bch(v=1)"),
-            (rho17_code, _INFO_BUDGET, "information-set w<=2")):
+            (rho17_dual, _INFO_BUDGET, "information-set w<=3")):
         path = tmp_path / f"{code.n}-{budget.max_column_weight}.json"
         rep = cached_distance_report(code, budget, cache=ResultCache(str(path)))
         assert rep.method == "bounds-only" and rep.lower_src == src
@@ -287,18 +289,21 @@ def test_cache_genuine_bounds_only_hits_are_served(rho7_code, rho17_code,
     (False, lambda rec: rec.update(lower_src="exhaustive")),  # unknown source
     (False, lambda rec: rec.update(exact=True)),              # 6..7 is not exact
     (False, lambda rec: rec.update(witness="1" + ",0" * 13)),
-    # level 2 is the first with L > 4: L(1) = 4 and L(3) = 8 are not its bound
-    (True, lambda rec: rec.update(lower_src="information-set w<=1", lower=4)),
-    (True, lambda rec: rec.update(lower_src="information-set w<=3", lower=8)),
-    (True, lambda rec: rec.update(lower=5)),                  # L(2) is 6
-    (True, lambda rec: rec.update(lower=7)),
+    # level 3 is the first with L > 4, where all 34 windows prove 8: levels
+    # 2 and 4, with their own bounds 6 and 10, are not it
+    (True, lambda rec: rec.update(lower_src="information-set w<=2", lower=6)),
+    (True, lambda rec: rec.update(lower_src="information-set w<=4", lower=10)),
+    (True, lambda rec: rec.update(lower=7)),                  # the bound is 8
+    (True, lambda rec: rec.update(lower=9)),
+    (True, lambda rec: rec.update(lower=6)),   # L(3), the disjoint windows'
 ], ids=["upper", "upper-src", "lower", "cap", "bch-bound", "bch-multiplier",
         "source", "exact-flag", "witness", "info-level-below",
-        "info-level-above", "info-lower-below", "info-lower-above"])
-def test_cache_bounds_only_hit_is_certified(info, edit, rho7_code, rho17_code,
+        "info-level-above", "info-lower-below", "info-lower-above",
+        "info-lower-disjoint"])
+def test_cache_bounds_only_hit_is_certified(info, edit, rho7_code, rho17_dual,
                                             tmp_path):
     if info:
-        code, budget, want = rho17_code, _INFO_BUDGET, (6, 14, "information-set w<=2")
+        code, budget, want = rho17_dual, _INFO_BUDGET, (8, 12, "information-set w<=3")
     else:
         code, budget, want = rho7_code, _BOUNDS_BUDGET, (6, 7, "column-search w<=5")
     path = tmp_path / "results.json"
@@ -319,14 +324,14 @@ def test_bounds_only_record_above_the_packing_bound_is_rejected():
     assert not _certified(c, rep, SearchBudget())
 
 
-def test_information_set_bound_needs_the_constacyclic_windows(rho17_code):
-    # the record of the [34,16] code names level 2 of its two windows; the
-    # same rows as a plain LinearCode have the one window of their pivots,
-    # where L(w) = w + 1 first exceeds 4 at level 4
-    rep = distance_report(rho17_code, _INFO_BUDGET)
-    assert rep.lower_src == "information-set w<=2"
-    assert _certified(rho17_code, rep, _INFO_BUDGET)
-    plain = LinearCode(rho17_code.field, rho17_code.rows())
+def test_information_set_bound_needs_the_constacyclic_windows(rho17_dual):
+    # the record of the [34,18] code names level 3 and the bound 8 of its 34
+    # windows; the same rows as a plain LinearCode have the one window of
+    # their pivots, where w + 1 first exceeds 4 at level 4
+    rep = distance_report(rho17_dual, _INFO_BUDGET)
+    assert (rep.lower, rep.lower_src) == (8, "information-set w<=3")
+    assert _certified(rho17_dual, rep, _INFO_BUDGET)
+    plain = LinearCode(rho17_dual.field, rho17_dual.rows())
     assert not _certified(plain, rep, _INFO_BUDGET)
 
 
