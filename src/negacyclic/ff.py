@@ -9,7 +9,7 @@ bytes.translate and the high digits folded back through the field's table of
 x^(m+i) mod f.  Sums, differences and negation are one int operation and the
 same digit reduction.  `coeffs`, `as_int` and `from_int` convert to and from
 the packed form.  Every search performed here (default modulus, primitive
-element, subfield root) scans candidates in ascending integer encoding, so
+element, subfield root) returns the smallest-encoding candidate, so
 repeated runs construct identical objects.  Field and FieldElement are
 immutable after construction and safe to share across threads.
 
@@ -514,8 +514,15 @@ def field_from_text(p: int, m: int, text: Optional[str]) -> Field:
 
 
 def primitive_element(field: Field) -> FieldElement:
-    """Smallest element (in integer encoding) of full multiplicative order."""
-    if field._primitive is None:
+    """Smallest element (in integer encoding) of full multiplicative order.
+
+    For m > 1 the encodings below p are scalars, of order dividing p - 1, so
+    when the modulus is primitive its root x (encoding p) is the answer: the
+    constructor has already proved that x has full order.
+    """
+    if field._primitive is None and field.primitive_flag:
+        field._primitive = field.modulus_root()
+    elif field._primitive is None:
         for i in range(1, field.order):
             e = field.from_int(i)
             if _has_full_order(e):

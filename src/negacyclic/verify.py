@@ -10,7 +10,6 @@ crashes.  Manifests are deterministic apart from timestamps and wall times.
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import json
 import math
 import os
@@ -51,6 +50,7 @@ TABLE1 = {
 
 
 def descriptor_hash(desc: dict) -> str:
+    import hashlib  # here, not at module level: OpenSSL adds about 3.7 MB of RSS
     return hashlib.sha256(
         json.dumps(desc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 

@@ -451,6 +451,42 @@ def test_pinned_moduli_are_primitive_and_the_search_finds_smaller_ones():
         assert encoding(found, p) < encoding(pinned, p)
 
 
+def _prime_factors(n):
+    """Distinct prime factors by trial division, independent of ff."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + ([n] if n > 1 else [])
+
+
+def _smallest_full_order(f):
+    """Reference scan: the first encoding whose powers x^((q-1)/r), r a prime
+    factor of q - 1, are all != 1."""
+    q1 = f.order - 1
+    cofactors = [q1 // r for r in _prime_factors(q1)]
+    for i in range(1, f.order):
+        e = f.from_int(i)
+        if all(not (e ** c).is_one() for c in cofactors):
+            return e
+
+
+def test_primitive_element_is_the_smallest_full_order_element():
+    from negacyclic.ff import _PINNED_MODULI
+    fields = [make_field(p, m) for p in range(2, 252) if is_prime(p)
+              for m in range(1, 11) if p ** m <= 1024]
+    fields += [make_field(p, m) for p, m in sorted(_PINNED_MODULI)]
+    # supplied moduli whose root has smaller order: the scan's path for m > 1
+    fields += [make_field(3, 2, [1, 0, 1]), make_field(3, 4, [1, 1, 1, 1, 1]),
+               make_field(2, 4, [1, 1, 1, 1, 1])]
+    assert sum(f.m > 1 and not f.primitive_flag for f in fields) == 3
+    for f in fields:
+        assert primitive_element(f) == _smallest_full_order(f), f
+
+
 def test_has_order_matches_order():
     for f in (make_field(3, 4), make_field(5, 2)):
         q1 = f.order - 1

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -505,6 +506,39 @@ def test_render_scope_text():
 def test_descriptor_hash_stable():
     d = {"q": 3, "n": 10}
     assert descriptor_hash(d) == descriptor_hash({"n": 10, "q": 3})
+
+
+OPENSSL_PROBE = """
+import json, sys
+import negacyclic, negacyclic.cli
+from negacyclic.distance import SearchBudget, distance_report
+from negacyclic.families import build_family1
+code = build_family1(5).dual
+distance_report(code, SearchBudget())
+if "_hashlib" in sys.modules:
+    sys.exit("OpenSSL loaded before any hash")
+desc = code.descriptor()
+got = negacyclic.descriptor_hash(desc)
+if "_hashlib" not in sys.modules:
+    sys.exit("descriptor_hash did not load OpenSSL")
+import hashlib
+text = json.dumps(desc, sort_keys=True, separators=(",", ":"))
+if got != hashlib.sha256(text.encode()).hexdigest():
+    sys.exit(f"descriptor_hash gave {got}")
+"""
+
+
+def test_openssl_loads_only_at_the_first_hash():
+    # building and bounding codes never hashes, so it must not pay for
+    # OpenSSL's libcrypto; descriptor_hash loads it and hashes as before
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", OPENSSL_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 # -- CLI ----------------------------------------------------------------------------
