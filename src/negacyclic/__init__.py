@@ -9,10 +9,9 @@ from .cosets import (CosetError, CosetTable, build_cosets, mult_order,
                      weight_class_sizes, weight_classes, wt3)
 from .codes import (CodeError, ConstacyclicCode, LinearCode, NegacyclicCode,
                     residue_distance_relation, uv_construct)
-from .distance import (BudgetExceeded, DistanceReport, SearchBudget,
-                       distance_report, information_set_search,
-                       low_weight_search, parse_budget, sphere_packing_max_d,
-                       weight_distribution)
+from .distance import (DistanceReport, SearchBudget, distance_report,
+                       information_set_search, low_weight_search, parse_budget,
+                       sphere_packing_max_d, weight_distribution)
 from .families import (Claim, FamilyError, build_family1, build_family2,
                        build_family3, build_family4, family1_eligible,
                        family4_multiplier)

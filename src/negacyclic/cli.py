@@ -224,11 +224,11 @@ def _run(ap: _Parser, args) -> int:
         return 0
 
     if args.cmd == "family":
+        host_mod = ([int(c) for c in args.host_modulus.split(",")]
+                    if args.host_modulus else None)
         if args.id == 1:
             if args.rho is None:
                 ap.error("--rho required for family 1")
-            host_mod = ([int(c) for c in args.host_modulus.split(",")]
-                        if args.host_modulus else None)
             b = build_family1(args.rho, host_mod)
             payload = {"code": b.code.descriptor(),
                        "companion": b.companion.descriptor(),
@@ -237,18 +237,20 @@ def _run(ap: _Parser, args) -> int:
         elif args.id == 2:
             if args.ell is None or args.n is None:
                 ap.error("--ell and --n required for family 2")
-            b = build_family2(args.ell, args.n)
+            b = build_family2(args.ell, args.n, host_mod)
             payload = {"code": b.code.descriptor(), "variant": b.variant,
                        "claims": {k: c.to_json() for k, c in b.claims.items()}}
         elif args.id == 3:
             if args.m is None or args.n is None:
                 ap.error("--m and --n required for family 3")
-            b = build_family3(args.m, args.n)
+            b = build_family3(args.m, args.n, host_mod)
             payload = {"code": b.code.descriptor(), "variant": b.variant,
                        "claims": {k: c.to_json() for k, c in b.claims.items()}}
         else:
             if args.j is None or args.m is None:
                 ap.error("--j and --m required for family 4")
+            if host_mod is not None:
+                ap.error("--host-modulus is not accepted for family 4")
             b = build_family4(args.j, args.m)
             payload = {"code": b.code.descriptor(),
                        "claims": {k: c.to_json() for k, c in b.claims.items()}}

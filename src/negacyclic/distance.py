@@ -42,10 +42,10 @@ ceil(n(w + 1)/k); the search stops once that bound reaches the least
 weight found, or, short of that, at the first level W where the disjoint
 windows [jk, (j+1)k) give L(W) above a given reach, and proves the finer
 bound at W.
-distance_report runs, for each guarantee, the engine that counts fewer
-words: to settle d, the column search (when it reaches the packing bound)
-or the information-set search; when neither can, to prove d > w_cap, the
-column search to w_cap or the information-set search with reach w_cap.  A
+distance_report runs at most one engine, the one that counts fewer words:
+to settle d, the column search (when it reaches the packing bound) or the
+information-set search; when neither can, to prove d > w_cap, the column
+search to w_cap or the information-set search with reach w_cap.  A
 sphere-packing upper bound (with the even-distance refinement) and the BCH
 multiplier bound bracket whatever the engines cannot settle exactly.
 Engines only read the code object.
@@ -54,7 +54,6 @@ Engines only read the code object.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
@@ -77,10 +76,6 @@ from .codes import (CodeError, ConstacyclicCode, NegacyclicCode, encode_rows,
 #: information-set search bounds unmet words over all n windows of a
 #: constacyclic code).
 ENGINE_VERSION = 8
-
-
-class BudgetExceeded(RuntimeError):
-    """An engine hit its wall-clock cap before finishing."""
 
 
 def parse_budget(text) -> int:
@@ -108,12 +103,12 @@ class SearchBudget:
     information-set search may need (one per scalar class) to its reach,
     and the q^k messages of weight_distribution; max_column_weight caps the
     column search and sets w_cap (_column_cap), the weight to which
-    distance_report proves d > w_cap when no engine can settle d; time_cap
-    (seconds) stops any engine."""
+    distance_report proves d > w_cap when no engine can settle d.  Both
+    bound work, not time, so a report depends only on the code and the
+    budget."""
 
     max_message_enum: int = 3 ** 16
     max_column_weight: int = 6
-    time_cap: Optional[float] = None
 
     def __post_init__(self):
         if self.max_message_enum < 1:
@@ -136,7 +131,6 @@ class DistanceReport:
     lower_src: str = ""
     upper_src: str = ""
     work: int = 0                     # deterministic step count
-    elapsed_s: float = 0.0
 
     @property
     def d(self) -> int:
@@ -171,11 +165,6 @@ class DistanceReport:
 
 # ---------------------------------------------------------------------------
 # digit planes: one bit layout, one add kernel, one zero-count kernel
-
-def _check_deadline(deadline, what):
-    if deadline is not None and time.monotonic() >= deadline:
-        raise BudgetExceeded(f"{what} time cap hit")
-
 
 def _words(L, s):
     """uint64 words per plane of L entries of s digits: 64 // s a word."""
@@ -392,7 +381,7 @@ def _first_pair(left, lk, low, need, limit, r_pos, lo, hi):
     return int(l_idx[first]), int(r_pos[first])
 
 
-def _level_search(tables, colex, cplanes, w, n, deadline=None):
+def _level_search(tables, colex, cplanes, w, n):
     """Search for a weight-exactly-w dependence among the n columns.
 
     Splits the support as (first t, last u = w-t) of the sorted support: the
@@ -412,7 +401,7 @@ def _level_search(tables, colex, cplanes, w, n, deadline=None):
     word; matches are checked in right entry order, in batches of about
     _CHUNK pairs (_first_pair).  A counted match is a codeword, unranked
     from both ranks (_colex_unrank); the first in right-then-left entry
-    order is returned.  The deadline is checked before each block.
+    order is returned.
     """
     q, p = tables.q, len(cplanes)
     t, u = w // 2, w - w // 2
@@ -423,14 +412,12 @@ def _level_search(tables, colex, cplanes, w, n, deadline=None):
     high = ~low
     lk = np.empty(size, dtype=np.uint64)
     for idx in _blocks(0, size, p):
-        _check_deadline(deadline, "column search")
         x, _ = left(idx)
         lk[idx] = _mix(x[:, 0]) & high | idx.astype(np.uint64)
     lk.sort()
     limits = _colex_prefixes(n, t, q)
     neg = [(-v) % p for v in range(p)]
     for idx in _blocks(0, right, p):
-        _check_deadline(deadline, "column search")
         y, least = _colex_entries(colex, cplanes, q, u, idx, pinned=True)
         need = y[neg, 0]
         rk = np.sort(_mix(need) & high | np.arange(len(idx), dtype=np.uint64))
@@ -467,13 +454,11 @@ def low_weight_search(code, w_max: Optional[int] = None,
     The colex tables of column sums (_colex_grow, up to _TABLE_WORDS words
     per plane) are built once and shared by every level (_level_search).
     Returns an exact report with a witness when a word is found, otherwise the
-    lower bound w_max + 1.  Raises BudgetExceeded past budget.time_cap.
+    lower bound w_max + 1.
     """
     budget = budget or SearchBudget()
     if w_max is None:
         w_max = budget.max_column_weight
-    t0 = time.monotonic()
-    deadline = t0 + budget.time_cap if budget.time_cap is not None else None
     tables = code.field.tables()
     q = tables.q
     H = np.asarray(code.dual_rows(), dtype=tables.dtype)
@@ -482,15 +467,14 @@ def low_weight_search(code, w_max: Optional[int] = None,
         # full space: any unit vector
         word = tuple(1 if i == 0 else 0 for i in range(code.n))
         return DistanceReport(1, 1, True, "column-search", word,
-                              "search", "search", 1, time.monotonic() - t0)
+                              "search", "search", 1)
     if q ** r >= 2 ** 62:
         raise CodeError("syndrome space too large for integer keys")
     cplanes, colex = _multiple_planes(tables, H.T), []  # one word: r*s <= 61
     work = 0
     for w in range(1, w_max + 1):
-        _check_deadline(deadline, "column search")
         work += comb(n, w // 2) + comb(n, w - w // 2)
-        word = _level_search(tables, colex, cplanes, w, n, deadline)
+        word = _level_search(tables, colex, cplanes, w, n)
         if word is not None:
             if not code.contains(word):  # pragma: no cover
                 raise AssertionError("column search produced a non-codeword")
@@ -498,11 +482,11 @@ def low_weight_search(code, w_max: Optional[int] = None,
                 lower=w, upper=w, exact=True, method="column-search",
                 witness=tuple(int(v) for v in word),
                 lower_src="column-search", upper_src="column-search",
-                work=work, elapsed_s=time.monotonic() - t0)
+                work=work)
     return DistanceReport(
         lower=w_max + 1, upper=code.n, exact=False, method="column-search",
         witness=None, lower_src=f"column-search w<={w_max}",
-        upper_src="trivial", work=work, elapsed_s=time.monotonic() - t0)
+        upper_src="trivial", work=work)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +612,8 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     (_info_set_words) must fit budget.max_message_enum, and every code whose
     q^k fits is admitted.  `work` counts the words enumerated, the prefix
     lengths summed over the top parts: C(k, w)(q - 1)^(w - 1) at level w.
-    The deadline is checked before each run of pairs.  Raises CodeError for
-    the zero code and for linearly dependent generator rows.
+    Raises CodeError for the zero code and for linearly dependent generator
+    rows.
     """
     budget = budget or SearchBudget()
     q, k, n = code.field.order, code.k, code.n
@@ -640,8 +624,6 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     reach = pack if d_max is None else min(d_max, pack)
     if _info_set_words(span, k, q, reach) > budget.max_message_enum:
         return None
-    t0 = time.monotonic()
-    deadline = t0 + budget.time_cap if budget.time_cap is not None else None
     tables = code.field.tables()
     G, pivots = rref(tables, code.rows())
     if len(pivots) < k:
@@ -672,7 +654,6 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
             P = prefixes[u]
             work += int(P.sum())
             for b0, b1, x0, x1 in _pair_runs(P, cap):
-                _check_deadline(deadline, "information-set search")
                 # two allocations: one (2, ...) block puts z and tmp a power
                 # of two apart, which measured slower
                 tmp = np.empty((words, b1 - b0, x1 - x0), dtype=np.uint64)
@@ -692,7 +673,7 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
         return DistanceReport(
             lower=lower, upper=n, exact=False, method="information-set",
             witness=None, lower_src=f"information-set w<={w}",
-            upper_src="trivial", work=work, elapsed_s=time.monotonic() - t0)
+            upper_src="trivial", work=work)
     t, e, m, top = best
     message = np.zeros(k, dtype=np.int64)
     for rows, coeffs in (_colex_unrank(e, t, q), _colex_unrank(top, m, q, True)):
@@ -704,8 +685,7 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     return DistanceReport(
         lower=best_w, upper=best_w, exact=True, method="information-set",
         witness=tuple(int(v) for v in word), lower_src="information-set",
-        upper_src="information-set", work=work,
-        elapsed_s=time.monotonic() - t0)
+        upper_src="information-set", work=work)
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +707,7 @@ def weight_distribution(code, budget: Optional[SearchBudget] = None
     colex tables (_colex_entries), and each block is paired with the whole
     of A, as many sums a run as fit about _CHUNK plane words (at least
     one): the zero counts (_zero_counts) of plane 0 of the digit sums
-    (_plane_add) give the run's weights.  The deadline is checked before
-    each run.  No message is encoded on its own.
+    (_plane_add) give the run's weights.  No message is encoded on its own.
     """
     budget = budget or SearchBudget()
     tables = code.field.tables()
@@ -737,8 +716,6 @@ def weight_distribution(code, budget: Optional[SearchBudget] = None
         return {0: 1}
     if q ** k > budget.max_message_enum:
         return None
-    deadline = (time.monotonic() + budget.time_cap
-                if budget.time_cap is not None else None)
     rows = np.asarray(code.rows(), dtype=tables.dtype)
     p, words = tables.field.p, _words(n, s)
     cap = max(1, _CHUNK // words)            # pairs per run
@@ -759,7 +736,6 @@ def weight_distribution(code, budget: Optional[SearchBudget] = None
         for ids in _blocks(0, _colex_size(K, j, q, pinned=True), p * words):
             y, _ = _colex_entries(outer, oplanes, q, j, ids, pinned=True)
             for b0 in range(0, len(ids), step):
-                _check_deadline(deadline, "enumeration")
                 b1 = min(b0 + step, len(ids))
                 z, tmp = z_buf[:, :b1 - b0], t_buf[:, :b1 - b0]
                 _plane_add(A[..., None, :], y[..., b0:b1, None], (0,), z[None], tmp)
@@ -829,24 +805,23 @@ def _column_words(n, q, w_cap):
 
 def distance_report(code, budget: Optional[SearchBudget] = None
                     ) -> DistanceReport:
-    """The minimum distance, exact or bracketed, from whichever engine
-    counts fewer words (_column_words for the column search up to
-    w_cap = _column_cap, _info_set_words for the information-set search).
+    """The minimum distance, exact or bracketed, from at most one engine:
+    the one that counts fewer words (_column_words for the column search up
+    to w_cap = _column_cap, _info_set_words for the information-set search),
+    a tie going to the column search.
 
     First the engines that settle d: the column search when w_cap reaches
-    the packing bound, and the information-set search when it is admitted.
-    When neither can, the engines that prove d > w_cap: the column search
-    (skipped when w_cap < the BCH bound, where it can neither find a word
-    nor raise the bound) and the information-set search with reach w_cap,
-    when its words fit budget.max_message_enum; it runs to the first level
-    W whose disjoint windows give L(W) > w_cap and proves d >= the bound of
-    all n windows there (_info_set_bound), or settles d if that bound
-    reaches the least word it found.  Each list runs cheapest first, and a
-    tie keeps the column search.  An engine that hits budget.time_cap falls
-    through to the next one, then to bounds.  A report that no engine
-    settles is bounds-only: the sphere-packing upper bound, and the larger
-    of the BCH bound and the lower bound of the engine that ran (whose work
-    and elapsed time it carries)."""
+    the packing bound, and the information-set search when it is admitted;
+    whichever runs settles d.  When neither can, the engines that prove
+    d > w_cap: the column search (skipped when w_cap < the BCH bound, where
+    it can neither find a word nor raise the bound) and the information-set
+    search with reach w_cap, when its words fit budget.max_message_enum; it
+    runs to the first level W whose disjoint windows give L(W) > w_cap and
+    proves d >= the bound of all n windows there (_info_set_bound), or
+    settles d if that bound reaches the least word it found.  A report that
+    no engine settles is bounds-only: the sphere-packing upper bound, and
+    the larger of the BCH bound and the lower bound of the engine that ran
+    (whose work it carries)."""
     budget = budget or SearchBudget()
     q, k, n = code.field.order, code.k, code.n
     if k == 0:
@@ -856,37 +831,31 @@ def distance_report(code, budget: Optional[SearchBudget] = None
     w_cap = _column_cap(q, n, k, budget, pack)
     span = _info_set_span(code)
 
-    def ranked(column, reach):
-        # (words, rank, engine): rank 0 lets the column search win a tie
-        out = []
-        if column:
-            out.append((_column_words(n, q, w_cap), 0, functools.partial(
-                low_weight_search, code, w_cap, budget)))
+    def cheapest(column, reach):
+        # the column search to w_cap (when column is set) or the
+        # information-set search with reach (when admitted), whichever counts
+        # fewer words; None when neither may run
         words = _info_set_words(span, k, q, reach)
-        if words <= budget.max_message_enum:
-            out.append((words, 1, functools.partial(
-                information_set_search, code, budget, reach)))
-        return [run for *_, run in sorted(out)]
+        admitted = words <= budget.max_message_enum
+        if column and not (admitted and words < _column_words(n, q, w_cap)):
+            return functools.partial(low_weight_search, code, w_cap, budget)
+        if admitted:
+            return functools.partial(information_set_search, code, budget, reach)
+        return None
 
-    engines = ranked(w_cap >= pack, pack)
-    if w_cap < pack:
-        engines += ranked(bch <= w_cap, w_cap)
-    lower, lower_src, work, elapsed = bch, f"bch(v={bch_v})", 0, 0.0
-    for run in engines:
-        try:
-            rep = run()
-        except BudgetExceeded:
-            continue  # time cap hit: on to the next engine
+    run = cheapest(w_cap >= pack, pack) or cheapest(bch <= w_cap, w_cap)
+    lower, lower_src, work = bch, f"bch(v={bch_v})", 0
+    if run is not None:
+        rep = run()
         if rep.exact:
             if not (bch <= rep.lower <= pack):  # pragma: no cover
                 raise AssertionError(
                     f"bounds violated: bch={bch} d={rep.lower} packing={pack}")
             return rep
-        work, elapsed = rep.work, rep.elapsed_s
+        work = rep.work
         if rep.lower > bch:
             lower, lower_src = rep.lower, rep.lower_src
-        break
     return DistanceReport(
         lower=lower, upper=pack, exact=(lower == pack), method="bounds-only",
         witness=None, lower_src=lower_src, upper_src="sphere-packing",
-        work=work, elapsed_s=elapsed)
+        work=work)

@@ -110,14 +110,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not len(self.idx)
 
-    def leading(self) -> FieldElement:
-        if self.is_zero():
-            raise PolyError("zero polynomial has no leading coefficient")
-        return self.field.from_int(int(self.idx[-1]))
-
-    def constant(self) -> FieldElement:
-        return self.field.from_int(int(self.idx[0]) if len(self.idx) else 0)
-
     def monic(self) -> "Poly":
         if self.is_zero() or self.idx[-1] == 1:
             return self

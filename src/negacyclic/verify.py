@@ -139,7 +139,6 @@ def report_cache_key(code, budget: SearchBudget) -> str:
         "code": code.descriptor(),
         "max_message_enum": budget.max_message_enum,
         "max_column_weight": budget.max_column_weight,
-        "time_cap": budget.time_cap,
     }
     return descriptor_hash(payload)
 
@@ -202,7 +201,6 @@ def cached_distance_report(code, budget: Optional[SearchBudget] = None,
                           f"record cannot be decoded ({exc!r})")
         else:
             if ok:
-                rep.elapsed_s = 0.0
                 return rep
             warnings.warn(f"recomputing cached report for {code!r}: its "
                           f"certificate does not support {rep.lower}..{rep.upper}")
@@ -276,26 +274,13 @@ MATCH, BOUND_ONLY, MISMATCH, EXTERNAL = (
 _VERIFIED, _OPEN, _CONTRA = 0, 1, 2
 
 
-def _status_exact(report: DistanceReport, v: int) -> int:
-    if report.exact:
-        return _VERIFIED if report.lower == v else _CONTRA
-    if not (report.lower <= v <= report.upper):
-        return _CONTRA
-    return _OPEN
-
-
-def _status_interval(report: DistanceReport, lo: int, hi: int) -> int:
-    if report.lower >= lo and report.upper <= hi:
+def _status(report: DistanceReport, lo, hi) -> int:
+    """A claim d in [lo, hi] against the report's [lower, upper]: verified
+    when the bracket lies inside the claim, contradicted when they are
+    disjoint, open otherwise."""
+    if lo <= report.lower and report.upper <= hi:
         return _VERIFIED
     if report.lower > hi or report.upper < lo:
-        return _CONTRA
-    return _OPEN
-
-
-def _status_lower(report: DistanceReport, lo: int) -> int:
-    if report.lower >= lo:
-        return _VERIFIED
-    if report.upper < lo:
         return _CONTRA
     return _OPEN
 
@@ -305,11 +290,11 @@ def claim_verdict(claim: Claim, k: int, report: Optional[DistanceReport]) -> str
         return EXTERNAL
     statuses = [_VERIFIED if claim.k == k else _CONTRA]
     if claim.d_exact is not None:
-        statuses.append(_status_exact(report, claim.d_exact))
+        statuses.append(_status(report, claim.d_exact, claim.d_exact))
     if claim.d_interval is not None:
-        statuses.append(_status_interval(report, *claim.d_interval))
+        statuses.append(_status(report, *claim.d_interval))
     if claim.d_lower is not None:
-        statuses.append(_status_lower(report, claim.d_lower))
+        statuses.append(_status(report, claim.d_lower, math.inf))
     if _CONTRA in statuses:
         return MISMATCH
     if all(s == _VERIFIED for s in statuses):

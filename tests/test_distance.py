@@ -12,11 +12,12 @@ from negacyclic import distance
 from negacyclic.codes import (CodeError, ConstacyclicCode, LinearCode,
                               NegacyclicCode, mat_rank, span_rows)
 from negacyclic.cosets import build_cosets, mult_order
-from negacyclic.distance import (BudgetExceeded, DistanceReport, SearchBudget,
-                                 distance_report, information_set_search,
-                                 low_weight_search, parse_budget,
-                                 sphere_packing_max_d, weight_distribution)
-from negacyclic.families import (build_family2, build_family3, build_family4,
+from negacyclic.distance import (DistanceReport, SearchBudget, distance_report,
+                                 information_set_search, low_weight_search,
+                                 parse_budget, sphere_packing_max_d,
+                                 weight_distribution)
+from negacyclic.families import (FAMILY2_EXAMPLES, FAMILY3_EXAMPLES,
+                                 build_family2, build_family3, build_family4,
                                  build_family1)
 from negacyclic.ff import make_field
 from negacyclic.poly import Poly
@@ -263,44 +264,6 @@ def family1_rho19():
     return build_family1(19)
 
 
-def test_time_cap_aborts_enum_and_report_falls_back(family1_rho19):
-    b = build_family3(6, 182)  # 3^12 messages, long enough to hit a zero cap
-    with pytest.raises(BudgetExceeded):
-        weight_distribution(b.code, SearchBudget(time_cap=0.0))
-    with pytest.raises(BudgetExceeded):
-        information_set_search(b.code, SearchBudget(time_cap=0.0))
-    rep = distance_report(b.code, SearchBudget(time_cap=0.0))
-    assert not rep.exact
-    assert rep.lower >= 61  # the BCH floor survives the fallback
-    # [19,9] over GF(9): 9^9 messages exceed the budget, so the
-    # information-set search and then the column search run, and a zero cap
-    # stops both
-    comp = family1_rho19.companion
-    with pytest.raises(BudgetExceeded):
-        low_weight_search(comp, budget=SearchBudget(time_cap=0.0))
-    rep = distance_report(comp, SearchBudget(time_cap=0.0))
-    assert rep.method == "bounds-only" and not rep.exact
-    v, bch = comp.best_bch_multiplier()
-    assert rep.lower == bch and rep.lower_src == f"bch(v={v})"
-    assert rep.work == 0
-    # under 3^12, which does not admit the information-set search to the
-    # packing bound, its reach 6 (5673 words to level 3, the first where the
-    # disjoint windows give L(3) = 8 > 6) is cheaper than the column search
-    # to weight 6 (645 k entries), and proves d >= ceil(19 * 4 / 9) = 9
-    small = SearchBudget(max_message_enum=3 ** 12)
-    rep = distance_report(comp, small)
-    assert (rep.lower, rep.lower_src, rep.work) == (9, "information-set w<=3", 5673)
-    # an information-set search that hits the cap falls through to the
-    # column search, whose bound is kept
-    with mock.patch.object(distance, "information_set_search",
-                           side_effect=BudgetExceeded("capped")):
-        rep = distance_report(comp)
-    assert (rep.lower, rep.lower_src) == (7, "column-search w<=6")
-    # the default budget admits it: d is exact
-    rep = distance_report(comp)
-    assert (rep.exact, rep.d, rep.method) == (True, 10, "information-set")
-
-
 def test_bounds_only_report_carries_column_search_work(family1_rho19):
     # [82,74,4], BCH 3, packing 4: under 3^12 and weight 3 no engine can
     # settle d (the column search stops short of 4, and the information-set
@@ -330,20 +293,17 @@ def test_bounds_only_report_carries_column_search_work(family1_rho19):
     # the default budget admits it to the packing bound, and it settles d
     rep = distance_report(code)
     assert (rep.exact, rep.d, rep.method) == (True, 10, "information-set")
-
-
-def test_bounds_only_report_carries_engine_time(family1_rho19):
-    # the [38,18] code under 3^12: the information-set search with reach 6
-    # proves d >= 9, and the bounds-only report carries its time with its
-    # work
-    code = family1_rho19.code
-    budget = SearchBudget(max_message_enum=3 ** 12)
-    ran = information_set_search(code, budget, 6)
-    ran.elapsed_s = 1.25
-    with mock.patch.object(distance, "information_set_search", return_value=ran):
-        rep = distance_report(code, budget)
-    assert (rep.method, rep.lower, rep.work, rep.elapsed_s) == (
-        "bounds-only", 9, 3588, 1.25)
+    # the [19,9] companion over GF(9) under 3^12, which does not admit the
+    # information-set search to the packing bound: its reach 6 (5673 words
+    # to level 3, the first where the disjoint windows give L(3) = 8 > 6) is
+    # cheaper than the column search to weight 6 (645 k entries), and
+    # proves d >= ceil(19 * 4 / 9) = 9
+    comp = family1_rho19.companion
+    rep = distance_report(comp, SearchBudget(max_message_enum=3 ** 12))
+    assert (rep.lower, rep.lower_src, rep.work) == (9, "information-set w<=3", 5673)
+    # the default budget admits it: d is exact
+    rep = distance_report(comp)
+    assert (rep.exact, rep.d, rep.method) == (True, 10, "information-set")
 
 
 @pytest.fixture(scope="module")
@@ -354,16 +314,54 @@ def family1_large():
 def test_family1_large_bounds_carry_work_and_time(family1_large):
     # the eight rho = 29, 31 rows stay bounds-only at the default budget;
     # each report carries the words its information-set search counted,
-    # C(k, w)(q - 1)^(w - 1) summed over the levels, and a nonzero time
+    # C(k, w)(q - 1)^(w - 1) summed over the levels
     got = []
     for b in family1_large:
         for part in ("code", "dual", "companion", "companion_dual"):
             rep = distance_report(getattr(b, part))
             assert rep.method == "bounds-only"
             assert rep.lower_src.startswith("information-set w<=")
-            assert rep.elapsed_s > 0
             got.append(rep.work)
     assert got == [13888, 236380, 24038, 29975, 17140, 308544, 29975, 36816]
+
+
+def test_distance_report_runs_at_most_one_engine(family1_rho17, family1_rho19,
+                                                 family1_large):
+    # an engine run to settle d (the column search to w_cap >= the packing
+    # bound, or the information-set search with reach = the packing bound)
+    # always settles it, so the cheaper of them is the only one that runs;
+    # short of that, the cheaper engine that proves d > w_cap runs, or none
+    codes = [getattr(b, part)
+             for b in ([build_family2(ell, n) for ell, n, *_ in FAMILY2_EXAMPLES]
+                       + [build_family3(m, n) for m, n, *_ in FAMILY3_EXAMPLES])
+             for part in ("code", "dual")]
+    codes += [getattr(b, part)
+              for b in [family1_rho17, family1_rho19, *family1_large]
+              for part in ("code", "dual", "companion", "companion_dual")]
+    seen = set()
+    for code in codes:
+        pack = sphere_packing_max_d(code.n, code.k, code.field.order)
+        for budget in (SearchBudget(), SearchBudget(3 ** 12, 3)):
+            with mock.patch.object(distance, "low_weight_search",
+                                   wraps=distance.low_weight_search) as col, \
+                    mock.patch.object(distance, "information_set_search",
+                                      wraps=distance.information_set_search) as info:
+                rep = distance_report(code, budget)
+            assert col.call_count + info.call_count <= 1, (code, budget)
+            if col.called:
+                settle = col.call_args.args[1] >= pack
+            elif info.called:
+                settle = info.call_args.args[2] == pack
+            else:
+                settle = None
+                assert rep.lower_src.startswith("bch(v="), (code, budget)
+            if settle:
+                assert rep.exact, (code, budget)
+            seen.add((col.called, info.called, settle))
+    # both engines ran to settle d and to prove a bound, and one report ran none
+    assert seen == {(True, False, True), (False, True, True),
+                    (True, False, False), (False, True, False),
+                    (False, False, None)}
 
 
 def test_parse_budget():
@@ -1003,11 +1001,6 @@ def test_information_set_wrong_bound_is_caught(family1_rho17, family1_rho19):
                            lambda n, k, w: real(n, k, w) + 1):
         got = [information_set_search(code).d for code, _ in cases]
     assert got != [d for _, d in cases]
-
-
-def test_information_set_time_cap(family1_rho17):
-    with pytest.raises(BudgetExceeded):
-        information_set_search(family1_rho17.dual, SearchBudget(time_cap=0.0))
 
 
 def test_information_set_declines(family1_rho19):

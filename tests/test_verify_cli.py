@@ -129,7 +129,6 @@ def test_cache_round_trip_and_hits(tmp_path):
     assert cache.hits == 0 and cache.misses == 1
     rep2 = cached_distance_report(c, budget, cache=cache)
     assert cache.hits == 1
-    assert rep2.elapsed_s == 0.0
     assert rep1.to_json() == rep2.to_json()
     # a fresh cache object reads the same file
     cache2 = ResultCache(str(tmp_path / "results.json"))
@@ -381,19 +380,6 @@ def test_cache_distinct_budgets_distinct_keys(tmp_path):
     assert cache.misses == 2 and cache.hits == 0
 
 
-def test_cache_key_includes_time_cap(tmp_path):
-    c = NegacyclicCode.from_check(GF3, 10, [1])
-    keys = {report_cache_key(c, SearchBudget(time_cap=cap))
-            for cap in (None, 0.0, 5.0)}
-    assert len(keys) == 3
-    # a time-capped fallback report is never served to an uncapped run
-    cache = ResultCache(str(tmp_path / "results.json"))
-    capped = cached_distance_report(c, SearchBudget(time_cap=0.0), cache=cache)
-    assert capped.method == "bounds-only"
-    full = cached_distance_report(c, SearchBudget(), cache=cache)
-    assert cache.hits == 0 and full.exact and full.d == 6
-
-
 def test_cache_key_includes_engine_version(monkeypatch):
     from negacyclic import verify
     c = NegacyclicCode.from_check(GF3, 10, [1])
@@ -454,6 +440,37 @@ def test_claim_verdict_logic():
     assert claim_verdict(Claim("x", 10, 4, "s", d_interval=(5, 6)), 4, exact6) == MATCH
     assert claim_verdict(Claim("x", 10, 4, "s", d_interval=(2, 3)), 4, exact6) == MISMATCH
     assert claim_verdict(c_exact, 4, None) == "external-unverified"
+
+
+def test_claim_status_is_one_interval_test():
+    # the three helpers it replaced, one per claim kind: d = v, d in
+    # [lo, hi] and d >= lo
+    from negacyclic import verify
+    ok, open_, contra = verify._VERIFIED, verify._OPEN, verify._CONTRA
+
+    def exact(rep, v):
+        if rep.exact:
+            return ok if rep.lower == v else contra
+        return open_ if rep.lower <= v <= rep.upper else contra
+
+    def interval(rep, lo, hi):
+        if rep.lower >= lo and rep.upper <= hi:
+            return ok
+        return contra if rep.lower > hi or rep.upper < lo else open_
+
+    def lower(rep, lo):
+        if rep.lower >= lo:
+            return ok
+        return contra if rep.upper < lo else open_
+
+    claims = range(0, 11)
+    for lo, hi in itertools.combinations_with_replacement(range(1, 10), 2):
+        rep = DistanceReport(lo, hi, lo == hi, "bounds-only")
+        for v in claims:
+            assert verify._status(rep, v, v) == exact(rep, v), (rep, v)
+            assert verify._status(rep, v, math.inf) == lower(rep, v), (rep, v)
+        for a, b in itertools.combinations_with_replacement(claims, 2):
+            assert verify._status(rep, a, b) == interval(rep, a, b), (rep, a, b)
 
 
 # -- verify_claims ------------------------------------------------------------------
@@ -625,6 +642,16 @@ def test_cli_family_and_best(capsys):
     assert out["d"] == 4
 
 
+@pytest.mark.parametrize("argv,modulus", [
+    (["--id", "2", "--ell", "3", "--n", "14"], "2,1,0,0,0,0,1"),
+    (["--id", "3", "--m", "3", "--n", "13"], "1,0,2,1"),
+], ids=["family2", "family3"])
+def test_cli_family_takes_host_modulus(argv, modulus, capsys):
+    assert main(["family", *argv, "--host-modulus", modulus]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["code"]["host_field"]["modulus"] == modulus
+
+
 def test_cli_verify_exit_codes(tmp_path, capsys):
     rc = main(["verify", "--scope", "properties", "--no-cache",
                "--out", str(tmp_path / "m.json")])
@@ -665,13 +692,20 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
      "polynomial 4,2,1,0,1,1,1 has a coefficient outside 0..2"),
     (["distance", "--no-cache", "--code", "{tmp}/zero-leaders-edited.json"],
      "zero_leaders = [1, 5] disagree with the generator's [5, 11]"),
+    # family builders check --host-modulus; family 4's takes none
+    (["family", "--id", "2", "--ell", "3", "--n", "14",
+      "--host-modulus", "1,0,0,0,0,0,1"],
+     "reducible over GF(3); divisible by 1,0,1"),
+    (["family", "--id", "4", "--j", "1", "--m", "3", "--host-modulus", "1,2,3"],
+     "--host-modulus is not accepted for family 4"),
 ], ids=["missing-code", "bad-scope", "composite-p", "build-composite-q",
         "missing-file", "descriptor-without-g", "descriptor-not-json",
         "reducible-modulus", "reducible-host-modulus", "descriptor-q-k-edited",
         "cosets-negative-modulus", "cosets-zero-modulus", "cosets-q-one",
         "cosets-negative-q", "modulus-low-coefficient-above-p",
         "modulus-top-coefficient-above-p", "generator-coefficient-above-q",
-        "descriptor-g-out-of-range", "descriptor-zero-leaders-edited"])
+        "descriptor-g-out-of-range", "descriptor-zero-leaders-edited",
+        "family2-reducible-host-modulus", "family4-host-modulus"])
 def test_cli_usage_error_exit_3(argv, message, tmp_path, capsys):
     (tmp_path / "no-g.json").write_text('{"q": 3, "n": 10, "lambda": -1}')
     (tmp_path / "not-json.json").write_text("[1, 2")
