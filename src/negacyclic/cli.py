@@ -50,6 +50,17 @@ def _threads(text: str) -> int:
     return n
 
 
+def _int_list(text: Optional[str], option: str) -> Optional[list[int]]:
+    """A comma-separated integer option's value, or None when not given."""
+    if not text:
+        return None
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} {text!r} must be comma-separated "
+                         "integers") from None  # never Python's own message
+
+
 def _emit(payload: dict, out: Optional[str]):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
@@ -184,16 +195,15 @@ def _run(ap: _Parser, args) -> int:
 
     if args.cmd == "build":
         base = field_from_text(args.q, args.base_m, args.base_modulus)
-        host_mod = ([int(c) for c in args.host_modulus.split(",")]
-                    if args.host_modulus else None)
+        host_mod = _int_list(args.host_modulus, "--host-modulus")
         given = [x for x in (args.check, args.zeros, args.generator) if x]
         if len(given) != 1:
             ap.error("give exactly one of --check/--zeros/--generator")
         if args.check:
-            leaders = [int(v) for v in args.check.split(",")]
+            leaders = _int_list(args.check, "--check")
             code = NegacyclicCode.from_check(base, args.n, leaders, args.lam, host_mod)
         elif args.zeros:
-            leaders = [int(v) for v in args.zeros.split(",")]
+            leaders = _int_list(args.zeros, "--zeros")
             code = NegacyclicCode.from_zeros(base, args.n, leaders, args.lam, host_mod)
         else:
             g = Poly.from_text(base, args.generator)
@@ -224,8 +234,7 @@ def _run(ap: _Parser, args) -> int:
         return 0
 
     if args.cmd == "family":
-        host_mod = ([int(c) for c in args.host_modulus.split(",")]
-                    if args.host_modulus else None)
+        host_mod = _int_list(args.host_modulus, "--host-modulus")
         if args.id == 1:
             if args.rho is None:
                 ap.error("--rho required for family 1")

@@ -33,6 +33,15 @@ from .families import Claim
 from .ff import make_field
 from .poly import Poly
 
+# CPython's built-in SHA-256 gives hashlib's digests without OpenSSL's libcrypto
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 SCHEMA = 1
 
 CACHE_ENV = "NEGACYCLIC_CACHE"
@@ -50,8 +59,13 @@ TABLE1 = {
 
 
 def descriptor_hash(desc: dict) -> str:
-    import hashlib  # here, not at module level: OpenSSL adds about 3.7 MB of RSS
-    return hashlib.sha256(
+    """SHA-256 hex digest of desc's canonical JSON (sorted keys, no spaces).
+
+    The digest comes from the interpreter's built-in SHA-256 module, the same
+    bytes as hashlib's, so no command loads OpenSSL's libcrypto (about 3.6 MB
+    of RSS) for the few hundred short strings a verify hashes.
+    """
+    return sha256(
         json.dumps(desc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 

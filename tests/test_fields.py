@@ -451,6 +451,46 @@ def test_pinned_moduli_are_primitive_and_the_search_finds_smaller_ones():
         assert encoding(found, p) < encoding(pinned, p)
 
 
+def _unsieved_search(p, m):
+    """The default-modulus search with no sieve: every candidate without a
+    root in GF(p), smallest encoding first, gets the full-order test."""
+    from negacyclic.ff import _has_full_order
+    for enc in range(1, p ** m):
+        f = [(enc // p ** i) % p for i in range(m)] + [1]
+        if any(sum(c * a ** i for i, c in enumerate(f)) % p == 0
+               for a in range(p)):
+            continue
+        if _has_full_order(Field._ring(p, f).modulus_root()):
+            return f
+
+
+SEARCHED = [(p, m) for p in (2, 3, 5, 7) for m in range(2, 20)
+            if p ** m <= 3 ** 12] + [(3, 28), (3, 30)]
+
+
+@pytest.mark.parametrize("unsieved_tests", [1, None], ids=["sieve-early", "default"])
+def test_sieved_search_finds_the_unsieved_modulus(unsieved_tests, monkeypatch):
+    # the sieve rejects only reducible candidates, so the smallest-encoding
+    # primitive modulus is the same, whenever the search starts sieving
+    from negacyclic import ff
+    if unsieved_tests is not None:
+        monkeypatch.setattr(ff, "_UNSIEVED_TESTS", unsieved_tests)
+    for p, m in SEARCHED:
+        assert ff._search_modulus(p, m) == _unsieved_search(p, m), (p, m)
+
+
+@pytest.mark.parametrize("p,m,depth,start", [
+    (2, 8, 4, 0), (2, 9, 3, 100), (3, 6, 3, 0), (3, 7, 2, 50), (5, 4, 2, 0),
+    (7, 3, 1, 20)])
+def test_sieve_keeps_exactly_the_candidates_without_small_factors(p, m, depth, start):
+    from negacyclic.ff import _sieved
+    small = [g for d in range(1, depth + 1) for g in _monic_polys(p, d)
+             if _oracle_smallest_factor(g, p) is None]
+    want = [enc for enc, f in enumerate(_monic_polys(p, m)) if enc >= start
+            and all(any(_rem(f, g, p)) for g in small)]
+    assert list(_sieved(p, m, depth, start)) == want
+
+
 def _prime_factors(n):
     """Distinct prime factors by trial division, independent of ff."""
     out, f = [], 2

@@ -525,37 +525,108 @@ def test_descriptor_hash_stable():
     assert descriptor_hash(d) == descriptor_hash({"n": 10, "q": 3})
 
 
-OPENSSL_PROBE = """
-import json, sys
-import negacyclic, negacyclic.cli
-from negacyclic.distance import SearchBudget, distance_report
-from negacyclic.families import build_family1
-code = build_family1(5).dual
-distance_report(code, SearchBudget())
-if "_hashlib" in sys.modules:
-    sys.exit("OpenSSL loaded before any hash")
-desc = code.descriptor()
-got = negacyclic.descriptor_hash(desc)
-if "_hashlib" not in sys.modules:
-    sys.exit("descriptor_hash did not load OpenSSL")
-import hashlib
-text = json.dumps(desc, sort_keys=True, separators=(",", ":"))
-if got != hashlib.sha256(text.encode()).hexdigest():
-    sys.exit(f"descriptor_hash gave {got}")
-"""
-
-
-def test_openssl_loads_only_at_the_first_hash():
-    # building and bounding codes never hashes, so it must not pay for
-    # OpenSSL's libcrypto; descriptor_hash loads it and hashes as before
+def _probe(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter that imports this checkout's src."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(root, "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", OPENSSL_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+NO_OPENSSL_PROBE = """
+import os, sys
+from negacyclic import cli
+tmp = sys.argv[1]
+cache, code, out = (os.path.join(tmp, f) for f in ("c.json", "code.json", "o.json"))
+verify = ["verify", "--scope", "examples", "--out", out]
+distance = ["distance", "--code", code, "--out", out]
+for name, argv in [
+        ("family", ["family", "--id", "1", "--rho", "5", "--out", out]),
+        ("build", ["build", "--n", "10", "--check", "1", "--out", code]),
+        ("cold verify", verify + ["--cache", cache]),
+        ("warm verify", verify + ["--cache", cache]),
+        ("uncached verify", verify + ["--no-cache"]),
+        ("best", ["best", "--n", "10", "--k", "4", "--cache", cache, "--out", out]),
+        ("distance", distance + ["--cache", cache]),
+        ("uncached distance", distance + ["--no-cache"])]:
+    status = cli.main(argv)
+    loaded = sorted({"_hashlib", "hashlib"} & set(sys.modules))
+    if status != 0 or loaded:
+        sys.exit(f"{name}: exit {status}, loaded {loaded}")
+"""
+
+
+def test_no_command_loads_openssl(tmp_path):
+    # descriptor_hash takes SHA-256 from the interpreter's built-in module,
+    # so no command pays for OpenSSL's libcrypto, hashing or not
+    proc = _probe(NO_OPENSSL_PROBE, str(tmp_path))
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+DIGEST_PARITY_PROBE = """
+import json, sys
+cache_path, blocked = sys.argv[1], sys.argv[2:]
+for name in blocked:
+    sys.modules[name] = None  # import of a blocked built-in raises ImportError
+from negacyclic import verify
+texts = {}  # digest -> the canonical JSON descriptor_hash was given
+def recording(desc, digest=verify.descriptor_hash):
+    got = digest(desc)
+    texts[got] = json.dumps(desc, sort_keys=True, separators=(",", ":"))
+    return got
+verify.descriptor_hash = recording
+manifest = verify.verify_claims("examples", cache=verify.ResultCache(cache_path))
+source = verify.sha256.__module__
+if source in blocked or ("hashlib" in sys.modules) != (source == "_hashlib"):
+    sys.exit(f"sha256 from {source} with {blocked} blocked")
+import hashlib
+sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+for rec in manifest.records:
+    if rec["code_hash"] != sha(json.dumps(rec["descriptor"], sort_keys=True,
+                                          separators=(",", ":"))):
+        sys.exit(f"code_hash of {rec['label']} is not the SHA-256 of its descriptor")
+with open(cache_path) as fh:
+    keys = set(json.load(fh)["records"])
+if not keys or not keys <= set(texts):
+    sys.exit(f"cache keys {sorted(keys - set(texts))} were not hashed")
+bad = sorted(got for got, text in texts.items() if got != sha(text))
+if bad:
+    sys.exit(f"descriptor_hash differs from hashlib on {bad}")
+"""
+
+
+@pytest.mark.parametrize("blocked", [[], ["_sha2"], ["_sha2", "_sha256"]],
+                         ids=["built-in", "no-sha2", "hashlib-fallback"])
+def test_descriptor_hash_matches_hashlib(blocked, tmp_path):
+    # every code_hash and cache key equals hashlib's SHA-256 of the canonical
+    # JSON, on each branch of the import: _sha2, _sha256, and hashlib
+    proc = _probe(DIGEST_PARITY_PROBE, str(tmp_path / "c.json"), *blocked)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_cache_written_with_hashlib_still_hits(tmp_path, recwarn):
+    # a cache whose keys came from hashlib, as descriptor_hash made them
+    # before it took the built-in SHA-256, is hit on every key
+    import hashlib
+
+    def hashlib_digest(desc):
+        return hashlib.sha256(json.dumps(
+            desc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+    path = tmp_path / "c.json"
+    with mock.patch("negacyclic.verify.descriptor_hash", hashlib_digest):
+        old = verify_claims("examples", cache=ResultCache(str(path)))
+    written = path.read_bytes()
+    cache = ResultCache(str(path))
+    new = verify_claims("examples", cache=cache)
+    assert cache.misses == 0 and cache.hits == len(json.loads(written)["records"])
+    assert not [w for w in recwarn if "recomputing" in str(w.message)]
+    assert path.read_bytes() == written
+    assert ([r["code_hash"] for r in new.records]
+            == [r["code_hash"] for r in old.records])
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -698,6 +769,15 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
      "reducible over GF(3); divisible by 1,0,1"),
     (["family", "--id", "4", "--j", "1", "--m", "3", "--host-modulus", "1,2,3"],
      "--host-modulus is not accepted for family 4"),
+    # malformed integer lists name their option, never Python's own message
+    (["family", "--id", "2", "--ell", "3", "--n", "14", "--host-modulus", "a,b"],
+     "--host-modulus 'a,b' must be comma-separated integers"),
+    (["build", "--n", "10", "--check", "1", "--host-modulus", "a,b"],
+     "--host-modulus 'a,b' must be comma-separated integers"),
+    (["build", "--n", "10", "--check", "1,x"],
+     "--check '1,x' must be comma-separated integers"),
+    (["build", "--n", "10", "--zeros", ","],
+     "--zeros ',' must be comma-separated integers"),
 ], ids=["missing-code", "bad-scope", "composite-p", "build-composite-q",
         "missing-file", "descriptor-without-g", "descriptor-not-json",
         "reducible-modulus", "reducible-host-modulus", "descriptor-q-k-edited",
@@ -705,7 +785,9 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
         "cosets-negative-q", "modulus-low-coefficient-above-p",
         "modulus-top-coefficient-above-p", "generator-coefficient-above-q",
         "descriptor-g-out-of-range", "descriptor-zero-leaders-edited",
-        "family2-reducible-host-modulus", "family4-host-modulus"])
+        "family2-reducible-host-modulus", "family4-host-modulus",
+        "family-host-modulus-not-integers", "build-host-modulus-not-integers",
+        "check-not-integers", "zeros-not-integers"])
 def test_cli_usage_error_exit_3(argv, message, tmp_path, capsys):
     (tmp_path / "no-g.json").write_text('{"q": 3, "n": 10, "lambda": -1}')
     (tmp_path / "not-json.json").write_text("[1, 2")
