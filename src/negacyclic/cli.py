@@ -17,12 +17,12 @@ import sys
 from contextlib import nullcontext
 from typing import Optional
 
-from .codes import NegacyclicCode
+from .codes import DescriptorError, NegacyclicCode
 from .cosets import build_cosets
 from .distance import SearchBudget, parse_budget
 from .families import (build_family1, build_family2, build_family3,
                        build_family4)
-from .ff import field_from_text
+from .ff import make_field
 from .poly import Poly
 from .verify import (ResultCache, best_code_search, cached_distance_report,
                      render_scope, verify_claims)
@@ -51,8 +51,9 @@ def _threads(text: str) -> int:
 
 
 def _int_list(text: Optional[str], option: str) -> Optional[list[int]]:
-    """A comma-separated integer option's value, or None when not given."""
-    if not text:
+    """A comma-separated integer option's value, or None when not given;
+    an empty value is an error, not the default."""
+    if text is None:
         return None
     try:
         return [int(v) for v in text.split(",")]
@@ -74,6 +75,8 @@ def _load_code(path: str) -> NegacyclicCode:
     with (nullcontext(sys.stdin) if path == "-" else open(path)) as fh:
         try:
             return NegacyclicCode.from_descriptor(json.load(fh))
+        except DescriptorError as exc:
+            raise ValueError(f"malformed code descriptor {path}: {exc}") from exc
         except (json.JSONDecodeError, KeyError, TypeError,
                 AttributeError) as exc:
             raise ValueError(
@@ -183,7 +186,7 @@ def main(argv=None) -> int:
 
 def _run(ap: _Parser, args) -> int:
     if args.cmd == "field":
-        f = field_from_text(args.p, args.m, args.modulus)
+        f = make_field(args.p, args.m, _int_list(args.modulus, "--modulus"))
         d = f.descriptor()
         d["primitive_modulus"] = f.primitive_flag
         _emit(d, args.out)
@@ -194,7 +197,8 @@ def _run(ap: _Parser, args) -> int:
         return 0
 
     if args.cmd == "build":
-        base = field_from_text(args.q, args.base_m, args.base_modulus)
+        base = make_field(args.q, args.base_m,
+                          _int_list(args.base_modulus, "--base-modulus"))
         host_mod = _int_list(args.host_modulus, "--host-modulus")
         given = [x for x in (args.check, args.zeros, args.generator) if x]
         if len(given) != 1:
@@ -206,7 +210,8 @@ def _run(ap: _Parser, args) -> int:
             leaders = _int_list(args.zeros, "--zeros")
             code = NegacyclicCode.from_zeros(base, args.n, leaders, args.lam, host_mod)
         else:
-            g = Poly.from_text(base, args.generator)
+            g = Poly.from_indices(base,
+                                  _int_list(args.generator, "--generator"))
             code = NegacyclicCode.from_generator(base, args.n, g, args.lam, host_mod)
         _emit(code.descriptor(), args.out)
         return 0

@@ -68,10 +68,6 @@ def rref(tables: FieldTables, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return M[nz], pivots
 
 
-def mat_rank(tables: FieldTables, mat: np.ndarray) -> int:
-    return len(rref(tables, mat)[1])
-
-
 def mat_mul(tables: FieldTables, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over the field (index arrays)."""
     add, mul = tables.add, tables.mul
@@ -145,12 +141,6 @@ class LinearCode:
         """All q^k words in message order; only sensible at small dimensions."""
         return span_rows(self.field.tables(), self._rows)
 
-    def generator_matrix(self) -> np.ndarray:
-        return rref(self.field.tables(), self._rows)[0]
-
-    def parity_check_matrix(self) -> np.ndarray:
-        return rref(self.field.tables(), self.dual_rows())[0]
-
     def __repr__(self) -> str:
         return f"[{self.n},{self.k}] code over {self.field}"
 
@@ -192,15 +182,6 @@ class ConstacyclicCode(LinearCode):
     def contains(self, word: Sequence[int]) -> bool:
         return (len(word) == self.n
                 and (Poly.from_ints(self.field, word) % self.g).is_zero())
-
-    def negashift(self, word: Sequence[int]) -> np.ndarray:
-        """(lambda*c_{n-1}, c_0, ..., c_{n-2})."""
-        t = self.field.tables()
-        w = np.asarray(word, dtype=t.dtype)
-        out = np.empty_like(w)
-        out[0] = t.mul[self.lam.as_int(), w[-1]]
-        out[1:] = w[:-1]
-        return out
 
     # -- structure ------------------------------------------------------------
 
@@ -266,6 +247,18 @@ class ConstacyclicCode(LinearCode):
         return d
 
 
+class DescriptorError(CodeError):
+    """A code descriptor field that does not hold the integers it should."""
+
+
+def _descriptor_int(name: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise DescriptorError(f"field {name!r} must hold integers, "
+                              f"got {value!r}") from None
+
+
 def _lambda_json(field: Field, lam: FieldElement):
     if lam.is_one():
         return 1
@@ -310,8 +303,7 @@ def residue_distance_relation(d1: Optional[int], d2: Optional[int]):
 
 @functools.lru_cache(maxsize=None)
 def _code_context(field: Field, n: int, lam_int: int,
-                  host_modulus: Optional[tuple[int, ...]],
-                  host: Optional[Field]):
+                  host_modulus: Optional[tuple[int, ...]]):
     if lam_int not in (-1, 1):
         raise CodeError("lam_int must be -1 (negacyclic) or +1 (cyclic)")
     if n < 1:
@@ -321,12 +313,11 @@ def _code_context(field: Field, n: int, lam_int: int,
     if math.gcd(R, field.p) != 1:
         raise CodeError(f"need gcd({R}, {field.p}) = 1 for semisimple structure")
     table = build_cosets(q0, R)
-    if host is None:
-        mh = mult_order(q0, R)
-        if mh == 1 and host_modulus is None:
-            host = field
-        else:
-            host = make_field(field.p, field.m * mh, host_modulus)
+    mh = mult_order(q0, R)
+    if mh == 1 and host_modulus is None:
+        host = field
+    else:
+        host = make_field(field.p, field.m * mh, host_modulus)
     beta = root_of_unity(host, R)
     return table, host, beta
 
@@ -367,13 +358,14 @@ class NegacyclicCode(ConstacyclicCode):
 
     @staticmethod
     def _context(field: Field, n: int, lam_int: int,
-                 host_modulus: Optional[Sequence[int]] = None,
-                 host: Optional[Field] = None):
+                 host_modulus: Optional[Sequence[int]] = None):
         """(coset table, host field, beta) for (field, n, lambda), built once
         per process and shared by every code over it; all three are
-        immutable."""
+        immutable.  The host is GF(p^(m * ord_R(q))), with the given modulus
+        if any (the base field itself when that order is 1 and none is
+        given)."""
         key = tuple(int(c) for c in host_modulus) if host_modulus is not None else None
-        return _code_context(field, n, lam_int, key, host)
+        return _code_context(field, n, lam_int, key)
 
     @staticmethod
     def _coset_leaders(table: CosetTable, exponents: Iterable[int],
@@ -396,36 +388,34 @@ class NegacyclicCode(ConstacyclicCode):
     @classmethod
     def from_zeros(cls, field: Field, n: int, zero_leaders: Iterable[int],
                    lam_int: int = -1,
-                   host_modulus: Optional[Sequence[int]] = None,
-                   host: Optional[Field] = None) -> "NegacyclicCode":
-        table, host, beta = cls._context(field, n, lam_int, host_modulus, host)
+                   host_modulus: Optional[Sequence[int]] = None
+                   ) -> "NegacyclicCode":
+        table, host, beta = cls._context(field, n, lam_int, host_modulus)
         g = Poly.one(field)
         T = set()
         for l in cls._coset_leaders(table, zero_leaders, lam_int):
-            coset = table.cosets[l]
-            g = g * minimal_polynomial(beta, coset, field)
-            T.update(coset)
+            g = g * minimal_polynomial(beta, l, field)
+            T.update(table.cosets[l])
         return cls(field, n, lam_int, g, host, beta, table, frozenset(T))
 
     @classmethod
     def from_check(cls, field: Field, n: int, check_leaders: Iterable[int],
                    lam_int: int = -1,
-                   host_modulus: Optional[Sequence[int]] = None,
-                   host: Optional[Field] = None) -> "NegacyclicCode":
+                   host_modulus: Optional[Sequence[int]] = None
+                   ) -> "NegacyclicCode":
         """Code whose check polynomial is the product of the given cosets'
         minimal polynomials; its zeros are every other eligible exponent."""
-        table = cls._context(field, n, lam_int, host_modulus, host)[0]
+        table = cls._context(field, n, lam_int, host_modulus)[0]
         checks = set(cls._coset_leaders(table, check_leaders, lam_int))
         eligible = table.odd_leaders if lam_int == -1 else table.leaders
         zero_leaders = [l for l in eligible if l not in checks]
-        return cls.from_zeros(field, n, zero_leaders, lam_int,
-                              host_modulus, host)
+        return cls.from_zeros(field, n, zero_leaders, lam_int, host_modulus)
 
     @classmethod
     def from_generator(cls, field: Field, n: int, g: Poly, lam_int: int = -1,
-                       host_modulus: Optional[Sequence[int]] = None,
-                       host: Optional[Field] = None) -> "NegacyclicCode":
-        table, host, beta = cls._context(field, n, lam_int, host_modulus, host)
+                       host_modulus: Optional[Sequence[int]] = None
+                       ) -> "NegacyclicCode":
+        table, host, beta = cls._context(field, n, lam_int, host_modulus)
         if g.is_zero():
             raise CodeError("generator must be nonzero")
         # divisibility of x^n - lambda is checked by ConstacyclicCode
@@ -437,27 +427,36 @@ class NegacyclicCode(ConstacyclicCode):
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "NegacyclicCode":
-        q = int(desc["q"])
+        """The code a descriptor names; a field that should hold integers
+        and does not raises DescriptorError, which names the field."""
+        def ints(name: str, text: str) -> list[int]:
+            return [_descriptor_int(name, c) for c in text.split(",")]
+
+        q = _descriptor_int("q", desc["q"])
         bf = desc.get("base_field")
         if bf is not None:
-            field = make_field(int(bf["p"]), int(bf["m"]),
-                               [int(c) for c in bf["modulus"].split(",")])
+            field = make_field(_descriptor_int("base_field.p", bf["p"]),
+                               _descriptor_int("base_field.m", bf["m"]),
+                               ints("base_field.modulus", bf["modulus"]))
         else:
             field = make_field(q, 1)
         host_modulus = None
         if "host_field" in desc:
-            hf = desc["host_field"]
-            host_modulus = [int(c) for c in hf["modulus"].split(",")]
+            host_modulus = ints("host_field.modulus",
+                                desc["host_field"]["modulus"])
         if field.order != q:
             raise CodeError(f"descriptor q = {q} disagrees with its base field "
                             f"{field}")
-        g = Poly.from_text(field, desc["g"])
-        code = cls.from_generator(field, int(desc["n"]), g,
-                                  int(desc["lambda"]), host_modulus)
-        if "k" in desc and int(desc["k"]) != code.k:
+        g = Poly.from_indices(field, ints("g", desc["g"]))
+        code = cls.from_generator(field, _descriptor_int("n", desc["n"]), g,
+                                  _descriptor_int("lambda", desc["lambda"]),
+                                  host_modulus)
+        if "k" in desc and _descriptor_int("k", desc["k"]) != code.k:
             raise CodeError(f"descriptor k = {desc['k']} disagrees with the "
                             f"generator's dimension {code.k}")
-        if ("zero_leaders" in desc and sorted(int(l) for l in desc["zero_leaders"])
+        if ("zero_leaders" in desc
+                and sorted(_descriptor_int("zero_leaders", l)
+                           for l in desc["zero_leaders"])
                 != list(code.zero_leaders)):
             raise CodeError(f"descriptor zero_leaders = {desc['zero_leaders']} "
                             f"disagree with the generator's "
@@ -486,38 +485,32 @@ class NegacyclicCode(ConstacyclicCode):
         """
         if math.gcd(v, self.R) != 1:
             raise CodeError(f"multiplier {v} shares a factor with {self.R}")
+        return int(self._bch_bounds([v])[0])
+
+    def _bch_bounds(self, vs: Sequence[int]) -> np.ndarray:
+        """bch_bound(v) for every multiplier v in vs, in one numpy pass."""
         n = self.n
-        if self.lam_int == -1:
-            exps = (v * (1 + 2 * np.arange(n))) % self.R
-        else:
-            exps = (v * np.arange(n)) % self.R
-        member = self._zero_mask[exps]
-        if member.all():
-            return n
-        if not member.any():
-            return 1
-        # longest circular run of True: gaps between False positions, doubled
-        padded = np.concatenate([[False], member, member, [False]])
-        false_idx = np.nonzero(~padded)[0]
-        best = int(np.max(np.diff(false_idx))) - 1
-        return min(best, n - 1) + 1
+        steps = 1 + 2 * np.arange(n) if self.lam_int == -1 else np.arange(n)
+        member = self._zero_mask[np.outer(vs, steps) % self.R]
+        # the longest circular run of zeros in a row is the longest run in
+        # the row written twice: at each position, the distance back to the
+        # last non-zero (2n for a row of zeros only, capped to n below)
+        twice = np.concatenate([member, member], axis=1)
+        pos = np.arange(2 * n)
+        last = np.maximum.accumulate(np.where(twice, -1, pos), axis=1)
+        return np.minimum((pos - last).max(axis=1), n - 1) + 1
 
     def best_bch_multiplier(self) -> tuple[int, int]:
-        """Exhaustive multiplier search, deduplicated by q-coset of v."""
-        seen = set()
-        best = (1, self.bch_bound(1))
-        for v in range(1, self.R):
-            if math.gcd(v, self.R) != 1 or v in seen:
-                continue
-            # v and q*v give identical bounds: mark the whole coset
-            w = v
-            while w not in seen:
-                seen.add(w)
-                w = (w * self.field.order) % self.R
-            b = self.bch_bound(v)
-            if b > best[1]:
-                best = (v, b)
-        return best
+        """The smallest multiplier v with the largest bch_bound(v).
+
+        v and q*v give identical bounds, so v runs over the units among the
+        coset leaders (each coset's smallest member), in one pass of
+        _bch_bounds; leader 0 is a unit only mod R = 1, where v = 1 names it.
+        """
+        vs = [l or 1 for l in self.table.leaders if math.gcd(l, self.R) == 1]
+        bounds = self._bch_bounds(vs)
+        i = int(np.argmax(bounds))
+        return vs[i], int(bounds[i])
 
     def psi_image(self) -> "NegacyclicCode":
         """The x -> -x image: a cyclic code for odd n, weight-preserving."""
@@ -558,26 +551,6 @@ class NegacyclicCode(ConstacyclicCode):
             out[t] = proj.project(self._q0_trace(cur, m)).as_int()
             cur = cur * theta
         return out
-
-    def trace_codeword(self, coeffs: Sequence[FieldElement]) -> tuple[int, ...]:
-        """Codeword (sum_j Tr(a_j * beta^(-t i_j)))_t for check-coset coefficients.
-
-        coeffs[j] must lie in GF(q0^{m_j}) inside the host field, m_j the size
-        of the j-th check coset.  The result is a tuple of base-field indices.
-        """
-        if len(coeffs) != len(self.check_leaders):
-            raise CodeError(f"expected {len(self.check_leaders)} coefficients")
-        t = self.field.tables()
-        word = np.zeros(self.n, dtype=t.dtype)
-        for a, leader in zip(coeffs, self.check_leaders):
-            mj = len(self.table.cosets[leader])
-            if a.field != self.host:
-                raise CodeError("coefficients must live in the host field")
-            if not (a ** (self.field.order ** mj)) == a:
-                raise CodeError(
-                    f"coefficient {a!r} outside GF({self.field.order}^{mj})")
-            word = t.add[word, self._trace_row(a, leader, self.n)]
-        return tuple(int(v) for v in word)
 
     def trace_code_set(self) -> set[tuple[int, ...]]:
         """All q^k trace-form words, as a set of index tuples.

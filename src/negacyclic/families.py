@@ -258,10 +258,9 @@ def build_family4(j: int, m: int) -> Family4Code:
     big_n = 3 ** m - 1
     n = big_n // 2
     gf3 = make_field(3, 1)
-    host = make_field(3, m)
     table = build_cosets(3, big_n)
     zero_leaders = [l for l in table.odd_leaders if wt3(l) % 4 == j]
-    code = NegacyclicCode.from_zeros(gf3, n, zero_leaders, -1, host=host)
+    code = NegacyclicCode.from_zeros(gf3, n, zero_leaders, -1)
     dim1, dim3 = _family4_dims(m)
     expect_k = dim1 if j == 1 else dim3
     if code.k != expect_k:  # pragma: no cover
@@ -339,14 +338,12 @@ FAMILY1_TABLE: dict[int, dict[str, tuple[int, int, int]]] = {
 }
 
 # rho whose Table 2 rows verify builds and checks; the others are reported
-# external-unverified.  The host field no longer limits this (build_family1
-# builds GF(3^42) for rho = 43 in about 0.2 s); the distance engines do: at
-# the default budget every rho = 29 and 31 part stays bounds-only.  The
-# information-set search with reach 6 proves d >= 10 on [58,30] and
-# [62,32], d >= 9 on [58,28], [62,30], [29,14] and [31,15], and d >= 8 on
-# the [29,15] and [31,16] GF(9) companion duals, with 14 k-309 k words
-# each, but admitting it to settle any of them takes 7.3 * 10^9 words or
-# more.
+# external-unverified.  Building limits nothing (build_family1(43), its
+# GF(3^42) host included, takes 0.06-0.10 s of process time); the distance
+# engines do: at the default budget none is admitted on a rho = 29, 31 or 43
+# part.  An information-set search that enumerates whole levels while its
+# word count stays within 3^16 would settle 6 of those 12 rows and bracket
+# the other 6 at the claimed d.
 FAMILY1_BUILDABLE = (5, 7, 17, 19)
 
 FAMILY2_EXAMPLES: list[tuple[int, int, tuple[int, int, int], tuple[int, int, int]]] = [

@@ -590,12 +590,6 @@ def make_field(p: int, m: int, modulus: Optional[Sequence[int]] = None) -> Field
     return _cached_field(int(p), int(m), key)
 
 
-def field_from_text(p: int, m: int, text: Optional[str]) -> Field:
-    if text is None:
-        return make_field(p, m)
-    return make_field(p, m, [int(c) for c in text.split(",")])
-
-
 def primitive_element(field: Field) -> FieldElement:
     """Smallest element (in integer encoding) of full multiplicative order.
 

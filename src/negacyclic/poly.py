@@ -1,5 +1,6 @@
-"""Dense univariate polynomials over a code field, plus minimal polynomials
-assembled from Frobenius-closed exponent cosets.
+"""Dense univariate polynomials over a code field, plus the minimal
+polynomial of a power beta^l: the product of x - r over its Frobenius
+conjugates r, worked out from beta and l alone.
 
 A Poly stores its ascending coefficients as element indices (index i <->
 field.from_int(i)), the encoding code words and generator rows use, and runs
@@ -21,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .ff import Field, FieldElement, FieldError, SubfieldEmbedding, get_embedding
+from .ff import Field, FieldElement, SubfieldEmbedding, get_embedding
 
 NEG_INF = float("-inf")
 
@@ -78,14 +79,12 @@ class Poly:
         return cls._of(field, np.asarray(scalars, dtype=np.int64) % field.p)
 
     @classmethod
-    def from_text(cls, field: Field, text: str) -> "Poly":
-        """Ascending comma-separated element indices, each in 0..q-1."""
-        if text.strip() == "":
-            return cls.zero(field)
-        ints = [int(c) for c in text.split(",")]
+    def from_indices(cls, field: Field, ints: Sequence[int]) -> "Poly":
+        """Ascending element indices, each in 0..q-1 (the inverse of
+        to_ints); unlike from_ints, an index outside that range is refused."""
         if not all(0 <= c < field.order for c in ints):
-            raise PolyError(f"polynomial {text} has a coefficient outside "
-                            f"0..{field.order - 1}")
+            raise PolyError(f"polynomial {','.join(map(str, ints))} has a "
+                            f"coefficient outside 0..{field.order - 1}")
         return cls.from_ints(field, ints)
 
     @classmethod
@@ -188,11 +187,6 @@ class Poly:
             a, b = b, a % b
         return a.monic()
 
-    def lcm(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        return ((self * other) // self.gcd(other)).monic()
-
     def __call__(self, point: FieldElement,
                  embedding: Optional[SubfieldEmbedding] = None) -> FieldElement:
         """Evaluate at a point; pass an embedding to evaluate in a host field."""
@@ -247,60 +241,32 @@ class Poly:
         return "Poly<" + " + ".join(terms) + ">"
 
 
-@functools.lru_cache(maxsize=256)
-def _element_order(beta: FieldElement) -> int:
-    return beta.order()
-
-
-def minimal_polynomial(beta: FieldElement, coset: Sequence[int],
-                       base: Field) -> Poly:
-    """Minimal polynomial over `base` of beta^i for the given exponent coset.
-
-    `coset` must be the full orbit of its members under multiplication by
-    |base| modulo ord(beta), i.e. x -> x^|base| must permute the roots
-    beta^j; the product of (x - beta^j) over the roots then has coefficients
-    in the embedded copy of `base`, and is returned as a monic irreducible
-    Poly over `base`.  The roots are one power of beta and its conjugates
-    under the |base|-power Frobenius map.
-
-    Each (beta, coset, base) is computed once per process and the same
-    immutable Poly is returned after that; a coset that is not closed raises
-    PolyError on every call.
-    """
-    return _minimal_polynomial(beta, tuple(sorted(coset)), base)
-
-
 @functools.lru_cache(maxsize=None)
-def _minimal_polynomial(beta: FieldElement, coset: tuple[int, ...],
-                        base: Field) -> Poly:
-    # the key holds beta itself, not beta.v: FieldElement hashes its packed
-    # value alone and compares fields only in __eq__; the base is part of the
-    # key because one host serves several bases (GF(3^18) over GF(3) and GF(9))
+def minimal_polynomial(beta: FieldElement, l: int, base: Field) -> Poly:
+    """Minimal polynomial of beta^l over `base`, a monic irreducible Poly.
+
+    It is the product of (x - r) over the Frobenius conjugates r = beta^l,
+    r^|base|, r^(|base|^2), ... of beta^l, up to the first that repeats
+    (MacWilliams & Sloane 1977, ch. 4): the roots are beta^j for j in the
+    |base|-cyclotomic coset of l, and the coefficients lie in the embedded
+    copy of `base`, onto which they are projected.
+
+    Each (beta, l, base) is computed once per process and the same immutable
+    Poly is returned after that.  The key holds beta itself, not beta.v:
+    FieldElement hashes its packed value alone and compares fields only in
+    __eq__.  The base is part of the key because one host serves several
+    bases (GF(3^18) over GF(3) and GF(9)).
+    """
     host = beta.field
-    emb = get_embedding(host, base)
-    n = _element_order(beta)
-    l = min(coset) % n
-    orbit = [l]
-    while (j := orbit[-1] * base.order % n) != l:
-        orbit.append(j)
-    if set(orbit) != {j % n for j in coset}:
-        raise PolyError(
-            f"exponent set {sorted(set(coset))} is not closed under "
-            f"multiplication by {base.order} mod ord(beta)")
-    root = beta ** l
+    roots = [beta ** l]
+    while (r := roots[-1].frobenius(base.m)) != roots[0]:
+        roots.append(r)
     prod = [host.one()]
-    for _ in orbit:
+    for root in roots:
         nxt = [host.zero()] * (len(prod) + 1)
         for i, c in enumerate(prod):
             nxt[i + 1] = nxt[i + 1] + c
             nxt[i] = nxt[i] - c * root
         prod = nxt
-        root = root.frobenius(base.m)
-    out = []
-    for c in prod:
-        try:
-            out.append(emb.project(c).as_int())
-        except FieldError:
-            raise PolyError(
-                f"coefficient {c!r} lies outside {base}; exponent set not Frobenius-closed")
-    return Poly._of(base, out)
+    emb = get_embedding(host, base)
+    return Poly._of(base, [emb.project(c).as_int() for c in prod])

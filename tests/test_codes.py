@@ -1,17 +1,19 @@
-import random
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from negacyclic.codes import (CodeError, ConstacyclicCode, LinearCode,
-                              NegacyclicCode, mat_mul, mat_rank,
+                              NegacyclicCode, mat_mul,
                               residue_distance_relation, rref, uv_construct)
 from negacyclic.distance import distance_report, weight_distribution
 from negacyclic.families import (FAMILY2_EXAMPLES, FAMILY3_EXAMPLES,
                                  build_family1, build_family2, build_family3,
                                  build_family4)
-from negacyclic.ff import make_field, primitive_element
+from negacyclic.ff import make_field
 from negacyclic.poly import Poly
+from negacyclic.verify import descriptor_hash, verify_claims
 
 GF3 = make_field(3, 1)
 GF5 = make_field(5, 1)
@@ -137,10 +139,10 @@ def test_double_dual_family3_m4():
 
 def _dual_from_zeros(c):
     """The dual rebuilt from minimal polynomials: from_zeros on the cosets
-    of the negated nonzeros, over the code's host."""
+    of the negated nonzeros, over the default host (the code's)."""
     dual_T = {(c.R - i) % c.R for i in c._eligible() if i not in c.zero_exponents}
     leaders = sorted({c.table.leader_of[i] for i in dual_T})
-    return NegacyclicCode.from_zeros(c.field, c.n, leaders, c.lam_int, host=c.host)
+    return NegacyclicCode.from_zeros(c.field, c.n, leaders, c.lam_int)
 
 
 def _family_codes():
@@ -194,14 +196,14 @@ def test_generator_times_check_is_modulus():
 def test_generator_and_parity_matrices():
     c = NegacyclicCode.from_check(GF3, 10, [1])
     t = GF3.tables()
-    G = c.generator_matrix()
-    H = c.parity_check_matrix()
-    assert G.shape == (4, 10) and mat_rank(t, G) == 4
-    assert H.shape == (6, 10) and mat_rank(t, H) == 6
+    G, g_pivots = rref(t, c.rows())
+    H, h_pivots = rref(t, c.dual_rows())
+    assert G.shape == (4, 10) and len(g_pivots) == 4
+    assert H.shape == (6, 10) and len(h_pivots) == 6
     assert not mat_mul(t, G, H.T).any()
     zero = NegacyclicCode.from_generator(
         GF3, 10, Poly.x_pow_minus(GF3, 10, -GF3.one()))
-    assert zero.generator_matrix().shape[0] == 0
+    assert rref(t, zero.rows())[0].shape[0] == 0
 
 
 def test_rref_is_canonical():
@@ -220,17 +222,6 @@ def test_encode_all_messages_are_codewords():
     for msg in range(3 ** 4):
         digits = [(msg // 3 ** r) % 3 for r in range(4)]
         assert c.contains(c.encode(digits))
-
-
-def test_negashift_closure():
-    c = NegacyclicCode.from_check(GF3, 13, [1, 17])
-    rng = random.Random(2)
-    words = [row for row in c.rows()]
-    for _ in range(100):
-        digits = [rng.randrange(3) for _ in range(c.k)]
-        words.append(c.encode(digits))
-    for w in words:
-        assert c.contains(c.negashift(w))
 
 
 def test_bch_bound_zero_code_is_n():
@@ -253,6 +244,68 @@ def test_best_multiplier_at_least_v1():
         v, b = c.best_bch_multiplier()
         assert b >= c.bch_bound(1)
         assert b <= distance_report(c).d
+
+
+def _loop_bch_bound(c, v):
+    """bch_bound(v) as a run over the gaps between non-zeros, written out."""
+    steps = 1 + 2 * np.arange(c.n) if c.lam_int == -1 else np.arange(c.n)
+    member = c._zero_mask[(v * steps) % c.R]
+    if member.all():
+        return c.n
+    if not member.any():
+        return 1
+    padded = np.concatenate([[False], member, member, [False]])
+    best = int(np.max(np.diff(np.nonzero(~padded)[0]))) - 1
+    return min(best, c.n - 1) + 1
+
+
+def _loop_best_bch(c):
+    """One multiplier per q-coset of units, ascending; the first strictly
+    larger bound wins."""
+    seen = set()
+    best = (1, _loop_bch_bound(c, 1))
+    for v in range(1, c.R):
+        if math.gcd(v, c.R) != 1 or v in seen:
+            continue
+        w = v
+        while w not in seen:
+            seen.add(w)
+            w = (w * c.field.order) % c.R
+        b = _loop_bch_bound(c, v)
+        assert c.bch_bound(v) == b
+        if b > best[1]:
+            best = (v, b)
+    return best
+
+
+def test_best_multiplier_matches_the_loop_on_every_verified_code():
+    built = []
+    real = NegacyclicCode.__init__
+
+    def recording(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self)
+
+    with mock.patch.object(NegacyclicCode, "__init__", recording):
+        verify_claims("all")
+    codes = {descriptor_hash(c.descriptor()): c for c in built}
+    assert len(codes) == 81   # distinct codes a cold verify builds
+    for c in codes.values():
+        assert c.best_bch_multiplier() == _loop_best_bch(c)
+
+
+def test_family4_descriptors_are_unchanged():
+    # code_hash of each descriptor as built with the host passed explicitly
+    want = {
+        (1, 3): "d8400bbc7c63ee4ac731a91a7fdca94ce08c78912d2981aea48ae3a84e64359d",
+        (1, 5): "2d81fd22bea069170cc122b823ace7b27ddb4d45a3a2b832d96222150455e8ed",
+        (3, 3): "157e5a261a5caf4e9c4f5b18e6f3a7e074795d7b1a259e88d5b889991a2d3681",
+        (3, 5): "52a9679934e80028a32f6f787e760cb0fc9ebe925d4351763dfc6b072406ba6d",
+    }
+    for (j, m), digest in want.items():
+        code = build_family4(j, m).code
+        assert code.host is make_field(3, m)
+        assert descriptor_hash(code.descriptor()) == digest
 
 
 def test_psi_image_parameters_and_weights():
@@ -283,30 +336,13 @@ def test_psi_of_zero_code():
     assert img.k == 0 and img.lam_int == 1
 
 
-def test_trace_codeword_zero_and_count():
+def test_trace_code_set_zero_and_count():
     c = NegacyclicCode.from_check(GF3, 10, [1])
-    zero_word = c.trace_codeword([c.host.zero()])
-    assert set(zero_word) == {0}
     words = c.trace_code_set()
+    assert (0,) * c.n in words
     assert len(words) == 3 ** 4
     gen_words = {tuple(int(v) for v in w) for w in c.codewords()}
     assert words == gen_words
-
-
-def test_trace_codeword_subfield_violation():
-    c = NegacyclicCode.from_check(GF3, 10, [1]).dual()
-    # dual check cosets have sizes 2 and 4; a full-order element is not in GF(9)
-    alpha = primitive_element(c.host)
-    sizes = [len(c.table.cosets[l]) for l in c.check_leaders]
-    assert 2 in sizes
-    coeffs = []
-    for l in c.check_leaders:
-        if len(c.table.cosets[l]) == 2:
-            coeffs.append(alpha)  # order 80: outside GF(9)
-        else:
-            coeffs.append(c.host.zero())
-    with pytest.raises(CodeError, match="outside"):
-        c.trace_codeword(coeffs)
 
 
 def test_residue_decompose_requires_q_1_mod_4():

@@ -1,11 +1,14 @@
 import random
+from unittest import mock
 
 import pytest
 
+from negacyclic import codes, poly
 from negacyclic.cosets import build_cosets
-from negacyclic.families import build_family1
+from negacyclic.families import build_family1, build_family3
 from negacyclic.ff import FieldError, get_embedding, make_field, root_of_unity
 from negacyclic.poly import NEG_INF, Poly, PolyError, minimal_polynomial
+from negacyclic.verify import verify_claims
 
 GF3 = make_field(3, 1)
 
@@ -86,7 +89,7 @@ def test_reciprocal_involution_on_monic():
 def test_reciprocal_inverts_roots():
     f81 = make_field(3, 4)
     beta = root_of_unity(f81, 20)
-    m = minimal_polynomial(beta, build_cosets(3, 20).coset_of(1), GF3)
+    m = minimal_polynomial(beta, 1, GF3)
     recip = m.reciprocal()
     assert recip(beta.inverse()).is_zero()
 
@@ -94,13 +97,12 @@ def test_reciprocal_inverts_roots():
 def test_minimal_polynomial_of_beta_rho():
     f81 = make_field(3, 4, [1, 2, 0, 1, 1])
     beta = root_of_unity(f81, 20)
-    table = build_cosets(3, 20)
-    m5 = minimal_polynomial(beta, table.coset_of(5), GF3)
+    m5 = minimal_polynomial(beta, 5, GF3)
     assert m5 == P(1, 0, 1)  # x^2 + 1
 
 
 def test_minimal_polynomial_of_one():
-    m = minimal_polynomial(GF3.one(), [0], GF3)
+    m = minimal_polynomial(GF3.one(), 0, GF3)
     assert m == P(2, 1)  # x - 1
 
 
@@ -110,7 +112,7 @@ def test_odd_leader_product_is_xn_plus_1():
     table = build_cosets(3, 20)
     prod = Poly.one(GF3)
     for l in table.odd_leaders:
-        prod = prod * minimal_polynomial(beta, table.cosets[l], GF3)
+        prod = prod * minimal_polynomial(beta, l, GF3)
     assert prod == Poly.x_pow_minus(GF3, 10, -GF3.one())
 
 
@@ -120,7 +122,7 @@ def test_minimal_polynomials_divide_and_are_irreducible():
     table = build_cosets(3, 20)
     x20_1 = Poly.x_pow_minus(GF3, 20, GF3.one())
     for l in table.leaders:
-        m = minimal_polynomial(beta, table.cosets[l], GF3)
+        m = minimal_polynomial(beta, l, GF3)
         assert (x20_1 % m).is_zero()
         # irreducible: gcd(m, x^(3^j) - x) trivial below its degree
         for j in range(1, int(m.degree)):
@@ -134,21 +136,16 @@ def test_minimal_polynomials_divide_and_are_irreducible():
 
 
 def test_lcm_of_disjoint_cosets_is_product():
-    # the two check cosets at m=3, n=13: leaders 1 and 17 mod 26
+    # the two check cosets at m=3, n=13: leaders 1 and 17 = 25 * 3^2 mod 26;
+    # coprime minimal polynomials, so family 3's check polynomial
+    # lcm(M_beta, M_beta^25) is their product
     f27 = make_field(3, 3)
     beta = root_of_unity(f27, 26)
-    table = build_cosets(3, 26)
-    m1 = minimal_polynomial(beta, table.coset_of(1), GF3)
-    m2 = minimal_polynomial(beta, table.coset_of(25), GF3)
-    assert m1.lcm(m2) == (m1 * m2).monic()
-
-
-def test_non_closed_coset_rejected():
-    f81 = make_field(3, 4)
-    beta = root_of_unity(f81, 20)
-    for _ in range(2):   # a failure is not memoised
-        with pytest.raises(PolyError, match="not closed"):
-            minimal_polynomial(beta, [1, 2], GF3)
+    m1 = minimal_polynomial(beta, 1, GF3)
+    m2 = minimal_polynomial(beta, 25, GF3)
+    assert m2 == minimal_polynomial(beta, 17, GF3)
+    assert m1.gcd(m2) == Poly.one(GF3)
+    assert build_family3(3, 13).code.h == m1 * m2
 
 
 def _root_product(beta, coset, base):
@@ -173,24 +170,48 @@ def test_memoised_minimal_polynomials_keep_their_base():
     for c in (code, comp):
         for l in c.table.leaders:
             coset = c.table.cosets[l]
-            m = minimal_polynomial(c.beta, coset, c.field)
+            m = minimal_polynomial(c.beta, l, c.field)
             assert m == _root_product(c.beta, coset, c.field)
-            assert minimal_polynomial(c.beta, list(reversed(coset)), c.field) is m
+            assert minimal_polynomial(c.beta, l, c.field) is m
+            # every member of the coset names the same polynomial
+            assert minimal_polynomial(c.beta, max(coset), c.field) == m
     # one beta and one coset, closed under both bases, over GF(3) and GF(9)
     gf9 = comp.field
     assert comp.table.cosets[19] == (19,)
-    m3 = minimal_polynomial(comp.beta, [19], GF3)
-    m9 = minimal_polynomial(comp.beta, [19], gf9)
+    m3 = minimal_polynomial(comp.beta, 19, GF3)
+    m9 = minimal_polynomial(comp.beta, 19, gf9)
     assert (m3.field, m9.field) == (GF3, gf9) and m3 != m9
     assert m3 == _root_product(comp.beta, [19], GF3)
     assert m9 == _root_product(comp.beta, [19], gf9)
 
 
+def test_cold_verify_minimal_polynomials_are_coset_products():
+    # every (beta, leader, base) a cold verify asks for, against the product
+    # of (x - beta^j) over the leader's coset in the code's coset table
+    # (the table build_cosets(q, R) of its context, R = ord(beta))
+    asked = set()
+
+    def recording(beta, l, base):
+        asked.add((beta, l, base))
+        return poly.minimal_polynomial(beta, l, base)
+
+    with mock.patch.object(codes, "minimal_polynomial", recording):
+        verify_claims("all")
+    assert len(asked) == 298
+    for beta, l, base in asked:
+        table = build_cosets(base.order, beta.order())
+        assert table.leader_of[l] == l
+        assert (poly.minimal_polynomial(beta, l, base)
+                == _root_product(beta, table.cosets[l], base))
+
+
 def test_text_round_trip():
     f = P(1, 2, 0, 1, 1)
     assert f.to_text() == "1,2,0,1,1"
-    assert Poly.from_text(GF3, "1,2,0,1,1") == f
-    assert Poly.from_text(GF3, "") == Poly.zero(GF3)
+    assert Poly.from_indices(GF3, [1, 2, 0, 1, 1]) == f
+    assert Poly.from_indices(GF3, []) == Poly.zero(GF3)
+    with pytest.raises(PolyError, match="outside 0..2"):
+        Poly.from_indices(GF3, [1, 3])
 
 
 def test_substitute_neg_x():
@@ -201,7 +222,7 @@ def test_substitute_neg_x():
 def test_eval_in_extension_via_embedding():
     f81 = make_field(3, 4)
     beta = root_of_unity(f81, 20)
-    m = minimal_polynomial(beta, build_cosets(3, 20).coset_of(1), GF3)
+    m = minimal_polynomial(beta, 1, GF3)
     assert m(beta).is_zero()
     assert not m(f81.one()).is_zero()
 

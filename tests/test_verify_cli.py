@@ -114,9 +114,9 @@ def test_best_code_search_builds_one_code_per_multiplier_orbit():
 
 
 def test_cold_verify_computes_each_minimal_polynomial_once():
-    poly._minimal_polynomial.cache_clear()
+    poly.minimal_polynomial.cache_clear()
     verify_claims("all")
-    assert poly._minimal_polynomial.cache_info().misses == 298
+    assert poly.minimal_polynomial.cache_info().misses == 298
 
 
 # -- cache ---------------------------------------------------------------------
@@ -778,6 +778,25 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
      "--check '1,x' must be comma-separated integers"),
     (["build", "--n", "10", "--zeros", ","],
      "--zeros ',' must be comma-separated integers"),
+    (["build", "--n", "10", "--generator", "1,x"],
+     "--generator '1,x' must be comma-separated integers"),
+    (["field", "--p", "3", "--m", "2", "--modulus", "1,y,1"],
+     "--modulus '1,y,1' must be comma-separated integers"),
+    (["field", "--p", "3", "--m", "2", "--modulus", ""],
+     "--modulus '' must be comma-separated integers"),
+    (["build", "--base-m", "2", "--base-modulus", "1,z,1", "--n", "5",
+      "--check", "1"],
+     "--base-modulus '1,z,1' must be comma-separated integers"),
+    # so do malformed descriptor fields, with the file
+    (["distance", "--no-cache", "--code", "{tmp}/g-not-integers.json"],
+     "descriptor {tmp}/g-not-integers.json: field 'g' must hold integers, "
+     "got 'x'"),
+    (["dual", "--code", "{tmp}/n-not-integer.json"],
+     "descriptor {tmp}/n-not-integer.json: field 'n' must hold integers, "
+     "got 'ten'"),
+    (["decompose", "--code", "{tmp}/zero-leaders-not-integers.json"],
+     "descriptor {tmp}/zero-leaders-not-integers.json: field 'zero_leaders' "
+     "must hold integers, got 'a'"),
 ], ids=["missing-code", "bad-scope", "composite-p", "build-composite-q",
         "missing-file", "descriptor-without-g", "descriptor-not-json",
         "reducible-modulus", "reducible-host-modulus", "descriptor-q-k-edited",
@@ -787,7 +806,10 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
         "descriptor-g-out-of-range", "descriptor-zero-leaders-edited",
         "family2-reducible-host-modulus", "family4-host-modulus",
         "family-host-modulus-not-integers", "build-host-modulus-not-integers",
-        "check-not-integers", "zeros-not-integers"])
+        "check-not-integers", "zeros-not-integers",
+        "generator-not-integers", "modulus-not-integers", "modulus-empty",
+        "base-modulus-not-integers", "descriptor-g-not-integers",
+        "descriptor-n-not-integer", "descriptor-zero-leaders-not-integers"])
 def test_cli_usage_error_exit_3(argv, message, tmp_path, capsys):
     (tmp_path / "no-g.json").write_text('{"q": 3, "n": 10, "lambda": -1}')
     (tmp_path / "not-json.json").write_text("[1, 2")
@@ -801,7 +823,12 @@ def test_cli_usage_error_exit_3(argv, message, tmp_path, capsys):
         {**desc, "g": "4,2,1,0,1,1,1"}))
     (tmp_path / "zero-leaders-edited.json").write_text(json.dumps(
         {**desc, "zero_leaders": [1, 5]}))
+    for name, edit in (("g-not-integers", {"g": "1,x"}),
+                       ("n-not-integer", {"n": "ten"}),
+                       ("zero-leaders-not-integers", {"zero_leaders": "abc"})):
+        (tmp_path / f"{name}.json").write_text(json.dumps({**desc, **edit}))
     argv = [a.format(tmp=tmp_path) for a in argv]
+    message = message.format(tmp=tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 3
