@@ -24,7 +24,10 @@ All three engines take their vectors from one colex-ordered table builder
 coefficients, ordered by top row, so the sums on rows [0, l) are a prefix
 of T_j.  Tables are filled in blocks while they fit _TABLE_WORDS words
 per plane; any other entry is unranked to its top row and coefficient and
-built from the shorter sums, one block at a time.
+built from the shorter sums, one block at a time.  A run of pairs holds
+_CHUNK = 2^15 plane words (256 KB a buffer), and a block of entries, or a
+batch of key matches, half of that, so the buffers an engine streams stay
+small next to its tables.
 A syndrome of the column search fits one word per plane (r*s <= 61 under
 the q^r < 2^62 guard).  Its left side is T_t of the columns of H, sorted on
 64-bit keys, a hash of the planes whose low bits carry the entry's colex
@@ -74,8 +77,10 @@ from .codes import (CodeError, ConstacyclicCode, NegacyclicCode, encode_rows,
 #: bounds; 6: the information-set search walks colex-ordered tables, so its
 #: witnesses may differ; 7: so does the column search; 8: the
 #: information-set search bounds unmet words over all n windows of a
-#: constacyclic code).
-ENGINE_VERSION = 8
+#: constacyclic code; 9: blocks and runs are half as long, and block
+#: boundaries decide which least-weight word the information-set search
+#: meets first).
+ENGINE_VERSION = 9
 
 
 def parse_budget(text) -> int:
@@ -245,11 +250,12 @@ def _zero_counts(z, s, tmp):
 
 # plane words (per plane) of the largest colex table a search builds
 _TABLE_WORDS = 1 << 19
-# plane words (all planes) per block of entries an engine streams, and pairs
-# per batch of key matches or run of pairs (of prefixes and top parts, or of
-# the inner block and outer sums); a table fill's blocks take a quarter of
-# that, since their gathers and sums are live next to the table being filled
-_CHUNK = 1 << 16
+# plane words (all planes) per run of pairs (of prefixes and top parts, or of
+# the inner block and outer sums): 256 KB a buffer.  A block of entries an
+# engine streams (_blocks), and a batch of key matches, takes half of that,
+# and a table fill's block a quarter of a block, since its gathers and sums
+# are live next to the table being filled
+_CHUNK = 1 << 15
 
 
 def _colex_size(l, j, q, pinned=False):
@@ -312,9 +318,9 @@ def _colex_unrank(i, j, q, pinned=False):
 
 
 def _blocks(a, b, entry_words):
-    """Index arrays of consecutive blocks of a..b-1, _CHUNK // entry_words
-    entries each (at least one), the last block shorter."""
-    step = max(1, _CHUNK // entry_words)
+    """Index arrays of consecutive blocks of a..b-1, _CHUNK // 2 //
+    entry_words entries each (at least one), the last block shorter."""
+    step = max(1, _CHUNK // 2 // entry_words)
     for s in range(a, b, step):
         yield np.arange(s, min(s + step, b))
 
@@ -399,7 +405,7 @@ def _level_search(tables, colex, cplanes, w, n):
     and the left planes, recomputed by rank, equal the negated right
     syndrome's, compared plane by plane, so a hash collision never yields a
     word; matches are checked in right entry order, in batches of about
-    _CHUNK pairs (_first_pair).  A counted match is a codeword, unranked
+    _CHUNK // 2 pairs (_first_pair).  A counted match is a codeword, unranked
     from both ranks (_colex_unrank); the first in right-then-left entry
     order is returned.
     """
@@ -427,13 +433,17 @@ def _level_search(tables, colex, cplanes, w, n):
             continue
         rk, lo = rk[hit], lo[hit]
         hi = np.searchsorted(lk, rk | low, side="right")
-        order = np.argsort(rk & low)  # from key order to right entry order
+        # from key order to right entry order: the block positions rk & low
+        # are distinct, so one scatter sorts them
+        slot = np.full(len(idx), -1)
+        slot[rk & low] = np.arange(len(rk))
+        order = slot[slot >= 0]
         rk, lo, hi = rk[order], lo[order], hi[order]
         ends = np.cumsum(hi - lo)
         a = 0
         while a < len(rk):
             b = max(a + 1, int(np.searchsorted(ends, ends[a] - (hi[a] - lo[a])
-                                               + _CHUNK, side="right")))
+                                               + _CHUNK // 2, side="right")))
             pair = _first_pair(left, lk, low, need, limits[least],
                                (rk[a:b] & low).astype(np.int64), lo[a:b], hi[a:b])
             if pair is not None:
@@ -582,7 +592,7 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     y is one vector, plane 0 of x + y is OR_v x_v & y_(-v) (_plane_add)
     for every x of the prefix, so no operand is gathered; the top parts are
     the pinned (w - t)-term sums (_colex_entries), in blocks of about
-    _CHUNK plane words, each sorted by least row and paired with the
+    _CHUNK // 2 plane words, each sorted by least row and paired with the
     prefixes in runs of about _CHUNK plane words (_pair_runs).  A word's
     weight is w plus its redundancy part's r entries less their zeros
     (_zero_counts); the full space, with no redundancy, has one zero column.

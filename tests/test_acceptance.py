@@ -3,7 +3,8 @@
 Default-budget runs (3^16 words for the information-set search and weight
 distributions, column search to weight 6) finish in a couple of minutes.  Set
 NEGACYCLIC_ACCEPT_FULL=1 to also run the raised-budget checks (3^18 words and
-weight-9 column searches).
+weight-9 column searches, and the 3^21-word information-set searches that
+settle the rho = 29, 31 rows).
 """
 
 import os
@@ -14,11 +15,12 @@ from negacyclic.codes import NegacyclicCode, uv_construct, \
     residue_distance_relation
 from negacyclic.cosets import weight_class_sizes, weight_classes, wt3
 from negacyclic.distance import (SearchBudget, distance_report,
-                                 low_weight_search, sphere_packing_max_d,
-                                 weight_distribution)
-from negacyclic.families import (FAMILY2_EXAMPLES, FAMILY3_EXAMPLES,
-                                 build_family1, build_family2, build_family3,
-                                 build_family4, family4_multiplier)
+                                 information_set_search, low_weight_search,
+                                 sphere_packing_max_d, weight_distribution)
+from negacyclic.families import (FAMILY1_TABLE, FAMILY2_EXAMPLES,
+                                 FAMILY3_EXAMPLES, build_family1,
+                                 build_family2, build_family3, build_family4,
+                                 family4_multiplier)
 from negacyclic.ff import make_field
 from negacyclic.poly import Poly
 from negacyclic.verify import EXTERNAL, MATCH, ResultCache, verify_claims
@@ -87,6 +89,25 @@ def test_criterion_2_family1_table_raised_budget(cache):
         for part in ("code", "dual", "companion", "companion_dual"):
             assert by_label[f"table2/rho={rho}/{part}"]["verdict"] == MATCH
     _pass(2, "raised budget: all rho in {5,7,17,19} rows exact")
+
+
+@pytest.mark.skipif(not FULL, reason="raised-budget run: set NEGACYCLIC_ACCEPT_FULL=1")
+@pytest.mark.parametrize("rho", [29, 31])
+def test_criterion_2_family1_large_rows_by_information_sets(rho):
+    # the rows verify leaves external: with reach d and 3^21 words, the
+    # information-set search settles each part at its claimed d ([58,28]
+    # enumerates 487 M words, [58,30] 152 M and the six others 3.5-22 M)
+    built = build_family1(rho)
+    budget = SearchBudget(max_message_enum=3 ** 21)
+    for part, (n, k, d) in FAMILY1_TABLE[rho].items():
+        code = getattr(built, part)
+        assert (code.n, code.k) == (n, k)
+        rep = information_set_search(code, budget, d_max=d)
+        assert rep is not None and rep.exact and rep.d == d, (part, rep)
+        assert rep.method == "information-set"
+        assert sum(1 for v in rep.witness if v) == d
+        assert code.contains(rep.witness)
+    _pass(2, f"raised budget: all 4 rho = {rho} rows exact by information sets")
 
 
 def test_criterion_3_family2_examples(cache):

@@ -21,6 +21,7 @@ from negacyclic.families import (FAMILY2_EXAMPLES, FAMILY3_EXAMPLES,
                                  build_family1)
 from negacyclic.ff import make_field
 from negacyclic.poly import Poly
+from negacyclic.verify import verify_claims
 
 GF3 = make_field(3, 1)
 
@@ -1115,13 +1116,14 @@ def test_information_set_table_cap_runs_long_top_parts(family1_rho17):
     # [34,18] (levels to 4, where ceil(34 * 5 / 18) = 10 = d) under a cap
     # of 2^9 words holds T_1 and pairs it with top parts of up to three
     # rows; [17,9] over GF(9) under 2^4 holds only T_0, so its top parts are
-    # whole messages, built recursively.  With blocks of 2^10 plane words,
-    # every block of top parts but the last of its level is full.
+    # whole messages, built recursively.  With blocks of 2^10 plane words
+    # (half a run of 2^11), every block of top parts but the last of its
+    # level is full.
     for code, cap, t in ((family1_rho17.dual, 1 << 9, 1),
                          (family1_rho17.companion_dual, 1 << 4, 0)):
         want = information_set_search(code)
         with mock.patch.object(distance, "_TABLE_WORDS", cap), \
-                mock.patch.object(distance, "_CHUNK", 1 << 10), \
+                mock.patch.object(distance, "_CHUNK", 1 << 11), \
                 mock.patch.object(distance, "_colex_entries",
                                   wraps=distance._colex_entries) as entries:
             got = information_set_search(code)
@@ -1313,6 +1315,36 @@ def test_pinned_side_holds_only_its_prefixes(family3_m6_dual):
 def test_column_search_memory_gate(family3_m6_dual):
     peak = _traced_peak(lambda: low_weight_search(family3_m6_dual, 5))
     assert peak < 20 << 20
+
+
+def test_every_engine_call_of_a_verify_peaks_under_3_5_mib():
+    # the engines' transient buffers (blocks of 2^14 plane words, runs of
+    # 2^15) over their colex tables: the heaviest calls of a verify are the
+    # [182,12] information-set search (3.2 MiB) and the [182,170] column
+    # search (3.1 MiB), so blocks and runs of 2^16 words (5.2 MiB) fail
+    peaks = {}
+
+    def traced(engine):
+        def run(code, *args, **kwargs):
+            out = []
+            peak = _traced_peak(lambda: out.append(engine(code, *args, **kwargs)))
+            key = (engine.__name__, code.n, code.k, code.field.order)
+            peaks[key] = max(peak, peaks.get(key, 0))
+            return out[0]
+        return run
+
+    with mock.patch.object(distance, "low_weight_search",
+                           traced(low_weight_search)), \
+            mock.patch.object(distance, "information_set_search",
+                              traced(information_set_search)):
+        manifest = verify_claims("all")
+    assert manifest.summary == {"match": 75, "lower-bound-only": 0,
+                                "mismatch": 0, "external-unverified": 12}
+    assert {("low_weight_search", 182, 170, 3), ("low_weight_search", 122, 112, 3),
+            ("information_set_search", 182, 12, 3),
+            ("information_set_search", 19, 10, 9)} <= set(peaks)
+    over = {key: peak for key, peak in peaks.items() if peak > 3.5 * (1 << 20)}
+    assert not over
 
 
 def test_information_set_memory_gate(family1_large):
