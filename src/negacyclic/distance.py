@@ -28,12 +28,12 @@ built from the shorter sums, one block at a time.  A run of pairs holds
 _CHUNK = 2^15 plane words (256 KB a buffer), and a block of entries, or a
 batch of key matches, half of that, so the buffers an engine streams stay
 small next to its tables.
-A syndrome of the column search fits one word per plane (r*s <= 61 under
-the q^r < 2^62 guard).  Its left side is T_t of the columns of H, sorted on
-64-bit keys, a hash of the planes whose low bits carry the entry's colex
-rank; its right side, the pinned sums, is probed block by block, and every
-key match is compared plane by plane before it can yield a word, so hash
-collisions cost time, never answers.
+A syndrome of the column search fits one word per plane (r <= 64 // s;
+it refuses any other code).  Its left side is T_t of the columns of H,
+sorted on 64-bit keys, a hash of the planes whose low bits carry the
+entry's colex rank; its right side, the pinned sums, is probed block by
+block, and every key match is compared plane by plane before it can yield
+a word, so hash collisions cost time, never answers.
 The information-set search holds the sums of t of the redundancy parts of
 a generator matrix in reduced row-echelon form in one colex table, in as
 many words as r takes.  A message of weight w is a top part of w - t rows
@@ -45,17 +45,20 @@ ceil(n(w + 1)/k); the search stops once that bound reaches the least
 weight found, or, short of that, at the first level W where the disjoint
 windows [jk, (j+1)k) give L(W) above a given reach, and proves the finer
 bound at W.
-distance_report runs at most one engine, the one that counts fewer words:
-to settle d, the column search (when it reaches the packing bound) or the
-information-set search; when neither can, to prove d > w_cap, the column
-search to w_cap or the information-set search with reach w_cap.  A
-sphere-packing upper bound (with the even-distance refinement) and the BCH
-multiplier bound bracket whatever the engines cannot settle exactly.
-Engines only read the code object.
+distance_report runs at most one engine, the one _plan picks because it
+counts fewer words: to settle d, the column search (when it reaches the
+packing bound) or the information-set search; when neither can, to prove
+d > w_cap, the column search to w_cap or the information-set search with
+reach w_cap.  A sphere-packing upper bound (with the even-distance
+refinement) and the BCH multiplier bound bracket whatever the engines
+cannot settle exactly; _plan also gives that bounds-only report, so the
+format of a lower bound's source (lower_src) is known to this module
+alone.  Engines only read the code object.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from math import comb
@@ -79,8 +82,10 @@ from .codes import (CodeError, ConstacyclicCode, NegacyclicCode, encode_rows,
 #: information-set search bounds unmet words over all n windows of a
 #: constacyclic code; 9: blocks and runs are half as long, and block
 #: boundaries decide which least-weight word the information-set search
-#: meets first).
-ENGINE_VERSION = 9
+#: meets first; 10: the column search runs on every code whose syndromes
+#: fit one word per plane, not only where q^r < 2^62, and its work counts
+#: the side entries of the levels it ran).
+ENGINE_VERSION = 10
 
 
 def parse_budget(text) -> int:
@@ -107,10 +112,10 @@ class SearchBudget:
     """Caps for the distance engines: max_message_enum caps the words the
     information-set search may need (one per scalar class) to its reach,
     and the q^k messages of weight_distribution; max_column_weight caps the
-    column search and sets w_cap (_column_cap), the weight to which
-    distance_report proves d > w_cap when no engine can settle d.  Both
-    bound work, not time, so a report depends only on the code and the
-    budget."""
+    column search and sets w_cap = min(max_column_weight, pack + 1) (_plan),
+    the weight to which distance_report proves d > w_cap when no engine can
+    settle d.  Both bound work, not time, so a report depends only on the
+    code and the budget."""
 
     max_message_enum: int = 3 ** 16
     max_column_weight: int = 6
@@ -464,7 +469,10 @@ def low_weight_search(code, w_max: Optional[int] = None,
     The colex tables of column sums (_colex_grow, up to _TABLE_WORDS words
     per plane) are built once and shared by every level (_level_search).
     Returns an exact report with a witness when a word is found, otherwise the
-    lower bound w_max + 1.
+    lower bound w_max + 1.  `work` counts the side entries of the levels it
+    ran (_column_words), the count distance_report's plan prices it by.
+    Raises CodeError when a syndrome takes more than one word per plane
+    (r > 64 // s).
     """
     budget = budget or SearchBudget()
     if w_max is None:
@@ -478,12 +486,11 @@ def low_weight_search(code, w_max: Optional[int] = None,
         word = tuple(1 if i == 0 else 0 for i in range(code.n))
         return DistanceReport(1, 1, True, "column-search", word,
                               "search", "search", 1)
-    if q ** r >= 2 ** 62:
-        raise CodeError("syndrome space too large for integer keys")
-    cplanes, colex = _multiple_planes(tables, H.T), []  # one word: r*s <= 61
-    work = 0
+    if _words(r, tables.field.m) > 1:
+        raise CodeError(f"syndrome space too large: {r} check digits over "
+                        f"GF({q}) take more than one word per plane")
+    cplanes, colex = _multiple_planes(tables, H.T), []
     for w in range(1, w_max + 1):
-        work += comb(n, w // 2) + comb(n, w - w // 2)
         word = _level_search(tables, colex, cplanes, w, n)
         if word is not None:
             if not code.contains(word):  # pragma: no cover
@@ -492,11 +499,11 @@ def low_weight_search(code, w_max: Optional[int] = None,
                 lower=w, upper=w, exact=True, method="column-search",
                 witness=tuple(int(v) for v in word),
                 lower_src="column-search", upper_src="column-search",
-                work=work)
+                work=_column_words(n, q, w))
     return DistanceReport(
         lower=w_max + 1, upper=code.n, exact=False, method="column-search",
         witness=None, lower_src=f"column-search w<={w_max}",
-        upper_src="trivial", work=work)
+        upper_src="trivial", work=_column_words(n, q, w_max))
 
 
 # ---------------------------------------------------------------------------
@@ -797,13 +804,6 @@ def bch_lower(code) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # dispatch
 
-def _column_cap(q, n, k, budget: SearchBudget, pack: int) -> int:
-    """Largest weight distance_report's column search tries, 0 for none."""
-    if q ** (n - k) >= 2 ** 62:
-        return 0  # syndrome keys would overflow; bounds only
-    return min(budget.max_column_weight, pack + 1)
-
-
 def _column_words(n, q, w_cap):
     """Side entries the column search builds up to level w_cap: at level w,
     C(n, t) (q - 1)^t on the left and C(n, u) (q - 1)^(u - 1) on the
@@ -813,59 +813,80 @@ def _column_words(n, q, w_cap):
                for w in range(1, w_cap + 1))
 
 
-def distance_report(code, budget: Optional[SearchBudget] = None
-                    ) -> DistanceReport:
-    """The minimum distance, exact or bracketed, from at most one engine:
-    the one that counts fewer words (_column_words for the column search up
-    to w_cap = _column_cap, _info_set_words for the information-set search),
-    a tie going to the column search.
+def _plan(code, budget: SearchBudget):
+    """(engine, bch, report): the engine distance_report runs, a call with
+    no arguments (None for none), the BCH bound, and the bounds-only report
+    that results when the engine does not settle d, its work left 0.  Every
+    field of the report follows from n, k, q, the budget and the best BCH
+    multiplier, so the result cache's certificate replays it.
 
-    First the engines that settle d: the column search when w_cap reaches
-    the packing bound, and the information-set search when it is admitted;
-    whichever runs settles d.  When neither can, the engines that prove
-    d > w_cap: the column search (skipped when w_cap < the BCH bound, where
-    it can neither find a word nor raise the bound) and the information-set
-    search with reach w_cap, when its words fit budget.max_message_enum; it
-    runs to the first level W whose disjoint windows give L(W) > w_cap and
-    proves d >= the bound of all n windows there (_info_set_bound), or
-    settles d if that bound reaches the least word it found.  A report that
-    no engine settles is bounds-only: the sphere-packing upper bound, and
-    the larger of the BCH bound and the lower bound of the engine that ran
-    (whose work it carries)."""
-    budget = budget or SearchBudget()
+    The column search to w_cap = min(max_column_weight, pack + 1) is a
+    candidate when a syndrome fits one word per plane (r <= 64 // s); the
+    information-set search when its words up to its reach
+    (_info_set_words) fit budget.max_message_enum.  Of the two, the one
+    that counts fewer words runs (_column_words against _info_set_words),
+    a tie going to the column search.  First the engines that settle d:
+    the column search when w_cap reaches the packing bound pack, and the
+    information-set search with reach pack; whichever runs settles d.  When
+    neither can, the engines that prove d > w_cap: the column search
+    (skipped when w_cap < the BCH bound, where it can neither find a word
+    nor raise the bound), proving w_cap + 1, and the information-set search
+    with reach w_cap, which runs to the first level W whose disjoint
+    windows give L(W) > w_cap and proves d >= the bound of all the windows
+    there (_info_set_bound), or settles d, as it always does when W = k or
+    when that bound passes pack.  The report carries the sphere-packing
+    upper bound and the larger of the BCH bound and what the engine proves
+    (the BCH bound on a tie)."""
     q, k, n = code.field.order, code.k, code.n
-    if k == 0:
-        raise CodeError("the zero code has no distance report")
     pack = sphere_packing_max_d(n, k, q)
-    bch, bch_v = bch_lower(code)
-    w_cap = _column_cap(q, n, k, budget, pack)
+    bch, v = bch_lower(code)
+    w_cap = min(budget.max_column_weight, pack + 1)
+    fits = _words(n - k, code.field.m) <= 1
     span = _info_set_span(code)
-
-    def cheapest(column, reach):
-        # the column search to w_cap (when column is set) or the
-        # information-set search with reach (when admitted), whichever counts
-        # fewer words; None when neither may run
+    run, lower, lower_src = None, bch, f"bch(v={v})"
+    for column, reach in ((w_cap >= pack, pack), (bch <= w_cap, w_cap)):
         words = _info_set_words(span, k, q, reach)
         admitted = words <= budget.max_message_enum
-        if column and not (admitted and words < _column_words(n, q, w_cap)):
-            return functools.partial(low_weight_search, code, w_cap, budget)
-        if admitted:
-            return functools.partial(information_set_search, code, budget, reach)
-        return None
-
-    run = cheapest(w_cap >= pack, pack) or cheapest(bch <= w_cap, w_cap)
-    lower, lower_src, work = bch, f"bch(v={bch_v})", 0
-    if run is not None:
-        rep = run()
-        if rep.exact:
-            if not (bch <= rep.lower <= pack):  # pragma: no cover
-                raise AssertionError(
-                    f"bounds violated: bch={bch} d={rep.lower} packing={pack}")
-            return rep
-        work = rep.work
-        if rep.lower > bch:
-            lower, lower_src = rep.lower, rep.lower_src
-    return DistanceReport(
+        if fits and column and not (
+                admitted and words < _column_words(n, q, w_cap)):
+            run = functools.partial(low_weight_search, code, w_cap, budget)
+            proved = w_cap + 1, f"column-search w<={w_cap}"
+        elif admitted:
+            run = functools.partial(information_set_search, code, budget, reach)
+            W = _info_set_levels(span, k, reach)
+            # past level k every message is met, so the search settles d
+            proved = (_info_set_bound(span, k, W) if W < k else pack + 1,
+                      f"information-set w<={W}")
+        else:
+            continue
+        if bch < proved[0] <= pack:
+            lower, lower_src = proved
+        break
+    return run, bch, DistanceReport(
         lower=lower, upper=pack, exact=(lower == pack), method="bounds-only",
-        witness=None, lower_src=lower_src, upper_src="sphere-packing",
-        work=work)
+        witness=None, lower_src=lower_src, upper_src="sphere-packing")
+
+
+def distance_report(code, budget: Optional[SearchBudget] = None
+                    ) -> DistanceReport:
+    """The minimum distance, exact or bracketed, from at most one engine,
+    the one _plan picks: its exact report when it settles d, else the
+    plan's bounds-only report, which carries the engine's work."""
+    budget = budget or SearchBudget()
+    if code.k == 0:
+        raise CodeError("the zero code has no distance report")
+    run, bch, plan = _plan(code, budget)
+    if run is None:
+        return plan
+    rep = run()
+    if rep.exact:
+        if not (bch <= rep.lower <= plan.upper):  # pragma: no cover
+            raise AssertionError(
+                f"bounds violated: bch={bch} d={rep.lower} packing={plan.upper}")
+        return rep
+    # the engine proves the plan's bound, or at most the BCH bound it keeps
+    if (rep.lower, rep.lower_src) != (plan.lower, plan.lower_src) and not (
+            rep.lower <= bch == plan.lower):  # pragma: no cover
+        raise AssertionError(f"{rep.lower_src} proved {rep.lower}, but the "
+                             f"plan says {plan.lower_src} proves {plan.lower}")
+    return dataclasses.replace(plan, work=rep.work)

@@ -15,9 +15,9 @@ immutable after construction and safe to share across threads.
 
 All polynomial arithmetic mod f is FieldElement arithmetic in the ring
 GF(p)[x]/(f).  The default modulus of GF(p^m) is the smallest-encoding f for
-which x has order p^m - 1 in that ring, which proves f primitive (a long
+which x has order p^m - 1 in that ring, which proves f primitive (the
 search first sieves out the candidates with a small irreducible factor, see
-_candidates); GF(3^6), GF(3^14), GF(3^18), GF(3^20), GF(3^22) and GF(3^25)
+_sieved); GF(3^6), GF(3^14), GF(3^18), GF(3^20), GF(3^22) and GF(3^25)
 instead keep the pinned primitive moduli of _PINNED_MODULI.  A supplied
 modulus must pass Rabin's irreducibility test in its ring, or the error names
 its smallest factor, found by distinct-degree factorization and a seeded
@@ -107,16 +107,6 @@ def _has_full_order(x: "FieldElement") -> bool:
     return _has_order(x, x.field.order - 1)
 
 
-# Full-order tests a search makes before it sieves.  Most searches end
-# within a few tests, before the sieve's setup (about 20 us per degree of f
-# over GF(3)) pays for itself.  Timing make_field(3, m) for m <= 30 (best of
-# 50 or more runs, alternating with the unsieved search): sieving after 3 (5)
-# tests made GF(3^15) and GF(3^19) 1.4-1.5x (GF(3^23) and GF(3^26) 1.2x)
-# slower; after 10, every m is within 6 %, as are the unchanged paths of the
-# pinned moduli, and GF(3^28) takes 41 tests instead of 99.
-_UNSIEVED_TESTS = 10
-
-
 def _sieve_exponent(p: int) -> int:
     """Largest e >= 1 with p^e <= 729: the sieve rejects factors of degree
     <= e, about p^e of them, and takes blocks of p^(e // 3) candidates."""
@@ -134,9 +124,9 @@ def _irreducibles(p: int, d: int) -> tuple[int, ...]:
     return tuple(_sieved(p, d, d // 2))
 
 
-def _sieved(p: int, m: int, depth: int, start: int = 0) -> Iterator[int]:
-    """In increasing order from start, the encodings enc of the monic
-    degree-m polynomials f (low coefficients enc's base-p digits) with no
+def _sieved(p: int, m: int, depth: int) -> Iterator[int]:
+    """In increasing order, the encodings enc of the monic degree-m
+    polynomials f (low coefficients enc's base-p digits) with no
     irreducible factor of degree <= depth.
 
     f mod g is linear in f's coefficients.  With res[i] the digits of
@@ -161,7 +151,7 @@ def _sieved(p: int, m: int, depth: int, start: int = 0) -> Iterator[int]:
     table = np.zeros((1, cols + 1), np.int64)
     for i in range(b):  # rows lo + c * p^i: the rows lo, plus c * res[i]
         table = (table + np.arange(p)[:, None, None] * res[i]).reshape(-1, cols + 1) % p
-    for hi in range(start // p ** b, p ** (m - b)):
+    for hi in range(p ** (m - b)):
         row = res[m].copy()
         for i, c in enumerate(_monic(p, hi, m - b)[:-1]):
             if c:
@@ -169,31 +159,14 @@ def _sieved(p: int, m: int, depth: int, start: int = 0) -> Iterator[int]:
         # table + row = 0 mod p exactly where table = -row mod p
         spare = np.logical_or.reduceat(table != (p - row % p) % p, starts, axis=1)
         for lo in np.flatnonzero(spare.all(axis=1)).tolist():
-            enc = hi * p ** b + lo
-            if enc >= start:
-                yield enc
-
-
-def _candidates(p: int, m: int) -> Iterator[int]:
-    """In increasing order, the encodings of the monic degree-m polynomials
-    that get the full-order test: the first _UNSIEVED_TESTS with no root in
-    GF(p), then those with no irreducible factor of degree <= min(m // 2,
-    _sieve_exponent(p))."""
-    tested = 0
-    for enc in range(1, p ** m):
-        cand = _monic(p, enc, m)
-        if all(sum(c * pow(a, i, p) for i, c in enumerate(cand)) % p
-               for a in range(p)):
-            yield enc
-            tested += 1
-            if tested == _UNSIEVED_TESTS:
-                yield from _sieved(p, m, min(m // 2, _sieve_exponent(p)), enc + 1)
-                return
+            yield hi * p ** b + lo
 
 
 def _search_modulus(p: int, m: int) -> list[int]:
-    """Smallest-encoding primitive polynomial of degree m over GF(p)."""
-    for enc in _candidates(p, m):
+    """Smallest-encoding primitive polynomial of degree m over GF(p): the
+    full-order test runs on the candidates with no irreducible factor of
+    degree <= min(m // 2, _sieve_exponent(p)), in increasing order."""
+    for enc in _sieved(p, m, min(m // 2, _sieve_exponent(p))):
         cand = _monic(p, enc, m)
         if _has_full_order(Field._ring(p, cand).modulus_root()):
             return cand

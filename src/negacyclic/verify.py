@@ -9,11 +9,11 @@ crashes.  Manifests are deterministic apart from timestamps and wall times.
 
 from __future__ import annotations
 
+import dataclasses
 import fcntl
 import json
 import math
 import os
-import re
 import tempfile
 import time
 import warnings
@@ -25,10 +25,9 @@ from . import families
 from .codes import (CodeError, NegacyclicCode, residue_distance_relation,
                     uv_construct)
 from .cosets import build_cosets, weight_class_sizes, weight_classes, wt3
-from .distance import (ENGINE_VERSION, DistanceReport, SearchBudget,
-                       _column_cap, _info_set_bound, _info_set_levels,
-                       _info_set_span, distance_report, information_set_search,
-                       sphere_packing_max_d, weight_distribution)
+from .distance import (ENGINE_VERSION, DistanceReport, SearchBudget, _plan,
+                       distance_report, information_set_search,
+                       weight_distribution)
 from .families import Claim
 from .ff import make_field
 from .poly import Poly
@@ -160,35 +159,13 @@ def report_cache_key(code, budget: SearchBudget) -> str:
 def _certified(code, rep: DistanceReport, budget: SearchBudget) -> bool:
     """An engine report must be exact with upper == lower, and carry a
     witness of length n, entries in range(q) (contains() reduces mod q),
-    weight rep.lower and membership.  A bounds-only report must carry the
-    sphere-packing upper bound, and a lower bound no larger than its source
-    reproduces: the BCH bound at the named multiplier, W + 1 for a column
-    search up to W = the weight w_cap the budget allows, or the window
-    bound ceil(span(W + 1)/k) (_info_set_bound) for an information-set
-    search stopped at the first level W whose disjoint windows give
-    L(W) > w_cap (_info_set_levels), where the windows span n positions for
-    a constacyclic code and k for any other; it is exact exactly when the
-    bounds meet."""
+    weight rep.lower and membership.  A bounds-only report must equal, in
+    every field but its work, the report distance_report's plan gives for
+    this code and budget (distance._plan), which it derives without running
+    an engine."""
     if rep.method == "bounds-only":
-        n, k, q = code.n, code.k, code.field.order
-        pack = sphere_packing_max_d(n, k, q)
-        if (rep.upper, rep.upper_src, rep.witness) != (pack, "sphere-packing", None) \
-                or rep.exact != (rep.lower == rep.upper) or rep.lower > rep.upper:
-            return False
-        bch = re.fullmatch(r"bch\(v=(\d+)\)", rep.lower_src)
-        if bch:
-            v = int(bch[1])
-            if not isinstance(code, NegacyclicCode):
-                return (v, rep.lower) == (1, 1)
-            return math.gcd(v, code.R) == 1 and rep.lower == code.bch_bound(v)
-        cap = _column_cap(q, n, k, budget, pack)
-        info = re.fullmatch(r"information-set w<=(\d+)", rep.lower_src)
-        if info:
-            span, w = _info_set_span(code), int(info[1])
-            return (w == _info_set_levels(span, k, cap) < k
-                    and rep.lower == _info_set_bound(span, k, w))
-        col = re.fullmatch(r"column-search w<=(\d+)", rep.lower_src)
-        return bool(col) and int(col[1]) == cap >= 1 and rep.lower == cap + 1
+        plan = _plan(code, budget)[2]
+        return dataclasses.replace(rep, work=plan.work) == plan
     w = rep.witness
     return (rep.exact and rep.upper == rep.lower and w is not None
             and len(w) == code.n

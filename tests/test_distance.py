@@ -790,10 +790,10 @@ def _affordable_weight(n, q):
 
 def _check_column_search(code, d, w):
     """low_weight_search up to w finds d with a weight-d codeword witness
-    when d <= w, and reports lower = w + 1 otherwise; codes whose syndrome
-    space fails the q^r < 2^62 guard are refused."""
+    when d <= w, and reports lower = w + 1 otherwise; codes whose syndromes
+    take more than one word per plane (r > 64 // s) are refused."""
     q, r = code.field.order, code.n - code.k
-    if q ** r >= 2 ** 62:
+    if r > 64 // code.field.m:
         with pytest.raises(CodeError, match="syndrome space"):
             low_weight_search(code, w)
         return
@@ -844,6 +844,27 @@ def test_column_search_finds_planted_word_past_32_check_digits():
     assert [i for i, v in enumerate(rep.witness) if v] == [7, 19, 33]
 
 
+@pytest.mark.parametrize("q", [3, 9])
+def test_column_search_fills_one_syndrome_word(q):
+    # [r + 4, 4] codes whose first row has weight 3: at r = 64 // s, 64 over
+    # GF(3) and 32 over GF(9), a syndrome fills its plane word and the
+    # planted word is found; one check digit more is refused
+    field = make_field(3, {3: 1, 9: 2}[q])
+    rng = np.random.default_rng(q)
+    for r in (64 // field.m, 64 // field.m + 1):
+        rows = rng.integers(0, q, (4, r + 4))
+        rows[0] = 0
+        rows[0, [2, r // 2, r + 3]] = [1, q - 1, 2]
+        code = LinearCode(field, rows)
+        if r > 64 // field.m:
+            with pytest.raises(CodeError, match="syndrome space"):
+                low_weight_search(code, 3)
+            continue
+        rep = low_weight_search(code, 3)
+        assert rep.exact and rep.lower == 3 and code.contains(rep.witness)
+        assert [i for i, v in enumerate(rep.witness) if v] == [2, r // 2, r + 3]
+
+
 def test_column_search_words_survive_colliding_keys():
     # every hash equal: each left entry matches each right one, and only
     # the plane-by-plane comparison separates them
@@ -892,8 +913,9 @@ def test_information_set_agrees_with_enumeration(spec):
     _check_info_set(code, min_weight(code))
 
 
-# the family-2/3 example codes whose 3^(n - k) syndromes exceed the column
-# search's q^r < 2^62 guard, with their distances
+# the family-2/3 example codes with 51 to 170 check digits, with their
+# distances: 3^r passes 2^62, and, but for the first, r passes the column
+# search's guard of one syndrome word per plane (r <= 64)
 GUARDED = {"family2 l=5 n=61": (lambda: build_family2(5, 61).code, 31),
            "family2 l=4 n=82": (lambda: build_family2(4, 82).code, 48),
            "family3 m=5 n=121": (lambda: build_family3(5, 121).code, 71),
@@ -944,7 +966,7 @@ def test_information_set_on_random_generator_matrices(code):
 def test_engines_match_span_rows_on_random_codes(name):
     # random [k + r, k] codes with r = 4 and r = 64 // s + 1, one entry past
     # a plane word: the weight distribution and the d of both searches (the
-    # column search refuses the second code, past its q^r < 2^62 guard)
+    # column search refuses the second code, past its one-word guard)
     # against every word that span_rows lists
     field = KERNEL_FIELDS[name]
     tables, q = field.tables(), field.order

@@ -468,13 +468,14 @@ SEARCHED = [(p, m) for p in (2, 3, 5, 7) for m in range(2, 20)
             if p ** m <= 3 ** 12] + [(3, 28), (3, 30)]
 
 
-@pytest.mark.parametrize("unsieved_tests", [1, None], ids=["sieve-early", "default"])
-def test_sieved_search_finds_the_unsieved_modulus(unsieved_tests, monkeypatch):
+@pytest.mark.parametrize("exponent", [None, 1], ids=["default", "sieve-early"])
+def test_sieved_search_finds_the_unsieved_modulus(exponent, monkeypatch):
     # the sieve rejects only reducible candidates, so the smallest-encoding
-    # primitive modulus is the same, whenever the search starts sieving
+    # primitive modulus is the same at any depth: the module's, or one where
+    # the sieve stops early and rejects only the candidates with a root
     from negacyclic import ff
-    if unsieved_tests is not None:
-        monkeypatch.setattr(ff, "_UNSIEVED_TESTS", unsieved_tests)
+    if exponent is not None:
+        monkeypatch.setattr(ff, "_sieve_exponent", lambda p: exponent)
     for p, m in SEARCHED:
         assert ff._search_modulus(p, m) == _unsieved_search(p, m), (p, m)
 
@@ -488,7 +489,7 @@ def test_sieve_keeps_exactly_the_candidates_without_small_factors(p, m, depth, s
              if _oracle_smallest_factor(g, p) is None]
     want = [enc for enc, f in enumerate(_monic_polys(p, m)) if enc >= start
             and all(any(_rem(f, g, p)) for g in small)]
-    assert list(_sieved(p, m, depth, start)) == want
+    assert [enc for enc in _sieved(p, m, depth) if enc >= start] == want
 
 
 def _prime_factors(n):

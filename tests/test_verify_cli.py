@@ -18,7 +18,7 @@ from negacyclic.codes import CodeError, LinearCode, NegacyclicCode
 from negacyclic.cosets import build_cosets
 from negacyclic.distance import (DistanceReport, SearchBudget, distance_report,
                                  weight_distribution)
-from negacyclic.families import Claim
+from negacyclic.families import Claim, build_family1
 from negacyclic.ff import make_field
 from negacyclic.verify import (MATCH, MISMATCH, TABLE1, ResultCache, _certified,
                                best_code_search, cached_distance_report,
@@ -312,6 +312,41 @@ def test_cache_bounds_only_hit_is_certified(info, edit, rho7_code, rho17_dual,
     assert (good["lower"], good["upper"], good["lower_src"]) == want
     _edit_only_record(path, edit)
     _served_fresh(code, budget, path, good)
+
+
+def test_cache_sound_bounds_only_record_off_the_plan_is_recomputed(rho7_code,
+                                                                  tmp_path):
+    # at max_column_weight 2 no engine runs on [14,6], and the report is the
+    # BCH bound at the best multiplier; the bound at another unit multiplier
+    # is as true, but it is not the report distance_report gives
+    budget = SearchBudget(max_message_enum=3, max_column_weight=2)
+    path = tmp_path / "results.json"
+    good = cached_distance_report(rho7_code, budget,
+                                  cache=ResultCache(str(path))).to_json()
+    best, _ = rho7_code.best_bch_multiplier()
+    assert good["lower_src"] == f"bch(v={best})"
+    v = next(v for v in range(best + 1, rho7_code.R)
+             if math.gcd(v, rho7_code.R) == 1)
+    _edit_only_record(path, lambda rec: rec.update(
+        lower_src=f"bch(v={v})", lower=rho7_code.bch_bound(v)))
+    _served_fresh(rho7_code, budget, path, good)
+
+
+@pytest.mark.parametrize("rho", [43, 59])
+def test_family1_parts_past_2_62_syndromes_meet_their_lower_bounds(rho):
+    # every part of rho = 43 and of the case-2 rho = 59 has r <= 64 // s, so
+    # w_cap is 6, and the information-set search with reach 6 proves
+    # d >= 8..10, at least the claimed floor(sqrt(rho)) + 1 or + 2.  (So
+    # does rho = 47, whose GF(3^46) host takes about a minute to build:
+    # factorize divides 3^46 - 1 by trial.)
+    built = build_family1(rho, allow_case2=True)
+    for part, claim in built.claims.items():
+        code = getattr(built, part)
+        rep = distance_report(code)
+        assert rep.method == "bounds-only"
+        assert rep.lower_src.startswith("information-set w<=")
+        assert claim_verdict(claim, code.k, rep) == MATCH
+        assert _certified(code, rep, SearchBudget())
 
 
 def test_bounds_only_record_above_the_packing_bound_is_rejected():
