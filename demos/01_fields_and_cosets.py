@@ -13,7 +13,7 @@ from negacyclic import (build_cosets, make_field, mult_order,
 # smallest primitive one, so every run reconstructs the same field.
 f81 = make_field(3, 4)
 print("GF(81) modulus:", ",".join(map(str, f81.modulus)),
-      "(primitive)" if f81.primitive_flag else "")
+      "(primitive)" if primitive_element(f81) == f81.modulus_root() else "")
 alpha = primitive_element(f81)
 print("primitive element encodes as", alpha.as_int(), "with order", alpha.order())
 

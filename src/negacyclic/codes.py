@@ -26,7 +26,7 @@ import numpy as np
 
 from .cosets import CosetTable, build_cosets, mult_order
 from .ff import (Field, FieldElement, FieldTables, get_embedding, make_field,
-                 root_of_unity)
+                 root_of_unity, trace)
 from .poly import Poly, minimal_polynomial
 
 
@@ -523,21 +523,6 @@ class NegacyclicCode(ConstacyclicCode):
 
     # -- trace-form codewords ------------------------------------------------------
 
-    def _q0_trace(self, y: FieldElement, terms: int) -> FieldElement:
-        """Tr from GF(q0^terms) to GF(q0): sum of y^(q0^j) for j < terms.
-
-        Not ff.trace of the host: that sum runs over all m_h host degrees and
-        equals (m_h/terms) * this one, which vanishes when p divides m_h/terms
-        (n = 13, check coset {13}, host GF(27)).
-        """
-        s = self.field.m
-        acc = y
-        t = y
-        for _ in range(terms - 1):
-            t = t.frobenius(s)
-            acc = acc + t
-        return acc
-
     def _trace_row(self, a: FieldElement, leader: int, length: int) -> np.ndarray:
         """Base-field indices of Tr(a * theta^t) for t < length, where
         theta = beta^(R - leader) and Tr runs down from GF(q0^m), m the size
@@ -548,7 +533,7 @@ class NegacyclicCode(ConstacyclicCode):
         out = np.zeros(length, dtype=self.field.tables().dtype)
         cur = a
         for t in range(length):
-            out[t] = proj.project(self._q0_trace(cur, m)).as_int()
+            out[t] = proj.project(trace(cur, self.field.m, m)).as_int()
             cur = cur * theta
         return out
 

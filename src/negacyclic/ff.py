@@ -8,8 +8,8 @@ product is one big-int multiply; the digits are then reduced mod p by one
 bytes.translate and the high digits folded back through the field's table of
 x^(m+i) mod f.  Sums, differences and negation are one int operation and the
 same digit reduction.  `coeffs`, `as_int` and `from_int` convert to and from
-the packed form.  Every search performed here (default modulus, primitive
-element, subfield root) returns the smallest-encoding candidate, so
+the packed form.  Every search performed here (default modulus, root of
+unity, subfield root) returns its first candidate in a fixed order, so
 repeated runs construct identical objects.  Field and FieldElement are
 immutable after construction and safe to share across threads.
 
@@ -19,14 +19,19 @@ which x has order p^m - 1 in that ring, which proves f primitive (the
 search first sieves out the candidates with a small irreducible factor, see
 _sieved); GF(3^6), GF(3^14), GF(3^18), GF(3^20), GF(3^22) and GF(3^25)
 instead keep the pinned primitive moduli of _PINNED_MODULI.  A supplied
-modulus must pass Rabin's irreducibility test in its ring, or the error names
-its smallest factor, found by distinct-degree factorization and a seeded
-equal-degree split.
+modulus must pass Rabin's irreducibility test in its ring, which needs the
+primes of m only, or the error names its smallest factor, found by
+distinct-degree factorization and a seeded equal-degree split.
+
+Roots of unity and subfield roots are found by their exact order N, which
+needs the primes of N only: p^m - 1 is factored by the default-modulus
+search, FieldElement.order and primitive_element alone.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from operator import getitem
 from typing import Iterator, Optional, Sequence
@@ -297,10 +302,7 @@ class Field:
                 f"modulus {_poly_text(modulus)} is reducible over GF({p}); "
                 f"divisible by {_poly_text(_smallest_factor(modulus, p))}"
             )
-        self.primitive_flag = searched or (
-            m > 1 and _has_full_order(self.modulus_root()))
         self._tables = None
-        self._primitive = None
 
     def _set_ring(self, p: int, modulus: Sequence[int]) -> None:
         self.p = p
@@ -564,56 +566,58 @@ def make_field(p: int, m: int, modulus: Optional[Sequence[int]] = None) -> Field
 
 
 def primitive_element(field: Field) -> FieldElement:
-    """Smallest element (in integer encoding) of full multiplicative order.
-
-    For m > 1 the encodings below p are scalars, of order dividing p - 1, so
-    when the modulus is primitive its root x (encoding p) is the answer: the
-    constructor has already proved that x has full order.
+    """An element of full multiplicative order: root_of_unity(field, p^m - 1),
+    so the modulus root x when the modulus is primitive, otherwise the
+    smallest full-order encoding.  It factors p^m - 1, which nothing on the
+    build, family or verify path does for a supplied modulus.
     """
-    if field._primitive is None and field.primitive_flag:
-        field._primitive = field.modulus_root()
-    elif field._primitive is None:
-        for i in range(1, field.order):
-            e = field.from_int(i)
-            if _has_full_order(e):
-                field._primitive = e
-                break
-        else:  # pragma: no cover - every finite field has a generator
-            raise FieldError("no primitive element found")
-    return field._primitive
+    return root_of_unity(field, field.order - 1)
 
 
 def root_of_unity(field: Field, n: int) -> FieldElement:
-    """A deterministic element of exact multiplicative order n.
+    """A deterministic element of exact multiplicative order n | p^m - 1.
 
-    Requires n | p^m - 1.  If the field was built from an explicit modulus
-    whose root already has order n (the usual way a worked construction pins
-    down its root), that root is returned; otherwise alpha^((p^m-1)/n) for the
-    canonical primitive element alpha.
+    For m > 1 the modulus root x when it has order n (the usual way a worked
+    construction pins down its root); otherwise y^((p^m-1)/n) for the first
+    y, in the order x (m > 1), 1, 2, ... by encoding, whose power has order n
+    (on every default modulus, a primitive one, y = x).  That test needs the
+    primes of n only.  Two elements of order n are beta and beta^a with
+    gcd(a, n) = 1, and zero set Z at beta^a is zero set aZ at beta: the codes
+    are equivalent (Huffman & Pless 2003, section 4.3).
     """
     q1 = field.order - 1
     if n < 1 or q1 % n != 0:
         raise FieldError(
             f"no element of order {n} in {field}: {n} does not divide {q1}")
+    ys = map(field.from_int, range(1, field.order))
     if field.m > 1:
-        r = field.modulus_root()
+        x = field.modulus_root()
+        if _has_order(x, n):
+            return x
+        ys = itertools.chain([x], ys)
+    for y in ys:
+        r = y._pow_pos(q1 // n)
         if _has_order(r, n):
             return r
-    return primitive_element(field) ** (q1 // n)
+    raise FieldError(f"no element of order {n} in {field}")  # pragma: no cover
 
 
-def trace(x: FieldElement, s: int = 1) -> FieldElement:
-    """Trace of x from GF(p^m) onto the degree-s subfield: sum of x^(p^(s*i)).
+def trace(x: FieldElement, s: int = 1, terms: Optional[int] = None) -> FieldElement:
+    """The sum of x^(p^(s*i)) for i < terms, by default m / s: the trace of
+    x from GF(p^m) onto the degree-s subfield.
 
-    Requires s | m.  The result lies in the subfield (fixed by the p^s-power
-    map) but is returned as an element of the ambient field.
+    Requires s * terms | m.  For x in GF(p^(s*terms)) it is the trace from
+    that field, an element of GF(p^s) returned in the ambient field.  The
+    trace from all of GF(p^m) is (m / (s*terms)) times it, which vanishes
+    when p divides m / (s*terms) (n = 13, check coset {13}, host GF(27)).
     """
     m = x.field.m
-    if s < 1 or m % s != 0:
-        raise FieldError(f"subfield degree {s} does not divide {m}")
+    terms = m // max(s, 1) if terms is None else terms
+    if s < 1 or terms < 1 or m % (s * terms) != 0:
+        raise FieldError(f"s * terms = {s} * {terms} does not divide {m}")
     acc = x
     y = x
-    for _ in range(m // s - 1):
+    for _ in range(terms - 1):
         y = y.frobenius(s)
         acc = acc + y
     return acc
@@ -637,7 +641,7 @@ class SubfieldEmbedding:
             self._root_powers = None
             return
         q_sub = sub.order
-        gamma = primitive_element(host) ** ((host.order - 1) // (q_sub - 1))
+        gamma = root_of_unity(host, q_sub - 1)
         candidates = [host.zero()]
         g = host.one()
         for _ in range(q_sub - 1):

@@ -18,11 +18,11 @@ never -1 arithmetic).
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ff import Field, FieldElement, SubfieldEmbedding, get_embedding
+from .ff import Field, FieldElement, get_embedding
 
 NEG_INF = float("-inf")
 
@@ -187,15 +187,14 @@ class Poly:
             a, b = b, a % b
         return a.monic()
 
-    def __call__(self, point: FieldElement,
-                 embedding: Optional[SubfieldEmbedding] = None) -> FieldElement:
-        """Evaluate at a point; pass an embedding to evaluate in a host field."""
-        if embedding is None and point.field != self.field:
-            embedding = get_embedding(point.field, self.field)
+    def __call__(self, point: FieldElement) -> FieldElement:
+        """Evaluate at a point of the code field or of a host field."""
+        coeffs = self.coeffs
+        if point.field != self.field:
+            coeffs = tuple(map(get_embedding(point.field, self.field).embed, coeffs))
         acc = point.field.zero()
-        for c in reversed(self.coeffs):
-            ce = embedding.embed(c) if embedding is not None else c
-            acc = acc * point + ce
+        for c in reversed(coeffs):
+            acc = acc * point + c
         return acc
 
     def reciprocal(self) -> "Poly":

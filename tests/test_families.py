@@ -6,7 +6,9 @@ from negacyclic.families import (FAMILY1_TABLE, FAMILY2_EXAMPLES,
                                  FAMILY3_EXAMPLES, FamilyError, build_family1,
                                  build_family2, build_family3, build_family4,
                                  family1_eligible, family4_multiplier)
-from negacyclic.ff import make_field
+from negacyclic import ff
+from negacyclic.codes import NegacyclicCode
+from negacyclic.ff import get_embedding, make_field, root_of_unity
 
 
 # -- family 1 ----------------------------------------------------------------
@@ -74,6 +76,41 @@ def test_family1_rho43_builds_on_gf3_42_host():
         assert d.g == c.h.reciprocal()
         dd = c.dual().dual()
         assert dd.g == c.g and dd.descriptor() == c.descriptor()
+
+
+def test_supplied_host_moduli_need_no_factorization(monkeypatch,
+                                                   smallest_irreducible):
+    # a supplied modulus needs Rabin's test (the primes of m) only, and a
+    # root of unity or subfield embedding the primes of its order, so no
+    # build factors 3^82 - 1, 3^112 - 1 or 3^138 - 1 by trial division
+    real = ff.factorize
+
+    def factorize(n):
+        if n > 10 ** 12:
+            raise AssertionError(f"factorize({n})")
+        return real(n)
+
+    monkeypatch.setattr(ff, "factorize", factorize)
+    ff._prime_divisors.cache_clear()  # no cached factorization hides a call
+    host = make_field(3, 82, smallest_irreducible(3, 82))
+    beta = root_of_unity(host, 332)
+    assert (beta ** 332).is_one()
+    assert not any((beta ** (332 // r)).is_one() for r in (2, 83))
+    emb = get_embedding(host, make_field(3, 2))
+    assert all((emb.embed(e) ** 9) == emb.embed(e)
+               for e in make_field(3, 2).elements())
+    for rho in (47, 113, 139):
+        f = smallest_irreducible(3, rho - 1)
+        b = build_family1(rho, host_modulus=f, allow_case2=True)
+        parts = (b.code, b.dual, b.companion, b.companion_dual)
+        assert [(c.n, c.k) for c in parts] == [
+            (2 * rho, rho - 1), (2 * rho, rho + 1),
+            (rho, (rho - 1) // 2), (rho, (rho + 1) // 2)]
+        assert b.code.host.modulus == tuple(f)
+        if rho == 113:
+            desc = b.code.descriptor()
+            again = NegacyclicCode.from_descriptor(desc)
+            assert again.g == b.code.g and again.descriptor() == desc
 
 
 def test_family1_rejects_out_of_family():

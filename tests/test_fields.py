@@ -46,7 +46,7 @@ def test_gf9_explicit_modulus_irreducible():
         assert (c * c + 1) % 3 != 0
     gf9 = make_field(3, 2, [1, 0, 1])
     assert gf9.order == 9
-    assert not gf9.primitive_flag  # the root i has order 4
+    assert primitive_element(gf9) != gf9.modulus_root()  # the root i has order 4
 
 
 def test_paper_style_quartic_modulus():
@@ -80,7 +80,6 @@ def test_primitive_element_gf9_x2p1():
 
 def test_primitive_element_is_modulus_root_for_default_gf81():
     f = make_field(3, 4)
-    assert f.primitive_flag
     assert primitive_element(f) == f.modulus_root()
     assert elem_order(primitive_element(f)) == 80
 
@@ -334,7 +333,7 @@ def test_reducible_sextic_rejected():
 
 def test_irreducible_sextic_accepted():
     f = make_field(3, 6, [2, 1, 0, 0, 0, 0, 1])
-    assert f.primitive_flag
+    assert primitive_element(f) == f.modulus_root()
     assert elem_order(f.modulus_root()) == 728
     for i in range(1, f.order):
         e = f.from_int(i)
@@ -406,14 +405,14 @@ DEFAULT_MODULI_OTHER = {
 def test_default_modulus_golden(m):
     f = make_field(3, m)
     assert f.descriptor()["modulus"] == DEFAULT_MODULI_GF3[m]
-    assert f.primitive_flag
+    assert primitive_element(f) == f.modulus_root()
 
 
 @pytest.mark.parametrize("p,m", sorted(DEFAULT_MODULI_OTHER))
 def test_default_modulus_golden_gf5_gf2(p, m):
     f = make_field(p, m)
     assert f.descriptor()["modulus"] == DEFAULT_MODULI_OTHER[(p, m)]
-    assert f.primitive_flag
+    assert primitive_element(f) == f.modulus_root()
 
 
 def _poly_mul(a, b, p):
@@ -445,9 +444,9 @@ def test_pinned_moduli_are_primitive_and_the_search_finds_smaller_ones():
     assert sorted(_PINNED_MODULI) == [(3, m) for m in (6, 14, 18, 20, 22, 25)]
     for (p, m), pinned in _PINNED_MODULI.items():
         assert make_field(p, m).modulus == pinned
-        assert Field(p, m, pinned).primitive_flag
         found = _search_modulus(p, m)
-        assert Field(p, m, found).primitive_flag
+        for f in (Field(p, m, pinned), Field(p, m, found)):
+            assert primitive_element(f) == f.modulus_root()
         assert encoding(found, p) < encoding(pinned, p)
 
 
@@ -523,9 +522,56 @@ def test_primitive_element_is_the_smallest_full_order_element():
     # supplied moduli whose root has smaller order: the scan's path for m > 1
     fields += [make_field(3, 2, [1, 0, 1]), make_field(3, 4, [1, 1, 1, 1, 1]),
                make_field(2, 4, [1, 1, 1, 1, 1])]
-    assert sum(f.m > 1 and not f.primitive_flag for f in fields) == 3
+    assert sum(f.m > 1 and primitive_element(f) != f.modulus_root()
+               for f in fields) == 3
     for f in fields:
         assert primitive_element(f) == _smallest_full_order(f), f
+
+
+def _divisors(n):
+    out = [1]
+    for r in _prime_factors(n):
+        e = 0
+        while n % r == 0:
+            n //= r
+            e += 1
+        out = [d * r ** i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
+def _former_root(f, n):
+    """The rule root_of_unity followed before it worked by exact order: the
+    modulus root x when x has order n, otherwise alpha^((q-1)/n) for the
+    smallest full-order alpha."""
+    x = f.modulus_root()
+    if f.m > 1 and (x ** n).is_one() and all(
+            not (x ** (n // r)).is_one() for r in _prime_factors(n)):
+        return x
+    return _smallest_full_order(f) ** ((f.order - 1) // n)
+
+
+def test_root_of_unity_keeps_the_former_roots_of_default_fields():
+    # descriptors, code hashes and cache keys name codes by their host's
+    # modulus and leaders, so every default field keeps every root
+    fields = [make_field(p, m) for p in (2, 3, 5) for m in range(1, 13)
+              if p ** m <= 3 ** 8]
+    fields += [make_field(3, 6), make_field(3, 18)]  # pinned moduli
+    for f in fields:
+        for n in _divisors(f.order - 1):
+            assert root_of_unity(f, n) == _former_root(f, n), (f, n)
+
+
+def test_root_of_unity_known_departures_from_the_former_rule():
+    # prime fields with p >= 7, and supplied non-primitive moduli: another
+    # element of the same order, so an equivalent code
+    gf7 = make_field(7, 1)
+    assert root_of_unity(gf7, 3).as_int() == 4
+    assert _former_root(gf7, 3).as_int() == 2
+    f = make_field(3, 4, [1, 2, 0, 1, 1])
+    assert root_of_unity(f, 5) != _former_root(f, 5)
+    assert root_of_unity(f, 20) == _former_root(f, 20) == f.modulus_root()
+    for n in _divisors(80):
+        assert elem_order(root_of_unity(f, n)) == n
 
 
 def test_has_order_matches_order():

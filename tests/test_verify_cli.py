@@ -332,14 +332,18 @@ def test_cache_sound_bounds_only_record_off_the_plan_is_recomputed(rho7_code,
     _served_fresh(rho7_code, budget, path, good)
 
 
-@pytest.mark.parametrize("rho", [43, 59])
-def test_family1_parts_past_2_62_syndromes_meet_their_lower_bounds(rho):
-    # every part of rho = 43 and of the case-2 rho = 59 has r <= 64 // s, so
-    # w_cap is 6, and the information-set search with reach 6 proves
-    # d >= 8..10, at least the claimed floor(sqrt(rho)) + 1 or + 2.  (So
-    # does rho = 47, whose GF(3^46) host takes about a minute to build:
-    # factorize divides 3^46 - 1 by trial.)
-    built = build_family1(rho, allow_case2=True)
+@pytest.mark.parametrize("rho", [43, 47, 59])
+def test_family1_parts_past_2_62_syndromes_meet_their_lower_bounds(
+        rho, smallest_irreducible):
+    # every part of rho = 43, 47 and of the case-2 rho = 59 has r <= 64 // s,
+    # so w_cap is 6, and the information-set search with reach 6 proves
+    # d >= 8..10, at least the claimed floor(sqrt(rho)) + 1 or + 2.  rho = 47
+    # takes the smallest irreducible of degree 46 as its host modulus, since
+    # the default GF(3^46) search factors 3^46 - 1 by trial (about a
+    # minute); its root is another element of order 188, so each part is
+    # equivalent to the default build's
+    host = smallest_irreducible(3, 46) if rho == 47 else None
+    built = build_family1(rho, host_modulus=host, allow_case2=True)
     for part, claim in built.claims.items():
         code = getattr(built, part)
         rep = distance_report(code)
