@@ -22,7 +22,7 @@ from .cosets import build_cosets
 from .distance import SearchBudget, parse_budget
 from .families import (build_family1, build_family2, build_family3,
                        build_family4)
-from .ff import make_field, primitive_element
+from .ff import make_field
 from .poly import Poly
 from .verify import (ResultCache, best_code_search, cached_distance_report,
                      render_scope, verify_claims)
@@ -187,9 +187,7 @@ def main(argv=None) -> int:
 def _run(ap: _Parser, args) -> int:
     if args.cmd == "field":
         f = make_field(args.p, args.m, _int_list(args.modulus, "--modulus"))
-        d = f.descriptor()
-        d["primitive_modulus"] = primitive_element(f) == f.modulus_root()
-        _emit(d, args.out)
+        _emit(f.descriptor(), args.out)
         return 0
 
     if args.cmd == "cosets":

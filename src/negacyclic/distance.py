@@ -24,10 +24,12 @@ All three engines take their vectors from one colex-ordered table builder
 coefficients, ordered by top row, so the sums on rows [0, l) are a prefix
 of T_j.  Tables are filled in blocks while they fit _TABLE_WORDS words
 per plane; any other entry is unranked to its top row and coefficient and
-built from the shorter sums, one block at a time.  A run of pairs holds
-_CHUNK = 2^15 plane words (256 KB a buffer), and a block of entries, or a
-batch of key matches, half of that, so the buffers an engine streams stay
-small next to its tables.
+built from the shorter sums, one block at a time.  The enumeration and the
+information-set search pair a block of entries with a table slice through
+one kernel (_pair_zeros), whose runs of pairs hold _CHUNK = 2^15 plane
+words (256 KB a buffer); a block of entries, or a batch of key matches,
+holds half of that, so the buffers an engine streams stay small next to
+its tables.
 A syndrome of the column search fits one word per plane (r <= 64 // s;
 it refuses any other code).  Its left side is T_t of the columns of H,
 sorted on 64-bit keys, a hash of the planes whose low bits carry the
@@ -61,7 +63,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Optional
 
 import numpy as np
@@ -174,7 +176,8 @@ class DistanceReport:
 
 
 # ---------------------------------------------------------------------------
-# digit planes: one bit layout, one add kernel, one zero-count kernel
+# digit planes: one bit layout, one add kernel, one zero-count kernel, and
+# one kernel that pairs two sets of vectors through both
 
 def _words(L, s):
     """uint64 words per plane of L entries of s digits: 64 // s a word."""
@@ -250,6 +253,29 @@ def _zero_counts(z, s, tmp):
     return sum(counts[1:], counts[0].astype(acc))
 
 
+def _pair_zeros(X, Y, s, cap):
+    """Zero counts of the digit sums of entries of Y (p, W, B) with entries
+    of X (p, W, L), in runs of about cap pairs: yields (b0, x0, zeros),
+    zeros[i, e] counting those of Y[..., b0 + i] + X[..., x0 + e].  A run
+    takes max(1, cap // L) entries of Y against all of X, or one entry of Y
+    against cap entries of X, so the runs visit the pairs entry of Y first,
+    then entry of X.  One z and tmp serve every run: fresh ones at every
+    run page-fault whenever the allocator trims its heap, and one (2, ...)
+    block puts them a power of two apart, which measured slower."""
+    W, L, B = X.shape[1], X.shape[-1], Y.shape[-1]
+    rows = max(1, cap // L)
+    z_buf, t_buf = (np.empty(W * min(rows, B) * min(cap, L), np.uint64)
+                    for _ in "zt")
+    for b0 in range(0, B, rows):
+        y = Y[..., b0:b0 + rows, None]
+        for x0 in range(0, L, cap):
+            x = X[..., None, x0:x0 + cap]
+            shape = (W, y.shape[-2], x.shape[-1])
+            z, tmp = (buf[:prod(shape)].reshape(shape) for buf in (z_buf, t_buf))
+            _plane_add(x, y, (0,), z[None], tmp)
+            yield b0, x0, _zero_counts(z, s, tmp)
+
+
 # ---------------------------------------------------------------------------
 # colex-ordered tables of row sums, shared by every engine
 
@@ -276,12 +302,6 @@ def _colex_offsets(k, j, q, pinned=False):
     out = np.array([_colex_size(l, j, q, pinned) for l in range(k + 1)])
     out.flags.writeable = False
     return out
-
-
-def _colex_prefixes(k, t, q):
-    """The prefix of T_t below each least row u < k: the C(u, t)(q - 1)^t
-    sums on rows [0, u)."""
-    return _colex_offsets(k, t, q)[:k]
 
 
 def _colex_entries(colex, planes, q, j, idx, pinned=False):
@@ -426,7 +446,7 @@ def _level_search(tables, colex, cplanes, w, n):
         x, _ = left(idx)
         lk[idx] = _mix(x[:, 0]) & high | idx.astype(np.uint64)
     lk.sort()
-    limits = _colex_prefixes(n, t, q)
+    limits = _colex_offsets(n, t, q)     # T_t below each least row
     neg = [(-v) % p for v in range(p)]
     for idx in _blocks(0, right, p):
         y, least = _colex_entries(colex, cplanes, q, u, idx, pinned=True)
@@ -553,33 +573,6 @@ def _info_set_words(n, k, q, d_max):
                for w in range(1, _info_set_levels(n, k, d_max) + 1))
 
 
-def _pair_runs(P, cap):
-    """Runs (b0, b1, x0, x1) pairing top parts b0..b1-1, sorted by the
-    length P of their table prefix, with table entries x0..x1-1, about cap
-    pairs each.  A run of top parts with several prefix lengths takes the
-    longest, and the pairs past each one's own prefix are masked."""
-    cuts = np.flatnonzero(np.diff(P)) + 1
-    starts, ends = [0] + cuts.tolist(), cuts.tolist() + [len(P)]
-    lengths = P[starts].tolist()
-    g, b0 = 0, 0
-    while g < len(ends):
-        size = lengths[g]
-        if size == 0:
-            b0, g = ends[g], g + 1
-        elif (ends[g] - b0) * size > cap:
-            b1 = b0 + max(1, cap // size)
-            for x0 in range(0, size, cap):
-                yield b0, b1, x0, min(x0 + cap, size)
-            b0 = b1
-            g += b0 == ends[g]
-        else:
-            h = g
-            while h + 1 < len(ends) and (ends[h + 1] - b0) * lengths[h + 1] <= cap:
-                h += 1
-            yield b0, ends[h], 0, lengths[h]
-            b0, g = ends[h], h + 1
-
-
 def information_set_search(code, budget: Optional[SearchBudget] = None,
                            d_max: Optional[int] = None
                            ) -> Optional[DistanceReport]:
@@ -599,8 +592,10 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     y is one vector, plane 0 of x + y is OR_v x_v & y_(-v) (_plane_add)
     for every x of the prefix, so no operand is gathered; the top parts are
     the pinned (w - t)-term sums (_colex_entries), in blocks of about
-    _CHUNK // 2 plane words, each sorted by least row and paired with the
-    prefixes in runs of about _CHUNK plane words (_pair_runs).  A word's
+    _CHUNK // 2 plane words, each sorted by least row and cut into groups
+    of one prefix length; each group is paired with its own prefix, top
+    part first and then entry, in runs of about _CHUNK plane words
+    (_pair_zeros), and a group whose prefix is empty is skipped.  A word's
     weight is w plus its redundancy part's r entries less their zeros
     (_zero_counts); the full space, with no redundancy, has one zero column.
 
@@ -662,29 +657,23 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
         _colex_grow(colex, cplanes, q, w - 1)
         t = len(colex) - 1
         m, T = w - t, colex[t][0]
-        prefixes = _colex_prefixes(k, t, q)
         # top parts: the pinned m-term sums whose top row is at least w - 1
         for ids in _blocks(*_colex_offsets(k, m, q, True)[[w - 1, k]], p * words):
             y, u = _colex_entries(colex, cplanes, q, m, ids, pinned=True)
             order = np.argsort(u, kind="stable")
-            y, u, ids = y.take(order, axis=-1), u[order], ids[order]
-            P = prefixes[u]
+            y, ids = y.take(order, axis=-1), ids[order]
+            P = _colex_offsets(k, t, q)[u[order]]     # T_t below each least row
             work += int(P.sum())
-            for b0, b1, x0, x1 in _pair_runs(P, cap):
-                # two allocations: one (2, ...) block puts z and tmp a power
-                # of two apart, which measured slower
-                tmp = np.empty((words, b1 - b0, x1 - x0), dtype=np.uint64)
-                z = _plane_add(T[..., None, x0:x1], y[..., b0:b1, None], (0,),
-                               tmp=tmp)[0]
-                weights = R.shape[1] - _zero_counts(z, s, tmp)
-                if P[b0] != P[b1 - 1]:   # pairs past a shorter prefix
-                    weights[np.arange(x0, x1) >= P[b0:b1, None]] = np.iinfo(
-                        weights.dtype).max
-                i = int(np.argmin(weights))
-                bi, e = divmod(i, x1 - x0)
-                if w + int(weights[bi, e]) < best_w:
-                    best_w = w + int(weights[bi, e])
-                    best = (t, x0 + e, m, int(ids[b0 + bi]))
+            cuts = (np.flatnonzero(np.diff(P)) + 1).tolist()
+            for g0, g1 in zip([0] + cuts, cuts + [len(P)]):
+                if P[g0] == 0:
+                    continue
+                for b0, x0, zeros in _pair_zeros(T[..., :P[g0]], y[..., g0:g1],
+                                                 s, cap):
+                    bi, e = divmod(int(np.argmax(zeros)), zeros.shape[1])
+                    if w + R.shape[1] - int(zeros[bi, e]) < best_w:
+                        best_w = w + R.shape[1] - int(zeros[bi, e])
+                        best = (t, x0 + e, m, int(ids[g0 + b0 + bi]))
     lower = _info_set_bound(span, k, w)
     if w < k and lower < best_w:  # stopped at the reach: a lower bound only
         return DistanceReport(
@@ -722,9 +711,9 @@ def weight_distribution(code, budget: Optional[SearchBudget] = None
     pinned j-term sums of the outer rows, j = 1..K, (q^K - 1)/(q - 1) in
     all, each counted q - 1 times.  They are taken in blocks from their
     colex tables (_colex_entries), and each block is paired with the whole
-    of A, as many sums a run as fit about _CHUNK plane words (at least
-    one): the zero counts (_zero_counts) of plane 0 of the digit sums
-    (_plane_add) give the run's weights.  No message is encoded on its own.
+    of A in runs of about _CHUNK plane words (_pair_zeros): the zero counts
+    of the digit sums give the run's weights.  No message is encoded on its
+    own.
     """
     budget = budget or SearchBudget()
     tables = code.field.tables()
@@ -740,24 +729,15 @@ def weight_distribution(code, budget: Optional[SearchBudget] = None
     while k_in < -(-k // 2) and q ** (k_in + 1) <= cap:
         k_in += 1
     A, K = _span_planes(tables, rows[:k_in]), k - k_in
-    step = max(1, cap // q ** k_in)          # outer sums a run
     oplanes, outer = _multiple_planes(tables, rows[k_in:]), []
     _colex_grow(outer, oplanes, q, K - 1)
     zeros = _zero_counts(A[0].copy(), s, np.empty_like(A[0]))     # c = 0
     hist = np.bincount(zeros, minlength=n + 1)
-    # one z and tmp per walk: fresh ones at every run page-fault whenever
-    # the allocator trims its heap
-    z_buf, t_buf = (np.empty((words, min(step, q ** K), A.shape[-1]), np.uint64)
-                    for _ in "zt")
     for j in range(1, K + 1):
         for ids in _blocks(0, _colex_size(K, j, q, pinned=True), p * words):
             y, _ = _colex_entries(outer, oplanes, q, j, ids, pinned=True)
-            for b0 in range(0, len(ids), step):
-                b1 = min(b0 + step, len(ids))
-                z, tmp = z_buf[:, :b1 - b0], t_buf[:, :b1 - b0]
-                _plane_add(A[..., None, :], y[..., b0:b1, None], (0,), z[None], tmp)
-                hist += (q - 1) * np.bincount(_zero_counts(z, s, tmp).ravel(),
-                                              minlength=n + 1)
+            for _, _, zeros in _pair_zeros(A, y, s, cap):
+                hist += (q - 1) * np.bincount(zeros.ravel(), minlength=n + 1)
     return {w: int(c) for w, c in enumerate(hist[::-1]) if c}
 
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -684,7 +685,9 @@ def test_inner_block_takes_half_the_rows(name, k):
     # run of _CHUNK plane words (here one word each), and at least one row
     field = MATRIX_FIELDS[name]
     code, q = LinearCode(field, np.ones((k, 10), dtype=np.int64)), field.order
-    for chunk in (distance._CHUNK, q ** 2, 1):
+    # at _CHUNK = q - 1 the inner block's q words take two runs, the last
+    # of one word
+    for chunk in (distance._CHUNK, q ** 2, q - 1, 1):
         with mock.patch.object(distance, "_CHUNK", chunk), \
                 mock.patch.object(distance, "_span_planes",
                                   wraps=distance._span_planes) as span:
@@ -1100,13 +1103,19 @@ def test_colex_table_unranks_every_entry(name):
 def test_information_set_wrong_prefix_is_caught(family1_rho17):
     # a prefix one row too long, C(u + 1, t)(q - 1)^t, pairs top parts with
     # bottom parts on their own least row: the words counted, or the
-    # witness check, give it away on every code
+    # witness check, give it away on every code.  Only the offsets the
+    # search reads itself shift; its tables keep the true ones
     codes = [family1_rho17.dual, family1_rho17.companion_dual,
              _code(("GF(3)", 10, 1, (0, 1))), _code(("GF(5)", 12, 1, (0, 1)))]
     want = [(rep.d, rep.work) for rep in map(information_set_search, codes)]
-    got = []
-    with mock.patch.object(distance, "_colex_prefixes", lambda k, t, q: np.array(
-            [math.comb(u + 1, t) * (q - 1) ** t for u in range(k)])):
+    got, real = [], distance._colex_offsets
+
+    def offsets(k, j, q, pinned=False):
+        if not pinned and sys._getframe(1).f_code is information_set_search.__code__:
+            return real(k + 1, j, q)[1:]           # C(u + 1, j)(q - 1)^j at u
+        return real(k, j, q, pinned)
+
+    with mock.patch.object(distance, "_colex_offsets", offsets):
         for code in codes:
             try:
                 rep = information_set_search(code)
@@ -1166,6 +1175,25 @@ def test_information_set_table_cap_runs_long_top_parts(family1_rho17):
         for blocks in levels:
             assert all(len(ids) == full for ids in blocks[:-1])
             assert 0 < len(blocks[-1]) <= full
+    # runs shorter than a prefix: at _CHUNK = 2^8 (one word per plane) the
+    # [34,18] T_3 prefixes C(u, 3) 2^3 from u = 7 on span several runs of
+    # 2^8 entries, the last one partial; every pair is visited once, so the
+    # pairs the runs count add up to `work`, the prefix lengths summed
+    code, real, runs = family1_rho17.dual, distance._pair_zeros, []
+
+    def counted(X, Y, s, cap):
+        for b0, x0, zeros in real(X, Y, s, cap):
+            runs.append((X.shape[-1], cap, zeros.size))
+            yield b0, x0, zeros
+
+    want = information_set_search(code)
+    with mock.patch.object(distance, "_CHUNK", 1 << 8), \
+            mock.patch.object(distance, "_pair_zeros", counted):
+        got = information_set_search(code)
+    assert (got.d, got.work) == (want.d, want.work)
+    _check_witness(code, got, want.d)
+    assert sum(size for *_, size in runs) == want.work
+    assert any(L > cap and L % cap for L, cap, _ in runs)
 
 
 @settings(max_examples=20, deadline=None)

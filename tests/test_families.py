@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from negacyclic.cosets import build_cosets, mult_order, weight_class_sizes, wt3
@@ -7,6 +9,7 @@ from negacyclic.families import (FAMILY1_TABLE, FAMILY2_EXAMPLES,
                                  build_family2, build_family3, build_family4,
                                  family1_eligible, family4_multiplier)
 from negacyclic import ff
+from negacyclic.cli import main
 from negacyclic.codes import NegacyclicCode
 from negacyclic.ff import get_embedding, make_field, root_of_unity
 
@@ -78,7 +81,7 @@ def test_family1_rho43_builds_on_gf3_42_host():
         assert dd.g == c.g and dd.descriptor() == c.descriptor()
 
 
-def test_supplied_host_moduli_need_no_factorization(monkeypatch,
+def test_supplied_host_moduli_need_no_factorization(monkeypatch, capsys,
                                                    smallest_irreducible):
     # a supplied modulus needs Rabin's test (the primes of m) only, and a
     # root of unity or subfield embedding the primes of its order, so no
@@ -93,6 +96,10 @@ def test_supplied_host_moduli_need_no_factorization(monkeypatch,
     monkeypatch.setattr(ff, "factorize", factorize)
     ff._prime_divisors.cache_clear()  # no cached factorization hides a call
     host = make_field(3, 82, smallest_irreducible(3, 82))
+    # `negacyclic field` prints the descriptor alone, which names no root
+    assert main(["field", "--p", "3", "--m", "82", "--modulus",
+                 ",".join(map(str, host.modulus))]) == 0
+    assert json.loads(capsys.readouterr().out) == host.descriptor()
     beta = root_of_unity(host, 332)
     assert (beta ** 332).is_one()
     assert not any((beta ** (332 // r)).is_one() for r in (2, 83))

@@ -680,8 +680,8 @@ def test_cli_cosets(capsys):
 def test_cli_field(capsys):
     assert main(["field", "--p", "3", "--m", "4"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["p"] == 3 and out["m"] == 4
-    assert out["primitive_modulus"] is True
+    # the field's descriptor alone: no key that factors p^m - 1
+    assert out == make_field(3, 4).descriptor()
 
 
 def test_cli_build_dual_distance_roundtrip(tmp_path, capsys):
