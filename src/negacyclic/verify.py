@@ -3,7 +3,9 @@ result cache, and the exhaustive best-negacyclic/best-cyclic search.
 
 verify_claims() runs a scope of checks, compares computed distance reports
 against the bundled claim tables, and returns a manifest of one record per
-claim.  Mismatches are data (verdict="mismatch", nonzero exit status), never
+claim.  Each scope is a generator, _run_<scope>(budget, cache), that yields
+its records in manifest order; "all" runs the five of _RUNNERS in order.
+Mismatches are data (verdict="mismatch", nonzero exit status), never
 crashes.  Manifests are deterministic apart from timestamps and wall times.
 """
 
@@ -276,9 +278,7 @@ def _status(report: DistanceReport, lo, hi) -> int:
     return _OPEN
 
 
-def claim_verdict(claim: Claim, k: int, report: Optional[DistanceReport]) -> str:
-    if report is None:
-        return EXTERNAL
+def claim_verdict(claim: Claim, k: int, report: DistanceReport) -> str:
     statuses = [_VERIFIED if claim.k == k else _CONTRA]
     if claim.d_exact is not None:
         statuses.append(_status(report, claim.d_exact, claim.d_exact))
@@ -351,132 +351,113 @@ class Manifest:
 
 
 # ---------------------------------------------------------------------------
-# scope runners
+# scope runners: generators that yield one record per claim, in manifest order
 
-def _run_table1(budget, cache, records, overrides):
+def _run_table1(budget, cache):
     for (n, k), (d_nega, d_cyc) in sorted(TABLE1.items()):
         for lam, d_ref, kind in ((-1, d_nega, "negacyclic"), (1, d_cyc, "cyclic")):
             label = f"table1/n={n}/k={k}/{kind}"
-            claim = overrides.get(label) or Claim(
-                label, n, k, "reference-table/best-codes", d_exact=d_ref)
+            claim = Claim(label, n, k, "reference-table/best-codes", d_exact=d_ref)
             t0 = time.monotonic()
             d, gen, code = best_code_search(3, n, k, lam, budget, cache)
             rep = DistanceReport(d, d, True, "search-best",
                                  lower_src="exhaustive subset search",
                                  upper_src="exhaustive subset search")
-            verdict = claim_verdict(claim, code.k, rep)
             computed = rep.to_json()
             computed["generator"] = gen.to_text()
-            records.append(make_record(label, claim, code.descriptor(),
-                                       computed, verdict,
-                                       elapsed=time.monotonic() - t0))
+            yield make_record(label, claim, code.descriptor(), computed,
+                              claim_verdict(claim, code.k, rep),
+                              elapsed=time.monotonic() - t0)
 
 
-def _run_table2(budget, cache, records, overrides):
+def _run_table2(budget, cache):
     for rho, row in sorted(families.FAMILY1_TABLE.items()):
-        if rho not in families.FAMILY1_BUILDABLE:
-            for part, (n, k, d) in sorted(row.items()):
-                label = f"table2/rho={rho}/{part}"
-                claim = overrides.get(label) or Claim(
-                    part, n, k, "reference-table/family1", d_exact=d)
-                records.append(make_record(label, claim, None, None, EXTERNAL))
-            continue
-        built = families.build_family1(rho)
-        parts = {"code": built.code, "dual": built.dual,
-                 "companion": built.companion,
-                 "companion_dual": built.companion_dual}
-        for part, code in sorted(parts.items()):
-            n, k, d = row[part]
+        built = (families.build_family1(rho)
+                 if rho in families.FAMILY1_BUILDABLE else None)
+        for part, (n, k, d) in sorted(row.items()):
             label = f"table2/rho={rho}/{part}"
-            claim = overrides.get(label) or Claim(
-                part, n, k, "reference-table/family1", d_exact=d)
-            records.append(_code_record(label, claim, code, budget, cache))
+            claim = Claim(part, n, k, "reference-table/family1", d_exact=d)
+            if built is None:
+                yield make_record(label, claim, None, None, EXTERNAL)
+            else:
+                yield _code_record(label, claim, getattr(built, part),
+                                   budget, cache)
 
 
-def _example_records(kind, builds, budget, cache, records, overrides):
-    for key, code, dual, code_ref, dual_ref in builds:
-        for part, c, (n, k, d) in (("code", code, code_ref),
-                                   ("dual", dual, dual_ref)):
-            label = f"{kind}/{key}/{part}"
-            claim = overrides.get(label) or Claim(
-                part, n, k, f"example/{kind}", d_exact=d)
-            records.append(_code_record(label, claim, c, budget, cache))
+def _run_examples(budget, cache):
+    for kind, build, table, key in (
+            ("family2", families.build_family2, families.FAMILY2_EXAMPLES, "l"),
+            ("family3", families.build_family3, families.FAMILY3_EXAMPLES, "m")):
+        for param, n, code_ref, dual_ref in table:
+            b = build(param, n)
+            for part, (n_part, k, d) in (("code", code_ref), ("dual", dual_ref)):
+                claim = Claim(part, n_part, k, f"example/{kind}", d_exact=d)
+                yield _code_record(f"{kind}/{key}={param}/n={n}/{part}", claim,
+                                   getattr(b, part), budget, cache)
 
 
-def _run_examples(budget, cache, records, overrides):
-    f2 = []
-    for ell, n, code_ref, dual_ref in families.FAMILY2_EXAMPLES:
-        b = families.build_family2(ell, n)
-        f2.append((f"l={ell}/n={n}", b.code, b.dual, code_ref, dual_ref))
-    _example_records("family2", f2, budget, cache, records, overrides)
-    f3 = []
-    for m, n, code_ref, dual_ref in families.FAMILY3_EXAMPLES:
-        b = families.build_family3(m, n)
-        f3.append((f"m={m}/n={n}", b.code, b.dual, code_ref, dual_ref))
-    _example_records("family3", f3, budget, cache, records, overrides)
-
-
-def _run_family4(budget, cache, records, overrides):
+def _run_family4(budget, cache):
     for j in (1, 3):
         b = families.build_family4(j, 3)
-        label = f"family4/m=3/j={j}"
-        claim = overrides.get(label) or b.claims["code"]
-        records.append(_code_record(label, claim, b.code, budget, cache))
+        yield _code_record(f"family4/m=3/j={j}", b.claims["code"], b.code,
+                           budget, cache)
     for m in (5, 7):
         built = {j: families.build_family4(j, m) for j in (1, 3)}
         dim1, dim3 = families._family4_dims(m)
         for j, expect in ((1, dim1), (3, dim3)):
-            label = f"family4/m={m}/dims/j={j}"
-            claim = overrides.get(label) or Claim(
-                "dims", built[j].code.n, expect, "family4/dims")
+            claim = Claim("dims", built[j].code.n, expect, "family4/dims")
             ok = built[j].code.k == expect
-            records.append(make_record(
-                label, claim, built[j].code.descriptor(),
-                {"k": built[j].code.k}, MATCH if ok else MISMATCH))
-        label = f"family4/m={m}/duality"
+            yield make_record(
+                f"family4/m={m}/dims/j={j}", claim, built[j].code.descriptor(),
+                {"k": built[j].code.k}, MATCH if ok else MISMATCH)
         dual_leaders = built[1].code.dual().zero_leaders
         holds = dual_leaders == built[3].code.zero_leaders
-        claim = overrides.get(label) or Claim(
-            "duality", built[1].code.n, built[1].code.k, "family4/duality")
-        records.append(make_record(
-            label, claim, built[1].code.descriptor(),
-            {"holds": bool(holds)}, MATCH if holds else MISMATCH))
+        claim = Claim("duality", built[1].code.n, built[1].code.k,
+                      "family4/duality")
+        yield make_record(
+            f"family4/m={m}/duality", claim, built[1].code.descriptor(),
+            {"holds": bool(holds)}, MATCH if holds else MISMATCH)
         for j in (1, 3):
-            label = f"family4/m={m}/multiplier/j={j}"
-            claim = overrides.get(label) or built[j].claims["code"]
+            claim = built[j].claims["code"]
             v, guaranteed = families.family4_multiplier(j, m)
             b = built[j].code.bch_bound(v)
             ok = (b >= guaranteed and claim.d_lower is not None
                   and b >= claim.d_lower)
-            records.append(make_record(
-                label, claim, built[j].code.descriptor(),
+            yield make_record(
+                f"family4/m={m}/multiplier/j={j}", claim,
+                built[j].code.descriptor(),
                 {"v": v, "bch_bound": b, "guaranteed": guaranteed},
-                MATCH if ok else MISMATCH))
+                MATCH if ok else MISMATCH)
 
 
-def _property_checks() -> list[tuple[str, bool, dict]]:
-    """A compact battery of structural identities, each (label, holds, info);
-    its codes are fixed and small, so it takes no budget or cache."""
-    out = []
+def _identity_record(name: str, holds: bool, info: dict) -> dict:
+    return make_record(f"properties/{name}",
+                       Claim(name, 0, 0, "structural-identity"), None,
+                       {"holds": bool(holds), **info},
+                       MATCH if holds else MISMATCH)
+
+
+def _run_properties(budget, cache):
+    """A compact battery of structural identities; its codes are fixed and
+    small, so it takes no budget or cache."""
     gf3 = make_field(3, 1)
 
     b2 = families.build_family2(2, 10)
     c10, d10 = b2.code, b2.dual
     ok = (c10.g * c10.h) == Poly.x_pow_minus(gf3, 10, -gf3.one())
-    out.append(("properties/generator-check-product", ok, {"n": 10}))
+    yield _identity_record("generator-check-product", ok, {"n": 10})
     elig = set(range(1, 2 * c10.n, 2))
     recip = {(2 * c10.n - i) % (2 * c10.n)
              for i in elig - set(c10.zero_exponents)}
-    out.append(("properties/dual-zero-reciprocity",
-                recip == set(d10.zero_exponents), {"n": 10}))
+    yield _identity_record("dual-zero-reciprocity",
+                           recip == set(d10.zero_exponents), {"n": 10})
 
     b3 = families.build_family3(3, 13)
     wd = weight_distribution(b3.code, SearchBudget())
     wd_psi = weight_distribution(b3.code.psi_image(), SearchBudget())
-    out.append(("properties/psi-weight-preservation", wd == wd_psi, {"n": 13}))
+    yield _identity_record("psi-weight-preservation", wd == wd_psi, {"n": 13})
 
     gf5 = make_field(5, 1)
-    x6p1 = Poly.x_pow_minus(gf5, 6, -gf5.one())
     lin1 = Poly.from_scalars(gf5, [3, 1])
     lin2 = Poly.from_scalars(gf5, [2, 1])
     code = NegacyclicCode.from_generator(gf5, 6, lin1 * lin2, -1)
@@ -490,65 +471,50 @@ def _property_checks() -> list[tuple[str, bool, dict]]:
              (rel[0] == "interval" and rel[1] <= d_true <= rel[2])
     wd_uv = weight_distribution(uv_construct(r1, r2), SearchBudget())
     wd_c = weight_distribution(code, SearchBudget())
-    out.append(("properties/even-length-split", ok_dim and ok_rel,
-                {"dims": [code.k, r1.k, r2.k], "relation": list(rel)}))
-    out.append(("properties/uv-weight-equivalence", wd_uv == wd_c, {"q": 5}))
+    yield _identity_record("even-length-split", ok_dim and ok_rel,
+                           {"dims": [code.k, r1.k, r2.k], "relation": list(rel)})
+    yield _identity_record("uv-weight-equivalence", wd_uv == wd_c, {"q": 5})
 
     b1 = families.build_family1(5)
     words = {tuple(int(v) for v in w) for w in b1.code.codewords()}
-    out.append(("properties/trace-representation",
-                b1.code.trace_code_set() == words, {"rho": 5}))
+    yield _identity_record("trace-representation",
+                           b1.code.trace_code_set() == words, {"rho": 5})
 
     ok_counts = all(weight_classes(m).class_sizes == weight_class_sizes(m)
                     for m in range(2, 7))
-    out.append(("properties/digit-class-counts", ok_counts, {"m": "2..6"}))
+    yield _identity_record("digit-class-counts", ok_counts, {"m": "2..6"})
 
     ok_compl = all(wt3(3 ** s - 1 - i) == 2 * s - wt3(i)
                    for s in range(2, 9) for i in range(3 ** s))
-    out.append(("properties/digit-complement", ok_compl, {"s": "2..8"}))
+    yield _identity_record("digit-complement", ok_compl, {"s": "2..8"})
 
     rep = information_set_search(c10)
     bch = c10.best_bch_multiplier()[1]
-    out.append(("properties/bch-below-exact", bch <= rep.d,
-                {"bch": bch, "d": rep.d}))
-    return out
+    yield _identity_record("bch-below-exact", bch <= rep.d,
+                           {"bch": bch, "d": rep.d})
 
 
-def _run_properties(budget, cache, records, overrides):
-    for label, ok, info in _property_checks():
-        claim = overrides.get(label) or Claim(
-            label.split("/", 1)[1], 0, 0, "structural-identity")
-        records.append(make_record(label, claim, None,
-                                   {"holds": bool(ok), **info},
-                                   MATCH if ok else MISMATCH))
+_RUNNERS = {
+    "table1": _run_table1,
+    "table2": _run_table2,
+    "examples": _run_examples,
+    "family4": _run_family4,
+    "properties": _run_properties,
+}
 
-
-SCOPES = ("table1", "table2", "examples", "family4", "properties", "all")
+SCOPES = (*_RUNNERS, "all")
 
 
 def verify_claims(scope: str = "all", budget: Optional[SearchBudget] = None,
-                  cache: Optional[ResultCache] = None,
-                  claims_override: Optional[dict[str, Claim]] = None) -> Manifest:
-    """Run one verification scope and return its manifest.
-
-    claims_override substitutes specific claims by record label; it exists so
-    harness failure paths (verdict=mismatch, exit code 2) stay testable.
-    """
+                  cache: Optional[ResultCache] = None) -> Manifest:
+    """Run one verification scope, or all five in SCOPES order, and return
+    its manifest."""
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; pick one of {SCOPES}")
     budget = budget or SearchBudget()
-    overrides = claims_override or {}
     manifest = Manifest(scope, budget)
-    runners = {
-        "table1": _run_table1,
-        "table2": _run_table2,
-        "examples": _run_examples,
-        "family4": _run_family4,
-        "properties": _run_properties,
-    }
-    order = [scope] if scope != "all" else list(runners)
-    for name in order:
-        runners[name](budget, cache, manifest.records, overrides)
+    for name in (_RUNNERS if scope == "all" else (scope,)):
+        manifest.records.extend(_RUNNERS[name](budget, cache))
     return manifest
 
 

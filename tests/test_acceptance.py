@@ -1,7 +1,7 @@
 """Acceptance battery: one test per criterion, each printing a PASS line.
 
 Default-budget runs (3^16 words for the information-set search and weight
-distributions, column search to weight 6) finish in a couple of minutes.  Set
+distributions, column search to weight 6) finish in a few seconds.  Set
 NEGACYCLIC_ACCEPT_FULL=1 to also run the raised-budget checks (3^18 words and
 weight-9 column searches, and the 3^21-word information-set searches that
 settle the rho = 29, 31 rows).

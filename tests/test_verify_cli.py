@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import json
@@ -11,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from negacyclic import cli, poly
+from negacyclic import cli, families, poly
 
 from negacyclic.cli import main
 from negacyclic.codes import CodeError, LinearCode, NegacyclicCode
@@ -20,10 +21,11 @@ from negacyclic.distance import (DistanceReport, SearchBudget, distance_report,
                                  weight_distribution)
 from negacyclic.families import Claim, build_family1
 from negacyclic.ff import make_field
-from negacyclic.verify import (MATCH, MISMATCH, TABLE1, ResultCache, _certified,
-                               best_code_search, cached_distance_report,
-                               claim_verdict, descriptor_hash, make_record,
-                               render_scope, report_cache_key, verify_claims)
+from negacyclic.verify import (MATCH, MISMATCH, SCOPES, TABLE1, ResultCache,
+                               _certified, best_code_search,
+                               cached_distance_report, claim_verdict,
+                               descriptor_hash, make_record, render_scope,
+                               report_cache_key, verify_claims)
 
 GF3 = make_field(3, 1)
 
@@ -478,7 +480,6 @@ def test_claim_verdict_logic():
     assert claim_verdict(Claim("x", 10, 4, "s", d_lower=7), 4, exact6) == MISMATCH
     assert claim_verdict(Claim("x", 10, 4, "s", d_interval=(5, 6)), 4, exact6) == MATCH
     assert claim_verdict(Claim("x", 10, 4, "s", d_interval=(2, 3)), 4, exact6) == MISMATCH
-    assert claim_verdict(c_exact, 4, None) == "external-unverified"
 
 
 def test_claim_status_is_one_interval_test():
@@ -532,10 +533,32 @@ def test_verify_manifest_deterministic():
     assert _strip_volatile(m1.to_json()) == _strip_volatile(m2.to_json())
 
 
-def test_verify_mismatch_injection_sets_exit_code():
+def test_verify_all_is_the_scopes_in_order_on_one_cache(tmp_path):
+    # the five scopes fill one cache; "all" over the same file then gives
+    # their records concatenated, hits every key and writes nothing
+    path = tmp_path / "results.json"
+    cache = ResultCache(str(path))
+    scopes = [s for s in SCOPES if s != "all"]
+    records = [r for s in scopes for r in verify_claims(s, cache=cache).records]
+    cold = path.read_bytes()
+    warm = ResultCache(str(path))
+    manifest = verify_claims("all", cache=warm)
+    assert (_strip_volatile({"records": manifest.records})
+            == _strip_volatile({"records": records}))
+    assert (warm.hits, warm.misses) == (83, 0)
+    assert path.read_bytes() == cold
+
+
+def test_verify_mismatch_injection_sets_exit_code(monkeypatch):
     bad = Claim("code", 13, 7, "injected-for-test", d_exact=4)
-    manifest = verify_claims("family4",
-                            claims_override={"family4/m=3/j=1": bad})
+    build = families.build_family4
+
+    def with_bad_claim(j, m):
+        b = build(j, m)
+        return dataclasses.replace(b, claims={"code": bad}) if (j, m) == (1, 3) else b
+
+    monkeypatch.setattr(families, "build_family4", with_bad_claim)
+    manifest = verify_claims("family4")
     assert manifest.summary[MISMATCH] == 1
     assert manifest.exit_code == 2
     rec = [r for r in manifest.records if r["label"] == "family4/m=3/j=1"][0]
