@@ -210,17 +210,17 @@ def best_code_search(q: int, n: int, k: int, lam_int: int = -1,
                      cache: Optional[ResultCache] = None):
     """Exhaustive search over zero-coset subsets with degree n-k.
 
-    Returns (best_d, generator Poly, best_code): the first candidate, in
-    sorted order of zero-leader lists, of the largest distance.  There is one
-    distance report per multiplier-equivalence class under the caller's
-    budget; a candidate it does not settle exactly is an error.  For a unit
-    a mod R (gcd(a, R) = 1: odd a prime to n when lambda = -1), x -> x^a is
-    a monomial map between constacyclic codes that sends zero set T to
-    a^-1 T and keeps every weight (Huffman & Pless, Fundamentals of
-    Error-Correcting Codes, 2003, section 4.3).  So all candidates of one
-    orbit share d, and only the first of each orbit is scored: the first
-    candidate of the largest d is the first of its orbit, so the result is
-    the one a report on every candidate gives.
+    Returns (report, code).  There is one distance report per
+    multiplier-equivalence class under the caller's budget.  For a unit a
+    mod R (gcd(a, R) = 1: odd a prime to n when lambda = -1), x -> x^a is a
+    monomial map between constacyclic codes that sends zero set T to a^-1 T
+    and keeps every weight (Huffman & Pless, Fundamentals of Error-Correcting
+    Codes, 2003, section 4.3).  So all candidates of one orbit share d, only
+    the first of each orbit is scored, and the best d lies between the
+    largest lower and the largest upper bound scored: the report's bracket,
+    exact when they meet.  code is the first candidate, in sorted order of
+    zero-leader lists, of the largest lower bound (of the largest d when all
+    are settled, as a report on every candidate gives).
     """
     budget = budget or SearchBudget()
     field = make_field(q, 1)
@@ -242,6 +242,7 @@ def best_code_search(q: int, n: int, k: int, lam_int: int = -1,
     picks.sort()
     units = [a for a in range(1, R) if math.gcd(a, R) == 1]
     scored = set()   # every multiplier image of the picks scored so far
+    lower = upper = 0
     best = None
     for leaders_pick in picks:
         if tuple(leaders_pick) in scored:
@@ -250,12 +251,12 @@ def best_code_search(q: int, n: int, k: int, lam_int: int = -1,
                                    for l in leaders_pick)) for a in units)
         code = NegacyclicCode.from_zeros(field, n, leaders_pick, lam_int)
         rep = cached_distance_report(code, budget, cache)
-        if not rep.exact:
-            raise CodeError(
-                f"candidate {code!r} not settled exactly within budget")
-        if best is None or rep.d > best[0]:
-            best = (rep.d, code.g, code)
-    return best
+        if best is None or rep.lower > lower:
+            lower, best = rep.lower, code
+        upper = max(upper, rep.upper)
+    return DistanceReport(lower, upper, lower == upper, "search-best",
+                          lower_src="exhaustive subset search",
+                          upper_src="exhaustive subset search"), best
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +360,9 @@ def _run_table1(budget, cache):
             label = f"table1/n={n}/k={k}/{kind}"
             claim = Claim(label, n, k, "reference-table/best-codes", d_exact=d_ref)
             t0 = time.monotonic()
-            d, gen, code = best_code_search(3, n, k, lam, budget, cache)
-            rep = DistanceReport(d, d, True, "search-best",
-                                 lower_src="exhaustive subset search",
-                                 upper_src="exhaustive subset search")
+            rep, code = best_code_search(3, n, k, lam, budget, cache)
             computed = rep.to_json()
-            computed["generator"] = gen.to_text()
+            computed["generator"] = code.g.to_text()
             yield make_record(label, claim, code.descriptor(), computed,
                               claim_verdict(claim, code.k, rep),
                               elapsed=time.monotonic() - t0)

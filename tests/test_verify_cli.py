@@ -41,12 +41,12 @@ def _strip_volatile(manifest_json):
 # -- best code search ---------------------------------------------------------
 
 def test_best_code_search_known_rows():
-    d, gen, code = best_code_search(3, 10, 4, -1)
-    assert d == 6 and code.k == 4
-    d, gen, code = best_code_search(3, 10, 4, 1)
-    assert d == 4
-    d, gen, code = best_code_search(3, 14, 8, -1)
-    assert d == 5
+    rep, code = best_code_search(3, 10, 4, -1)
+    assert rep.d == 6 and code.k == 4
+    rep, code = best_code_search(3, 10, 4, 1)
+    assert rep.d == 4
+    rep, code = best_code_search(3, 14, 8, -1)
+    assert rep.d == 5
 
 
 def test_best_code_search_no_dimension():
@@ -58,8 +58,8 @@ def test_best_code_search_beats_any_member():
     # the family code at (10, 4) is in the search space
     c = NegacyclicCode.from_check(GF3, 10, [1])
     from negacyclic.distance import distance_report
-    d, _, _ = best_code_search(3, 10, 4, -1)
-    assert d >= distance_report(c).d
+    rep, _ = best_code_search(3, 10, 4, -1)
+    assert rep.d >= distance_report(c).d
 
 
 def _table1_picks(n, k, lam):
@@ -95,8 +95,8 @@ def test_best_code_search_scores_one_candidate_per_multiplier_orbit(n, k, lam):
         code, d, _ = scored[tuple(pick)]
         if best is None or d > best[0]:
             best = (d, code)
-    d, gen, code = best_code_search(3, n, k, lam)
-    assert (d, gen.to_text(), code.descriptor()) == (
+    rep, code = best_code_search(3, n, k, lam)
+    assert (rep.d, code.g.to_text(), code.descriptor()) == (
         best[0], best[1].g.to_text(), best[1].descriptor())
 
 
@@ -113,6 +113,20 @@ def test_best_code_search_builds_one_code_per_multiplier_orbit():
             for lam in (-1, 1):
                 best_code_search(3, n, k, lam)
     assert len(built) == 41   # of 70 candidates
+
+
+def test_table1_brackets_at_a_tiny_budget_hold_the_reference_d():
+    # each orbit representative shares d with its orbit, so the largest
+    # candidate lower bound <= best d <= the largest candidate upper bound
+    manifest = verify_claims("table1", SearchBudget(100, 0))
+    assert manifest.summary["mismatch"] == 0
+    for r in manifest.records:
+        n, k = r["claim"]["n"], r["claim"]["dim_claim"]
+        d = TABLE1[(n, k)][r["label"].endswith("/cyclic")]
+        lower, upper = r["computed"]["lower"], r["computed"]["upper"]
+        assert lower <= d <= upper, r["label"]
+        assert r["computed"]["exact"] == (lower == upper)
+    assert manifest.summary["lower-bound-only"] > 0   # the budget bites
 
 
 def test_cold_verify_computes_each_minimal_polynomial_once():
@@ -859,6 +873,17 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     (["decompose", "--code", "{tmp}/zero-leaders-not-integers.json"],
      "descriptor {tmp}/zero-leaders-not-integers.json: field 'zero_leaders' "
      "must hold integers, got 'a'"),
+    # each family names the options it needs; a malformed --host-modulus is
+    # reported before a missing option
+    (["family", "--id", "1"], "--rho required for family 1"),
+    (["family", "--id", "2", "--ell", "3"], "--ell and --n required for family 2"),
+    (["family", "--id", "3", "--n", "13"], "--m and --n required for family 3"),
+    (["family", "--id", "4", "--m", "3"], "--j and --m required for family 4"),
+    (["family", "--id", "1", "--host-modulus", "x"],
+     "--host-modulus 'x' must be comma-separated integers"),
+    # a best d the budget leaves unsettled names its bracket
+    (["best", "--n", "20", "--k", "10", "--budget", "1", "--no-cache"],
+     "best d at n = 20, k = 10, lam = -1 is not settled within budget: 7..8"),
 ], ids=["missing-code", "bad-scope", "composite-p", "build-composite-q",
         "missing-file", "descriptor-without-g", "descriptor-not-json",
         "reducible-modulus", "reducible-host-modulus", "descriptor-q-k-edited",
@@ -871,7 +896,10 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
         "check-not-integers", "zeros-not-integers",
         "generator-not-integers", "modulus-not-integers", "modulus-empty",
         "base-modulus-not-integers", "descriptor-g-not-integers",
-        "descriptor-n-not-integer", "descriptor-zero-leaders-not-integers"])
+        "descriptor-n-not-integer", "descriptor-zero-leaders-not-integers",
+        "family1-missing-rho", "family2-missing-n", "family3-missing-m",
+        "family4-missing-j", "family-host-modulus-before-missing-option",
+        "best-unsettled"])
 def test_cli_usage_error_exit_3(argv, message, tmp_path, capsys):
     (tmp_path / "no-g.json").write_text('{"q": 3, "n": 10, "lambda": -1}')
     (tmp_path / "not-json.json").write_text("[1, 2")
@@ -896,6 +924,86 @@ def test_cli_usage_error_exit_3(argv, message, tmp_path, capsys):
     assert exc.value.code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and ": error: " in err and message in err
+
+
+THREADS_HELP = ("1..cpu count; accepted and checked, but unused: every "
+                "distance engine runs on one thread")
+#: (option strings, dest, default, type, required, choices, nargs, help)
+OUT = (("--out",), "out", None, None, False, None, None, None)
+CODE = (("--code",), "code", None, None, True, None, None,
+        "descriptor file or -")
+ENGINE = {(("--budget",), "budget", None, None, False, None, None, "e.g. 3^16"),
+          (("--threads",), "threads", 1, "_threads", False, None, None,
+           THREADS_HELP),
+          (("--cache",), "cache", None, None, False, None, None, None),
+          (("--no-cache",), "no_cache", False, None, False, None, 0, None)}
+W_MAX = (("--w-max",), "w_max", None, "int", False, None, None, None)
+
+
+def _int(flag, dest=None, default=None, required=False, choices=None,
+         help=None):
+    return ((flag,), dest or flag[2:], default, "int", required, choices,
+            None, help)
+
+
+def _str(flag, default=None, help=None):
+    return ((flag,), flag[2:].replace("-", "_"), default, None, False, None,
+            None, help)
+
+
+CLI_SURFACE = {
+    "field": {_int("--p", required=True), _int("--m", required=True),
+              _str("--modulus"), OUT},
+    "cosets": {_int("--q", required=True),
+               _int("--n-mod", "n_mod", required=True), OUT},
+    "build": {_int("--q", default=3,
+                   help="characteristic p of the base field GF(p^base-m)"),
+              _int("--base-m", "base_m", default=1), _str("--base-modulus"),
+              _int("--n", required=True),
+              _str("--check", help="comma-separated check coset leaders"),
+              _str("--zeros", help="comma-separated zero coset leaders"),
+              _str("--generator",
+                   help="generator polynomial, ascending coeffs"),
+              _int("--lam", default=-1, choices=(-1, 1)),
+              _str("--host-modulus"), OUT},
+    "dual": {CODE, OUT},
+    "psi": {CODE, OUT},
+    "decompose": {CODE, OUT},
+    "distance": {CODE, *ENGINE, W_MAX, OUT},
+    "family": {_int("--id", required=True, choices=(1, 2, 3, 4)),
+               *(_int(f"--{name}") for name in ("rho", "ell", "m", "n", "j")),
+               _str("--host-modulus"), OUT},
+    "best": {_int("--q", default=3), _int("--n", required=True),
+             _int("--k", required=True),
+             _int("--lam", default=-1, choices=(-1, 1)), *ENGINE, OUT},
+    "verify": {_str("--scope", default="all"), *ENGINE, W_MAX,
+               (("--render",), "render", False, None, False, None, 0,
+                "also print a plain-text table to stderr"), OUT},
+}
+
+
+def test_cli_surface():
+    # every subcommand's options, each with its dest, default, type,
+    # required flag, choices and help: nothing added, dropped or re-defaulted
+    class Parsed(Exception):
+        pass
+
+    def stop(self, *args, **kwargs):
+        raise Parsed(self)
+
+    with mock.patch.object(cli._Parser, "parse_args", stop):
+        with pytest.raises(Parsed) as exc:
+            main([])
+    ap = exc.value.args[0]
+    (sub,) = [a for a in ap._actions if a.dest == "cmd"]
+    surface = {
+        name: {(tuple(a.option_strings), a.dest, a.default,
+                getattr(a.type, "__name__", None), a.required,
+                tuple(a.choices) if a.choices else None, a.nargs, a.help)
+               for a in p._actions if a.dest != "help"}
+        for name, p in sub.choices.items()}
+    assert surface == CLI_SURFACE
+    assert "--w-max" not in sub.choices["best"]._option_string_actions
 
 
 def test_cli_build_takes_characteristic_from_q(tmp_path):
