@@ -1,10 +1,11 @@
 """Walkthrough: how minimum distances get settled.
 
 Three tools: the Brouwer-Zimmermann information-set search (exact for any
-linear code whose words up to the packing bound fit the budget, and a lower
+linear code whose words up to the upper bound U fit the budget, and a lower
 bound up to a smaller reach), the meet-in-the-middle column search (exact
-for small weights, any dimension), and the BCH/sphere-packing bracket when
-no engine can finish.  distance_report runs whichever engine counts fewer
+for small weights, any dimension), and the bracket of the BCH bound and U
+(Singleton, Griesmer, sphere packing and the residual-code step) when no
+engine can finish.  distance_report runs whichever engine counts fewer
 words.  A blocked full enumeration of all q^k messages gives weight
 distributions.
 Run:  python demos/03_distance_engines.py
@@ -16,6 +17,7 @@ from negacyclic import (SearchBudget, build_family1, build_family2,
                         distance_report, information_set_search,
                         low_weight_search, sphere_packing_max_d,
                         weight_distribution)
+from negacyclic.distance import upper_bound
 
 # The [41,8] code has d = 22.  G in reduced row-echelon form makes [0, 8)
 # an information set, and the negacyclic shift maps each window [j, j + 8)
@@ -76,6 +78,13 @@ print(f"bounds-only report: {rep.lower}..{rep.upper} exact={rep.exact} "
 # The even-distance refinement is what pins several dual distances: for a
 # [41,33] code the plain volume bound allows 6, the refinement does not.
 print("packing max d at (41,33):", sphere_packing_max_d(41, 33, 3))
+
+# The ceiling of every bracket is U = upper_bound(n, k, q), which holds for
+# every linear [n, k]_q code.  Sphere packing allows d = 22 for [58,28]_3,
+# but a code of minimum distance d has a residual [58 - d, 27, >= ceil(d/3)]
+# code, which the same bounds rule out for d = 21 and 22.
+print("packing max d at (58,28):", sphere_packing_max_d(58, 28, 3),
+      "upper bound:", upper_bound(58, 28, 3))
 
 # Weight distributions come from the blocked enumeration: an inner block,
 # every word of half the rows as digit planes, against one sum of the other

@@ -49,13 +49,15 @@ windows [jk, (j+1)k) give L(W) above a given reach, and proves the finer
 bound at W.
 distance_report runs at most one engine, the one _plan picks because it
 counts fewer words: to settle d, the column search (when it reaches the
-packing bound) or the information-set search; when neither can, to prove
+ceiling U) or the information-set search; when neither can, to prove
 d > w_cap, the column search to w_cap or the information-set search with
-reach w_cap.  A sphere-packing upper bound (with the even-distance
-refinement) and the BCH multiplier bound bracket whatever the engines
-cannot settle exactly; _plan also gives that bounds-only report, so the
-format of a lower bound's source (lower_src) is known to this module
-alone.  Engines only read the code object.
+reach w_cap.  The ceiling U = upper_bound(n, k, q) holds for every linear
+[n, k]_q code: the least of the Singleton, Griesmer and sphere-packing
+(with the even-distance refinement) bounds, lowered by the residual-code
+step.  U and the BCH multiplier bound bracket whatever the engines cannot
+settle exactly; _plan also gives that bounds-only report, so the format
+of a lower bound's source (lower_src) is known to this module alone.
+Engines only read the code object.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ from .codes import (CodeError, ConstacyclicCode, NegacyclicCode, encode_rows,
 #: boundaries decide which least-weight word the information-set search
 #: meets first; 10: the column search runs on every code whose syndromes
 #: fit one word per plane, not only where q^r < 2^62, and its work counts
-#: the side entries of the levels it ran).
-ENGINE_VERSION = 10
+#: the side entries of the levels it ran; 11: the ceiling is upper_bound,
+#: not the sphere-packing bound alone, so a report's upper may be lower).
+ENGINE_VERSION = 11
 
 
 def parse_budget(text) -> int:
@@ -114,7 +117,7 @@ class SearchBudget:
     """Caps for the distance engines: max_message_enum caps the words the
     information-set search may need (one per scalar class) to its reach,
     and the q^k messages of weight_distribution; max_column_weight caps the
-    column search and sets w_cap = min(max_column_weight, pack + 1) (_plan),
+    column search and sets w_cap = min(max_column_weight, U + 1) (_plan),
     the weight to which distance_report proves d > w_cap when no engine can
     settle d.  Both bound work, not time, so a report depends only on the
     code and the budget."""
@@ -617,8 +620,9 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     lower_src "information-set w<=W", with no witness (a word found on the
     way is not reported).  W stays the disjoint windows' level, which
     admission counts: the finer bound passes d_max up to a level earlier,
-    where it proves less than it does at W.  With no reach (d_max None) the
-    reach is the sphere-packing bound, which always ends exact.
+    where it proves less than it does at W.  The reach is at most
+    upper_bound(n, k, q), which always ends exact since d <= U, and is that
+    bound when d_max is None.
 
     Returns None when the code is not admitted: the words up to level W
     (_info_set_words) must fit budget.max_message_enum, and every code whose
@@ -632,8 +636,8 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     if k == 0:
         raise CodeError("the zero code has no nonzero codeword")
     span = _info_set_span(code)
-    pack = sphere_packing_max_d(n, k, q)
-    reach = pack if d_max is None else min(d_max, pack)
+    upper = upper_bound(n, k, q)[0]
+    reach = upper if d_max is None else min(d_max, upper)
     if _info_set_words(span, k, q, reach) > budget.max_message_enum:
         return None
     tables = code.field.tables()
@@ -773,6 +777,56 @@ def sphere_packing_max_d(n: int, k: int, q: int) -> int:
     return best
 
 
+def _griesmer_max_d(n: int, k: int, q: int) -> int:
+    """Largest d with sum over i < k of ceil(d / q^i) <= n (Griesmer 1960),
+    stepping down from the Singleton bound n - k + 1 (the sum is at least
+    d + k - 1).  A term with q^i >= d is 1, so the sum is taken over the t
+    terms with q^i < d, plus k - t, and no q^i past d is formed."""
+    def length(d):
+        total, qi, t = 0, 1, 0
+        while t < k and qi < d:
+            total += -(-d // qi)
+            qi *= q
+            t += 1
+        return total + k - t
+    d = n - k + 1
+    while length(d) > n:
+        d -= 1
+    return d
+
+
+def _classic_bound(n: int, k: int, q: int) -> tuple[int, str]:
+    """(d, src): the least of the Singleton, Griesmer and sphere-packing
+    bounds, the first of them in that order on a tie."""
+    return min((n - k + 1, "singleton"), (_griesmer_max_d(n, k, q), "griesmer"),
+               (sphere_packing_max_d(n, k, q), "sphere-packing"),
+               key=lambda b: b[0])
+
+
+_UPPER: dict = {}
+
+
+def upper_bound(n: int, k: int, q: int) -> tuple[int, str]:
+    """(U, src): an upper bound on the minimum distance of every linear
+    [n, k]_q code, and the bound that binds (memoised per process).
+
+    U starts at the least of the Singleton, Griesmer and sphere-packing
+    bounds (_classic_bound).  A code of minimum distance U has a residual
+    [n - U, k - 1, >= ceil(U/q)] code (Huffman & Pless, Fundamentals of
+    Error-Correcting Codes, 2003, section 2.7), so while k >= 2 and those
+    three bounds for [n - U, k - 1]_q fall below ceil(U/q), U drops by one
+    and src becomes "residual".  The true d passes that test, so U >= d."""
+    key = (n, k, q)
+    if key not in _UPPER:
+        if not 1 <= k <= n:
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        d, src = _classic_bound(n, k, q)
+        while k >= 2 and _classic_bound(n - d, k - 1, q)[0] < -(-d // q):
+            d, src = d - 1, "residual"
+        _UPPER[key] = d, src
+    return _UPPER[key]
+
+
 def bch_lower(code) -> tuple[int, int]:
     """(bound, multiplier) from the exhaustive BCH multiplier search."""
     if isinstance(code, NegacyclicCode):
@@ -800,31 +854,33 @@ def _plan(code, budget: SearchBudget):
     field of the report follows from n, k, q, the budget and the best BCH
     multiplier, so the result cache's certificate replays it.
 
-    The column search to w_cap = min(max_column_weight, pack + 1) is a
+    The ceiling is U = upper_bound(n, k, q), the least of the Singleton,
+    Griesmer and sphere-packing bounds lowered by the residual step.  The
+    column search to w_cap = min(max_column_weight, U + 1) is a
     candidate when a syndrome fits one word per plane (r <= 64 // s); the
     information-set search when its words up to its reach
     (_info_set_words) fit budget.max_message_enum.  Of the two, the one
     that counts fewer words runs (_column_words against _info_set_words),
     a tie going to the column search.  First the engines that settle d:
-    the column search when w_cap reaches the packing bound pack, and the
-    information-set search with reach pack; whichever runs settles d.  When
+    the column search when w_cap reaches U, and the information-set search
+    with reach U; whichever runs settles d, since d <= U.  When
     neither can, the engines that prove d > w_cap: the column search
     (skipped when w_cap < the BCH bound, where it can neither find a word
     nor raise the bound), proving w_cap + 1, and the information-set search
     with reach w_cap, which runs to the first level W whose disjoint
     windows give L(W) > w_cap and proves d >= the bound of all the windows
     there (_info_set_bound), or settles d, as it always does when W = k or
-    when that bound passes pack.  The report carries the sphere-packing
-    upper bound and the larger of the BCH bound and what the engine proves
-    (the BCH bound on a tie)."""
+    when that bound passes U.  The report carries U, upper_src naming the
+    bound that binds, and the larger of the BCH bound and what the engine
+    proves (the BCH bound on a tie); it is exact when the two meet."""
     q, k, n = code.field.order, code.k, code.n
-    pack = sphere_packing_max_d(n, k, q)
+    upper, upper_src = upper_bound(n, k, q)
     bch, v = bch_lower(code)
-    w_cap = min(budget.max_column_weight, pack + 1)
+    w_cap = min(budget.max_column_weight, upper + 1)
     fits = _words(n - k, code.field.m) <= 1
     span = _info_set_span(code)
     run, lower, lower_src = None, bch, f"bch(v={v})"
-    for column, reach in ((w_cap >= pack, pack), (bch <= w_cap, w_cap)):
+    for column, reach in ((w_cap >= upper, upper), (bch <= w_cap, w_cap)):
         words = _info_set_words(span, k, q, reach)
         admitted = words <= budget.max_message_enum
         if fits and column and not (
@@ -835,16 +891,16 @@ def _plan(code, budget: SearchBudget):
             run = functools.partial(information_set_search, code, budget, reach)
             W = _info_set_levels(span, k, reach)
             # past level k every message is met, so the search settles d
-            proved = (_info_set_bound(span, k, W) if W < k else pack + 1,
+            proved = (_info_set_bound(span, k, W) if W < k else upper + 1,
                       f"information-set w<={W}")
         else:
             continue
-        if bch < proved[0] <= pack:
+        if bch < proved[0] <= upper:
             lower, lower_src = proved
         break
     return run, bch, DistanceReport(
-        lower=lower, upper=pack, exact=(lower == pack), method="bounds-only",
-        witness=None, lower_src=lower_src, upper_src="sphere-packing")
+        lower=lower, upper=upper, exact=(lower == upper), method="bounds-only",
+        witness=None, lower_src=lower_src, upper_src=upper_src)
 
 
 def distance_report(code, budget: Optional[SearchBudget] = None
@@ -862,7 +918,7 @@ def distance_report(code, budget: Optional[SearchBudget] = None
     if rep.exact:
         if not (bch <= rep.lower <= plan.upper):  # pragma: no cover
             raise AssertionError(
-                f"bounds violated: bch={bch} d={rep.lower} packing={plan.upper}")
+                f"bounds violated: bch={bch} d={rep.lower} upper={plan.upper}")
         return rep
     # the engine proves the plan's bound, or at most the BCH bound it keeps
     if (rep.lower, rep.lower_src) != (plan.lower, plan.lower_src) and not (

@@ -20,8 +20,8 @@ search first sieves out the candidates with a small irreducible factor, see
 _sieved); GF(3^6), GF(3^14), GF(3^18), GF(3^20), GF(3^22) and GF(3^25)
 instead keep the pinned primitive moduli of _PINNED_MODULI.  A supplied
 modulus must pass Rabin's irreducibility test in its ring, which needs the
-primes of m only, or the error names its smallest factor, found by
-distinct-degree factorization and a seeded equal-degree split.
+primes of m only, or the error names the degree of its smallest
+irreducible factor, found by distinct-degree factorization.
 
 Roots of unity and subfield roots are found by their exact order N, which
 needs the primes of N only: p^m - 1 is factored by the default-modulus
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from operator import getitem
 from typing import Iterator, Optional, Sequence
 
@@ -178,14 +177,10 @@ def _search_modulus(p: int, m: int) -> list[int]:
     raise FieldError(f"no primitive modulus found for GF({p}^{m})")
 
 
-def _smallest_factor(f: Sequence[int], p: int) -> list[int]:
-    """Smallest-degree, smallest-encoding monic irreducible factor of f.
-
-    Distinct-degree factorization: the smallest factor degree d is the first
-    with gcd(f, x^(p^d) - x) != 1, x^(p^d) taken in GF(p)[x]/(f).  That gcd
-    is the product of f's distinct degree-d factors, which an equal-degree
-    split separates.
-    """
+def _least_factor_degree(f: Sequence[int], p: int) -> int:
+    """Degree of the smallest irreducible factor of f, by distinct-degree
+    factorization: the first d with gcd(f, x^(p^d) - x) != 1, x^(p^d)
+    taken in GF(p)[x]/(f); deg f when there is none up to deg f / 2."""
     from .poly import Poly
     gfp = make_field(p, 1)
     fp = Poly.from_scalars(gfp, f)
@@ -193,36 +188,9 @@ def _smallest_factor(f: Sequence[int], p: int) -> list[int]:
     xq = Field._ring(p, f).modulus_root()
     for d in range(1, (len(f) - 1) // 2 + 1):
         xq = xq.frobenius()
-        h = fp.gcd(Poly.from_scalars(gfp, xq.coeffs) - x)
-        if h.degree > 0:
-            factors = _equal_degree_split(h, d, random.Random(d))
-            return min((g.to_ints() for g in factors), key=lambda c: c[::-1])
-    return list(f)
-
-
-def _equal_degree_split(h, d: int, rng: random.Random) -> list:
-    """The factors of h, a monic product of distinct irreducible degree-d
-    Polys over GF(p), by Cantor-Zassenhaus: for random a in GF(p)[x]/(h),
-    gcd(h, a^((p^d-1)/2) - 1) (for p = 2, the trace a + a^2 + ... +
-    a^(2^(d-1))) is a proper factor about half the time."""
-    if h.degree == d:
-        return [h]
-    from .poly import Poly
-    p = h.field.p
-    ring = Field._ring(p, h.to_ints())
-    while True:
-        a = ring.from_int(rng.randrange(1, ring.order))
-        if p == 2:
-            s = t = a
-            for _ in range(d - 1):
-                t = t * t
-                s = s + t
-        else:
-            s = a._pow_pos((p ** d - 1) // 2) - ring.one()
-        g = h.gcd(Poly.from_scalars(h.field, s.coeffs))
-        if 0 < g.degree < h.degree:
-            return (_equal_degree_split(g, d, rng)
-                    + _equal_degree_split(h // g, d, rng))
+        if fp.gcd(Poly.from_scalars(gfp, xq.coeffs) - x).degree > 0:
+            return d
+    return len(f) - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,8 +242,9 @@ class Field:
     GF(3^20), GF(3^22) and GF(3^25) keep the pinned primitive moduli in
     _PINNED_MODULI.  A supplied modulus has its coefficients in 0..p-1 and
     passes Rabin's irreducibility test, run in the ring GF(p)[x]/(f);
-    otherwise the error names its smallest factor.  The characteristic p is
-    at most 251, so that a digit fits in one byte of the packed form.
+    otherwise the error names the degree of its smallest factor.  The
+    characteristic p is at most 251, so that a digit fits in one byte of the
+    packed form.
     """
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
@@ -299,8 +268,9 @@ class Field:
         self._set_ring(p, modulus)
         if not searched and not self._rabin_irreducible():
             raise FieldError(
-                f"modulus {_poly_text(modulus)} is reducible over GF({p}); "
-                f"divisible by {_poly_text(_smallest_factor(modulus, p))}"
+                f"modulus {_poly_text(modulus)} is reducible over GF({p}); its "
+                f"smallest irreducible factor has degree "
+                f"{_least_factor_degree(modulus, p)}"
             )
         self._tables = None
 

@@ -28,7 +28,7 @@ from .codes import (CodeError, NegacyclicCode, residue_distance_relation,
                     uv_construct)
 from .cosets import build_cosets, weight_class_sizes, weight_classes, wt3
 from .distance import (ENGINE_VERSION, DistanceReport, SearchBudget, _plan,
-                       distance_report, information_set_search,
+                       distance_report, information_set_search, upper_bound,
                        weight_distribution)
 from .families import Claim
 from .ff import make_field
@@ -313,12 +313,25 @@ def make_record(label: str, claim: Claim, descriptor: Optional[dict],
     }
 
 
+def _computed(rep: DistanceReport, code) -> dict:
+    """rep's JSON, and for an exact report its optimality block, derived
+    from (n, k, q) and never cached: the ceiling U of upper_bound, the bound
+    that binds, and optimal, true when d = U (no linear [n, k]_q code does
+    better) and None when U leaves the question open."""
+    out = rep.to_json()
+    if rep.exact:
+        upper, src = upper_bound(code.n, code.k, code.field.order)
+        out["optimality"] = {"upper": upper, "src": src,
+                             "optimal": True if rep.lower == upper else None}
+    return out
+
+
 def _code_record(label: str, claim: Claim, code, budget, cache) -> dict:
     t0 = time.monotonic()
     rep = cached_distance_report(code, budget, cache)
     verdict = claim_verdict(claim, code.k, rep)
-    return make_record(label, claim, code.descriptor(), rep.to_json(), verdict,
-                       rep.work, time.monotonic() - t0)
+    return make_record(label, claim, code.descriptor(), _computed(rep, code),
+                       verdict, rep.work, time.monotonic() - t0)
 
 
 @dataclass
@@ -361,7 +374,7 @@ def _run_table1(budget, cache):
             claim = Claim(label, n, k, "reference-table/best-codes", d_exact=d_ref)
             t0 = time.monotonic()
             rep, code = best_code_search(3, n, k, lam, budget, cache)
-            computed = rep.to_json()
+            computed = _computed(rep, code)
             computed["generator"] = code.g.to_text()
             yield make_record(label, claim, code.descriptor(), computed,
                               claim_verdict(claim, code.k, rep),

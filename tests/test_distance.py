@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -17,9 +18,9 @@ from negacyclic.distance import (DistanceReport, SearchBudget, distance_report,
                                  information_set_search, low_weight_search,
                                  parse_budget, sphere_packing_max_d,
                                  weight_distribution)
-from negacyclic.families import (FAMILY2_EXAMPLES, FAMILY3_EXAMPLES,
-                                 build_family2, build_family3, build_family4,
-                                 build_family1)
+from negacyclic.families import (FAMILY1_TABLE, FAMILY2_EXAMPLES,
+                                 FAMILY3_EXAMPLES, build_family2, build_family3,
+                                 build_family4, build_family1)
 from negacyclic.ff import make_field
 from negacyclic.poly import Poly
 from negacyclic.verify import verify_claims
@@ -188,6 +189,64 @@ def test_sphere_packing_validates_args():
         sphere_packing_max_d(5, 6, 3)
 
 
+@pytest.mark.parametrize("n,k,q,want", [
+    (11, 6, 3, (5, "griesmer")),          # the ternary Golay code
+    (12, 6, 3, (6, "griesmer")),
+    (23, 12, 2, (7, "sphere-packing")),   # the binary Golay code
+    (24, 12, 2, (8, "griesmer")),
+    (6, 3, 4, (4, "singleton")),          # the hexacode
+    # Griesmer gives 14 and 7, but a [34,16,d] code with d = 13 or 14 would
+    # have a residual [34 - d,15,>=5] code, and a [14,6,7] code a residual
+    # [7,5,>=3] code: sphere packing rules out all three
+    (34, 16, 3, (12, "residual")),
+    (14, 6, 3, (6, "residual")),
+])
+def test_upper_bound_values_and_sources(n, k, q, want):
+    assert distance.upper_bound(n, k, q) == want
+
+
+def test_upper_bound_matches_the_direct_formula():
+    # Griesmer summed over all k terms, then the residual step, afresh
+    def classic(n, k, q):
+        griesmer = max(d for d in range(1, n + 1)
+                       if sum(-(-d // q ** i) for i in range(k)) <= n)
+        return min(n - k + 1, griesmer, sphere_packing_max_d(n, k, q))
+
+    for q in (2, 3, 4, 9):
+        for n in range(1, 30):
+            for k in range(1, n + 1):
+                d = classic(n, k, q)
+                while k >= 2 and classic(n - d, k - 1, q) < -(-d // q):
+                    d -= 1
+                assert distance.upper_bound(n, k, q)[0] == d, (n, k, q)
+
+
+def test_upper_bound_validates_args_and_stays_cheap():
+    with pytest.raises(ValueError):
+        distance.upper_bound(5, 6, 3)
+    # a plain function, so that a tracer can wrap it wherever it is bound
+    import inspect
+    assert inspect.isfunction(distance.upper_bound)
+    # no q^i is formed past d: forming every q^i, i < k, takes about 1.5 s
+    # for [1093,547]_3 alone
+    for key in ((1093, 547, 3), (3281, 3265, 3)):
+        distance._UPPER.pop(key, None)
+    t0 = time.perf_counter()
+    assert distance.upper_bound(1093, 547, 3) == (334, "residual")
+    assert distance.upper_bound(3281, 3265, 3) == (5, "sphere-packing")
+    assert time.perf_counter() - t0 < 0.25
+
+
+def test_upper_bound_holds_on_every_brute_force_code(brute_codes):
+    met = 0
+    for code, words in brute_codes:
+        d = int(np.count_nonzero(words, axis=1).min())
+        upper = distance.upper_bound(code.n, code.k, code.field.order)[0]
+        assert upper >= d, code
+        met += upper == d
+    assert met > 0
+
+
 def test_weight_distribution_macwilliams_duality():
     # oracle: the dual distribution via the MacWilliams transform
     c = NegacyclicCode.from_check(GF3, 10, [1])
@@ -235,13 +294,22 @@ def test_distance_report_bounds_only_exact_via_bch_and_packing():
 
 
 def test_distance_report_interval_when_budget_too_small():
-    # [14,6,6]: BCH 5, packing 7; 3 words admit no information-set search,
-    # so the column search to weight 5 proves d > 5
+    # [34,18,10]: BCH 5, upper bound 12 (Griesmer); 3 words admit no
+    # information-set search, so the column search to weight 5 proves d > 5
+    rep = distance_report(build_family1(17).dual,
+                          SearchBudget(max_message_enum=3, max_column_weight=5))
+    assert not rep.exact and rep.method == "bounds-only"
+    assert (rep.lower, rep.upper, rep.lower_src, rep.upper_src) == (
+        6, 12, "column-search w<=5", "griesmer")
+    assert rep.work > 0
+    # [14,6,6]: BCH 5, packing 7, but the residual step lowers the upper
+    # bound to 6, which the same column search meets: exact by bounds
     c = build_family1(7).code
     rep = distance_report(c, SearchBudget(max_message_enum=3,
                                           max_column_weight=5))
-    assert not rep.exact and rep.method == "bounds-only"
-    assert (rep.lower, rep.upper, rep.lower_src) == (6, 7, "column-search w<=5")
+    assert (rep.exact, rep.method, rep.witness) == (True, "bounds-only", None)
+    assert (rep.lower, rep.upper, rep.lower_src, rep.upper_src) == (
+        6, 6, "column-search w<=5", "residual")
     assert rep.work > 0
     # 100 words admit the information-set search with reach 5 (36 words,
     # against 2633 column-search entries); it stops at level 2, where
@@ -317,20 +385,32 @@ def test_family1_large_bounds_carry_work_and_time(family1_large):
     # the eight rho = 29, 31 rows stay bounds-only at the default budget;
     # each report carries the words its information-set search counted,
     # C(k, w)(q - 1)^(w - 1) summed over the levels
-    got = []
+    got, brackets = [], []
     for b in family1_large:
         for part in ("code", "dual", "companion", "companion_dual"):
             rep = distance_report(getattr(b, part))
             assert rep.method == "bounds-only"
             assert rep.lower_src.startswith("information-set w<=")
             got.append(rep.work)
+            brackets.append((rep.lower, rep.upper, rep.upper_src))
     assert got == [13888, 236380, 24038, 29975, 17140, 308544, 29975, 36816]
+    # the ceilings of upper_bound: the sphere-packing bound alone gave
+    # 22, 20, 17, 15, 23, 21, 18 and 17 (width 81, now 67)
+    assert brackets == [
+        (9, 20, "residual"), (10, 18, "residual"), (9, 15, "griesmer"),
+        (8, 14, "griesmer"), (9, 21, "residual"), (10, 20, "residual"),
+        (9, 16, "griesmer"), (8, 15, "griesmer")]
+    # each holds the paper's d
+    for rho in (29, 31):
+        for part, (n, k, d) in FAMILY1_TABLE[rho].items():
+            q = 9 if part.startswith("companion") else 3
+            assert distance.upper_bound(n, k, q)[0] >= d, (rho, part)
 
 
 def test_distance_report_runs_at_most_one_engine(family1_rho17, family1_rho19,
                                                  family1_large):
-    # an engine run to settle d (the column search to w_cap >= the packing
-    # bound, or the information-set search with reach = the packing bound)
+    # an engine run to settle d (the column search to w_cap >= the upper
+    # bound, or the information-set search with reach = the upper bound)
     # always settles it, so the cheaper of them is the only one that runs;
     # short of that, the cheaper engine that proves d > w_cap runs, or none
     codes = [getattr(b, part)
@@ -342,7 +422,7 @@ def test_distance_report_runs_at_most_one_engine(family1_rho17, family1_rho19,
               for part in ("code", "dual", "companion", "companion_dual")]
     seen = set()
     for code in codes:
-        pack = sphere_packing_max_d(code.n, code.k, code.field.order)
+        upper = distance.upper_bound(code.n, code.k, code.field.order)[0]
         for budget in (SearchBudget(), SearchBudget(3 ** 12, 3)):
             with mock.patch.object(distance, "low_weight_search",
                                    wraps=distance.low_weight_search) as col, \
@@ -351,9 +431,9 @@ def test_distance_report_runs_at_most_one_engine(family1_rho17, family1_rho19,
                 rep = distance_report(code, budget)
             assert col.call_count + info.call_count <= 1, (code, budget)
             if col.called:
-                settle = col.call_args.args[1] >= pack
+                settle = col.call_args.args[1] >= upper
             elif info.called:
-                settle = info.call_args.args[2] == pack
+                settle = info.call_args.args[2] == upper
             else:
                 settle = None
                 assert rep.lower_src.startswith("bch(v="), (code, budget)

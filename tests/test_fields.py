@@ -57,12 +57,21 @@ def test_paper_style_quartic_modulus():
 
 
 def test_reducible_modulus_error_names_factor():
-    with pytest.raises(FieldError, match="divisible by"):
+    with pytest.raises(FieldError, match="factor has degree 1$"):
         make_field(3, 2, [2, 0, 1])  # x^2 + 2 = (x+1)(x+2)
-    try:
-        make_field(3, 2, [2, 0, 1])
-    except FieldError as e:
-        assert "1,1" in str(e) or "2,1" in str(e)
+    assert _oracle_smallest_factor([2, 0, 1], 3) == [1, 1]
+
+
+def test_cli_pinned_reducible_moduli_match_the_oracle():
+    # the moduli whose errors tests/test_verify_cli.py pins, with the degree
+    # of the oracle's smallest factor: x^2 + 2 = (x + 1)(x + 2), x^4 + 2 =
+    # (x + 1)(x + 2)(x^2 + 1) and x^6 + 1 = (x^2 + 1)^3
+    for f, degree in (([2, 0, 1], 1), ([2, 0, 0, 0, 1], 1),
+                      ([1, 0, 0, 0, 0, 0, 1], 2)):
+        assert len(_oracle_smallest_factor(f, 3)) - 1 == degree
+        with pytest.raises(FieldError) as exc:
+            make_field(3, len(f) - 1, f)
+        assert str(exc.value).endswith(f"factor has degree {degree}")
 
 
 def test_primitive_element_gf3():
@@ -321,14 +330,15 @@ def test_make_field_accepts_exactly_the_irreducible_moduli(p, max_deg):
                 continue
             with pytest.raises(FieldError) as exc:
                 make_field(p, d, f)
-            text = ",".join(map(str, factor))
-            assert str(exc.value).endswith(f"divisible by {text}"), (f, exc.value)
+            assert str(exc.value).endswith(
+                f"factor has degree {len(factor) - 1}"), (f, exc.value)
 
 
 def test_reducible_sextic_rejected():
     # (x + 2) divides it: f(1) = 2 + 1 + 2 + 1 = 0 mod 3
-    with pytest.raises(FieldError, match="divisible by 2,1$"):
+    with pytest.raises(FieldError, match="factor has degree 1$"):
         make_field(3, 6, [2, 1, 2, 0, 0, 0, 1])
+    assert _oracle_smallest_factor([2, 1, 2, 0, 0, 0, 1], 3) == [2, 1]
 
 
 def test_irreducible_sextic_accepted():
@@ -432,7 +442,8 @@ def test_product_of_two_degree9_irreducibles_rejected_fast():
     with pytest.raises(FieldError) as exc:
         make_field(3, 18, _poly_mul(large, small, 3))
     assert time.perf_counter() - t0 < 1.0
-    assert str(exc.value).endswith("divisible by 1,0,1,2,0,0,0,0,0,1")
+    # the product of two irreducibles of degree 9 has no smaller factor
+    assert str(exc.value).endswith("factor has degree 9")
 
 
 def test_pinned_moduli_are_primitive_and_the_search_finds_smaller_ones():

@@ -18,7 +18,7 @@ from negacyclic.cli import main
 from negacyclic.codes import CodeError, LinearCode, NegacyclicCode
 from negacyclic.cosets import build_cosets
 from negacyclic.distance import (DistanceReport, SearchBudget, distance_report,
-                                 weight_distribution)
+                                 upper_bound, weight_distribution)
 from negacyclic.families import Claim, build_family1
 from negacyclic.ff import make_field
 from negacyclic.verify import (MATCH, MISMATCH, SCOPES, TABLE1, ResultCache,
@@ -133,6 +133,36 @@ def test_cold_verify_computes_each_minimal_polynomial_once():
     poly.minimal_polynomial.cache_clear()
     verify_claims("all")
     assert poly.minimal_polynomial.cache_info().misses == 298
+
+
+# the distinct [n, k]_q of verify's exact records whose d meets upper_bound,
+# which proves that no linear [n, k]_q code has a larger minimum distance
+_OPTIMAL = {(10, 4, 3), (10, 6, 3), (13, 6, 3), (13, 7, 3), (14, 6, 3),
+            (14, 8, 3), (20, 16, 3), (34, 16, 3), (40, 32, 3), (41, 33, 3),
+            (82, 74, 3), (121, 111, 3), (122, 112, 3), (5, 2, 9), (5, 3, 9),
+            (7, 3, 9), (7, 4, 9), (19, 9, 9), (19, 10, 9)}
+
+
+def test_exact_records_state_their_optimality(tmp_path):
+    cache = ResultCache(str(tmp_path / "results.json"))
+    exact, optimal = set(), set()
+    for r in verify_claims("all", cache=cache).records:
+        c = r["computed"] or {}
+        if "lower" not in c or not c["exact"]:
+            assert "optimality" not in c, r["label"]
+            continue
+        key = tuple(r["descriptor"][x] for x in ("n", "k", "q"))
+        upper, src = upper_bound(*key)
+        assert upper >= c["lower"], r["label"]
+        assert c["optimality"] == {
+            "upper": upper, "src": src,
+            "optimal": True if c["lower"] == upper else None}, r["label"]
+        exact.add(key)
+        if c["optimality"]["optimal"]:
+            optimal.add(key)
+    assert len(exact) == 38 and optimal == _OPTIMAL
+    # derived from (n, k, q) after the cache, never stored in it
+    assert not any("optimality" in rec for rec in _records(cache.path).values())
 
 
 # -- cache ---------------------------------------------------------------------
@@ -252,8 +282,12 @@ def test_cli_distance_recomputes_undecodable_cached_witness(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == good
 
 
-# [14,6,6] (family 1, rho = 7): BCH gives 5, sphere packing 7, and a column
-# search up to weight 5 finds nothing, so its bounds-only report is 6..7
+# 3 words admit no information-set search, so the column search to weight 5
+# runs: on [34,18,10] (family 1, rho = 17, the dual; BCH 5 at v = 1, upper
+# bound 12 from Griesmer) it finds nothing, so its bounds-only report is
+# 6..12; on [14,6,6] (family 1, rho = 7; BCH 5, sphere packing 7, but a
+# [14,6,7] code would have a residual [7,5,>=3] code, which sphere packing
+# rules out) the proved 6 meets the upper bound 6, so that report is exact
 _BOUNDS_BUDGET = SearchBudget(max_message_enum=3, max_column_weight=5)
 # [34,18,10] (family 1, rho = 17, the dual): BCH gives 5, sphere packing 12;
 # 4000 words admit the information-set search with reach 4 (3588 words to
@@ -280,6 +314,7 @@ def test_cache_genuine_bounds_only_hits_are_served(rho7_code, rho17_dual,
                                                    tmp_path):
     import warnings
     for code, budget, src in (
+            (rho17_dual, _BOUNDS_BUDGET, "column-search w<=5"),
             (rho7_code, _BOUNDS_BUDGET, "column-search w<=5"),
             (rho7_code, SearchBudget(max_message_enum=3, max_column_weight=2),
              "bch(v=1)"),
@@ -295,16 +330,15 @@ def test_cache_genuine_bounds_only_hits_are_served(rho7_code, rho17_dual,
 
 
 @pytest.mark.parametrize("info,edit", [
-    (False, lambda rec: rec.update(upper=6)),                 # not the packing bound
+    (False, lambda rec: rec.update(upper=11)),                # not the bound 12
     (False, lambda rec: rec.update(upper_src="trivial")),
-    (False, lambda rec: rec.update(lower=7, exact=True)),     # w<=5 proves 6
-    (False, lambda rec: rec.update(lower_src="column-search w<=6", lower=7,
-                                   exact=True)),
+    (False, lambda rec: rec.update(lower=7)),                 # w<=5 proves 6
+    (False, lambda rec: rec.update(lower_src="column-search w<=6", lower=7)),
     (False, lambda rec: rec.update(lower_src="bch(v=1)")),    # BCH at v=1 is 5
-    (False, lambda rec: rec.update(lower_src="bch(v=2)", lower=5)),  # 2 | 28
+    (False, lambda rec: rec.update(lower_src="bch(v=2)", lower=5)),  # 2 | 68
     (False, lambda rec: rec.update(lower_src="exhaustive")),  # unknown source
-    (False, lambda rec: rec.update(exact=True)),              # 6..7 is not exact
-    (False, lambda rec: rec.update(witness="1" + ",0" * 13)),
+    (False, lambda rec: rec.update(exact=True)),              # 6..12 is not exact
+    (False, lambda rec: rec.update(witness="1" + ",0" * 33)),
     # level 3 is the first with L > 4, where all 34 windows prove 8: levels
     # 2 and 4, with their own bounds 6 and 10, are not it
     (True, lambda rec: rec.update(lower_src="information-set w<=2", lower=6)),
@@ -316,18 +350,40 @@ def test_cache_genuine_bounds_only_hits_are_served(rho7_code, rho17_dual,
         "source", "exact-flag", "witness", "info-level-below",
         "info-level-above", "info-lower-below", "info-lower-above",
         "info-lower-disjoint"])
-def test_cache_bounds_only_hit_is_certified(info, edit, rho7_code, rho17_dual,
-                                            tmp_path):
+def test_cache_bounds_only_hit_is_certified(info, edit, rho17_dual, tmp_path):
     if info:
         code, budget, want = rho17_dual, _INFO_BUDGET, (8, 12, "information-set w<=3")
     else:
-        code, budget, want = rho7_code, _BOUNDS_BUDGET, (6, 7, "column-search w<=5")
+        code, budget, want = rho17_dual, _BOUNDS_BUDGET, (6, 12, "column-search w<=5")
     path = tmp_path / "results.json"
     good = cached_distance_report(code, budget,
                                   cache=ResultCache(str(path))).to_json()
     assert (good["lower"], good["upper"], good["lower_src"]) == want
     _edit_only_record(path, edit)
     _served_fresh(code, budget, path, good)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rec: rec.update(upper=7),                   # the packing bound
+    lambda rec: rec.update(upper_src="sphere-packing"),
+    lambda rec: rec.update(upper=7, exact=False, upper_src="sphere-packing"),
+], ids=["upper", "upper-src", "packing-bracket"])
+def test_cache_bounds_only_exact_by_bounds_hit_is_certified(edit, rho7_code,
+                                                           tmp_path):
+    # the column search to weight 5 proves 6 on [14,6,6], and the residual
+    # step brings the upper bound to 6: an exact report with no witness,
+    # both of whose ends replay from the code and the budget; the old
+    # packing ceiling 7, or its name, is not the report's
+    path = tmp_path / "results.json"
+    good = cached_distance_report(rho7_code, _BOUNDS_BUDGET,
+                                  cache=ResultCache(str(path))).to_json()
+    assert {k: good[k] for k in ("lower", "upper", "exact", "method",
+                                 "lower_src", "upper_src", "witness")} == {
+        "lower": 6, "upper": 6, "exact": True, "method": "bounds-only",
+        "lower_src": "column-search w<=5", "upper_src": "residual",
+        "witness": None}
+    _edit_only_record(path, edit)
+    _served_fresh(rho7_code, _BOUNDS_BUDGET, path, good)
 
 
 def test_cache_sound_bounds_only_record_off_the_plan_is_recomputed(rho7_code,
@@ -820,9 +876,9 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
      "malformed code descriptor"),
     (["dual", "--code", "{tmp}/not-json.json"], "malformed code descriptor"),
     (["field", "--p", "3", "--m", "2", "--modulus", "2,0,1"],
-     "reducible over GF(3); divisible by 1,1"),
+     "reducible over GF(3); its smallest irreducible factor has degree 1"),
     (["build", "--n", "10", "--check", "1", "--host-modulus", "2,0,0,0,1"],
-     "reducible over GF(3); divisible by 1,1"),
+     "reducible over GF(3); its smallest irreducible factor has degree 1"),
     (["dual", "--code", "{tmp}/gf25-as-gf9.json"], "q = 9 disagrees"),
     (["cosets", "--q", "3", "--n-mod", "-5"], "N = -5 must be at least 1"),
     (["cosets", "--q", "3", "--n-mod", "0"], "N = 0 must be at least 1"),
@@ -842,7 +898,7 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     # family builders check --host-modulus; family 4's takes none
     (["family", "--id", "2", "--ell", "3", "--n", "14",
       "--host-modulus", "1,0,0,0,0,0,1"],
-     "reducible over GF(3); divisible by 1,0,1"),
+     "reducible over GF(3); its smallest irreducible factor has degree 2"),
     (["family", "--id", "4", "--j", "1", "--m", "3", "--host-modulus", "1,2,3"],
      "--host-modulus is not accepted for family 4"),
     # malformed integer lists name their option, never Python's own message
