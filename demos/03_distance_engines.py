@@ -57,12 +57,13 @@ print(f"[34,18] information sets: d = {rep.d} in {time.time()-t0:.2f}s "
 # Settling the [58,28] code of family 1 at rho = 29 (d = 18 in Table 2)
 # would take 7.3 * 10^9 words or more.  With a reach D the same search stops
 # at the first level W whose disjoint windows [0, 28), [28, 56) and
-# [56, 84) mod 58, which share 26 positions, give L(W) > D: L(3) = 8.
-# There a word it has not met has 4 nonzeros on each of the 58 windows
-# [j, j + 28), and each position lies in 28 of them, so d >= 58 * 4 / 28,
-# that is d >= 9.  distance_report asks for D = 6, the column search's
-# weight cap, since 14 k words are far fewer than the column search's half
-# a million side entries to weight 6.
+# [56, 84) mod 58, which share 26 positions, give L(W) > D: L(3) = 8 and
+# L(4) = 10.  distance_report proves d > 6, the column search's weight cap,
+# and lets the search spend up to the column search's 513,881 side entries
+# to weight 6: level 4 takes 177,688 words in all (level 5 would take
+# 1.75 M), so it asks for D = L(4) - 1 = 9.  There a word it has not met
+# has 5 nonzeros on each of the 58 windows [j, j + 28), and each position
+# lies in 28 of them, so d >= 58 * 5 / 28, that is d >= 11.
 code29 = build_family1(29).code
 t0 = time.time()
 rep = distance_report(code29)

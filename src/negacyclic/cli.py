@@ -109,7 +109,10 @@ def main(argv=None) -> int:
                              "every distance engine runs on one thread")
     engine.add_argument("--cache", default=None)
     engine.add_argument("--no-cache", action="store_true")
-    w_max.add_argument("--w-max", type=int, default=None, dest="w_max")
+    w_max.add_argument("--w-max", type=int, default=None, dest="w_max",
+                       help="column-search weight cap, default 6: a d left "
+                            "open gets a lower bound above it, for at most "
+                            "the words that search would take")
 
     def command(name, hlp, *groups):
         return sub.add_parser(name, help=hlp, parents=[*groups, out])

@@ -46,18 +46,22 @@ those of every window [j, j + k) mod n, so an unmet word weighs at least
 ceil(n(w + 1)/k); the search stops once that bound reaches the least
 weight found, or, short of that, at the first level W where the disjoint
 windows [jk, (j+1)k) give L(W) above a given reach, and proves the finer
-bound at W.
+bound at W.  No later level reads a table the last level W would build,
+so W pairs two-row top parts with T_(W-2) when they are fewer vectors
+than T_(W-1).
 distance_report runs at most one engine, the one _plan picks because it
 counts fewer words: to settle d, the column search (when it reaches the
 ceiling U) or the information-set search; when neither can, to prove
-d > w_cap, the column search to w_cap or the information-set search with
-reach w_cap.  The ceiling U = upper_bound(n, k, q) holds for every linear
-[n, k]_q code: the least of the Singleton, Griesmer and sphere-packing
-(with the even-distance refinement) bounds, lowered by the residual-code
-step.  U and the BCH multiplier bound bracket whatever the engines cannot
-settle exactly; _plan also gives that bounds-only report, so the format
-of a lower bound's source (lower_src) is known to this module alone.
-Engines only read the code object.
+d > w_cap, the column search to w_cap or the information-set search, which
+then goes on to the deepest level whose words fit both the budget and the
+column search's price for that proof (never short of reach w_cap).  The
+ceiling U = upper_bound(n, k, q) holds for every linear [n, k]_q code: the
+least of the Singleton, Griesmer and sphere-packing (with the
+even-distance refinement) bounds, lowered by the residual-code step.  U
+and the BCH multiplier bound bracket whatever the engines cannot settle
+exactly; _plan also gives that bounds-only report, so the format of a
+lower bound's source (lower_src) is known to this module alone.  Engines
+only read the code object.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ from .codes import (CodeError, ConstacyclicCode, NegacyclicCode, encode_rows,
 #: fit one word per plane, not only where q^r < 2^62, and its work counts
 #: the side entries of the levels it ran; 11: the ceiling is upper_bound,
 #: not the sphere-packing bound alone, so a report's upper may be lower).
-ENGINE_VERSION = 11
+ENGINE_VERSION = 12
 
 
 def parse_budget(text) -> int:
@@ -119,8 +123,10 @@ class SearchBudget:
     and the q^k messages of weight_distribution; max_column_weight caps the
     column search and sets w_cap = min(max_column_weight, U + 1) (_plan),
     the weight to which distance_report proves d > w_cap when no engine can
-    settle d.  Both bound work, not time, so a report depends only on the
-    code and the budget."""
+    settle d; the column search's words to w_cap (_column_words) also
+    price how deep the information-set search goes for that proof.  Both
+    bound work, not time, so a report depends only on the code and the
+    budget."""
 
     max_message_enum: int = 3 ** 16
     max_column_weight: int = 6
@@ -568,12 +574,25 @@ def _info_set_levels(n, k, d_max):
     return w
 
 
+def _level_words(k, q, W):
+    """Words, one per scalar class, that levels 1..W enumerate:
+    C(k, w) (q - 1)^(w - 1) at level w, so at most (q^k - 1)/(q - 1)."""
+    return sum(comb(k, w) * (q - 1) ** (w - 1) for w in range(1, W + 1))
+
+
 def _info_set_words(n, k, q, d_max):
-    """Words, one per scalar class, that the levels up to _info_set_levels
-    enumerate: C(k, w) (q - 1)^(w - 1) at level w, so at most
-    (q^k - 1)/(q - 1) in all."""
-    return sum(comb(k, w) * (q - 1) ** (w - 1)
-               for w in range(1, _info_set_levels(n, k, d_max) + 1))
+    """Words that the levels up to _info_set_levels enumerate."""
+    return _level_words(k, q, _info_set_levels(n, k, d_max))
+
+
+def _deep_reach(n, k, q, d_max, limit):
+    """The reach L(W) - 1, whose first level past it is W (L rises with w,
+    _window_bound), for the deepest W whose words (_level_words) fit
+    limit; d_max when its own level is at least as deep."""
+    W = _info_set_levels(n, k, d_max)
+    while W < k and _level_words(k, q, W + 1) <= limit:
+        W += 1
+    return max(d_max, _window_bound(n, k, W) - 1)
 
 
 def information_set_search(code, budget: Optional[SearchBudget] = None,
@@ -588,7 +607,11 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     Level w enumerates the messages of weight w, one per scalar class, as
     sums of the redundancy parts of the k rows (_multiple_planes).  The
     sums of t rows are held in one colex table T_t (_colex_grow), where t
-    is w - 1, or less when T_(w-1) would exceed _TABLE_WORDS plane words.  A
+    is w - 1, or less when T_(w-1) would exceed _TABLE_WORDS plane words.
+    No level after the last planned one, W, reads T_(W-1), so W builds it
+    only when it holds no more vectors than the two-term top parts on
+    T_(W-2); from W = 3 on they are fewer, and W pairs them with T_(W-2),
+    enumerating the same words.  A
     message is a (w - t)-term top part y, whose top coefficient is pinned
     to 1 (one per scalar class) and whose least row u bounds the others:
     its t-term bottom parts are the prefix T_t[:C(u, t)(q - 1)^t].  Since
@@ -620,9 +643,10 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     lower_src "information-set w<=W", with no witness (a word found on the
     way is not reported).  W stays the disjoint windows' level, which
     admission counts: the finer bound passes d_max up to a level earlier,
-    where it proves less than it does at W.  The reach is at most
-    upper_bound(n, k, q), which always ends exact since d <= U, and is that
-    bound when d_max is None.
+    where it proves less than it does at W, and the reach L(W) - 1 stops
+    at W (distance_report's plan sets one, _deep_reach).  The reach is at
+    most upper_bound(n, k, q), which always ends exact since d <= U, and is
+    that bound when d_max is None.
 
     Returns None when the code is not admitted: the words up to level W
     (_info_set_words) must fit budget.max_message_enum, and every code whose
@@ -658,7 +682,12 @@ def information_set_search(code, budget: Optional[SearchBudget] = None,
     last = _info_set_levels(span, k, reach)
     while w < last and _info_set_bound(span, k, w) < best_w:
         w += 1
-        _colex_grow(colex, cplanes, q, w - 1)
+        # no later level reads the last level's T_(w-1): it is built only
+        # when it holds no more vectors than the two-term top parts on
+        # T_(w-2) (from w = 3 on, it holds more)
+        if w < last or w == 1 or _colex_size(k, w - 1, q) <= (
+                _colex_size(k, 2, q, True) - _colex_size(w - 1, 2, q, True)):
+            _colex_grow(colex, cplanes, q, w - 1)
         t = len(colex) - 1
         m, T = w - t, colex[t][0]
         # top parts: the pinned m-term sums whose top row is at least w - 1
@@ -867,27 +896,36 @@ def _plan(code, budget: SearchBudget):
     neither can, the engines that prove d > w_cap: the column search
     (skipped when w_cap < the BCH bound, where it can neither find a word
     nor raise the bound), proving w_cap + 1, and the information-set search
-    with reach w_cap, which runs to the first level W whose disjoint
-    windows give L(W) > w_cap and proves d >= the bound of all the windows
-    there (_info_set_bound), or settles d, as it always does when W = k or
-    when that bound passes U.  The report carries U, upper_src naming the
-    bound that binds, and the larger of the BCH bound and what the engine
-    proves (the BCH bound on a tie); it is exact when the two meet."""
+    with reach w_cap, which the choice prices at its words to the first
+    level whose disjoint windows give L > w_cap.  Once chosen, it goes on
+    to the deepest level W whose words fit both budget.max_message_enum and
+    the column search's price for the same proof, _column_words(n, q,
+    w_cap) (_deep_reach; never short of that first level, so a proof the
+    column search cannot make may cost more than its price).  It proves
+    d >= the bound of all the windows at W (_info_set_bound), or settles
+    d, as it always does when W = k or when that bound passes U, and
+    whenever that bound meets the least weight it found.  The report
+    carries U, upper_src naming the bound that binds, and the larger of the
+    BCH bound and what the engine proves (the BCH bound on a tie); it is
+    exact when the two meet."""
     q, k, n = code.field.order, code.k, code.n
     upper, upper_src = upper_bound(n, k, q)
     bch, v = bch_lower(code)
     w_cap = min(budget.max_column_weight, upper + 1)
     fits = _words(n - k, code.field.m) <= 1
     span = _info_set_span(code)
+    price = _column_words(n, q, w_cap)
     run, lower, lower_src = None, bch, f"bch(v={v})"
     for column, reach in ((w_cap >= upper, upper), (bch <= w_cap, w_cap)):
         words = _info_set_words(span, k, q, reach)
         admitted = words <= budget.max_message_enum
-        if fits and column and not (
-                admitted and words < _column_words(n, q, w_cap)):
+        if fits and column and not (admitted and words < price):
             run = functools.partial(low_weight_search, code, w_cap, budget)
             proved = w_cap + 1, f"column-search w<={w_cap}"
         elif admitted:
+            if reach < upper:  # a proof of d > w_cap, at the column search's price
+                reach = _deep_reach(span, k, q, reach,
+                                    min(budget.max_message_enum, price))
             run = functools.partial(information_set_search, code, budget, reach)
             W = _info_set_levels(span, k, reach)
             # past level k every message is met, so the search settles d

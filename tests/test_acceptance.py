@@ -88,7 +88,22 @@ def test_criterion_2_family1_table_raised_budget(cache):
     for rho in (5, 7, 17, 19):
         for part in ("code", "dual", "companion", "companion_dual"):
             assert by_label[f"table2/rho={rho}/{part}"]["verdict"] == MATCH
-    _pass(2, "raised budget: all rho in {5,7,17,19} rows exact")
+    # the rho = 29, 31 rows verify leaves external: at this budget six
+    # settle at their Table 2 d, and the two the budget cannot settle are
+    # brackets that hold it
+    brackets = {}
+    for rho in (29, 31):
+        built = build_family1(rho)
+        for part, (n, k, d) in FAMILY1_TABLE[rho].items():
+            rep = distance_report(getattr(built, part), budget)
+            assert rep.lower <= d <= rep.upper, (rho, part, rep)
+            if rep.exact:
+                assert rep.method == "information-set" and rep.d == d
+            else:
+                brackets[(n, k)] = (rep.lower, rep.upper)
+    assert brackets == {(58, 28): (17, 20), (58, 30): (14, 18)}
+    _pass(2, "raised budget: all rho in {5,7,17,19} rows exact; rho = 29, 31: "
+             "six rows exact, [58,28] 17..20 and [58,30] 14..18")
 
 
 @pytest.mark.skipif(not FULL, reason="raised-budget run: set NEGACYCLIC_ACCEPT_FULL=1")

@@ -351,29 +351,36 @@ def test_bounds_only_report_carries_column_search_work(family1_rho19):
     # the default budget lets the column search reach the packing bound
     rep = distance_report(code)
     assert (rep.exact, rep.d, rep.method) == (True, 4, "column-search")
-    # [38,18,10] under 3^12: the information-set search to level 3 (3588
-    # words), where L(3) = 8 > 6, proves d >= ceil(38 * 4 / 18) = 9 over all
-    # 38 windows, and its work is carried
-    code = family1_rho19.code
-    rep = distance_report(code, SearchBudget(max_message_enum=3 ** 12))
-    assert (rep.method, rep.lower, rep.lower_src) == (
-        "bounds-only", 9, "information-set w<=3")
-    searched = information_set_search(code, d_max=6)
-    assert rep.work == searched.work == 3588
-    # the default budget admits it to the packing bound, and it settles d
-    rep = distance_report(code)
-    assert (rep.exact, rep.d, rep.method) == (True, 10, "information-set")
-    # the [19,9] companion over GF(9) under 3^12, which does not admit the
-    # information-set search to the packing bound: its reach 6 (5673 words
-    # to level 3, the first where the disjoint windows give L(3) = 8 > 6) is
-    # cheaper than the column search to weight 6 (645 k entries), and
-    # proves d >= ceil(19 * 4 / 9) = 9
-    comp = family1_rho19.companion
-    rep = distance_report(comp, SearchBudget(max_message_enum=3 ** 12))
-    assert (rep.lower, rep.lower_src, rep.work) == (9, "information-set w<=3", 5673)
-    # the default budget admits it: d is exact
-    rep = distance_report(comp)
-    assert (rep.exact, rep.d, rep.method) == (True, 10, "information-set")
+    # [38,20,9] under 3^12 and weight 5: the information-set search with
+    # reach 5 (4960 words to level 3, where L(3) = 8 > 5) is cheaper than
+    # the column search to weight 5 (42,409 entries), which also prices how
+    # deep it may go; level 4 would take 43,720 words, so it stops at level
+    # 3 and proves d >= ceil(38 * 4 / 20) = 8 over all 38 windows, and its
+    # work is carried
+    code = family1_rho19.dual
+    budget = SearchBudget(max_message_enum=3 ** 12, max_column_weight=5)
+    assert distance._column_words(38, 3, 5) == 42409
+    rep = distance_report(code, budget)
+    assert (rep.method, rep.lower, rep.upper, rep.lower_src) == (
+        "bounds-only", 8, 12, "information-set w<=3")
+    searched = information_set_search(code, d_max=5)
+    assert rep.work == searched.work == 4960
+    # [38,18,10] and its [19,9,10] companion over GF(9) under 3^12, which
+    # does not admit the information-set search to the upper bound: the
+    # proof of d > 6 goes on to level 4, the deepest within both the budget
+    # and the column search's price to weight 6 (level 5 takes 165,156
+    # words against a price of 143,641 entries, and 586,281 words against
+    # the budget's 531,441), where ceil(n * 5 / k) = 11 passes the least
+    # weight found, so it settles d = 10 with a witness
+    for code, words in ((family1_rho19.code, 28068),
+                        (family1_rho19.companion, 70185)):
+        rep = distance_report(code, SearchBudget(max_message_enum=3 ** 12))
+        assert (rep.exact, rep.d, rep.method, rep.work) == (
+            True, 10, "information-set", words)
+        _check_witness(code, rep, 10)
+        # the default budget admits it to the upper bound: d is exact
+        rep = distance_report(code)
+        assert (rep.exact, rep.d, rep.method) == (True, 10, "information-set")
 
 
 @pytest.fixture(scope="module")
@@ -383,28 +390,67 @@ def family1_large():
 
 def test_family1_large_bounds_carry_work_and_time(family1_large):
     # the eight rho = 29, 31 rows stay bounds-only at the default budget;
-    # each report carries the words its information-set search counted,
-    # C(k, w)(q - 1)^(w - 1) summed over the levels
+    # each proof of d > 6 runs the information-set search to level 4, the
+    # deepest whose words fit the column search's price, and its report
+    # carries the words counted, C(k, w)(q - 1)^(w - 1) summed over the
+    # levels.  Level 4 proves ceil(n * 5 / k) = 11 or 10 over all n windows;
+    # the first level past 6, level 3, proved 9 or 8 (width 67, now 55)
     got, brackets = [], []
-    for b in family1_large:
+    for rho, b in zip((29, 31), family1_large):
         for part in ("code", "dual", "companion", "companion_dual"):
             rep = distance_report(getattr(b, part))
             assert rep.method == "bounds-only"
-            assert rep.lower_src.startswith("information-set w<=")
+            assert rep.lower_src == "information-set w<=4"
+            # each holds the paper's d
+            assert rep.lower <= FAMILY1_TABLE[rho][part][2] <= rep.upper
             got.append(rep.work)
             brackets.append((rep.lower, rep.upper, rep.upper_src))
-    assert got == [13888, 236380, 24038, 29975, 17140, 308544, 29975, 36816]
+    assert got == [177688, 236380, 536550, 728855, 236380, 308544, 728855,
+                   968656]
     # the ceilings of upper_bound: the sphere-packing bound alone gave
-    # 22, 20, 17, 15, 23, 21, 18 and 17 (width 81, now 67)
+    # 22, 20, 17, 15, 23, 21, 18 and 17
     assert brackets == [
-        (9, 20, "residual"), (10, 18, "residual"), (9, 15, "griesmer"),
-        (8, 14, "griesmer"), (9, 21, "residual"), (10, 20, "residual"),
-        (9, 16, "griesmer"), (8, 15, "griesmer")]
-    # each holds the paper's d
-    for rho in (29, 31):
-        for part, (n, k, d) in FAMILY1_TABLE[rho].items():
-            q = 9 if part.startswith("companion") else 3
-            assert distance.upper_bound(n, k, q)[0] >= d, (rho, part)
+        (11, 20, "residual"), (10, 18, "residual"), (11, 15, "griesmer"),
+        (10, 14, "griesmer"), (11, 21, "residual"), (10, 20, "residual"),
+        (11, 16, "griesmer"), (10, 15, "griesmer")]
+
+
+def test_bracket_proof_goes_as_deep_as_the_column_search_price(family1_large):
+    # the plan's level for each family1-large proof of d > 6 is the deepest
+    # whose words fit both the budget and the column search's price to
+    # weight 6: not the first level past 6, and not the whole budget
+    budget = SearchBudget()
+    prices = []
+    for b in family1_large:
+        for part in ("code", "dual", "companion", "companion_dual"):
+            code = getattr(b, part)
+            n, k, q = code.n, code.k, code.field.order
+            run, _, plan = distance._plan(code, budget)
+            assert run.func is information_set_search
+            W = distance._info_set_levels(n, k, run.args[2])
+            assert plan.lower_src == f"information-set w<={W}"
+            price = distance._column_words(n, q, 6)
+            prices.append(price)
+            limit = min(budget.max_message_enum, price)
+            words = [sum(math.comb(k, w) * (q - 1) ** (w - 1)
+                         for w in range(1, level + 1)) for level in (W, W + 1)]
+            assert words[0] <= limit < words[1], (n, k, q)
+    assert prices == [513881, 513881, 2397547, 2397547, 628185, 628185,
+                      2944319, 2944319]
+
+
+def test_bracket_run_builds_no_table_for_its_last_level(family1_large):
+    # level 4 of the [58,28] proof reads T_3 nowhere else, so it pairs the
+    # 750 two-term top parts with T_2 instead of building T_3's 26,208
+    # entries; lower bound and work are those of the levels it ran
+    code = family1_large[0].code
+    with mock.patch.object(distance, "_colex_grow",
+                           wraps=distance._colex_grow) as grow:
+        rep = distance_report(code)
+    assert (rep.lower, rep.lower_src, rep.work) == (
+        11, "information-set w<=4", 177688)
+    assert [c.args[3] for c in grow.call_args_list] == [0, 1, 2]
+    assert len(grow.call_args_list[-1].args[0]) == 3     # T_0, T_1, T_2
 
 
 def test_distance_report_runs_at_most_one_engine(family1_rho17, family1_rho19,

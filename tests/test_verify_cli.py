@@ -293,8 +293,9 @@ _BOUNDS_BUDGET = SearchBudget(max_message_enum=3, max_column_weight=5)
 # 4000 words admit the information-set search with reach 4 (3588 words to
 # level 3, the first where its disjoint windows [0, 18), [18, 36) mod 34
 # give L(3) = 6 > 4), cheaper than the column search to weight 4 (4693
-# entries).  Over all 34 windows level 3 proves ceil(34 * 4 / 18) = 8, so
-# its bounds-only report is 8..12
+# entries); level 4 (28,068 words) would pass both, so level 3 is as deep
+# as the proof goes.  Over all 34 windows level 3 proves
+# ceil(34 * 4 / 18) = 8, so its bounds-only report is 8..12
 _INFO_BUDGET = SearchBudget(max_message_enum=4000, max_column_weight=4)
 
 
@@ -308,6 +309,12 @@ def rho7_code():
 def rho17_dual():
     from negacyclic.families import build_family1
     return build_family1(17).dual
+
+
+@pytest.fixture(scope="module")
+def rho29_code():
+    from negacyclic.families import build_family1
+    return build_family1(29).code
 
 
 def test_cache_genuine_bounds_only_hits_are_served(rho7_code, rho17_dual,
@@ -329,32 +336,38 @@ def test_cache_genuine_bounds_only_hits_are_served(rho7_code, rho17_dual,
         assert cache.hits == 1 and again.to_json() == rep.to_json()
 
 
-@pytest.mark.parametrize("info,edit", [
-    (False, lambda rec: rec.update(upper=11)),                # not the bound 12
-    (False, lambda rec: rec.update(upper_src="trivial")),
-    (False, lambda rec: rec.update(lower=7)),                 # w<=5 proves 6
-    (False, lambda rec: rec.update(lower_src="column-search w<=6", lower=7)),
-    (False, lambda rec: rec.update(lower_src="bch(v=1)")),    # BCH at v=1 is 5
-    (False, lambda rec: rec.update(lower_src="bch(v=2)", lower=5)),  # 2 | 68
-    (False, lambda rec: rec.update(lower_src="exhaustive")),  # unknown source
-    (False, lambda rec: rec.update(exact=True)),              # 6..12 is not exact
-    (False, lambda rec: rec.update(witness="1" + ",0" * 33)),
+@pytest.mark.parametrize("case,edit", [
+    ("column", lambda rec: rec.update(upper=11)),             # not the bound 12
+    ("column", lambda rec: rec.update(upper_src="trivial")),
+    ("column", lambda rec: rec.update(lower=7)),              # w<=5 proves 6
+    ("column", lambda rec: rec.update(lower_src="column-search w<=6", lower=7)),
+    ("column", lambda rec: rec.update(lower_src="bch(v=1)")),  # BCH at v=1 is 5
+    ("column", lambda rec: rec.update(lower_src="bch(v=2)", lower=5)),  # 2 | 68
+    ("column", lambda rec: rec.update(lower_src="exhaustive")),  # unknown source
+    ("column", lambda rec: rec.update(exact=True)),           # 6..12 is not exact
+    ("column", lambda rec: rec.update(witness="1" + ",0" * 33)),
     # level 3 is the first with L > 4, where all 34 windows prove 8: levels
     # 2 and 4, with their own bounds 6 and 10, are not it
-    (True, lambda rec: rec.update(lower_src="information-set w<=2", lower=6)),
-    (True, lambda rec: rec.update(lower_src="information-set w<=4", lower=10)),
-    (True, lambda rec: rec.update(lower=7)),                  # the bound is 8
-    (True, lambda rec: rec.update(lower=9)),
-    (True, lambda rec: rec.update(lower=6)),   # L(3), the disjoint windows'
+    ("info", lambda rec: rec.update(lower_src="information-set w<=2", lower=6)),
+    ("info", lambda rec: rec.update(lower_src="information-set w<=4", lower=10)),
+    ("info", lambda rec: rec.update(lower=7)),                # the bound is 8
+    ("info", lambda rec: rec.update(lower=9)),
+    ("info", lambda rec: rec.update(lower=6)),  # L(3), the disjoint windows'
+    # [58,28] at the default budget: the proof of d > 6 goes on past level
+    # 3, the first with L > 6, to level 4, the deepest within the column
+    # search's price, and proves 11 there; level 3's sound 9 is not it
+    ("large", lambda rec: rec.update(lower_src="information-set w<=3", lower=9)),
 ], ids=["upper", "upper-src", "lower", "cap", "bch-bound", "bch-multiplier",
         "source", "exact-flag", "witness", "info-level-below",
         "info-level-above", "info-lower-below", "info-lower-above",
-        "info-lower-disjoint"])
-def test_cache_bounds_only_hit_is_certified(info, edit, rho17_dual, tmp_path):
-    if info:
-        code, budget, want = rho17_dual, _INFO_BUDGET, (8, 12, "information-set w<=3")
-    else:
-        code, budget, want = rho17_dual, _BOUNDS_BUDGET, (6, 12, "column-search w<=5")
+        "info-lower-disjoint", "info-level-first-past-cap"])
+def test_cache_bounds_only_hit_is_certified(case, edit, rho17_dual, rho29_code,
+                                            tmp_path):
+    code, budget, want = {
+        "column": (rho17_dual, _BOUNDS_BUDGET, (6, 12, "column-search w<=5")),
+        "info": (rho17_dual, _INFO_BUDGET, (8, 12, "information-set w<=3")),
+        "large": (rho29_code, SearchBudget(), (11, 20, "information-set w<=4")),
+    }[case]
     path = tmp_path / "results.json"
     good = cached_distance_report(code, budget,
                                   cache=ResultCache(str(path))).to_json()
@@ -993,7 +1006,9 @@ ENGINE = {(("--budget",), "budget", None, None, False, None, None, "e.g. 3^16"),
            THREADS_HELP),
           (("--cache",), "cache", None, None, False, None, None, None),
           (("--no-cache",), "no_cache", False, None, False, None, 0, None)}
-W_MAX = (("--w-max",), "w_max", None, "int", False, None, None, None)
+W_MAX = (("--w-max",), "w_max", None, "int", False, None, None,
+         "column-search weight cap, default 6: a d left open gets a lower "
+         "bound above it, for at most the words that search would take")
 
 
 def _int(flag, dest=None, default=None, required=False, choices=None,
